@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analytic.occ import OccModel
 from repro.analytic.synthetic import DynamicOptimumScenario, SyntheticSystem
@@ -35,8 +35,10 @@ from repro.core.displacement import DisplacementPolicy
 from repro.core.outer_loop import MeasurementIntervalTuner
 from repro.core.types import ControlTrace
 from repro.experiments.config import ExperimentScale, default_system_params
+from repro.obs.catalog import ObserverSet, validate_observers
 from repro.sim.engine import Simulator
 from repro.sim.random_streams import RandomStreams
+from repro.sim.trace import TraceEvent
 from repro.tp.params import SystemParams
 from repro.tp.system import TransactionSystem
 from repro.tp.workload import (
@@ -68,6 +70,8 @@ class TrackingResult:
     mean_response_time: float = 0.0
     #: abandoned executions per commit over the whole run
     restart_ratio: float = 0.0
+    #: the ``trace`` observer's lifecycle log; empty when not tracing
+    trace_events: Sequence[TraceEvent] = ()
 
     def threshold_series(self) -> List[Tuple[float, float]]:
         """(time, threshold) points -- the solid line of Figures 13/14."""
@@ -136,7 +140,8 @@ def run_tracking_experiment(controller: LoadController,
                             reference_resolution: int = 20,
                             interval_tuner: Optional[MeasurementIntervalTuner] = None,
                             streams: Optional[RandomStreams] = None,
-                            cc: Optional[object] = None) -> TrackingResult:
+                            cc: Optional[object] = None,
+                            observers: Sequence[str] = ()) -> TrackingResult:
     """Run the full simulation with a time-varying workload and a controller.
 
     ``reference_resolution`` limits how many times the (comparatively
@@ -150,6 +155,8 @@ def run_tracking_experiment(controller: LoadController,
     :class:`~repro.cc.registry.CCSpec` / factory ``sim -> scheme``) — the
     analytic reference optimum is always the OCC model's, so trajectories
     of different schemes are compared against one common yardstick.
+    ``observers`` may select ``trace`` (the only tracking observer), whose
+    log fills :attr:`TrackingResult.trace_events`.
     """
     scale = scale or ExperimentScale.benchmark()
     base_params = base_params or default_system_params()
@@ -159,6 +166,7 @@ def run_tracking_experiment(controller: LoadController,
     workload_for_reference = _build_workload(base_params, RandomStreams(base_params.seed), parameter, schedule)
 
     sim = Simulator()
+    observer_set = ObserverSet(validate_observers(observers, stationary=False))
     system = TransactionSystem(
         base_params,
         sim=sim,
@@ -166,6 +174,7 @@ def run_tracking_experiment(controller: LoadController,
         workload=_build_workload(base_params, streams, parameter, schedule),
         cc=resolve_cc(cc, sim),
         displacement=displacement,
+        observers=observer_set,
     )
     measurement = system.attach_controller(
         controller,
@@ -203,6 +212,7 @@ def run_tracking_experiment(controller: LoadController,
         total_commits=system.metrics.commits,
         mean_response_time=system.metrics.mean_response_time(),
         restart_ratio=system.metrics.restart_ratio,
+        trace_events=observer_set.trace,
     )
 
 

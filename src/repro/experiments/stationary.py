@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 from repro.cc.registry import resolve_cc
 from repro.core.controller import LoadController
-from repro.core.measurement import MeasurementProcess
 from repro.experiments.config import ExperimentScale, default_system_params
+from repro.obs.catalog import ObserverSet
 from repro.sim.engine import Simulator
 from repro.sim.random_streams import RandomStreams
 from repro.tp.params import SystemParams
@@ -34,6 +34,7 @@ from repro.tp.system import TransactionSystem
 from repro.tp.workload import MixedClassWorkload, TransactionClassSpec
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.trace import TraceEvent
     from repro.tp.arrivals import ArrivalProcess
 
 #: a factory producing a fresh controller for each run (controllers keep state)
@@ -64,14 +65,11 @@ class StationaryPoint:
     #: values as strings); lets restart-heavy schemes (wound-wait) be told
     #: apart from deadlock-victim schemes at the sweep level
     aborts_by_reason: Dict[str, int] = field(default_factory=dict)
-    #: weak-isolation anomalies found in the committed history, by kind
-    #: (:data:`~repro.cc.history.ANOMALY_KINDS`); populated only when the
-    #: run was asked for isolation diagnostics, empty otherwise
-    anomalies: Dict[str, int] = field(default_factory=dict)
-    #: in-sim probe metrics (``probe_<name>`` keys, already prefixed);
-    #: populated only when the run opted into probes, empty otherwise —
-    #: see :mod:`repro.obs.probes`
-    probe_metrics: Dict[str, float] = field(default_factory=dict)
+    #: the readouts of the run's observers (see :mod:`repro.obs.catalog`),
+    #: keyed exactly as they appear in the cell metrics; empty unobserved
+    observed: Dict[str, float] = field(default_factory=dict)
+    #: the ``trace`` observer's lifecycle log; empty when not tracing
+    trace_events: Sequence["TraceEvent"] = ()
     #: streaming 95th/99th-percentile submission-to-commit latency over the
     #: measured window (P-squared estimates; 0 when nothing committed)
     p95_response_time: float = 0.0
@@ -131,8 +129,7 @@ def run_stationary_point(params: SystemParams,
                          streams: Optional[RandomStreams] = None,
                          workload_classes: Optional[Sequence[TransactionClassSpec]] = None,
                          cc: Optional[object] = None,
-                         isolation_diagnostics: bool = False,
-                         probes: Optional[Sequence[str]] = None,
+                         observers: Sequence[str] = (),
                          arrivals: Optional["ArrivalProcess"] = None
                          ) -> StationaryPoint:
     """Run one stationary simulation and summarise it.
@@ -149,16 +146,10 @@ def run_stationary_point(params: SystemParams,
     timestamp certification), a :class:`~repro.cc.registry.CCSpec`, or a
     factory ``sim -> ConcurrencyControl``; the scheme is built fresh for
     this run, bound to the run's simulator.
-    ``isolation_diagnostics=True`` additionally records the committed
-    history through the isolation oracle's trajectory-preserving wrapper
-    (:class:`~repro.cc.history.RecordingConcurrencyControl`) and fills
-    :attr:`StationaryPoint.anomalies` with the per-kind counts of
-    :func:`~repro.cc.history.classify_anomalies`.
-    ``probes`` names in-sim probes (:data:`~repro.obs.probes.PROBE_NAMES`)
-    to attach to the run; their measured-window readouts fill
-    :attr:`StationaryPoint.probe_metrics` as ``probe_<name>`` keys.  The
-    probe set is trajectory-preserving: all other fields of the returned
-    point are unchanged by probing.
+    ``observers`` names observers of :mod:`repro.obs.catalog` (gauges sample
+    every ``measurement_interval``); their readouts fill
+    :attr:`StationaryPoint.observed`, the ``trace`` log
+    :attr:`StationaryPoint.trace_events`, and no other field changes.
     ``arrivals`` selects the arrival model (see :mod:`repro.tp.arrivals`):
     ``None``/closed keeps the paper's terminal processes; an open or
     partly-open process replaces them with an arrival source.  When the
@@ -187,30 +178,13 @@ def run_stationary_point(params: SystemParams,
         if quotas or queue_quotas:
             gate = AdmissionGate(sim, tenant_quotas=quotas or None,
                                  tenant_queue_quotas=queue_quotas or None)
-    scheme = resolve_cc(cc, sim)
-    recorder = None
-    if isolation_diagnostics:
-        from repro.cc.history import HistoryRecorder, RecordingConcurrencyControl
-        from repro.cc.timestamp_cert import TimestampCertification
-
-        recorder = HistoryRecorder()
-        scheme = RecordingConcurrencyControl(
-            scheme if scheme is not None else TimestampCertification(sim),
-            recorder)
-    probe_set = None
-    if probes is not None:
-        from repro.obs.probes import ProbeSet
-
-        probe_set = ProbeSet(probes, interval=measurement_interval)
+    observer_set = ObserverSet(observers, interval=measurement_interval)
     system = TransactionSystem(params, sim=sim, streams=streams, workload=workload,
-                               cc=scheme, gate=gate, probes=probe_set,
+                               cc=resolve_cc(cc, sim), gate=gate, observers=observer_set,
                                arrivals=arrivals)
-    measurement: Optional[MeasurementProcess] = None
     if controller_factory is not None:
-        controller = controller_factory(params)
-        measurement = system.attach_controller(
-            controller, interval=measurement_interval, warmup=min(warmup, 1.0)
-        )
+        system.attach_controller(controller_factory(params), interval=measurement_interval,
+                                 warmup=min(warmup, 1.0))
     system.start()
     system.run(until=warmup)
     # discard the warm-up transient; the resets bind the measured windows of
@@ -218,37 +192,13 @@ def run_stationary_point(params: SystemParams,
     system.metrics.reset()
     system.cpus.reset_statistics()
     system.gate.reset_statistics()
-    if probe_set is not None:
-        probe_set.reset(system.sim.now)
+    observer_set.reset(system.sim.now)
     system.run(until=warmup + horizon)
-
-    anomalies: Dict[str, int] = {}
-    if recorder is not None:
-        from repro.cc.history import anomaly_counts
-
-        anomalies = anomaly_counts(recorder.committed)
 
     metrics = system.metrics
     tenant_metrics: Dict[str, float] = {}
     if arrivals is not None and workload_classes is not None:
-        # the key set is enumerated from the spec's class names (never from
-        # the tenants that happened to commit), so the metric schema is a
-        # pure function of the cell spec
-        for cls in workload_classes:
-            name = cls.name
-            tenant_metrics[f"tenant_commits_{name}"] = float(
-                metrics.commits_by_tenant.get(name, 0))
-            tenant_metrics[f"tenant_shed_{name}"] = float(
-                metrics.shed_by_tenant.get(name, 0))
-            p95 = metrics.tenant_response_p95.get(name)
-            p99 = metrics.tenant_response_p99.get(name)
-            p95_value = p95.value if p95 is not None else 0.0
-            p99_value = p99.value if p99 is not None else 0.0
-            tenant_metrics[f"tenant_p95_response_time_{name}"] = p95_value
-            # independent P² estimates can cross slightly under heavy
-            # tails; report a monotone pair (same clamp as RunMetrics)
-            tenant_metrics[f"tenant_p99_response_time_{name}"] = max(
-                p99_value, p95_value)
+        tenant_metrics = metrics.tenant_slo(cls.name for cls in workload_classes)
     return StationaryPoint(
         offered_load=params.n_terminals,
         throughput=metrics.throughput(),
@@ -260,9 +210,8 @@ def run_stationary_point(params: SystemParams,
         commits=metrics.commits,
         aborts_by_reason={reason.value: count for reason, count
                           in metrics.aborts_by_reason.items()},
-        anomalies=anomalies,
-        probe_metrics=(probe_set.metrics(system.sim.now)
-                       if probe_set is not None else {}),
+        observed=observer_set.readout(system.sim.now),
+        trace_events=observer_set.trace,
         p95_response_time=metrics.p95_response_time,
         p99_response_time=metrics.p99_response_time,
         shed=metrics.shed,
@@ -277,9 +226,7 @@ def stationary_sweep_spec(base_params: Optional[SystemParams] = None,
                           name: str = "stationary",
                           workload_classes: Optional[Sequence[TransactionClassSpec]] = None,
                           cc: Optional[object] = None,
-                          scheme_diagnostics: bool = False,
-                          isolation_diagnostics: bool = False,
-                          probes: Optional[Sequence[str]] = None,
+                          observers: Sequence[str] = (),
                           arrivals: Optional[object] = None):
     """Build the runner :class:`~repro.runner.specs.SweepSpec` of one curve.
 
@@ -290,17 +237,8 @@ def stationary_sweep_spec(base_params: Optional[SystemParams] = None,
     every cell on the named concurrency control scheme (``None`` = the
     default timestamp certification, or a
     :class:`~repro.cc.registry.CCSpec` / factory).
-    ``scheme_diagnostics=True`` makes every cell additionally report its
-    per-reason abort counts (``aborts_<reason>`` metrics) and the name of
-    its scheme-aware analytic reference — see
-    :attr:`~repro.runner.specs.RunSpec.scheme_diagnostics`.
-    ``isolation_diagnostics=True`` records every cell's committed history
-    through the isolation oracle and reports per-kind anomaly counts
-    (``anomalies_<kind>`` metrics) — see
-    :attr:`~repro.runner.specs.RunSpec.isolation_diagnostics`.
-    ``probes`` attaches the named in-sim probes to every cell
-    (``probe_<name>`` metrics) — see
-    :attr:`~repro.runner.specs.RunSpec.probes`.
+    ``observers`` selects the named observers of every cell — see
+    :attr:`~repro.runner.specs.RunSpec.observers`.
     ``arrivals`` selects the arrival model — an
     :class:`~repro.tp.arrivals.ArrivalProcess` shared by every cell, or a
     callable ``offered_load -> ArrivalProcess`` so open sweeps can scale
@@ -330,9 +268,7 @@ def stationary_sweep_spec(base_params: Optional[SystemParams] = None,
             label=label,
             workload_classes=classes,
             cc=cc,
-            scheme_diagnostics=scheme_diagnostics,
-            isolation_diagnostics=isolation_diagnostics,
-            probes=tuple(probes) if probes is not None else None,
+            observers=observers,
             arrivals=arrivals_for(int(offered_load)),
         )
         for offered_load in scale.offered_loads

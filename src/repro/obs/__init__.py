@@ -1,15 +1,13 @@
-"""Deterministic observability: in-sim probes and structured run telemetry.
+"""Deterministic observability: named in-sim observers and structured run telemetry.
 
 The package has two halves, both opt-in and both zero-cost when off:
 
-* :mod:`repro.obs.probes` — **in-sim probes**: counters, gauges and
-  time-weighted statistics sampled on *simulation-time* intervals inside a
-  running :class:`~repro.tp.system.TransactionSystem`.  Probes are selected
-  per cell via :attr:`~repro.runner.specs.RunSpec.probes` and surface as
-  ``probe_<name>`` metrics on the cell result.  They are deterministic and
-  trajectory-preserving: a probed cell commits and aborts exactly the
-  transactions the unprobed cell does, and probe metrics are bit-identical
-  across the serial, multiprocessing and distributed executors.
+* :mod:`repro.obs.catalog` — **in-sim observers** (``trace``, the seven
+  probes of :mod:`repro.obs.probes`, the diagnostics of
+  :mod:`repro.obs.observers`) watch a running
+  :class:`~repro.tp.system.TransactionSystem` on *simulation* time,
+  selected per cell in :attr:`~repro.runner.specs.RunSpec.observers`.  They
+  are trajectory-preserving and bit-identical on every executor.
 * :mod:`repro.obs.telemetry` — **structured run telemetry**: *wall-clock*
   spans (cell execute times, sweep durations, dispatch/queue waits,
   heartbeat gaps) emitted as canonical JSONL by the executors and the
@@ -22,12 +20,13 @@ lock-wait probe's measured statistics calibrate
 :class:`~repro.analytic.tay.TayThroughputModel`'s waiting share instead of
 the 0.5 default.
 
-See ``docs/observability.md`` for the propagation contract (what reaches
-worker processes and how) and a tour of every built-in probe.
+See ``docs/observability.md`` for the observer catalog and the propagation
+contract (what reaches worker processes and how).
 """
 
 from repro.obs.calibration import DEFAULT_WAITING_SHARE, calibrated_tay_model, measured_wait_share
-from repro.obs.probes import PROBE_NAMES, ProbeSet, validate_probes
+from repro.obs.catalog import OBSERVER_NAMES, ObserverSet, metric_schema, validate_observers
+from repro.obs.probes import PROBE_NAMES
 from repro.obs.telemetry import (
     TELEMETRY_ENV,
     TelemetrySink,
@@ -42,8 +41,9 @@ from repro.obs.telemetry import (
 
 __all__ = [
     "DEFAULT_WAITING_SHARE",
+    "OBSERVER_NAMES",
+    "ObserverSet",
     "PROBE_NAMES",
-    "ProbeSet",
     "TELEMETRY_ENV",
     "TelemetrySink",
     "active_sink",
@@ -52,8 +52,9 @@ __all__ = [
     "emit",
     "install_sink",
     "measured_wait_share",
+    "metric_schema",
     "set_worker_name",
     "telemetry_to",
-    "validate_probes",
+    "validate_observers",
     "worker_name",
 ]

@@ -35,7 +35,7 @@ def measured_wait_share(metrics: Mapping[str, float],
 
     ``metrics`` is any mapping carrying ``probe_<name>`` keys — a
     :attr:`~repro.runner.cells.CellResult.metrics` dict, a
-    :attr:`~repro.experiments.stationary.StationaryPoint.probe_metrics`
+    :attr:`~repro.experiments.stationary.StationaryPoint.observed`
     dict, or a replicate aggregate's per-metric means.  The probe reports
     the ratio directly (``probe_lock_wait_share``); when only the raw
     means are present the ratio is recomputed from

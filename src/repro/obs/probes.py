@@ -1,277 +1,166 @@
-"""In-simulation probes: deterministic observation of a running system.
+"""In-simulation probes: seven observers of lock waits, queues and aborts.
 
-A :class:`ProbeSet` watches one :class:`~repro.tp.system.TransactionSystem`
-from the inside: it counts lock waits as they resolve, samples gauges
-(multiprogramming level, admission-queue length, lock-queue depth) on a
-fixed *simulation-time* interval, and derives per-reason abort rates over
-the measured window.  Everything it observes is a pure function of the
-simulated trajectory, so probe metrics are bit-identical across the
-serial, multiprocessing and distributed executors — the probe set is built
-*inside* the worker that runs the cell, from the plain probe names on the
-cell's :class:`~repro.runner.specs.RunSpec`.
-
-The hook into the hot path follows the zero-cost slot pattern of
-:mod:`repro.sim.trace`: the transaction system keeps the probe set in one
-slot and pays a single ``None`` check per lifecycle event when probing is
-off, so cells that never opted in — including every pre-existing golden
-fixture — are byte-identical with and without this module loaded.  The
-gauge sampler is a separate simulation process that draws no random
-numbers and mutates no model state, so a probed cell is
-*trajectory-preserving*: it commits and aborts exactly the transactions
-the unprobed cell does, at the same timestamps.
-
-Built-in probes (:data:`PROBE_NAMES`):
-
-``lock_wait``
-    Durations of blocking CC waits (the time a transaction spends parked
-    on a lock grant) plus the execution residence of committed
-    transactions.  Their ratio is the measured Tay waiting share — see
-    :mod:`repro.obs.calibration`.
-``lock_queue``
-    Depth of the waits-for structure: how many transactions are blocked
-    inside the CC scheme, sampled each interval.
-``admission_queue``
-    Length of the admission gate's queue, sampled each interval.
-``mpl``
-    The multiprogramming-level trajectory: admitted transactions, sampled
-    each interval.
-``abort_rates``
-    Aborted executions per simulated second, split by
-    :class:`~repro.cc.base.AbortReason`, over the measured window.
-``displacement``
-    Displacement activity: how many executions the load controller
-    displaced, as a count and a rate over the measured window.
-``arrival_backlog``
-    Open-system backlog: submissions inside the system or waiting at the
-    gate (admitted load plus queue length), sampled each interval.  In a
-    closed run this is bounded by the terminal count; in an open run its
-    growth is the signature of sustained overload.
+Each probe is a named observer of the :mod:`repro.obs.catalog`, selected
+per cell in :attr:`~repro.runner.specs.RunSpec.observers` and reported as
+``probe_<name>`` cell metrics; its class docstring says what it measures.
+A probe's readout is a pure function of the simulated trajectory, and the
+gauge probes are sampled by a process that draws no random numbers and
+mutates no model state, so probe metrics are bit-identical on every
+executor and a probed cell commits exactly what the unprobed cell does.
+Probes reset at the end of warm-up: they cover the measured window.  The
+``lock_wait`` probe's ratio of waits to residence is the measured Tay
+waiting share of :mod:`repro.obs.calibration`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, Iterable, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.cc.base import AbortReason
+from repro.obs.observers import Observer
 from repro.sim.stats import ObservationStats, TimeWeightedStats
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.tp.system import TransactionSystem
 
-#: probe name constants (use these instead of string literals)
-LOCK_WAIT = "lock_wait"
-LOCK_QUEUE = "lock_queue"
-ADMISSION_QUEUE = "admission_queue"
-MPL = "mpl"
-ABORT_RATES = "abort_rates"
-DISPLACEMENT = "displacement"
-ARRIVAL_BACKLOG = "arrival_backlog"
-
-#: every built-in probe, in canonical order
-PROBE_NAMES: Tuple[str, ...] = (
-    LOCK_WAIT, LOCK_QUEUE, ADMISSION_QUEUE, MPL, ABORT_RATES, DISPLACEMENT,
-    ARRIVAL_BACKLOG,
-)
-
-#: the probes whose gauges are sampled by the simulation-time sampler
-_GAUGE_PROBES = (LOCK_QUEUE, ADMISSION_QUEUE, MPL, ARRIVAL_BACKLOG)
+def _per_second(count: float, elapsed: float) -> float:
+    return count / elapsed if elapsed > 0 else 0.0
 
 
-def validate_probes(names: Iterable[str]) -> Tuple[str, ...]:
-    """Normalise and validate a probe selection.
+class LockWait(Observer):
+    """``probe_lock_wait_*``: blocking waits, committed residence and their ratio."""
 
-    Returns the names as a tuple in the order given.  Raises ``ValueError``
-    for unknown names, duplicates, or an empty selection — an explicit
-    empty tuple is almost certainly a bug (use ``None``/omission to run
-    without probes).
-    """
-    selected = tuple(names)
-    if not selected:
-        raise ValueError("probes must name at least one probe (or be None)")
-    known = set(PROBE_NAMES)
-    seen = set()
-    for name in selected:
-        if name not in known:
-            raise ValueError(
-                f"unknown probe {name!r}; available: {', '.join(PROBE_NAMES)}"
-            )
-        if name in seen:
-            raise ValueError(f"duplicate probe {name!r}")
-        seen.add(name)
-    return selected
+    name = "lock_wait"
+    hooks = ("lock_wait", "commit")
+    schema = tuple(f"probe_lock_wait_{key}" for key in (
+        "count", "mean", "max", "total", "residence_count", "residence_mean", "share"))
+
+    def __init__(self) -> None:
+        self._waits = ObservationStats()
+        self._residence = ObservationStats()
+
+    def lock_wait(self, now: float, txn, waited: float) -> None:
+        """One blocking wait resolved after ``waited`` simulated seconds."""
+        self._waits.add(waited)
+
+    def commit(self, now: float, txn) -> None:
+        """A transaction committed ``now``; its residence runs from its last (re)start."""
+        self._residence.add(now - txn.execution_started_at)
+
+    def reset(self, now: float) -> None:
+        """Forget the warm-up's waits and residences."""
+        self._waits.reset()
+        self._residence.reset()
+
+    def readout(self, now: float) -> Dict[str, float]:
+        """Wait statistics and the measured waiting share (0 without waits)."""
+        waits, residence = self._waits, self._residence
+        share = 0.0
+        if waits.count and residence.count and residence.mean > 0:
+            share = min(1.0, waits.mean / residence.mean)
+        return {
+            "probe_lock_wait_count": float(waits.count),
+            "probe_lock_wait_mean": waits.mean,
+            "probe_lock_wait_max": waits.maximum,
+            "probe_lock_wait_total": waits.total,
+            "probe_lock_wait_residence_count": float(residence.count),
+            "probe_lock_wait_residence_mean": residence.mean,
+            "probe_lock_wait_share": share,
+        }
 
 
-class ProbeSet:
-    """The enabled probes of one run, with their accumulators.
+class _Gauge(Observer):
+    """A gauge sampled every interval, reported as its time-weighted mean and max."""
 
-    Built per cell (inside the worker process) from the plain probe names
-    of the cell's spec, bound to the run's
-    :class:`~repro.tp.system.TransactionSystem` at construction of the
-    latter, and read out once at the end of the measured window via
-    :meth:`metrics`.  ``interval`` is the simulation-time sampling period
-    of the gauge probes (the runner passes the cell's measurement
-    interval).
-    """
+    hooks = ("sample",)
 
-    __slots__ = ("names", "interval", "_system", "_window_start",
-                 "_lock_wait_on", "_abort_rates_on", "_displacement_on",
-                 "_wait_stats", "_residence_stats",
-                 "_lock_queue", "_admission_queue", "_mpl", "_arrival_backlog")
-
-    def __init__(self, names: Iterable[str], interval: float = 2.0):
-        self.names = validate_probes(names)
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        self.interval = float(interval)
-        self._system: Optional["TransactionSystem"] = None
-        self._window_start = 0.0
-        self._lock_wait_on = LOCK_WAIT in self.names
-        self._abort_rates_on = ABORT_RATES in self.names
-        self._displacement_on = DISPLACEMENT in self.names
-        self._wait_stats = ObservationStats() if self._lock_wait_on else None
-        self._residence_stats = ObservationStats() if self._lock_wait_on else None
-        self._lock_queue: Optional[TimeWeightedStats] = None
-        self._admission_queue: Optional[TimeWeightedStats] = None
-        self._mpl: Optional[TimeWeightedStats] = None
-        self._arrival_backlog: Optional[TimeWeightedStats] = None
-
-    # ------------------------------------------------------------------
-    # wiring (called by TransactionSystem)
-    # ------------------------------------------------------------------
-    def bind(self, system: "TransactionSystem") -> None:
-        """Attach to the system whose trajectory this probe set observes."""
-        if self._system is not None:
-            raise RuntimeError("a ProbeSet can observe only one system")
-        self._system = system
-        now = system.sim.now
-        self._window_start = now
-        if LOCK_QUEUE in self.names:
-            self._lock_queue = TimeWeightedStats(now, 0.0)
-        if ADMISSION_QUEUE in self.names:
-            self._admission_queue = TimeWeightedStats(now, 0.0)
-        if MPL in self.names:
-            self._mpl = TimeWeightedStats(now, 0.0)
-        if ARRIVAL_BACKLOG in self.names:
-            self._arrival_backlog = TimeWeightedStats(now, 0.0)
-
-    @property
-    def wants_sampling(self) -> bool:
-        """True when any gauge probe needs the simulation-time sampler."""
-        return any(name in self.names for name in _GAUGE_PROBES)
-
-    def sampler(self) -> Generator:
-        """The gauge-sampling simulation process (started by the system).
-
-        Draws no random numbers and mutates no model state, so installing
-        it preserves the trajectory of every model process.
-        """
-        system = self._require_bound()
-        sim = system.sim
-        interval = self.interval
-        while True:
-            yield sim.timeout(interval)
-            self.sample(sim.now)
+    def bind(self, system) -> None:
+        """Open the gauge at zero."""
+        super().bind(system)
+        self._stats = TimeWeightedStats(system.sim.now, 0.0)
 
     def sample(self, now: float) -> None:
-        """Record the current gauge values at simulation time ``now``."""
-        system = self._require_bound()
-        if self._lock_queue is not None:
-            self._lock_queue.update(now, system.cc.wait_depth())
-        if self._admission_queue is not None:
-            self._admission_queue.update(now, system.gate.queue_length)
-        if self._mpl is not None:
-            self._mpl.update(now, system.gate.current_load)
-        if self._arrival_backlog is not None:
-            gate = system.gate
-            self._arrival_backlog.update(now, gate.current_load + gate.queue_length)
+        """Record the current value at simulation time ``now``."""
+        self._stats.update(now, self._value())
 
-    # ------------------------------------------------------------------
-    # hot-path observations (called by the transaction lifecycle)
-    # ------------------------------------------------------------------
-    def observe_lock_wait(self, duration: float) -> None:
-        """One blocking wait resolved after ``duration`` simulated seconds."""
-        if self._wait_stats is not None:
-            self._wait_stats.add(duration)
-
-    def observe_commit_residence(self, residence: float) -> None:
-        """A transaction committed ``residence`` seconds after its last (re)start."""
-        if self._residence_stats is not None:
-            self._residence_stats.add(residence)
-
-    # ------------------------------------------------------------------
-    # windowing and readout
-    # ------------------------------------------------------------------
     def reset(self, now: float) -> None:
-        """Restart the measured window at ``now`` (end of warm-up)."""
-        self._require_bound()
-        self._window_start = now
-        if self._wait_stats is not None:
-            self._wait_stats.reset()
-            self._residence_stats.reset()
-        # gauges keep their current value; re-sample so the window opens on
-        # the true instantaneous state rather than the pre-reset one
-        for gauge in (self._lock_queue, self._admission_queue, self._mpl,
-                      self._arrival_backlog):
-            if gauge is not None:
-                gauge.reset(now)
-        if self.wants_sampling:
-            self.sample(now)
+        """Open the window on the true instantaneous state, not the pre-reset one."""
+        self._stats.reset(now)
+        self.sample(now)
 
-    def metrics(self, now: float) -> Dict[str, float]:
-        """The ``probe_<name>`` metrics of the window ``[reset, now]``.
+    def readout(self, now: float) -> Dict[str, float]:
+        """``probe_<name>_mean`` and ``probe_<name>_max``."""
+        return {f"probe_{self.name}_mean": self._stats.mean(now),
+                f"probe_{self.name}_max": self._stats.maximum}
 
-        The key set is a pure function of the enabled probes (schema
-        stability: a probe that observed nothing still reports its keys,
-        as zeros), and every value is a plain float, so the replication
-        layer folds probe metrics through replicate means like any other
-        cell metric.
-        """
-        system = self._require_bound()
-        elapsed = now - self._window_start
-        out: Dict[str, float] = {}
-        if self._lock_wait_on:
-            waits = self._wait_stats
-            residence = self._residence_stats
-            out["probe_lock_wait_count"] = float(waits.count)
-            out["probe_lock_wait_mean"] = waits.mean
-            out["probe_lock_wait_max"] = waits.maximum
-            out["probe_lock_wait_total"] = waits.total
-            out["probe_lock_wait_residence_count"] = float(residence.count)
-            out["probe_lock_wait_residence_mean"] = residence.mean
-            share = 0.0
-            if waits.count and residence.count and residence.mean > 0:
-                share = min(1.0, waits.mean / residence.mean)
-            out["probe_lock_wait_share"] = share
-        if self._lock_queue is not None:
-            out["probe_lock_queue_mean"] = self._lock_queue.mean(now)
-            out["probe_lock_queue_max"] = self._lock_queue.maximum
-        if self._admission_queue is not None:
-            out["probe_admission_queue_mean"] = self._admission_queue.mean(now)
-            out["probe_admission_queue_max"] = self._admission_queue.maximum
-        if self._mpl is not None:
-            out["probe_mpl_mean"] = self._mpl.mean(now)
-            out["probe_mpl_max"] = self._mpl.maximum
-        if self._arrival_backlog is not None:
-            out["probe_arrival_backlog_mean"] = self._arrival_backlog.mean(now)
-            out["probe_arrival_backlog_max"] = self._arrival_backlog.maximum
-        if self._abort_rates_on:
-            counts = system.metrics.aborts_by_reason
-            for reason in AbortReason:
-                rate = counts.get(reason, 0) / elapsed if elapsed > 0 else 0.0
-                out[f"probe_abort_rate_{reason.value}"] = rate
-        if self._displacement_on:
-            displaced = float(system.metrics.aborts_by_reason.get(
-                AbortReason.DISPLACEMENT, 0))
-            out["probe_displacement_count"] = displaced
-            out["probe_displacement_rate"] = (
-                displaced / elapsed if elapsed > 0 else 0.0)
-        return out
 
-    # ------------------------------------------------------------------
-    def _require_bound(self) -> "TransactionSystem":
-        if self._system is None:
-            raise RuntimeError("the ProbeSet is not bound to a system yet")
-        return self._system
+class LockQueue(_Gauge):
+    """``probe_lock_queue_*``: transactions blocked inside the CC scheme."""
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ProbeSet(names={self.names!r}, interval={self.interval})"
+    name = "lock_queue"
+    schema = ("probe_lock_queue_mean", "probe_lock_queue_max")
+
+    def _value(self) -> float:
+        return self.system.cc.wait_depth()
+
+
+class AdmissionQueue(_Gauge):
+    """``probe_admission_queue_*``: the admission gate's queue length."""
+
+    name = "admission_queue"
+    schema = ("probe_admission_queue_mean", "probe_admission_queue_max")
+
+    def _value(self) -> float:
+        return self.system.gate.queue_length
+
+
+class Mpl(_Gauge):
+    """``probe_mpl_*``: the multiprogramming level (admitted transactions)."""
+
+    name = "mpl"
+    schema = ("probe_mpl_mean", "probe_mpl_max")
+
+    def _value(self) -> float:
+        return self.system.gate.current_load
+
+
+class ArrivalBacklog(_Gauge):
+    """``probe_arrival_backlog_*``: admitted plus queued submissions."""
+
+    name = "arrival_backlog"
+    schema = ("probe_arrival_backlog_mean", "probe_arrival_backlog_max")
+
+    def _value(self) -> float:
+        gate = self.system.gate
+        return gate.current_load + gate.queue_length
+
+
+class AbortRates(Observer):
+    """``probe_abort_rate_<reason>``: aborted executions per simulated second."""
+
+    name = "abort_rates"
+    schema = tuple(f"probe_abort_rate_{reason.value}" for reason in AbortReason)
+
+    def readout(self, now: float) -> Dict[str, float]:
+        """Every reason's rate over the run metrics' measured window."""
+        metrics = self.system.metrics
+        elapsed = now - metrics.measured_from
+        return {f"probe_abort_rate_{reason.value}": _per_second(metrics.aborts_by_reason[reason], elapsed)
+                for reason in AbortReason}
+
+
+class Displacement(Observer):
+    """``probe_displacement_*``: executions the load controller displaced."""
+
+    name = "displacement"
+    schema = ("probe_displacement_count", "probe_displacement_rate")
+
+    def readout(self, now: float) -> Dict[str, float]:
+        """The count and rate over the run metrics' measured window."""
+        metrics = self.system.metrics
+        displaced = float(metrics.aborts_by_reason[AbortReason.DISPLACEMENT])
+        return {"probe_displacement_count": displaced,
+                "probe_displacement_rate": _per_second(displaced, now - metrics.measured_from)}
+
+
+#: every probe, in catalog order
+PROBES = (LockWait, LockQueue, AdmissionQueue, Mpl, AbortRates, Displacement, ArrivalBacklog)
+PROBE_NAMES: Tuple[str, ...] = tuple(probe.name for probe in PROBES)

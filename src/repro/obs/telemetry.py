@@ -1,6 +1,6 @@
 """Structured run telemetry: wall-clock spans as canonical JSONL.
 
-Where the in-sim probes (:mod:`repro.obs.probes`) observe the *simulated*
+Where the in-sim observers (:mod:`repro.obs.catalog`) watch the *simulated*
 trajectory, telemetry observes the *execution machinery*: how long each
 cell took on the wall clock, which worker process ran it, how long cells
 queued at the distributed coordinator, how workers join and leave, and
@@ -30,8 +30,8 @@ sink — and is wall-clock only by design: it never touches the simulation,
 so telemetered runs remain bit-identical to untelemetered ones.
 
 Summarise a telemetry file with the ``repro-obs`` CLI
-(:mod:`repro.obs.cli`).  The propagation contract shared with the probes
-and the golden tracer is documented in ``docs/observability.md``.
+(:mod:`repro.obs.cli`).  The propagation contract shared with the
+spec-borne observers is documented in ``docs/observability.md``.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from repro.experiments.config import ExperimentScale
+from repro.obs.catalog import metric_schema
 from repro.runner.cells import CellResult, execute_run_spec
 from repro.runner.executor import make_executor
 from repro.runner.registry import build_sweep
@@ -41,13 +42,6 @@ class SweepResult:
         """Replicates per cell (1 when the sweep was not expanded)."""
         cell_count = len(self.spec.cell_ids())
         return len(self.results) // cell_count if cell_count else 0
-
-    def by_cell(self) -> Dict[str, List[CellResult]]:
-        """Results grouped by cell id, in first-appearance order."""
-        grouped: Dict[str, List[CellResult]] = {}
-        for result in self.results:
-            grouped.setdefault(result.cell_id, []).append(result)
-        return grouped
 
     def aggregate(self, cell_id: str) -> CellAggregate:
         """The aggregate of one cell (KeyError if the id is unknown)."""
@@ -178,17 +172,12 @@ def _mean_stationary_point(point_type, spec: RunSpec, aggregate: CellAggregate):
         cpu_utilisation=mean["cpu_utilisation"],
         final_limit=mean["final_limit"],
         commits=int(round(mean["commits"])),
-        # diagnostics cells report aborts_<reason> / anomalies_<kind>
-        # metrics; fold their replicate means back so replicated sweeps
-        # keep per-reason and per-anomaly data
+        # aborts_by_reason cells report aborts_<reason> metrics; fold their
+        # replicate means back so replicated sweeps keep per-reason data
         aborts_by_reason={name[len("aborts_"):]: int(round(value))
                           for name, value in mean.items()
                           if name.startswith("aborts_")},
-        anomalies={name[len("anomalies_"):]: int(round(value))
-                   for name, value in mean.items()
-                   if name.startswith("anomalies_")},
-        probe_metrics={name: value for name, value in mean.items()
-                       if name.startswith("probe_")},
+        observed={name: mean[name] for name in metric_schema(spec.observers)},
     )
 
 

@@ -16,10 +16,12 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Sequence
 
+from repro.obs.catalog import ABORTS_BY_REASON
 from repro.runner.specs import KIND_STATIONARY, KIND_TRACKING, RunSpec
 from repro.sim.random_streams import RandomStreams
+from repro.sim.trace import TraceEvent
 
 #: fraction of the tracking horizon discarded as the start-up transient when
 #: computing the cell-level mean_abs_error / throughput_ratio summaries.
@@ -37,7 +39,8 @@ class CellResult:
     aggregate (mean ± confidence interval); ``payload`` is the full
     :class:`~repro.experiments.stationary.StationaryPoint` or
     :class:`~repro.experiments.dynamic.TrackingResult` for callers that need
-    the complete series.
+    the complete series.  ``trace`` holds the lifecycle log of the
+    ``trace`` observer (empty when the cell did not select it).
     """
 
     cell_id: str
@@ -47,9 +50,10 @@ class CellResult:
     metrics: Dict[str, float] = field(default_factory=dict)
     payload: object = None
     #: name of the scheme-aware analytic reference ("TayModel"/"OccModel");
-    #: set only when the spec asked for scheme diagnostics, so the golden
-    #: fixtures of cells that never requested it are untouched
+    #: set only when the spec selected the ``aborts_by_reason`` observer, so
+    #: the golden fixtures of cells that never requested it are untouched
     model_reference: str = ""
+    trace: Sequence[TraceEvent] = ()
 
 
 def replicate_streams(seed: int, replicate: int) -> RandomStreams:
@@ -110,8 +114,7 @@ def _execute_stationary(spec: RunSpec) -> CellResult:
         streams=replicate_streams(spec.params.seed, spec.replicate),
         workload_classes=spec.workload_classes,
         cc=spec.cc,
-        isolation_diagnostics=spec.isolation_diagnostics,
-        probes=spec.probes,
+        observers=spec.observers,
         arrivals=spec.arrivals,
     )
     metrics = {
@@ -123,23 +126,6 @@ def _execute_stationary(spec: RunSpec) -> CellResult:
         "commits": float(point.commits),
         "final_limit": point.final_limit,
     }
-    model_reference = ""
-    if spec.scheme_diagnostics:
-        from repro.analytic.references import reference_model_name
-
-        # per-reason abort counts: all reasons, so the metric schema of a
-        # diagnostics sweep is stable whether or not a reason occurred
-        for reason, count in sorted(point.aborts_by_reason.items()):
-            metrics[f"aborts_{reason}"] = float(count)
-        model_reference = reference_model_name(spec.cc)
-    if spec.isolation_diagnostics:
-        from repro.cc.history import ANOMALY_KINDS
-
-        # per-kind anomaly counts: all kinds, so the metric schema of an
-        # isolation sweep is stable whether or not an anomaly occurred
-        for anomaly_kind in ANOMALY_KINDS:
-            metrics[f"anomalies_{anomaly_kind}"] = float(
-                point.anomalies.get(anomaly_kind, 0))
     if spec.arrivals is not None:
         # SLO metrics only for cells that opted into an arrival model, so
         # the metric schema (and every pre-existing golden) of closed cells
@@ -149,10 +135,14 @@ def _execute_stationary(spec: RunSpec) -> CellResult:
         metrics["p99_response_time"] = point.p99_response_time
         metrics["shed"] = float(point.shed)
         metrics.update(point.tenant_metrics)
-    # probe readouts arrive already probe_-prefixed with a schema that is a
-    # pure function of the enabled probes, so they fold through the
-    # replicate aggregation like any other metric
-    metrics.update(point.probe_metrics)
+    # observer readouts have a schema fixed by the selection, so they fold
+    # through the replicate aggregation like any other metric
+    metrics.update(point.observed)
+    model_reference = ""
+    if ABORTS_BY_REASON in spec.observers:
+        from repro.analytic.references import reference_model_name
+
+        model_reference = reference_model_name(spec.cc)
     return CellResult(
         cell_id=spec.cell_id,
         kind=spec.kind,
@@ -161,6 +151,7 @@ def _execute_stationary(spec: RunSpec) -> CellResult:
         metrics=metrics,
         payload=point,
         model_reference=model_reference,
+        trace=point.trace_events,
     )
 
 
@@ -181,6 +172,7 @@ def _execute_tracking(spec: RunSpec) -> CellResult:
         interval_tuner=copy.deepcopy(spec.interval_tuner),
         streams=replicate_streams(spec.params.seed, spec.replicate),
         cc=spec.cc,
+        observers=spec.observers,
     )
     horizon = spec.scale.tracking_horizon
     metrics = {
@@ -211,4 +203,5 @@ def _execute_tracking(spec: RunSpec) -> CellResult:
         label=spec.label,
         metrics=metrics,
         payload=result,
+        trace=result.trace_events,
     )

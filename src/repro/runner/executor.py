@@ -26,6 +26,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Iterator, List, Optional, TypeVar
 
 from repro.obs import telemetry
@@ -79,16 +80,18 @@ class SerialExecutor:
 class ParallelExecutor:
     """Fan cells out over a pool of worker processes.
 
-    Results are streamed back in submission order (``imap``), so consumers
-    see the same deterministic ordering the serial executor produces while
-    later cells are still running.  ``function`` and every item must be
-    picklable; each cell is dispatched individually (``chunksize=1``)
-    because cells are long-running simulations whose durations vary widely.
+    Results are streamed back in submission order, so consumers see the
+    same deterministic ordering the serial executor produces while later
+    cells are still running.  ``function`` and every item must be
+    picklable; each cell is dispatched individually because cells are
+    long-running simulations whose durations vary widely.
 
     Failures inside a worker process are re-raised as
     :class:`~repro.runner.errors.CellExecutionError` naming the failing
-    cell's identity (see :mod:`repro.runner.errors`), instead of a bare
-    pool traceback.
+    cell's identity (see :mod:`repro.runner.errors`).  A failure, or a
+    consumer that stops early, cancels the unstarted cells and waits for
+    the running ones: no worker is killed mid-result, which could leave
+    the result queue locked and hang the shutdown.
     """
 
     def __init__(self, workers: Optional[int] = None, mp_context: Optional[str] = None):
@@ -111,9 +114,9 @@ class ParallelExecutor:
             if not materialised:
                 return
             context = multiprocessing.get_context(self._mp_context)
-            with context.Pool(processes=min(self.workers, len(materialised))) as pool:
-                yield from pool.imap(CellErrorContext(function), materialised,
-                                     chunksize=1)
+            with ProcessPoolExecutor(max_workers=min(self.workers, len(materialised)),
+                                     mp_context=context) as pool:
+                yield from pool.map(CellErrorContext(function), materialised)
 
         return stream()
 

@@ -110,18 +110,14 @@ def _tracking_pa() -> ControllerSpec:
 
 def _stationary_cells(name: str, scale: ExperimentScale, base_params: SystemParams,
                       variants, workload_classes=None, cc=None,
-                      scheme_diagnostics: bool = False,
-                      isolation_diagnostics: bool = False,
-                      probes=None, arrivals=None) -> SweepSpec:
+                      observers=(), arrivals=None) -> SweepSpec:
     """One stationary cell per (controller variant, offered load)."""
     cells = []
     for label, controller in variants:
         cells.extend(
             stationary_sweep_spec(base_params, controller, scale, label, name=name,
                                   workload_classes=workload_classes, cc=cc,
-                                  scheme_diagnostics=scheme_diagnostics,
-                                  isolation_diagnostics=isolation_diagnostics,
-                                  probes=probes, arrivals=arrivals).cells
+                                  observers=observers, arrivals=arrivals).cells
         )
     return SweepSpec(name=name, cells=tuple(cells))
 
@@ -276,7 +272,7 @@ def _deadlock_resolution(scale: ExperimentScale, base_params: Optional[SystemPar
     resolution-policy effects: the detector aborts waits-for-cycle victims
     (``deadlock`` aborts), wound-wait restarts younger lock owners
     (``wound``), wait-die restarts younger requesters (``die``).  Every
-    cell runs with ``scheme_diagnostics`` on, so the per-reason abort
+    cell runs the ``aborts_by_reason`` observer, so the per-reason abort
     counts — and the ``TayModel`` reference tag of the locking family —
     appear in the cell metrics and are pinned by the scenario's golden
     fixture.  The workload is ``cc_compare``'s (db tightened to 1500
@@ -299,7 +295,7 @@ def _deadlock_resolution(scale: ExperimentScale, base_params: Optional[SystemPar
             (f"{scheme_label} IS control", ControllerSpec.make("incremental_steps")),
         ]
         cells.extend(_stationary_cells("deadlock_resolution", scale, base, variants,
-                                       cc=cc, scheme_diagnostics=True).cells)
+                                       cc=cc, observers=("aborts_by_reason",)).cells)
     return SweepSpec(name="deadlock_resolution", cells=tuple(cells))
 
 
@@ -318,8 +314,8 @@ def _isolation_tradeoff(scale: ExperimentScale, base_params: Optional[SystemPara
     Three schemes run the same closed system under common random numbers:
     strict 2PL and backward-validation OCC, which certify at
     ``serializable``, and multiversion snapshot isolation, which certifies
-    only at ``snapshot_isolation``.  Every cell runs with both
-    ``scheme_diagnostics`` and ``isolation_diagnostics`` on, so the
+    only at ``snapshot_isolation``.  Every cell runs both the
+    ``aborts_by_reason`` and the ``isolation`` observer, so the
     committed history of each run flows through the isolation oracle
     (:mod:`repro.cc.history`) and the per-kind ``anomalies_<kind>`` counts
     land in the cell metrics, pinned by the scenario's golden fixture.
@@ -344,9 +340,8 @@ def _isolation_tradeoff(scale: ExperimentScale, base_params: Optional[SystemPara
             (f"{scheme_label} without control", None),
             (f"{scheme_label} IS control", ControllerSpec.make("incremental_steps")),
         ]
-        cells.extend(_stationary_cells("isolation_tradeoff", scale, base, variants,
-                                       cc=cc, scheme_diagnostics=True,
-                                       isolation_diagnostics=True).cells)
+        cells.extend(_stationary_cells("isolation_tradeoff", scale, base, variants, cc=cc,
+                                       observers=("aborts_by_reason", "isolation")).cells)
     return SweepSpec(name="isolation_tradeoff", cells=tuple(cells))
 
 
@@ -367,8 +362,9 @@ def _probe_calibration(scale: ExperimentScale, base_params: Optional[SystemParam
     Every cell opts into the six probes this scenario has always carried
     (the explicit tuple below, frozen rather than ``PROBE_NAMES`` so later
     probe additions — like the open-system ``arrival_backlog`` gauge —
-    cannot silently widen this scenario's pinned metric schema), so the
-    golden fixture pins the complete ``probe_<name>`` metric surface:
+    cannot silently widen this scenario's pinned metric schema) plus the
+    ``aborts_by_reason`` observer, so the golden fixture pins the complete
+    ``probe_<name>`` metric surface:
     lock-wait statistics, the measured waiting share that
     :func:`repro.obs.calibration.measured_wait_share`
     feeds into the Tay reference, queue-depth and MPL trajectories, and the
@@ -380,12 +376,12 @@ def _probe_calibration(scale: ExperimentScale, base_params: Optional[SystemParam
     base = base.with_changes(workload=base.workload.with_changes(
         db_size=db_size, write_fraction=write_fraction))
     cc = CCSpec.make("two_phase_locking", victim_policy=victim_policy)
-    probes = ("lock_wait", "lock_queue", "admission_queue", "mpl",
-              "abort_rates", "displacement")
+    observers = ("lock_wait", "lock_queue", "admission_queue", "mpl",
+                 "abort_rates", "displacement", "aborts_by_reason")
     return _stationary_cells("probe_calibration", scale, base, [
         ("without control", None),
         ("IS control", ControllerSpec.make("incremental_steps")),
-    ], cc=cc, scheme_diagnostics=True, probes=probes)
+    ], cc=cc, observers=observers)
 
 
 @register_scenario(
@@ -496,7 +492,7 @@ def _open_diurnal(scale: ExperimentScale, base_params: Optional[SystemParams],
     return _stationary_cells("open_diurnal", scale, base, [
         ("without control", None),
         ("IS control", ControllerSpec.make("incremental_steps")),
-    ], cc=cc, probes=("arrival_backlog",), arrivals=diurnal)
+    ], cc=cc, observers=("arrival_backlog",), arrivals=diurnal)
 
 
 @register_scenario(

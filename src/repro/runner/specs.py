@@ -31,6 +31,8 @@ from repro.core.parabola import ParabolaController
 from repro.core.rules import IyerRule, TayRule
 from repro.core.static import FixedLimit, NoControl
 from repro.experiments.config import ExperimentScale
+from repro.obs.catalog import ABORTS_BY_REASON, ISOLATION, TRACE, validate_observers
+from repro.obs.probes import PROBE_NAMES
 from repro.tp.arrivals import ArrivalProcess, ClosedArrivals, OpenArrivals, PartlyOpenArrivals
 from repro.tp.params import SystemParams, WorkloadParams
 from repro.tp.workload import (
@@ -216,33 +218,18 @@ class RunSpec:
     #: concurrency control scheme (None = the system default, timestamp
     #: certification); a CCSpec or a picklable ``factory(sim) -> scheme``
     cc: Optional[object] = None
-    #: stationary runs only: report per-reason abort counts
-    #: (``aborts_<reason>`` metrics) and the scheme-aware analytic
-    #: reference name on the cell result.  Opt-in so the metrics schema —
-    #: and therefore every pre-existing golden fixture — of cells that do
-    #: not ask for it stays byte-identical.
-    scheme_diagnostics: bool = False
-    #: stationary runs only: record the committed history through the
-    #: isolation oracle (:mod:`repro.cc.history`) and report per-kind
-    #: anomaly counts (``anomalies_<kind>`` metrics).  The recording
-    #: wrapper is trajectory-preserving, but the flag is opt-in for the
-    #: same golden-stability reason as ``scheme_diagnostics``.
-    isolation_diagnostics: bool = False
-    #: stationary runs only: in-sim probe names
-    #: (:data:`~repro.obs.probes.PROBE_NAMES`) to attach to the run; their
-    #: measured-window readouts surface as ``probe_<name>`` metrics on the
-    #: cell result.  ``None`` (the default) runs without probes; opt-in for
-    #: the same golden-stability reason as the diagnostics flags.  The
-    #: probe set itself is built inside the worker from these plain names,
-    #: which is how probes propagate to multiprocessing and dist workers.
-    probes: Optional[Tuple[str, ...]] = None
+    #: observers (:data:`~repro.obs.catalog.OBSERVER_NAMES`) to build inside
+    #: whichever process executes the cell; normalised to catalog order, as
+    #: a selection is a set.  Opt-in, since readouts extend the metric
+    #: schema.  Every observer except ``trace`` is stationary-only.
+    observers: Tuple[str, ...] = ()
     #: stationary runs only: how transactions enter the system.  ``None``
     #: (the default) and :class:`~repro.tp.arrivals.ClosedArrivals` run the
     #: paper's closed terminal model; :class:`~repro.tp.arrivals.OpenArrivals`
     #: / :class:`~repro.tp.arrivals.PartlyOpenArrivals` replace the terminals
     #: with an open source.  Opt-in (and JSON-emitted only when set) for the
-    #: same golden-stability reason as the diagnostics flags: cells that do
-    #: not ask for an arrival model keep their byte-identical schema.
+    #: same golden-stability reason as the observers: cells that do not ask
+    #: for an arrival model keep their byte-identical schema.
     arrivals: Optional[ArrivalProcess] = None
 
     def __post_init__(self) -> None:
@@ -260,20 +247,8 @@ class RunSpec:
             raise ValueError(
                 "mixed-class workloads are supported for stationary runs only"
             )
-        if self.scheme_diagnostics and self.kind != KIND_STATIONARY:
-            raise ValueError(
-                "scheme_diagnostics is supported for stationary runs only"
-            )
-        if self.isolation_diagnostics and self.kind != KIND_STATIONARY:
-            raise ValueError(
-                "isolation_diagnostics is supported for stationary runs only"
-            )
-        if self.probes is not None:
-            if self.kind != KIND_STATIONARY:
-                raise ValueError("probes are supported for stationary runs only")
-            from repro.obs.probes import validate_probes
-
-            object.__setattr__(self, "probes", validate_probes(self.probes))
+        object.__setattr__(self, "observers", validate_observers(
+            self.observers, stationary=self.kind == KIND_STATIONARY))
         if self.arrivals is not None:
             if self.kind != KIND_STATIONARY:
                 raise ValueError(
@@ -325,6 +300,9 @@ class RunSpec:
 
 #: format tag embedded in every encoded spec (bump on breaking changes)
 RUN_SPEC_FORMAT = 1
+
+#: wire key -> observer, for the observers encoded as booleans
+_WIRE_FLAGS = {"scheme_diagnostics": ABORTS_BY_REASON, "isolation_diagnostics": ISOLATION}
 
 _JSON_SCALARS = (str, int, float, bool, type(None))
 
@@ -495,13 +473,17 @@ def run_spec_to_jsonable(spec: RunSpec) -> dict:
             "kind": spec.cc.kind,
             "options": _encode_options(spec.cc.options, "cc"),
         },
-        "scheme_diagnostics": spec.scheme_diagnostics,
-        "isolation_diagnostics": spec.isolation_diagnostics,
     }
-    # emitted only when set so every pre-probes archive (and the committed
-    # fuzz corpus, which CI compares byte-for-byte) stays byte-identical
-    if spec.probes is not None:
-        data["probes"] = list(spec.probes)
+    # observers keep their pre-catalog wire names, so existing fingerprints,
+    # archives and the committed fuzz corpus (which CI compares byte for
+    # byte) stay byte-identical: the two booleans always, the rest when set
+    for key, name in _WIRE_FLAGS.items():
+        data[key] = name in spec.observers
+    probes = [name for name in spec.observers if name in PROBE_NAMES]
+    if probes:
+        data["probes"] = probes
+    if TRACE in spec.observers:
+        data["trace"] = True
     # same byte-identity discipline for the arrival model
     if spec.arrivals is not None:
         data["arrivals"] = _encode_arrivals(spec.arrivals)
@@ -544,6 +526,10 @@ def run_spec_from_jsonable(data: dict) -> RunSpec:
     cc = None
     if data["cc"] is not None:
         cc = CCSpec.make(data["cc"]["kind"], **data["cc"]["options"])
+    observers = [name for key, name in _WIRE_FLAGS.items() if data[key]]
+    observers += data.get("probes") or []
+    if data.get("trace"):
+        observers.append(TRACE)
     return RunSpec(
         kind=data["kind"],
         cell_id=data["cell_id"],
@@ -556,9 +542,7 @@ def run_spec_from_jsonable(data: dict) -> RunSpec:
         displacement=displacement,
         workload_classes=workload_classes,
         cc=cc,
-        scheme_diagnostics=data["scheme_diagnostics"],
-        isolation_diagnostics=data["isolation_diagnostics"],
-        probes=tuple(data["probes"]) if data.get("probes") else None,
+        observers=observers,
         arrivals=(_decode_arrivals(data["arrivals"])
                   if data.get("arrivals") else None),
     )
@@ -587,7 +571,7 @@ def run_spec_fingerprint(spec: RunSpec) -> str:
 
     Properties pinned by ``tests/svc/test_cache_key.py``: equal specs hash
     equal; any semantic perturbation (seed, offered load, CC option,
-    schedule breakpoint, probe set, arrivals, replicate, ...) changes the
+    schedule breakpoint, observer set, arrivals, replicate, ...) changes the
     key; the key is a pure function of the spec's content, stable across
     process boundaries, worker counts and hosts.  Specs that cannot be
     encoded as JSON (ad-hoc callables, interval tuners) raise ``ValueError``

@@ -33,7 +33,7 @@ from repro.sim.stats import (
     TimeWeightedStats,
     confidence_interval,
 )
-from repro.sim.trace import TrajectoryTracer, active_tracer, install_tracer, tracing
+from repro.sim.trace import TrajectoryTracer
 
 __all__ = [
     "Event",
@@ -50,7 +50,4 @@ __all__ = [
     "TimeWeightedStats",
     "confidence_interval",
     "TrajectoryTracer",
-    "active_tracer",
-    "install_tracer",
-    "tracing",
 ]

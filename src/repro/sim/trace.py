@@ -1,41 +1,30 @@
-"""Opt-in trajectory tracing for the transaction system.
+"""The ``trace`` observer: the per-transaction lifecycle log of one run.
 
-The golden-trajectory regression harness (``tests/golden/``) pins the
-simulator's behavior down to the individual transaction lifecycle event:
-every submission, admission, commit, abort and departure, with its exact
-simulation timestamp.  Collecting that log from inside the hot path must
-cost nothing when tracing is off, so the hook is a single module-level
-slot: :class:`TransactionSystem <repro.tp.system.TransactionSystem>` reads
-it once at construction time and afterwards pays only a ``None`` check per
-lifecycle event (never per kernel event).
-
-Tracing is process-local and deliberately does NOT propagate to worker
-processes; the golden harness therefore captures full event logs serially
-and checks the (equally deterministic) summary metrics for the parallel
-path.  This is one of three observation channels with distinct
-propagation rules — the in-sim probes ride the cell spec as plain names
-and are rebuilt inside whichever worker runs the cell, and the telemetry
-spans propagate via an inherited environment variable and carry a
-``worker`` field attributing each span to its emitting process.  The full
-contract is documented in ``docs/observability.md``.
+The golden-trajectory harness (``tests/golden/``) pins the simulator down
+to every submission, admission, shed, commit, abort and departure, with
+its exact simulation timestamp; :class:`TrajectoryTracer` collects that
+log.  A cell selects it as ``"trace"`` in :attr:`RunSpec.observers
+<repro.runner.specs.RunSpec.observers>`, it is built inside whichever
+process executes the cell, and the log returns on :attr:`CellResult.trace
+<repro.runner.cells.CellResult.trace>` from every executor.  It follows the
+observer contract of :mod:`repro.obs.observers` by shape, without
+importing :mod:`repro.obs`; ``docs/observability.md`` has the catalog.
 
 Usage::
 
-    tracer = TrajectoryTracer()
-    with tracing(tracer):
-        execute_run_spec(spec)
-    tracer.events  # [(time, kind, txn_id, detail), ...]
+    result = execute_run_spec(dataclasses.replace(spec, observers=("trace",)))
+    result.trace  # [(time, kind, txn_id, detail), ...]
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 #: one trajectory record: (simulation time, event kind, txn id, detail)
 TraceEvent = Tuple[float, str, int, str]
 
-#: lifecycle event kinds recorded by the transaction system
+#: lifecycle event kinds recorded by the tracer (each is also the name of
+#: the observer hook that records it)
 SUBMIT = "submit"
 ADMIT = "admit"
 COMMIT = "commit"
@@ -50,38 +39,38 @@ class TrajectoryTracer:
 
     __slots__ = ("events",)
 
+    name = "trace"
+    hooks = (SUBMIT, ADMIT, SHED, COMMIT, ABORT, DEPART)
+    #: the log is not a metric: it lands on CellResult.trace instead
+    schema: Tuple[str, ...] = ()
+
     def __init__(self) -> None:
         self.events: List[TraceEvent] = []
 
-    def record(self, time: float, kind: str, txn_id: int, detail: str = "") -> None:
-        """Append one lifecycle record (called by the transaction system)."""
-        self.events.append((time, kind, txn_id, detail))
+    def bind(self, system) -> None:
+        """Nothing to wire: the system calls the hooks."""
 
-    def __len__(self) -> int:
-        return len(self.events)
+    def reset(self, now: float) -> None:
+        """The log spans the whole run, warm-up included."""
 
+    def readout(self, now: float) -> Dict[str, float]:
+        """No metrics (see :attr:`schema`)."""
+        return {}
 
-_active: Optional[TrajectoryTracer] = None
+    def submit(self, now: float, txn) -> None:
+        self.events.append((now, SUBMIT, txn.txn_id, ""))
 
+    def admit(self, now: float, txn) -> None:
+        self.events.append((now, ADMIT, txn.txn_id, ""))
 
-def install_tracer(tracer: Optional[TrajectoryTracer]) -> None:
-    """Install ``tracer`` as the process-wide trajectory tracer (None clears)."""
-    global _active
-    _active = tracer
+    def shed(self, now: float, txn) -> None:
+        self.events.append((now, SHED, txn.txn_id, txn.tenant))
 
+    def commit(self, now: float, txn) -> None:
+        self.events.append((now, COMMIT, txn.txn_id, ""))
 
-def active_tracer() -> Optional[TrajectoryTracer]:
-    """The currently installed tracer, or None when tracing is off."""
-    return _active
+    def abort(self, now: float, txn, reason) -> None:
+        self.events.append((now, ABORT, txn.txn_id, reason.name))
 
-
-@contextmanager
-def tracing(tracer: TrajectoryTracer) -> Iterator[TrajectoryTracer]:
-    """Install ``tracer`` for the duration of the block, restoring the old one."""
-    global _active
-    previous = _active
-    _active = tracer
-    try:
-        yield tracer
-    finally:
-        _active = previous
+    def depart(self, now: float, txn, outcome: str) -> None:
+        self.events.append((now, DEPART, txn.txn_id, outcome))

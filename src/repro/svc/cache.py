@@ -53,8 +53,10 @@ logger = logging.getLogger("repro.svc.cache")
 
 #: bump when the *entry* encoding (the pickled value layout) changes; the
 #: key encoding is versioned separately by SPEC_FINGERPRINT_VERSION and
-#: RUN_SPEC_FORMAT, which are hashed into every fingerprint
-CACHE_FORMAT = 1
+#: RUN_SPEC_FORMAT, which are hashed into every fingerprint.  2: CellResult
+#: gained ``trace`` and StationaryPoint's ``anomalies``/``probe_metrics``
+#: became ``observed``
+CACHE_FORMAT = 2
 
 
 class ResultCache:

@@ -10,7 +10,7 @@ sample; the run totals remain available for final reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Iterable
 
 from repro.cc.base import AbortReason
 from repro.sim.engine import Simulator
@@ -189,14 +189,25 @@ class RunMetrics:
 
     @property
     def p99_response_time(self) -> float:
-        """Streaming 99th-percentile submission-to-commit latency.
+        """Streaming 99th-percentile submission-to-commit latency, clamped to the 95th."""
+        return _p99(self.response_p95, self.response_p99)
 
-        The two percentiles are tracked by *independent* P² estimators,
-        and their approximations can cross slightly under heavy-tailed
-        overload; the reported tail is clamped to the 95th so the
-        ``p95 <= p99`` invariant holds for consumers.
+    def tenant_slo(self, tenants: Iterable[str]) -> Dict[str, float]:
+        """Per-tenant commits, sheds and p95/p99 latency, keyed ``tenant_<metric>_<name>``.
+
+        Keyed by ``tenants`` (the spec's class names), never by the tenants
+        that happened to commit, so the schema is a pure function of the spec.
         """
-        return max(self.response_p99.value, self.response_p95.value)
+        out: Dict[str, float] = {}
+        for name in tenants:
+            out[f"tenant_commits_{name}"] = float(self.commits_by_tenant.get(name, 0))
+            out[f"tenant_shed_{name}"] = float(self.shed_by_tenant.get(name, 0))
+            p95 = self.tenant_response_p95.get(name)
+            committed = p95 is not None
+            out[f"tenant_p95_response_time_{name}"] = p95.value if committed else 0.0
+            out[f"tenant_p99_response_time_{name}"] = (
+                _p99(p95, self.tenant_response_p99[name]) if committed else 0.0)
+        return out
 
     def mean_concurrency(self) -> float:
         """Time-averaged number of admitted transactions."""
@@ -211,3 +222,9 @@ class RunMetrics:
         self.admission_queue.update(self.sim.now, current_queue)
         self.concurrency.reset(self.sim.now)
         self.admission_queue.reset(self.sim.now)
+
+
+def _p99(p95: P2Quantile, p99: P2Quantile) -> float:
+    # independent P² estimates can cross slightly under heavy-tailed
+    # overload; clamping keeps the p95 <= p99 invariant for consumers
+    return max(p99.value, p95.value)

@@ -34,7 +34,6 @@ from repro.core.controller import LoadController
 from repro.core.displacement import DisplacementPolicy
 from repro.core.measurement import MeasurementProcess
 from repro.core.outer_loop import MeasurementIntervalTuner
-from repro.sim import trace as sim_trace
 from repro.sim.engine import Interrupt, Process, Simulator
 from repro.sim.random_streams import RandomStreams
 from repro.sim.resources import Resource
@@ -45,7 +44,7 @@ from repro.tp.transaction import Transaction
 from repro.tp.workload import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.obs.probes import ProbeSet
+    from repro.obs.catalog import ObserverSet
 
 
 #: outcome values returned by a transaction lifecycle process
@@ -65,7 +64,7 @@ class TransactionSystem:
                  gate: Optional[AdmissionGate] = None,
                  displacement: Optional[DisplacementPolicy] = None,
                  resubmit_displaced: bool = True,
-                 probes: Optional["ProbeSet"] = None,
+                 observers: Optional["ObserverSet"] = None,
                  arrivals: Optional[ArrivalProcess] = None):
         self.params = params
         #: how transactions enter the system: None/ClosedArrivals = the
@@ -86,14 +85,11 @@ class TransactionSystem:
         self._terminal_processes: List[Process] = []
         self._started = False
         self.measurement: Optional[MeasurementProcess] = None
-        #: trajectory tracer in effect when the system was built (usually None;
-        #: the golden harness installs one via repro.sim.trace.tracing)
-        self._tracer = sim_trace.active_tracer()
-        #: in-sim probe set (usually None; the runner builds one from
-        #: RunSpec.probes) — same zero-cost slot pattern as the tracer
-        self._probes = probes
-        if probes is not None:
-            probes.bind(self)
+        #: the run's observers (see repro.obs.catalog), or None: the one slot
+        #: every lifecycle event checks, so unobserved runs pay one None test
+        self._observer = observers or None
+        if self._observer is not None:
+            self._observer.bind(self)
         # lazily bound per-name RNG generators: the think/cpu/restart draws
         # are per-phase hot-path calls, so the stream-registry lookup is paid
         # once per run instead of once per draw (draw order is unchanged)
@@ -143,10 +139,10 @@ class TransactionSystem:
         self._started = True
         if self.measurement is not None:
             self.measurement.start()
-        if self._probes is not None and self._probes.wants_sampling:
+        if self._observer is not None and self._observer.samples:
             # the sampler draws no RNG and mutates no model state, so its
             # extra heap events leave the model trajectory untouched
-            self.sim.process(self._probes.sampler(), name="probe-sampler")
+            self.sim.process(self._observer.sampler(self.sim), name="observer-sampler")
         if self.arrivals is None or isinstance(self.arrivals, ClosedArrivals):
             for terminal_id in range(self.params.n_terminals):
                 process = self.sim.process(
@@ -200,11 +196,7 @@ class TransactionSystem:
                 think = float(rng.exponential(think_mean))
                 if think > 0:
                     yield self.sim.timeout(think)
-            txn = self.workload.next_transaction(self.sim.now, terminal_id)
-            self.metrics.record_submission()
-            if self._tracer is not None:
-                self._tracer.record(self.sim.now, sim_trace.SUBMIT, txn.txn_id)
-            yield from self._submit_and_process(txn)
+            yield from self._submit_and_process(terminal_id)
 
     def _arrival_source(self) -> Generator:
         """Open/partly-open source: spawn a session at every arrival instant.
@@ -235,20 +227,21 @@ class TransactionSystem:
                 think = float(self.streams.exponential(SESSION_THINK_STREAM, think_mean))
                 if think > 0:
                     yield self.sim.timeout(think)
-            txn = self.workload.next_transaction(self.sim.now, session_id)
-            self.metrics.record_submission()
-            if self._tracer is not None:
-                self._tracer.record(self.sim.now, sim_trace.SUBMIT, txn.txn_id)
-            yield from self._submit_and_process(txn)
+            yield from self._submit_and_process(session_id)
 
-    def _submit_and_process(self, txn: Transaction) -> Generator:
-        """Submit ``txn`` to the gate and run it until commit (or final abort).
+    def _submit_and_process(self, source_id: int) -> Generator:
+        """Submit a new transaction of ``source_id`` and run it until commit (or final abort).
 
         A submission shed by a tenant queue quota ends here: the failed
         admission event raises :class:`AdmissionShed` at the ``yield``, the
         shed is booked, and the transaction never enters the system (so no
         ``depart`` either).
         """
+        txn = self.workload.next_transaction(self.sim.now, source_id)
+        self.metrics.record_submission()
+        observer = self._observer
+        if observer is not None:
+            observer.submit(self.sim.now, txn)
         while True:
             # per-attempt enqueue timestamp: a displaced-then-resubmitted
             # transaction re-enters the queue *now*, so its waiting-time
@@ -260,15 +253,14 @@ class TransactionSystem:
             except AdmissionShed:
                 self.metrics.record_shed(txn.tenant)
                 self.metrics.record_admission_queue(self.gate.queue_length)
-                if self._tracer is not None:
-                    self._tracer.record(self.sim.now, sim_trace.SHED, txn.txn_id,
-                                        txn.tenant)
+                if observer is not None:
+                    observer.shed(self.sim.now, txn)
                 return
             self.metrics.record_admission(self.sim.now - enqueued_at)
             self.metrics.record_concurrency(self.gate.current_load)
             self.metrics.record_admission_queue(self.gate.queue_length)
-            if self._tracer is not None:
-                self._tracer.record(self.sim.now, sim_trace.ADMIT, txn.txn_id)
+            if observer is not None:
+                observer.admit(self.sim.now, txn)
 
             lifecycle = self.sim.process(
                 self._transaction_lifecycle(txn), name=f"txn-{txn.txn_id}"
@@ -278,8 +270,8 @@ class TransactionSystem:
             self._active.pop(txn.txn_id, None)
             self.gate.depart(txn)
             self.metrics.record_concurrency(self.gate.current_load)
-            if self._tracer is not None:
-                self._tracer.record(self.sim.now, sim_trace.DEPART, txn.txn_id, outcome)
+            if observer is not None:
+                observer.depart(self.sim.now, txn, outcome)
 
             if outcome == COMMITTED:
                 return
@@ -297,7 +289,7 @@ class TransactionSystem:
         cc_access = self.cc.access
         cpu_access = params.cpu_per_access
         disk_access = params.disk_per_access
-        probes = self._probes
+        observer = self._observer
         while True:
             txn.start_execution(sim.now)
             self.cc.begin(txn)
@@ -310,12 +302,12 @@ class TransactionSystem:
                 for item, is_write in zip(txn.items, txn.write_flags):
                     grant = cc_access(txn, item, is_write)
                     if grant is not None:
-                        if probes is None:
+                        if observer is None:
                             yield grant
                         else:
                             waited_from = sim.now
                             yield grant
-                            probes.observe_lock_wait(sim.now - waited_from)
+                            observer.lock_wait(sim.now, txn, sim.now - waited_from)
                     if cpu_access > 0:
                         request = cpus.request()
                         try:
@@ -337,30 +329,17 @@ class TransactionSystem:
                         txn.committed_at - txn.submitted_at, txn.last_conflicts,
                         tenant=txn.tenant,
                     )
-                    if probes is not None:
-                        probes.observe_commit_residence(
-                            txn.committed_at - txn.execution_started_at)
-                    if self._tracer is not None:
-                        self._tracer.record(self.sim.now, sim_trace.COMMIT, txn.txn_id)
+                    if observer is not None:
+                        observer.commit(txn.committed_at, txn)
                     return COMMITTED
 
                 # certification failed: abort this execution and restart
-                self.cc.abort(txn, AbortReason.CERTIFICATION)
-                self.metrics.record_abort(AbortReason.CERTIFICATION, txn.last_conflicts)
-                if self._tracer is not None:
-                    self._tracer.record(self.sim.now, sim_trace.ABORT, txn.txn_id,
-                                        AbortReason.CERTIFICATION.name)
-                txn.record_restart()
+                self._abort(txn, AbortReason.CERTIFICATION, txn.last_conflicts)
                 yield from self._restart_delay()
 
             except TransactionAborted as aborted:
                 # blocking CC made this transaction a deadlock victim
-                self.cc.abort(txn, aborted.reason)
-                self.metrics.record_abort(aborted.reason)
-                if self._tracer is not None:
-                    self._tracer.record(self.sim.now, sim_trace.ABORT, txn.txn_id,
-                                        aborted.reason.name)
-                txn.record_restart()
+                self._abort(txn, aborted.reason)
                 yield from self._restart_delay()
 
             except Interrupt as interrupt:
@@ -369,13 +348,16 @@ class TransactionSystem:
                 cause = interrupt.cause
                 if isinstance(cause, TransactionAborted):
                     reason = cause.reason
-                self.cc.abort(txn, reason)
-                self.metrics.record_abort(reason)
-                if self._tracer is not None:
-                    self._tracer.record(self.sim.now, sim_trace.ABORT, txn.txn_id,
-                                        reason.name)
-                txn.record_restart()
+                self._abort(txn, reason)
                 return DISPLACED
+
+    def _abort(self, txn: Transaction, reason: AbortReason, conflicts: int = 0) -> None:
+        """Abandon the current execution of ``txn`` (it may restart afterwards)."""
+        self.cc.abort(txn, reason)
+        self.metrics.record_abort(reason, conflicts)
+        if self._observer is not None:
+            self._observer.abort(self.sim.now, txn, reason)
+        txn.record_restart()
 
     def _phase(self, cpu_mean: float, disk_time: float) -> Generator:
         """One execution phase: CPU burst at the multiprocessor, then disk I/O."""

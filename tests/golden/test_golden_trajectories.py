@@ -17,15 +17,17 @@ Two assertions per scenario:
 * **serial** — re-capturing the scenario in-process reproduces the golden
   file bitwise (canonical JSON string equality, covering every event
   timestamp and every metric);
-* **workers=2** — running the same sweep through the multiprocessing
-  executor reproduces the golden metrics of every cell bitwise (the
-  tracer is process-local, so the parallel path is checked through the
-  deterministic summary metrics).
+* **workers=2** — running the same traced sweep through the
+  multiprocessing executor reproduces every cell's golden metrics and
+  event log (length and digest) bitwise: the ``trace`` observer rides the
+  cell spec, so trajectories come back from worker processes like any
+  other observation.
 
 The scenarios that carry the sweep dimensions added after the distributed
 subsystem landed (concurrency control schemes and displacement policies)
 are additionally asserted over a 2-worker localhost cluster, so the new
-spec fields provably survive the wire protocol with bit-identical results.
+spec fields provably survive the wire protocol with bit-identical metrics
+and trajectories.
 
 A failure here means a change altered simulated trajectories.  Never
 "fix" it by regenerating the goldens unless the semantic change is
@@ -39,9 +41,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.config import ExperimentScale
 from repro.runner.api import run_sweep
-from repro.runner.registry import build_sweep
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 _TOOL_PATH = GOLDEN_DIR.parent.parent / "tools" / "regen_goldens.py"
@@ -83,17 +83,16 @@ def test_serial_trajectories_bitwise_identical(name):
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_workers2_metrics_bitwise_identical(name):
-    """The multiprocessing executor reproduces every cell's metrics exactly."""
+def test_workers2_metrics_and_trajectories_bitwise_identical(name):
+    """The multiprocessing executor reproduces every cell's metrics and trajectory."""
     golden = json.loads(_golden_path(name).read_text(encoding="utf-8"))
-    spec = build_sweep(name, scale=ExperimentScale.smoke())
-    result = run_sweep(spec, workers=2)
-    _assert_metrics_match_golden(result, golden)
+    result = run_sweep(regen_goldens.traced_sweep(name), workers=2)
+    _assert_cells_match_golden(result, golden)
 
 
 #: scenarios exercising the post-dist sweep dimensions (CCSpec on the cell
-#: specs, DisplacementPolicy/VictimCriterion, scheme_diagnostics): these
-#: must round-trip the wire protocol, so they are asserted over a real
+#: specs, DisplacementPolicy/VictimCriterion, observers): these must
+#: round-trip the wire protocol, so they are asserted over a real
 #: localhost cluster too
 DIST_PINNED_SCENARIOS = ("cc_compare", "displacement_policies",
                          "deadlock_resolution", "isolation_tradeoff",
@@ -101,25 +100,26 @@ DIST_PINNED_SCENARIOS = ("cc_compare", "displacement_policies",
 
 
 @pytest.mark.parametrize("name", DIST_PINNED_SCENARIOS)
-def test_dist_cluster_metrics_bitwise_identical(name):
-    """A 2-worker localhost cluster reproduces every cell's metrics exactly."""
+def test_dist_cluster_metrics_and_trajectories_bitwise_identical(name):
+    """A 2-worker localhost cluster reproduces every cell's metrics and trajectory."""
     from repro.dist.cluster import launch_local_cluster
 
     golden = json.loads(_golden_path(name).read_text(encoding="utf-8"))
-    spec = build_sweep(name, scale=ExperimentScale.smoke())
     with launch_local_cluster(workers=2) as cluster:
-        result = run_sweep(spec, executor=cluster)
-    _assert_metrics_match_golden(result, golden)
+        result = run_sweep(regen_goldens.traced_sweep(name), executor=cluster)
+    _assert_cells_match_golden(result, golden)
 
 
-def _assert_metrics_match_golden(result, golden):
+def _assert_cells_match_golden(result, golden):
     assert len(result.results) == len(golden["cells"])
     for golden_cell, cell in zip(golden["cells"], result.results):
         assert cell.cell_id == golden_cell["cell_id"]
         assert (regen_goldens.canonical_json(dict(cell.metrics))
                 == regen_goldens.canonical_json(golden_cell["metrics"]))
-        # diagnostics cells label their analytic reference; the label must
-        # survive the executor / wire protocol unchanged
+        assert len(cell.trace) == golden_cell["n_events"]
+        assert regen_goldens.events_digest(cell.trace) == golden_cell["events_digest"]
+        # aborts_by_reason cells label their analytic reference; the label
+        # must survive the executor / wire protocol unchanged
         assert cell.model_reference == golden_cell.get("model_reference", "")
 
 

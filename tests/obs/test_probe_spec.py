@@ -1,4 +1,8 @@
-"""Probes on RunSpec: validation, pickling, and byte-stable JSON encoding."""
+"""Probes on RunSpec: validation, pickling, and byte-stable JSON encoding.
+
+Probes ride the spec as observer names (:attr:`RunSpec.observers`) and keep
+their pre-catalog wire name, ``probes``, emitted only when a probe is on.
+"""
 
 import pickle
 
@@ -22,7 +26,7 @@ def stationary_spec(**overrides) -> RunSpec:
         cell_id="probe-spec/N=25",
         params=default_system_params(seed=47),
         scale=ExperimentScale.smoke(),
-        probes=PROBE_NAMES,
+        observers=PROBE_NAMES,
     )
     settings.update(overrides)
     return RunSpec(**settings)
@@ -30,12 +34,12 @@ def stationary_spec(**overrides) -> RunSpec:
 
 class TestSpecValidation:
     def test_probe_names_are_validated_at_construction(self):
-        with pytest.raises(ValueError, match="unknown probe"):
-            stationary_spec(probes=("no_such_probe",))
+        with pytest.raises(ValueError, match="unknown observer"):
+            stationary_spec(observers=("no_such_probe",))
 
-    def test_probes_are_normalised_to_a_tuple(self):
-        spec = stationary_spec(probes=["mpl", "lock_wait"])
-        assert spec.probes == ("mpl", "lock_wait")
+    def test_probes_are_normalised_to_a_tuple_in_catalog_order(self):
+        spec = stationary_spec(observers=["mpl", "lock_wait"])
+        assert spec.observers == ("lock_wait", "mpl")
 
     def test_tracking_runs_reject_probes(self):
         with pytest.raises(ValueError, match="stationary runs only"):
@@ -46,7 +50,7 @@ class TestSpecValidation:
             )
 
     def test_specs_without_probes_stay_valid(self):
-        assert stationary_spec(probes=None).probes is None
+        assert stationary_spec(observers=()).observers == ()
 
 
 class TestPickleRoundTrip:
@@ -63,7 +67,7 @@ class TestJsonRoundTrip:
     def test_encoder_omits_the_key_when_probes_are_off(self):
         """Pre-probes archives (and the committed fuzz corpus) must stay
         byte-identical, so the field only appears when set."""
-        data = run_spec_to_jsonable(stationary_spec(probes=None))
+        data = run_spec_to_jsonable(stationary_spec(observers=()))
         assert "probes" not in data
 
     def test_encoder_emits_plain_names_when_probes_are_on(self):
@@ -71,17 +75,17 @@ class TestJsonRoundTrip:
         assert data["probes"] == list(PROBE_NAMES)
 
     def test_decoder_tolerates_archives_predating_probes(self):
-        data = run_spec_to_jsonable(stationary_spec(probes=None))
-        assert run_spec_from_jsonable(data).probes is None
+        data = run_spec_to_jsonable(stationary_spec(observers=()))
+        assert run_spec_from_jsonable(data).observers == ()
 
 
 class TestSweepBuilder:
     def test_stationary_sweep_spec_threads_probes_to_every_cell(self):
         sweep = stationary_sweep_spec(
             default_system_params(seed=47), None, ExperimentScale.smoke(),
-            "probed", name="probe-sweep", probes=("lock_wait", "mpl"),
+            "probed", name="probe-sweep", observers=("lock_wait", "mpl"),
         )
-        assert all(cell.probes == ("lock_wait", "mpl") for cell in sweep.cells)
+        assert all(cell.observers == ("lock_wait", "mpl") for cell in sweep.cells)
 
     def test_probe_calibration_scenario_keeps_its_frozen_probe_set(self):
         """The scenario pins the six probes it was goldened with; probe
@@ -89,14 +93,13 @@ class TestSweepBuilder:
         from repro.runner.registry import build_sweep
 
         frozen = ("lock_wait", "lock_queue", "admission_queue", "mpl",
-                  "abort_rates", "displacement")
+                  "abort_rates", "displacement", "aborts_by_reason")
         sweep = build_sweep("probe_calibration", scale=ExperimentScale.smoke())
-        assert all(cell.probes == frozen for cell in sweep.cells)
-        assert all(cell.scheme_diagnostics for cell in sweep.cells)
+        assert all(cell.observers == frozen for cell in sweep.cells)
 
     def test_open_diurnal_scenario_carries_the_backlog_probe(self):
         from repro.runner.registry import build_sweep
 
         sweep = build_sweep("open_diurnal", scale=ExperimentScale.smoke())
-        assert all(cell.probes == ("arrival_backlog",) for cell in sweep.cells)
+        assert all(cell.observers == ("arrival_backlog",) for cell in sweep.cells)
         assert all(cell.arrivals is not None for cell in sweep.cells)

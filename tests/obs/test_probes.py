@@ -1,122 +1,51 @@
-"""The in-sim probe layer: validation, schema, and trajectory preservation."""
+"""The in-sim probes: measured-window readouts and the CC wait-depth hook.
+
+The catalog-wide contract (trajectory preservation, schemas) lives in
+``tests/obs/test_observers.py``; these tests pin what is particular to
+the probes: their readouts cover the measured window, because every probe
+resets at the end of warm-up.
+"""
 
 import pytest
 
 from repro.cc.registry import CCSpec
-from repro.experiments.config import default_system_params
 from repro.experiments.stationary import run_stationary_point
-from repro.obs.probes import (
-    ABORT_RATES,
-    ADMISSION_QUEUE,
-    DISPLACEMENT,
-    LOCK_QUEUE,
-    LOCK_WAIT,
-    MPL,
-    PROBE_NAMES,
-    ProbeSet,
-    validate_probes,
-)
+from repro.obs.probes import PROBE_NAMES
+from repro.tp.params import SystemParams, WorkloadParams
+
+HORIZON = 6.0
 
 
-def contended_2pl_params(seed=47):
-    base = default_system_params(seed=seed)
-    return base.with_changes(
-        n_terminals=100,
-        workload=base.workload.with_changes(db_size=1500, write_fraction=0.6),
-    )
-
-
-def run_point(probes, params=None):
+@pytest.fixture(scope="module")
+def probed():
+    params = SystemParams(
+        n_terminals=40, think_time=0.0, n_cpus=2,
+        cpu_init=0.002, cpu_per_access=0.002, cpu_commit=0.002,
+        disk_per_access=0.004, disk_commit=0.004, restart_delay=0.005, seed=11,
+        workload=WorkloadParams(db_size=150, accesses_per_txn=6,
+                                query_fraction=0.1, write_fraction=0.8))
     return run_stationary_point(
-        params or contended_2pl_params(),
-        horizon=8.0,
-        warmup=2.0,
+        params, horizon=HORIZON, warmup=2.0, measurement_interval=1.0,
         cc=CCSpec.make("two_phase_locking", victim_policy="youngest"),
-        probes=probes,
-    )
+        observers=PROBE_NAMES)
 
 
-class TestValidateProbes:
-    def test_accepts_all_builtins_in_given_order(self):
-        names = tuple(reversed(PROBE_NAMES))
-        assert validate_probes(names) == names
+class TestMeasuredWindow:
+    def test_residences_count_exactly_the_measured_commits(self, probed):
+        assert probed.observed["probe_lock_wait_residence_count"] == probed.commits > 0
+        assert probed.observed["probe_lock_wait_count"] > 0
 
-    def test_rejects_empty_selection(self):
-        with pytest.raises(ValueError, match="at least one probe"):
-            validate_probes(())
+    def test_abort_rates_divide_the_measured_counts_by_the_horizon(self, probed):
+        deadlocks = probed.aborts_by_reason["deadlock"]
+        assert deadlocks > 0
+        assert probed.observed["probe_abort_rate_deadlock"] == pytest.approx(deadlocks / HORIZON)
+        assert probed.observed["probe_displacement_count"] == 0.0
 
-    def test_rejects_unknown_probe_naming_the_alternatives(self):
-        with pytest.raises(ValueError, match="unknown probe 'latency'"):
-            validate_probes(("latency",))
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="duplicate probe"):
-            validate_probes((MPL, MPL))
-
-
-class TestProbeSetWiring:
-    def test_rejects_non_positive_interval(self):
-        with pytest.raises(ValueError, match="interval"):
-            ProbeSet(PROBE_NAMES, interval=0.0)
-
-    def test_unbound_probe_set_refuses_readout(self):
-        probe_set = ProbeSet(PROBE_NAMES)
-        with pytest.raises(RuntimeError, match="not bound"):
-            probe_set.metrics(1.0)
-
-    def test_binds_to_one_system_only(self):
-        from repro.tp.system import TransactionSystem
-
-        params = contended_2pl_params()
-        probe_set = ProbeSet(PROBE_NAMES)
-        TransactionSystem(params, probes=probe_set)
-        with pytest.raises(RuntimeError, match="only one system"):
-            TransactionSystem(params, probes=probe_set)
-
-    def test_wants_sampling_tracks_gauge_probes(self):
-        assert ProbeSet((MPL,)).wants_sampling
-        assert ProbeSet((LOCK_QUEUE, ADMISSION_QUEUE)).wants_sampling
-        assert not ProbeSet((LOCK_WAIT, ABORT_RATES, DISPLACEMENT)).wants_sampling
-
-
-class TestMetricsSchema:
-    def test_key_set_is_a_pure_function_of_the_enabled_probes(self):
-        point = run_point(probes=(LOCK_WAIT, MPL))
-        keys = set(point.probe_metrics)
-        assert keys == {
-            "probe_lock_wait_count", "probe_lock_wait_mean",
-            "probe_lock_wait_max", "probe_lock_wait_total",
-            "probe_lock_wait_residence_count", "probe_lock_wait_residence_mean",
-            "probe_lock_wait_share", "probe_mpl_mean", "probe_mpl_max",
-        }
-
-    def test_all_builtin_probes_report_floats(self):
-        point = run_point(probes=PROBE_NAMES)
-        assert point.probe_metrics
-        for name, value in point.probe_metrics.items():
-            assert name.startswith("probe_")
-            assert isinstance(value, float), name
-
-    def test_no_probes_means_no_probe_metrics(self):
-        assert run_point(probes=None).probe_metrics == {}
-
-    def test_contended_2pl_actually_measures_waits(self):
-        metrics = run_point(probes=PROBE_NAMES).probe_metrics
-        assert metrics["probe_lock_wait_count"] > 0
-        assert 0.0 < metrics["probe_lock_wait_share"] <= 1.0
-        assert metrics["probe_mpl_mean"] > 0
-        assert metrics["probe_lock_wait_residence_count"] > 0
-
-
-class TestTrajectoryPreservation:
-    def test_probed_run_commits_exactly_what_the_unprobed_run_does(self):
-        unprobed = run_point(probes=None)
-        probed = run_point(probes=PROBE_NAMES)
-        assert probed.commits == unprobed.commits
-        assert probed.aborts_by_reason == unprobed.aborts_by_reason
-        assert probed.throughput == unprobed.throughput
-        assert probed.mean_response_time == unprobed.mean_response_time
-        assert probed.mean_concurrency == unprobed.mean_concurrency
+    def test_gauges_stay_within_the_system(self, probed):
+        observed = probed.observed
+        assert 0 < observed["probe_mpl_mean"] <= observed["probe_mpl_max"] <= 40
+        assert 0 < observed["probe_lock_queue_mean"] <= observed["probe_lock_queue_max"] <= 40
+        assert observed["probe_arrival_backlog_max"] <= 40
 
 
 class TestWaitDepthHook:

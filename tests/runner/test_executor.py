@@ -1,9 +1,13 @@
 """Executor tests, including the serial/parallel determinism guarantee."""
 
 import pickle
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+from repro.dist.cluster import _worker_env
 from repro.experiments.config import ExperimentScale, default_system_params
 from repro.experiments.dynamic import jump_scenario
 from repro.runner.cells import execute_run_spec
@@ -121,6 +125,36 @@ class TestCellErrorWrapping:
         assert first.cell_id in message
         assert f"N={first.params.n_terminals}" in message
         assert "ValueError: injected cell failure" in message
+
+    def test_failure_while_workers_send_results_does_not_hang(self):
+        """The pool shuts down cleanly while other workers are mid-result.
+
+        A ``multiprocessing.Pool`` terminated on the failure killed workers
+        mid-write, left the result queue's lock held and hung within a few
+        of these rounds.  The rounds run in a subprocess, so a regression
+        fails on the timeout instead of hanging the suite.
+        """
+        script = textwrap.dedent("""
+            import time
+            from repro.runner.errors import CellExecutionError
+            from repro.runner.executor import ParallelExecutor
+
+            def fail_first(item):
+                if item == 0:
+                    time.sleep(0.05)  # the other worker is sending results by now
+                    raise ValueError("injected cell failure")
+                return bytes(4 << 20)  # large enough that a send takes a while
+
+            for _ in range(25):
+                try:
+                    ParallelExecutor(workers=2).execute(fail_first, range(8))
+                except CellExecutionError:
+                    continue
+                raise SystemExit("the failing cell was not reported")
+        """)
+        completed = subprocess.run([sys.executable, "-c", script], env=_worker_env(),
+                                   capture_output=True, text=True, timeout=90)
+        assert completed.returncode == 0, completed.stderr
 
     def test_error_survives_pickling(self):
         error = CellExecutionError("cell 'x' failed: boom", cell_id="x")

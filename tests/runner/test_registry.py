@@ -84,7 +84,7 @@ class TestRegistry:
                           for suffix in ("without control", "IS control")}
         for cell in sweep.cells:
             assert cell.kind == KIND_STATIONARY
-            assert cell.scheme_diagnostics is True
+            assert cell.observers == ("aborts_by_reason",)
             assert isinstance(cell.cc, CCSpec)
             prefix = cell.label.rsplit(" ", 2)[0]
             assert cell.cc.kind == kinds_by_prefix[prefix]

@@ -3,30 +3,29 @@
 ``tp.metrics`` has always counted aborts per reason, but until the
 ``deadlock_resolution`` scenario nothing at the *sweep* level pinned that
 the restart-heavy deadlock-avoiding schemes report their restarts under
-the right label.  These tests run real cells through
-:func:`~repro.runner.cells.execute_run_spec` and assert the full chain:
-scheme -> RunMetrics -> StationaryPoint -> cell metrics.
+the right label.  These tests run real cells with the ``aborts_by_reason``
+observer through :func:`~repro.runner.cells.execute_run_spec` and assert
+the full chain: scheme -> RunMetrics -> observer -> cell metrics.
 
-``isolation_diagnostics`` follows the same opt-in pattern one layer
-deeper: the cell's committed history flows through the isolation oracle
-(:mod:`repro.cc.history`) and per-kind ``anomalies_<kind>`` counts land in
-the metrics — zero across the board for serializable schemes, write skew
-(and nothing else) for snapshot isolation on a contended cell.
+The ``isolation`` observer goes one layer deeper: the cell's committed
+history flows through the isolation oracle (:mod:`repro.cc.history`) and
+per-kind ``anomalies_<kind>`` counts land in the metrics — zero across the
+board for serializable schemes, write skew (and nothing else) for snapshot
+isolation on a contended cell.  The catalog-wide contract (trajectory
+preservation, schemas, tracking rejection) is ``tests/obs/test_observers.py``.
 """
-
-import pytest
 
 from repro.cc import ANOMALY_KINDS, CCSpec
 from repro.experiments.config import ExperimentScale
 from repro.runner.cells import execute_run_spec
-from repro.runner.specs import KIND_STATIONARY, KIND_TRACKING, RunSpec
+from repro.runner.specs import KIND_STATIONARY, RunSpec
 from repro.tp.params import SystemParams, WorkloadParams
 
-#: every metric key a diagnostics cell must carry, one per AbortReason
+#: every metric key an aborts_by_reason cell must carry, one per AbortReason
 ABORT_METRICS = ("aborts_certification", "aborts_deadlock", "aborts_die",
                  "aborts_displacement", "aborts_wound")
 
-#: every metric key an isolation-diagnostics cell must carry
+#: every metric key an isolation-observed cell must carry
 ANOMALY_METRICS = tuple(f"anomalies_{kind}" for kind in ANOMALY_KINDS)
 
 
@@ -56,7 +55,7 @@ def run_cell(kind: str, **spec_kwargs):
 class TestAbortReasonPropagation:
     def test_wound_wait_reports_wounds_not_deadlocks(self):
         """The restart-family reason survives to the sweep level."""
-        result = run_cell("wound_wait", scheme_diagnostics=True)
+        result = run_cell("wound_wait", observers=("aborts_by_reason",))
         for key in ABORT_METRICS:
             assert key in result.metrics
         assert result.metrics["aborts_wound"] > 0, (
@@ -69,20 +68,20 @@ class TestAbortReasonPropagation:
             result.metrics["aborts_wound"])
 
     def test_wait_die_reports_deaths(self):
-        result = run_cell("wait_die", scheme_diagnostics=True)
+        result = run_cell("wait_die", observers=("aborts_by_reason",))
         assert result.metrics["aborts_die"] > 0
         assert result.metrics["aborts_deadlock"] == 0.0
         assert result.metrics["aborts_wound"] == 0.0
 
     def test_detector_reports_deadlocks(self):
-        result = run_cell("two_phase_locking", scheme_diagnostics=True)
+        result = run_cell("two_phase_locking", observers=("aborts_by_reason",))
         assert result.metrics["aborts_deadlock"] > 0
         assert result.metrics["aborts_wound"] == 0.0
         assert result.metrics["aborts_die"] == 0.0
 
     def test_optimistic_schemes_report_certification(self):
         for kind in ("timestamp_cert", "occ_forward"):
-            result = run_cell(kind, scheme_diagnostics=True)
+            result = run_cell(kind, observers=("aborts_by_reason",))
             assert result.metrics["aborts_certification"] > 0, kind
             assert result.metrics["aborts_deadlock"] == 0.0, kind
 
@@ -100,7 +99,7 @@ class TestReplicatedDiagnostics:
         spec = stationary_sweep_spec(contended_params(), scale=tiny,
                                      label="wound-wait", name="diag_replicated",
                                      cc=CCSpec.make("wound_wait"),
-                                     scheme_diagnostics=True)
+                                     observers=("aborts_by_reason",))
         result = run_sweep(spec, replicates=2)
         (sweep,) = stationary_sweeps(result).values()
         (point,) = sweep.points
@@ -112,42 +111,20 @@ class TestIsolationDiagnostics:
     def test_serializable_schemes_report_zero_anomalies(self):
         """The recording wrapper sees clean histories under real load."""
         for kind in ("two_phase_locking", "timestamp_cert"):
-            result = run_cell(kind, isolation_diagnostics=True)
+            result = run_cell(kind, observers=("isolation",))
             for key in ANOMALY_METRICS:
                 assert result.metrics[key] == 0.0, (kind, key)
 
     def test_snapshot_isolation_reports_write_skew_and_nothing_else(self):
-        result = run_cell("snapshot_isolation", isolation_diagnostics=True)
+        result = run_cell("snapshot_isolation", observers=("isolation",))
         assert result.metrics["anomalies_write_skew"] > 0, (
             "the contended cell produced no write skew — vacuous")
         assert result.metrics["anomalies_lost_update"] == 0.0
         assert result.metrics["anomalies_long_fork"] == 0.0
         assert result.metrics["anomalies_non_repeatable_read"] == 0.0
         # the payload carries the same counts for figure-level consumers
-        assert result.payload.anomalies["write_skew"] == int(
-            result.metrics["anomalies_write_skew"])
-
-    def test_recording_preserves_the_trajectory(self):
-        """Observation must not change the run it observes."""
-        plain = run_cell("snapshot_isolation")
-        recorded = run_cell("snapshot_isolation", isolation_diagnostics=True)
-        for key in plain.metrics:
-            assert recorded.metrics[key] == plain.metrics[key], key
-
-    def test_isolation_diagnostics_rejected_for_tracking_runs(self):
-        from repro.experiments.dynamic import jump_scenario
-        from repro.runner.specs import ControllerSpec
-
-        with pytest.raises(ValueError, match="stationary runs only"):
-            RunSpec(
-                kind=KIND_TRACKING,
-                cell_id="diag/tracking-isolation",
-                params=contended_params(),
-                scale=ExperimentScale.smoke(),
-                controller=ControllerSpec.make("incremental_steps"),
-                scenario=jump_scenario("accesses", 4, 16, jump_time=30.0),
-                isolation_diagnostics=True,
-            )
+        assert result.payload.observed["anomalies_write_skew"] == \
+            result.metrics["anomalies_write_skew"]
 
     def test_replicated_sweeps_keep_per_kind_anomalies(self):
         """The synthetic mean point folds the anomalies_<kind> means back."""
@@ -165,45 +142,19 @@ class TestIsolationDiagnostics:
         spec = stationary_sweep_spec(base, scale=tiny,
                                      label="SI", name="diag_isolation",
                                      cc=CCSpec.make("snapshot_isolation"),
-                                     isolation_diagnostics=True)
+                                     observers=("isolation",))
         result = run_sweep(spec, replicates=2)
         (sweep,) = stationary_sweeps(result).values()
         (point,) = sweep.points
-        assert point.anomalies["write_skew"] > 0
-        assert point.anomalies["lost_update"] == 0
+        assert point.observed["anomalies_write_skew"] > 0
+        assert point.observed["anomalies_lost_update"] == 0
 
 
 class TestModelReferenceLabel:
     def test_locking_cells_are_referenced_against_tay(self):
         for kind in ("two_phase_locking", "wound_wait", "wait_die"):
-            assert run_cell(kind, scheme_diagnostics=True).model_reference == "TayModel"
+            assert run_cell(kind, observers=("aborts_by_reason",)).model_reference == "TayModel"
 
     def test_optimistic_cells_keep_the_occ_reference(self):
         for kind in ("timestamp_cert", "occ_forward"):
-            assert run_cell(kind, scheme_diagnostics=True).model_reference == "OccModel"
-
-
-class TestOptInContract:
-    def test_without_diagnostics_the_metric_schema_is_unchanged(self):
-        """The pre-existing goldens rely on this exact key set."""
-        result = run_cell("wound_wait")
-        assert result.model_reference == ""
-        assert set(result.metrics) == {
-            "throughput", "mean_response_time", "restart_ratio",
-            "mean_concurrency", "cpu_utilisation", "commits", "final_limit",
-        }
-
-    def test_diagnostics_rejected_for_tracking_runs(self):
-        from repro.experiments.dynamic import jump_scenario
-        from repro.runner.specs import ControllerSpec
-
-        with pytest.raises(ValueError, match="stationary runs only"):
-            RunSpec(
-                kind=KIND_TRACKING,
-                cell_id="diag/tracking",
-                params=contended_params(),
-                scale=ExperimentScale.smoke(),
-                controller=ControllerSpec.make("incremental_steps"),
-                scenario=jump_scenario("accesses", 4, 16, jump_time=30.0),
-                scheme_diagnostics=True,
-            )
+            assert run_cell(kind, observers=("aborts_by_reason",)).model_reference == "OccModel"

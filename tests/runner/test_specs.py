@@ -214,7 +214,7 @@ class TestRunSpecJsonRoundTrip:
                                      accesses_per_txn=20),
             ),
             cc=CCSpec.make("occ_forward"),
-            scheme_diagnostics=True,
+            observers=("aborts_by_reason", "isolation"),
             replicate=2,
         )
         encoded = run_spec_to_jsonable(spec)

@@ -11,6 +11,8 @@ instability would silently re-simulate everything.
 """
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +21,11 @@ from hypothesis import strategies as st
 from repro.dist.cluster import launch_local_cluster
 from repro.experiments.config import ExperimentScale
 from repro.runner.executor import make_executor
-from repro.runner.registry import build_sweep
+from repro.runner.registry import available_scenarios, build_sweep
 from repro.runner.specs import (
     SPEC_FINGERPRINT_VERSION,
     run_spec_fingerprint,
+    run_spec_from_jsonable,
 )
 from repro.svc.cache import ResultCache
 from repro.tp.workload import JumpSchedule
@@ -121,10 +124,12 @@ class TestSensitivity:
         perturbed = dataclasses.replace(cell, scenario=(name, moved))
         assert run_spec_fingerprint(perturbed) != run_spec_fingerprint(cell)
 
-    def test_probe_set_changes_the_key(self):
-        cell = next(c for c in _cells("probe_calibration") if c.probes)
-        perturbed = dataclasses.replace(cell, probes=cell.probes[:-1])
-        assert run_spec_fingerprint(perturbed) != run_spec_fingerprint(cell)
+    def test_observer_set_changes_the_key(self):
+        cell = next(c for c in _cells("probe_calibration") if c.observers)
+        for index in range(len(cell.observers)):
+            fewer = cell.observers[:index] + cell.observers[index + 1:]
+            perturbed = dataclasses.replace(cell, observers=fewer)
+            assert run_spec_fingerprint(perturbed) != run_spec_fingerprint(cell)
 
     def test_arrival_model_changes_the_key(self):
         cell = next(c for c in _cells("open_diurnal")
@@ -148,7 +153,29 @@ class TestSensitivity:
 # ----------------------------------------------------------------------
 # versioning and uncacheable specs
 # ----------------------------------------------------------------------
+#: the cache key of every smoke-scale registry cell and of every committed
+#: corpus spec: a change to any of them orphans existing cache entries, so
+#: it needs a SPEC_FINGERPRINT_VERSION bump and a deliberate re-pin
+PINNED = json.loads(Path(__file__).with_name("pinned_fingerprints.json").read_text())
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "fuzz_corpus"
+
+
 class TestVersioning:
+    @pytest.mark.parametrize("scenario", sorted(PINNED["scenarios"]))
+    def test_registry_keys_are_pinned(self, scenario):
+        """A spec refactor that moves a key silently orphans every cache entry."""
+        assert {f"{cell.cell_id}#{cell.replicate}": run_spec_fingerprint(cell)
+                for cell in _cells(scenario)} == PINNED["scenarios"][scenario]
+
+    def test_every_scenario_is_pinned(self):
+        assert sorted(PINNED["scenarios"]) == sorted(available_scenarios())
+
+    def test_corpus_keys_are_pinned(self):
+        keys = {path.name: run_spec_fingerprint(run_spec_from_jsonable(
+                    json.loads(path.read_text())["run_spec"]))
+                for path in sorted(CORPUS_DIR.glob("*.json"))}
+        assert keys == PINNED["corpus"]
+
     def test_fingerprint_version_salts_the_key(self, base_cell, monkeypatch):
         before = run_spec_fingerprint(base_cell)
         import repro.runner.specs as specs

@@ -228,6 +228,28 @@ class TestCacheDegradation:
         assert stats["hits"] == 2 and stats["misses"] == 1
         assert stats["stores"] == 2 and stats["entries"] == 1
 
+    def test_entries_of_an_older_format_are_never_served(self, service, cells,
+                                                         serial_results):
+        """A poisoned entry planted under v1/ misses; the cell is simulated fresh."""
+        import pickle
+
+        from repro.svc.cache import CACHE_FORMAT
+
+        assert CACHE_FORMAT == 2
+        cache = service.cache
+        poisoned = dataclasses.replace(
+            serial_results[0], metrics={**serial_results[0].metrics, "throughput": -1.0})
+        legacy = cache.directory / "v1" / f"{cache.key_for(cells[0])}.pkl"
+        legacy.parent.mkdir(exist_ok=True)
+        legacy.write_bytes(pickle.dumps(poisoned))
+        client = ServiceClient(service.control_address)
+        job_id = client.submit("legacy", cells[:1])
+        status = client.wait(job_id, timeout=120.0)
+        assert status["state"] == "done"
+        assert status["cache_hits"] == 0 and status["cache_misses"] == 1
+        assert canonical_json(client.results(job_id)) == \
+            canonical_json(results_document("legacy", serial_results[:1]))
+
     def test_seam_ignores_foreign_functions_and_items(self, tmp_path, cells):
         cache = ResultCache(tmp_path)
         cache.store(len, cells[0], "nonsense")

@@ -5,18 +5,18 @@ One JSON file per registry scenario (thrashing, fig12_stationary,
 fig13_is_jump, fig14_pa_jump, sinusoid, mixed_classes, cc_compare,
 displacement_policies, deadlock_resolution, isolation_tradeoff,
 probe_calibration, open_diurnal, flash_crowd), each produced by running every
-cell of the scenario's smoke-scale sweep serially with the trajectory
-tracer installed.  A golden file pins, per cell:
+cell of the scenario's smoke-scale sweep serially with the ``trace``
+observer added.  A golden file pins, per cell:
 
 * the summary ``metrics`` dict exactly as the runner reports it,
 * the length and a blake2b digest of the canonical serialisation of the
   full per-transaction lifecycle event log
-  ``[time, kind, txn_id, detail]`` (submit/admit/commit/abort/depart), and
+  ``[time, kind, txn_id, detail]`` (submit/admit/shed/commit/abort/depart),
 * the first ``EVENTS_HEAD`` log entries verbatim, so a digest mismatch can
   be narrowed down to the first diverging event by a human (or by
   regenerating into a scratch directory and diffing), and
-* for cells that run with scheme diagnostics, the name of the scheme-aware
-  analytic reference (``model_reference``: TayModel for locking-family
+* for cells that select the ``aborts_by_reason`` observer, the name of the
+  scheme-aware analytic reference (``model_reference``: TayModel for locking-family
   schemes, OccModel for optimistic ones) — absent from cells that never
   reported one, so older fixtures keep their exact byte content.
 
@@ -53,6 +53,7 @@ semantic changes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -63,7 +64,7 @@ from repro.canonical import canonical_digest, canonical_json, sanitize  # noqa: 
 from repro.experiments.config import ExperimentScale  # noqa: E402
 from repro.runner.cells import execute_run_spec  # noqa: E402
 from repro.runner.registry import available_scenarios, build_sweep  # noqa: E402
-from repro.sim.trace import TrajectoryTracer, tracing  # noqa: E402
+from repro.runner.specs import SweepSpec  # noqa: E402
 
 #: the scenarios pinned by the golden harness (== the full registry)
 GOLDEN_SCENARIOS = ("thrashing", "fig12_stationary", "fig13_is_jump",
@@ -91,26 +92,34 @@ def events_digest(events) -> str:
     return canonical_digest([list(event) for event in events])
 
 
+def traced_sweep(name: str) -> SweepSpec:
+    """The scenario's smoke-scale sweep with the ``trace`` observer on every cell.
+
+    Tracing observes without perturbing, so the traced cells report exactly
+    the metrics of the untraced ones, plus their lifecycle logs.
+    """
+    spec = build_sweep(name, scale=ExperimentScale.smoke())
+    return SweepSpec(name=spec.name, cells=tuple(
+        dataclasses.replace(cell, observers=cell.observers + ("trace",)) for cell in spec.cells))
+
+
 def capture_scenario(name: str) -> dict:
     """Run every cell of ``name`` at smoke scale, tracing trajectories."""
-    spec = build_sweep(name, scale=ExperimentScale.smoke())
     cells = []
-    for cell in spec.cells:
-        tracer = TrajectoryTracer()
-        with tracing(tracer):
-            result = execute_run_spec(cell)
+    for cell in traced_sweep(name).cells:
+        result = execute_run_spec(cell)
         captured = {
             "cell_id": result.cell_id,
             "kind": result.kind,
             "label": result.label,
             "replicate": result.replicate,
             "metrics": dict(result.metrics),
-            "n_events": len(tracer.events),
-            "events_digest": events_digest(tracer.events),
-            "events_head": [list(event) for event in tracer.events[:EVENTS_HEAD]],
+            "n_events": len(result.trace),
+            "events_digest": events_digest(result.trace),
+            "events_head": [list(event) for event in result.trace[:EVENTS_HEAD]],
         }
         if result.model_reference:
-            # only diagnostics cells report one; older fixtures (captured
+            # only aborts_by_reason cells report one; older fixtures (captured
             # before the scheme-aware references existed) stay byte-identical
             captured["model_reference"] = result.model_reference
         cells.append(captured)

@@ -17,25 +17,13 @@ Run with:  python examples/thrashing_demo.py [--quick]
 import argparse
 
 from repro.analytic import OccModel, classify_phases, thrashing_onset
-from repro.core import IncrementalStepsController, ParabolaController
 from repro.experiments import (
     ExperimentScale,
     default_system_params,
     format_sweep_table,
     sweep_offered_load,
 )
-
-
-def is_factory(params):
-    return IncrementalStepsController(
-        initial_limit=10, beta=1.0, gamma=5, delta=10, min_step=2.0,
-        lower_bound=2, upper_bound=params.n_terminals)
-
-
-def pa_factory(params):
-    return ParabolaController(
-        initial_limit=10, forgetting=0.9, probe_amplitude=3.0,
-        lower_bound=2, upper_bound=params.n_terminals)
+from repro.runner import ControllerSpec
 
 
 def main():
@@ -48,8 +36,13 @@ def main():
 
     print("Measuring the load/throughput curves (this runs full simulations)...\n")
     without = sweep_offered_load(params, None, scale=scale, label="without control")
-    with_is = sweep_offered_load(params, is_factory, scale=scale, label="IS control")
-    with_pa = sweep_offered_load(params, pa_factory, scale=scale, label="PA control")
+    # the registry defaults: IS steps from a limit of 10 (beta 1, gamma 5,
+    # delta 10), PA probes +-3 around 10 with forgetting 0.9; both keep the
+    # limit in [2, offered load]
+    with_is = sweep_offered_load(params, ControllerSpec.make("incremental_steps"),
+                                 scale=scale, label="IS control")
+    with_pa = sweep_offered_load(params, ControllerSpec.make("parabola"),
+                                 scale=scale, label="PA control")
 
     print("Figure 12 — system throughput with and without control (stationary case)")
     print(format_sweep_table([without, with_is, with_pa]))

@@ -41,25 +41,22 @@ TAY_REFERENCE = "TayModel"
 OCC_REFERENCE = "OccModel"
 
 
-def reference_family(cc: Optional[object]) -> str:
+def reference_family(cc: Optional[CCSpec]) -> str:
     """The analytic family of a cell's ``cc`` field.
 
-    ``None`` (the system default, timestamp certification) and ad-hoc
-    factories — whose scheme class the runner cannot know — fall back to
-    the optimistic reference, matching the historical behaviour.
+    ``None`` is the system default, timestamp certification, which is
+    optimistic.
     """
-    if isinstance(cc, CCSpec):
-        return cc_family(cc.kind)
-    return "optimistic"
+    return "optimistic" if cc is None else cc_family(cc.kind)
 
 
-def reference_model_name(cc: Optional[object]) -> str:
+def reference_model_name(cc: Optional[CCSpec]) -> str:
     """The reported name of the reference model for a cell's scheme."""
     return TAY_REFERENCE if reference_family(cc) == "locking" else OCC_REFERENCE
 
 
 def reference_model_for(params: "SystemParams",
-                        cc: Optional[object],
+                        cc: Optional[CCSpec],
                         waiting_share: Optional[float] = None,
                         ) -> Tuple[str, object]:
     """Build the scheme-aware analytic reference for one cell.
@@ -82,7 +79,7 @@ def reference_model_for(params: "SystemParams",
 
 
 def reference_optimum(params: "SystemParams",
-                      cc: Optional[object] = None,
+                      cc: Optional[CCSpec] = None,
                       workload: Optional["WorkloadParams"] = None,
                       ) -> Tuple[str, float, float]:
     """The scheme-aware analytic optimum for one cell's configuration.

@@ -134,16 +134,13 @@ def cc_level(kind: str) -> str:
     return level
 
 
-def declared_level(cc: Optional[object]) -> str:
+def declared_level(cc: Optional["CCSpec"]) -> str:
     """The isolation level a run's ``cc`` field declares.
 
-    ``None`` is the system default (timestamp certification) and ad-hoc
-    factories are presumed serializable — the strictest reading, so the
-    oracle errs on the side of rejecting, never of excusing.
+    ``None`` is the system default, timestamp certification, which is
+    serializable.
     """
-    if isinstance(cc, CCSpec):
-        return cc.level
-    return "serializable"
+    return "serializable" if cc is None else cc.level
 
 
 @dataclass(frozen=True)
@@ -181,29 +178,22 @@ class CCSpec:
         return builder(sim, **dict(self.options))
 
 
-def resolve_cc(cc: Optional[object], sim: "Simulator") -> Optional[ConcurrencyControl]:
+def resolve_cc(cc: Optional[CCSpec], sim: "Simulator") -> Optional[ConcurrencyControl]:
     """Build the scheme instance of one run (``None`` = the system default).
 
-    ``cc`` may be ``None``, a :class:`CCSpec`, or a picklable callable
-    ``factory(sim) -> ConcurrencyControl`` (lambdas/closures work with the
-    serial executor only).  Ready instances are rejected: a scheme carries
+    ``cc`` is ``None`` or a :class:`CCSpec`.  Anything else raises
+    ``TypeError``, a ready scheme instance included: a scheme carries
     per-run state (lock tables, committed timestamps), so sharing one
     object across cells or replicates would corrupt the runs.
     """
     if cc is None:
         return None
-    if isinstance(cc, CCSpec):
-        return cc.build(sim)
-    if isinstance(cc, ConcurrencyControl):
+    if not isinstance(cc, CCSpec):
         raise TypeError(
-            "pass a CCSpec or a factory, not a ConcurrencyControl instance: "
+            f"cc must be None or a CCSpec, got {type(cc).__name__}: "
             "schemes hold per-run state and must be built fresh inside each run"
         )
-    if callable(cc):
-        return cc(sim)
-    raise TypeError(
-        f"cc must be None, a CCSpec or a callable, got {type(cc).__name__}"
-    )
+    return cc.build(sim)
 
 
 # ----------------------------------------------------------------------

@@ -95,6 +95,22 @@ class MeasurementIntervalTuner:
             self.adjustments += 1
         return new_interval
 
+    # ------------------------------------------------------------------
+    # Tuners compare (and hash) by configuration, not by run state, for
+    # the reason DisplacementPolicy does: a RunSpec carrying one must equal
+    # its decoded or unpickled copy however many intervals it has tuned.
+    def _config(self) -> tuple:
+        return (self.target_departures, self.relative_accuracy, self.confidence,
+                self.min_interval, self.max_interval, self.smoothing)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MeasurementIntervalTuner):
+            return NotImplemented
+        return self._config() == other._config()
+
+    def __hash__(self) -> int:
+        return hash(self._config())
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<MeasurementIntervalTuner target={self.target_departures} "

@@ -46,7 +46,7 @@ import socket
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Optional, TypeVar
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, TypeVar
 
 from repro.dist import protocol
 from repro.obs import telemetry
@@ -161,6 +161,9 @@ class DistributedExecutor:
         #: one lock+condition guards _workers, _sweep, _closed, _generation
         self._state = threading.Condition()
         self._workers: set = set()
+        #: every accepted connection -> its serving thread, which close()
+        #: wakes and joins
+        self._connections: Dict[socket.socket, threading.Thread] = {}
         self._closed = False
         self._generation = 0
         self._sweep: Optional[_SweepState] = None
@@ -251,27 +254,31 @@ class DistributedExecutor:
             return len(self._workers)
 
     def close(self) -> None:
-        """Stop accepting workers, tell connected ones to shut down."""
+        """Stop accepting workers, tell connected ones to shut down.
+
+        Wakes the accept thread and every serving thread, then joins them
+        within a bounded wait.
+        """
         with self._state:
             if self._closed:
                 return
             self._closed = True
             workers = list(self._workers)
+            connections = dict(self._connections)
             self._state.notify_all()
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - platform dependent
-            pass
+        protocol.close_listener(self._listener)
         for worker in workers:
             try:
                 worker.send((MSG_SHUTDOWN,))
             except OSError:
                 pass
+        for sock in connections:
             try:
                 # wakes a serving thread blocked in recv with a clean EOF
-                worker.sock.shutdown(socket.SHUT_RDWR)
+                sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+        protocol.join_threads([self._accept_thread, *connections.values()], timeout=5.0)
 
     def __enter__(self) -> "DistributedExecutor":
         return self
@@ -308,10 +315,16 @@ class DistributedExecutor:
                 sock, address = self._listener.accept()
             except OSError:
                 return  # listener closed
-            threading.Thread(
+            thread = threading.Thread(
                 target=self._serve_worker, args=(sock,),
                 name=f"dist-serve-{address[0]}:{address[1]}", daemon=True,
-            ).start()
+            )
+            with self._state:
+                if self._closed:
+                    sock.close()
+                    return
+                self._connections[sock] = thread
+                thread.start()
 
     def _serve_worker(self, sock: socket.socket) -> None:
         worker = None
@@ -338,6 +351,7 @@ class DistributedExecutor:
             pass
         finally:
             with self._state:
+                self._connections.pop(sock, None)
                 if worker is not None:
                     self._workers.discard(worker)
                     self._requeue_in_flight(worker)

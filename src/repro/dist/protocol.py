@@ -23,7 +23,9 @@ from __future__ import annotations
 import pickle
 import socket
 import struct
-from typing import Tuple
+import threading
+import time
+from typing import Iterable, Tuple
 
 #: 8-byte big-endian unsigned frame-length prefix
 HEADER = struct.Struct(">Q")
@@ -130,3 +132,24 @@ def parse_address(address: str) -> Tuple[str, int]:
 def format_address(host: str, port: int) -> str:
     """The inverse of :func:`parse_address`."""
     return f"{host}:{port}"
+
+
+def close_listener(listener: socket.socket) -> None:
+    """Close a listening socket, waking a thread blocked in its ``accept()``.
+
+    On Linux ``close()`` alone leaves such a thread blocked; ``shutdown``
+    first makes its ``accept()`` fail at once (with ``EINVAL``).
+    """
+    try:
+        listener.shutdown(socket.SHUT_RDWR)
+    except OSError:  # pragma: no cover - platform dependent
+        pass
+    listener.close()
+
+
+def join_threads(threads: Iterable[threading.Thread], timeout: float) -> None:
+    """Join ``threads`` within one shared deadline, never the calling thread."""
+    deadline = time.monotonic() + timeout
+    for thread in threads:
+        if thread is not threading.current_thread():
+            thread.join(max(0.0, deadline - time.monotonic()))

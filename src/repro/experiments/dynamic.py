@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analytic.occ import OccModel
 from repro.analytic.synthetic import DynamicOptimumScenario, SyntheticSystem
-from repro.cc.registry import resolve_cc
+from repro.cc.registry import CCSpec, resolve_cc
 from repro.core.controller import LoadController
 from repro.core.displacement import DisplacementPolicy
 from repro.core.outer_loop import MeasurementIntervalTuner
@@ -48,6 +48,9 @@ from repro.tp.workload import (
     SinusoidSchedule,
     Workload,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.runner.specs import ControllerSpec
 
 
 @dataclass
@@ -140,7 +143,7 @@ def run_tracking_experiment(controller: LoadController,
                             reference_resolution: int = 20,
                             interval_tuner: Optional[MeasurementIntervalTuner] = None,
                             streams: Optional[RandomStreams] = None,
-                            cc: Optional[object] = None,
+                            cc: Optional[CCSpec] = None,
                             observers: Sequence[str] = ()) -> TrackingResult:
     """Run the full simulation with a time-varying workload and a controller.
 
@@ -152,7 +155,7 @@ def run_tracking_experiment(controller: LoadController,
     ``streams`` overrides the run's random streams (the runner passes a
     replicate-derived family here); ``cc`` selects the concurrency control
     scheme (``None`` = timestamp certification, or a
-    :class:`~repro.cc.registry.CCSpec` / factory ``sim -> scheme``) — the
+    :class:`~repro.cc.registry.CCSpec`) — the
     analytic reference optimum is always the OCC model's, so trajectories
     of different schemes are compared against one common yardstick.
     ``observers`` may select ``trace`` (the only tracking observer), whose
@@ -219,20 +222,20 @@ def run_tracking_experiment(controller: LoadController,
 # ----------------------------------------------------------------------
 # runner delegation: many tracking cells at once
 # ----------------------------------------------------------------------
-def tracking_sweep_spec(controllers: Mapping[str, object],
+def tracking_sweep_spec(controllers: Mapping[str, "ControllerSpec"],
                         scenario: Tuple[str, ParameterSchedule],
                         base_params: Optional[SystemParams] = None,
                         scale: Optional[ExperimentScale] = None,
                         name: str = "tracking",
                         displacement: Optional[DisplacementPolicy] = None,
                         interval_tuner: Optional[MeasurementIntervalTuner] = None,
-                        cc: Optional[object] = None):
+                        cc: Optional[CCSpec] = None):
     """Build a runner sweep with one tracking cell per named controller.
 
-    Each value of ``controllers`` may be a
-    :class:`~repro.runner.specs.ControllerSpec` or a picklable factory
-    ``params -> LoadController``.  ``displacement`` and ``cc`` apply to
-    every cell of the sweep.
+    Each value of ``controllers`` is a
+    :class:`~repro.runner.specs.ControllerSpec`.  ``displacement``,
+    ``interval_tuner`` and ``cc`` apply to every cell of the sweep; like
+    every cell field they are plain data, so each cell has a cache key.
     """
     from repro.runner.specs import KIND_TRACKING, RunSpec, SweepSpec
 
@@ -256,7 +259,7 @@ def tracking_sweep_spec(controllers: Mapping[str, object],
     return SweepSpec(name=name, cells=cells)
 
 
-def run_tracking_suite(controllers: Mapping[str, object],
+def run_tracking_suite(controllers: Mapping[str, "ControllerSpec"],
                        scenario: Tuple[str, ParameterSchedule],
                        base_params: Optional[SystemParams] = None,
                        scale: Optional[ExperimentScale] = None,
@@ -265,7 +268,7 @@ def run_tracking_suite(controllers: Mapping[str, object],
                        name: str = "tracking",
                        displacement: Optional[DisplacementPolicy] = None,
                        interval_tuner: Optional[MeasurementIntervalTuner] = None,
-                       cc: Optional[object] = None):
+                       cc: Optional[CCSpec] = None):
     """Run one tracking cell per controller through the runner.
 
     ``displacement``, ``interval_tuner`` and ``cc`` apply to every cell of

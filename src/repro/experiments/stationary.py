@@ -21,9 +21,9 @@ confidence interval — without changing the single-replicate results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.cc.registry import resolve_cc
+from repro.cc.registry import CCSpec, resolve_cc
 from repro.core.controller import LoadController
 from repro.experiments.config import ExperimentScale, default_system_params
 from repro.obs.catalog import ObserverSet
@@ -34,11 +34,9 @@ from repro.tp.system import TransactionSystem
 from repro.tp.workload import MixedClassWorkload, TransactionClassSpec
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.runner.specs import ControllerSpec
     from repro.sim.trace import TraceEvent
     from repro.tp.arrivals import ArrivalProcess
-
-#: a factory producing a fresh controller for each run (controllers keep state)
-ControllerFactory = Callable[[SystemParams], LoadController]
 
 
 @dataclass(frozen=True)
@@ -122,30 +120,30 @@ class StationarySweep:
 
 
 def run_stationary_point(params: SystemParams,
-                         controller_factory: Optional[ControllerFactory] = None,
+                         controller: Optional[LoadController] = None,
                          horizon: float = 30.0,
                          warmup: float = 5.0,
                          measurement_interval: float = 2.0,
                          streams: Optional[RandomStreams] = None,
                          workload_classes: Optional[Sequence[TransactionClassSpec]] = None,
-                         cc: Optional[object] = None,
+                         cc: Optional[CCSpec] = None,
                          observers: Sequence[str] = (),
                          arrivals: Optional["ArrivalProcess"] = None
                          ) -> StationaryPoint:
     """Run one stationary simulation and summarise it.
 
-    With ``controller_factory=None`` the system runs uncontrolled (every
-    transaction admitted immediately); otherwise the factory's controller is
-    attached with the given measurement interval.  ``streams`` overrides the
-    run's random streams (the runner passes a replicate-derived family here;
-    by default the streams are seeded from ``params.seed``).
+    With ``controller=None`` the system runs uncontrolled (every
+    transaction admitted immediately); otherwise the controller, a fresh
+    instance since controllers keep state, is attached with the given
+    measurement interval.  ``streams`` overrides the run's random streams
+    (the runner passes a replicate-derived family here; by default the
+    streams are seeded from ``params.seed``).
     ``workload_classes`` switches the run onto a
     :class:`~repro.tp.workload.MixedClassWorkload` with the given class mix
     instead of the single-class workload of ``params.workload``.
     ``cc`` selects the concurrency control scheme — ``None`` (the default
-    timestamp certification), a :class:`~repro.cc.registry.CCSpec`, or a
-    factory ``sim -> ConcurrencyControl``; the scheme is built fresh for
-    this run, bound to the run's simulator.
+    timestamp certification) or a :class:`~repro.cc.registry.CCSpec`; the
+    scheme is built fresh for this run, bound to the run's simulator.
     ``observers`` names observers of :mod:`repro.obs.catalog` (gauges sample
     every ``measurement_interval``); their readouts fill
     :attr:`StationaryPoint.observed`, the ``trace`` log
@@ -182,9 +180,8 @@ def run_stationary_point(params: SystemParams,
     system = TransactionSystem(params, sim=sim, streams=streams, workload=workload,
                                cc=resolve_cc(cc, sim), gate=gate, observers=observer_set,
                                arrivals=arrivals)
-    if controller_factory is not None:
-        system.attach_controller(controller_factory(params), interval=measurement_interval,
-                                 warmup=min(warmup, 1.0))
+    if controller is not None:
+        system.attach_controller(controller, interval=measurement_interval, warmup=min(warmup, 1.0))
     system.start()
     system.run(until=warmup)
     # discard the warm-up transient; the resets bind the measured windows of
@@ -220,23 +217,22 @@ def run_stationary_point(params: SystemParams,
 
 
 def stationary_sweep_spec(base_params: Optional[SystemParams] = None,
-                          controller: Optional[object] = None,
+                          controller: Optional["ControllerSpec"] = None,
                           scale: Optional[ExperimentScale] = None,
                           label: Optional[str] = None,
                           name: str = "stationary",
                           workload_classes: Optional[Sequence[TransactionClassSpec]] = None,
-                          cc: Optional[object] = None,
+                          cc: Optional[CCSpec] = None,
                           observers: Sequence[str] = (),
                           arrivals: Optional[object] = None):
     """Build the runner :class:`~repro.runner.specs.SweepSpec` of one curve.
 
-    ``controller`` may be ``None`` (uncontrolled), a
-    :class:`~repro.runner.specs.ControllerSpec`, or a picklable factory
-    ``params -> LoadController``.  ``workload_classes`` puts every cell on
-    a mixed-class workload (see :func:`run_stationary_point`); ``cc`` puts
-    every cell on the named concurrency control scheme (``None`` = the
-    default timestamp certification, or a
-    :class:`~repro.cc.registry.CCSpec` / factory).
+    ``controller`` is ``None`` (uncontrolled) or a
+    :class:`~repro.runner.specs.ControllerSpec`.  ``workload_classes`` puts
+    every cell on a mixed-class workload (see :func:`run_stationary_point`);
+    ``cc`` puts every cell on the named concurrency control scheme
+    (``None`` = the default timestamp certification, or a
+    :class:`~repro.cc.registry.CCSpec`).
     ``observers`` selects the named observers of every cell — see
     :attr:`~repro.runner.specs.RunSpec.observers`.
     ``arrivals`` selects the arrival model — an
@@ -277,7 +273,7 @@ def stationary_sweep_spec(base_params: Optional[SystemParams] = None,
 
 
 def sweep_offered_load(base_params: Optional[SystemParams] = None,
-                       controller_factory: Optional[ControllerFactory] = None,
+                       controller: Optional["ControllerSpec"] = None,
                        scale: Optional[ExperimentScale] = None,
                        label: Optional[str] = None,
                        include_model_reference: bool = True,
@@ -290,14 +286,12 @@ def sweep_offered_load(base_params: Optional[SystemParams] = None,
     and ``replicates=R`` runs every point ``R`` times with independent
     replicate seeds, in which case the curve carries the replicate means and
     :attr:`StationarySweep.aggregates` the per-load mean ± CI summaries.
-
-    With ``workers > 1`` the controller factory must be picklable (a
-    module-level function or a :class:`~repro.runner.specs.ControllerSpec`);
-    lambdas and closures work serially only.
+    ``controller`` is ``None`` (uncontrolled) or a
+    :class:`~repro.runner.specs.ControllerSpec`.
     """
     from repro.runner.api import run_sweep, stationary_sweeps
 
-    spec = stationary_sweep_spec(base_params, controller_factory, scale, label)
+    spec = stationary_sweep_spec(base_params, controller, scale, label)
     result = run_sweep(spec, workers=workers, replicates=replicates)
     sweeps = stationary_sweeps(result, include_model_reference=include_model_reference)
     (sweep,) = sweeps.values()

@@ -107,7 +107,7 @@ def _execute_stationary(spec: RunSpec) -> CellResult:
 
     point = run_stationary_point(
         spec.params,
-        controller_factory=spec.controller_factory(),
+        controller=spec.build_controller(),
         horizon=spec.scale.stationary_horizon,
         warmup=spec.scale.warmup,
         measurement_interval=spec.scale.measurement_interval,

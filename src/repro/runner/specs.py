@@ -177,22 +177,16 @@ def _build_parabola(params: SystemParams, **options) -> LoadController:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RunSpec:
-    """One cell of the experiment grid, as plain picklable data.
+    """One cell of the experiment grid, as plain data.
 
-    ``controller`` may be
-
-    * ``None`` — the system runs uncontrolled (no measurement loop at all),
-    * a :class:`ControllerSpec` — built from the registry inside the worker,
-    * a picklable callable ``factory(params) -> LoadController`` — supported
-      so existing ``controller_factory`` call sites can delegate to the
-      runner (lambdas/closures only work with the serial executor).
-
-    ``cc`` selects the concurrency control scheme the same way: ``None``
-    runs the system default (timestamp certification), a
-    :class:`~repro.cc.registry.CCSpec` is resolved against the CC registry
-    inside the worker, and a picklable callable ``factory(sim) ->
-    ConcurrencyControl`` is supported for ad-hoc schemes (serial executor
-    only for lambdas/closures).
+    Every field is declarative, so every cell round-trips through
+    :func:`run_spec_to_jsonable` and has a :func:`run_spec_fingerprint`.
+    ``controller`` is ``None`` (the system runs uncontrolled, with no
+    measurement loop at all) or a :class:`ControllerSpec`; ``cc`` is
+    ``None`` (the system default, timestamp certification) or a
+    :class:`~repro.cc.registry.CCSpec`.  Both are built from their
+    registries inside whichever process executes the cell; anything else
+    raises ``TypeError`` here.
 
     ``replicate`` selects the replicate branch of the run's random streams
     (see :meth:`repro.sim.random_streams.RandomStreams.spawn`); replicate 0
@@ -203,21 +197,23 @@ class RunSpec:
     cell_id: str
     params: SystemParams
     scale: ExperimentScale
-    controller: Optional[object] = None
+    controller: Optional[ControllerSpec] = None
     #: tracking runs only: (parameter name, schedule) as produced by
     #: :func:`repro.experiments.dynamic.jump_scenario` and friends
     scenario: Optional[Tuple[str, ParameterSchedule]] = None
     replicate: int = 0
     #: label used to group cells into curves/series in reports
     label: str = ""
+    #: tracking runs only: the displacement policy and the outer loop
+    #: tuning the measurement interval (both copied per execution)
     displacement: Optional[DisplacementPolicy] = None
     interval_tuner: Optional[MeasurementIntervalTuner] = None
     #: stationary runs only: transaction classes of a mixed-class workload
     #: (None = the single-class workload described by ``params.workload``)
     workload_classes: Optional[Tuple[TransactionClassSpec, ...]] = None
     #: concurrency control scheme (None = the system default, timestamp
-    #: certification); a CCSpec or a picklable ``factory(sim) -> scheme``
-    cc: Optional[object] = None
+    #: certification)
+    cc: Optional[CCSpec] = None
     #: observers (:data:`~repro.obs.catalog.OBSERVER_NAMES`) to build inside
     #: whichever process executes the cell; normalised to catalog order, as
     #: a selection is a set.  Opt-in, since readouts extend the metric
@@ -239,14 +235,28 @@ class RunSpec:
             )
         if self.replicate < 0:
             raise ValueError(f"replicate must be non-negative, got {self.replicate}")
-        if self.kind == KIND_TRACKING and self.scenario is None:
-            raise ValueError("tracking runs require a scenario")
-        if self.kind == KIND_TRACKING and self.controller is None:
-            raise ValueError("tracking runs require a controller")
-        if self.workload_classes is not None and self.kind != KIND_STATIONARY:
-            raise ValueError(
-                "mixed-class workloads are supported for stationary runs only"
+        if self.controller is not None and not isinstance(self.controller, ControllerSpec):
+            raise TypeError(
+                "controller must be None or a ControllerSpec, "
+                f"got {type(self.controller).__name__}"
             )
+        if self.cc is not None and not isinstance(self.cc, CCSpec):
+            raise TypeError(f"cc must be None or a CCSpec, got {type(self.cc).__name__}")
+        if self.kind == KIND_TRACKING:
+            if self.scenario is None:
+                raise ValueError("tracking runs require a scenario")
+            if self.controller is None:
+                raise ValueError("tracking runs require a controller")
+            if self.workload_classes is not None:
+                raise ValueError(
+                    "mixed-class workloads are supported for stationary runs only"
+                )
+        else:
+            # a stationary run ignores these, so accepting them would file
+            # one result under several cache keys
+            for name in ("scenario", "displacement", "interval_tuner"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{name} is supported for tracking runs only")
         object.__setattr__(self, "observers", validate_observers(
             self.observers, stationary=self.kind == KIND_STATIONARY))
         if self.arrivals is not None:
@@ -259,32 +269,12 @@ class RunSpec:
                     "arrivals must be None or an ArrivalProcess, "
                     f"got {type(self.arrivals).__name__}"
                 )
-        if self.cc is not None and not isinstance(self.cc, CCSpec) \
-                and not callable(self.cc):
-            raise TypeError(
-                "cc must be None, a CCSpec or a callable, "
-                f"got {type(self.cc).__name__}"
-            )
-
-    def controller_factory(self) -> Optional[Callable[[SystemParams], LoadController]]:
-        """The factory the single-cell experiment functions expect."""
-        if self.controller is None:
-            return None
-        if isinstance(self.controller, ControllerSpec):
-            return self.controller.build
-        if callable(self.controller):
-            return self.controller
-        raise TypeError(
-            "controller must be None, a ControllerSpec or a callable, "
-            f"got {type(self.controller).__name__}"
-        )
 
     def build_controller(self) -> Optional[LoadController]:
         """Construct the cell's controller instance (None if uncontrolled)."""
-        factory = self.controller_factory()
-        if factory is None:
+        if self.controller is None:
             return None
-        return factory(self.params)
+        return self.controller.build(self.params)
 
 
 # ----------------------------------------------------------------------
@@ -293,9 +283,9 @@ class RunSpec:
 # The fuzz corpus (tests/fuzz_corpus/) archives counterexample cells as
 # replayable JSON documents, so a RunSpec must survive a trip through plain
 # JSON data bit-identically: same spec in, equal spec out, equal simulated
-# trajectory.  Only declarative specs round-trip — ad-hoc callables
-# (controller/cc factories, interval tuners) have no data representation
-# and are rejected loudly rather than silently dropped.
+# trajectory.  What the codec cannot represent (a non-scalar option value,
+# an unknown schedule or arrival subclass) is rejected loudly rather than
+# silently dropped.
 # ----------------------------------------------------------------------
 
 #: format tag embedded in every encoded spec (bump on breaking changes)
@@ -386,26 +376,14 @@ def _decode_schedule(data: dict) -> ParameterSchedule:
 
 
 def run_spec_to_jsonable(spec: RunSpec) -> dict:
-    """Encode a declarative :class:`RunSpec` as JSON-serialisable plain data.
+    """Encode a :class:`RunSpec` as JSON-serialisable plain data.
 
     Inverse of :func:`run_spec_from_jsonable`:
     ``run_spec_from_jsonable(run_spec_to_jsonable(spec)) == spec`` for every
-    spec built from registry descriptors.  Specs carrying callables
-    (controller/cc factories) or an interval tuner raise ``ValueError`` —
-    those cells cannot be replayed from an archive.
+    spec.  Two inputs raise ``ValueError``: a controller or CC option value
+    that is not a JSON scalar, and a schedule or arrival-process subclass
+    the codec does not know.
     """
-    if spec.controller is not None and not isinstance(spec.controller, ControllerSpec):
-        raise ValueError(
-            "only ControllerSpec controllers can be encoded as JSON, got "
-            f"{type(spec.controller).__name__}"
-        )
-    if spec.cc is not None and not isinstance(spec.cc, CCSpec):
-        raise ValueError(
-            "only CCSpec concurrency control can be encoded as JSON, got "
-            f"{type(spec.cc).__name__}"
-        )
-    if spec.interval_tuner is not None:
-        raise ValueError("interval_tuner has no JSON encoding")
     params = spec.params
     workload = params.workload
     data = {
@@ -484,9 +462,19 @@ def run_spec_to_jsonable(spec: RunSpec) -> dict:
         data["probes"] = probes
     if TRACE in spec.observers:
         data["trace"] = True
-    # same byte-identity discipline for the arrival model
+    # same byte-identity discipline for the arrival model and the tuner
     if spec.arrivals is not None:
         data["arrivals"] = _encode_arrivals(spec.arrivals)
+    if spec.interval_tuner is not None:
+        tuner = spec.interval_tuner
+        data["interval_tuner"] = {
+            "target_departures": tuner.target_departures,
+            "relative_accuracy": tuner.relative_accuracy,
+            "confidence": tuner.confidence,
+            "min_interval": tuner.min_interval,
+            "max_interval": tuner.max_interval,
+            "smoothing": tuner.smoothing,
+        }
     return data
 
 
@@ -545,6 +533,8 @@ def run_spec_from_jsonable(data: dict) -> RunSpec:
         observers=observers,
         arrivals=(_decode_arrivals(data["arrivals"])
                   if data.get("arrivals") else None),
+        interval_tuner=(MeasurementIntervalTuner(**data["interval_tuner"])
+                        if data.get("interval_tuner") else None),
     )
 
 
@@ -573,9 +563,8 @@ def run_spec_fingerprint(spec: RunSpec) -> str:
     equal; any semantic perturbation (seed, offered load, CC option,
     schedule breakpoint, observer set, arrivals, replicate, ...) changes the
     key; the key is a pure function of the spec's content, stable across
-    process boundaries, worker counts and hosts.  Specs that cannot be
-    encoded as JSON (ad-hoc callables, interval tuners) raise ``ValueError``
-    — such cells are uncacheable and must always be simulated.
+    process boundaries, worker counts and hosts.  A spec the encoder
+    refuses (see :func:`run_spec_to_jsonable`) raises its ``ValueError``.
     """
     return canonical_digest({
         "fingerprint_version": SPEC_FINGERPRINT_VERSION,

@@ -13,8 +13,8 @@ kernel in the style of SimPy:
 * :class:`~repro.sim.random_streams.RandomStreams` -- named, independently
   seeded random number streams so experiments are reproducible and
   variance-reduction via common random numbers is possible.
-* :mod:`~repro.sim.stats` -- time-weighted and observation statistics,
-  batch means and confidence intervals.
+* :mod:`~repro.sim.stats` -- time-weighted and observation statistics and
+  streaming quantiles.
 """
 
 from repro.sim.engine import (
@@ -27,12 +27,7 @@ from repro.sim.engine import (
 )
 from repro.sim.random_streams import RandomStreams
 from repro.sim.resources import Resource, Store
-from repro.sim.stats import (
-    BatchMeans,
-    ObservationStats,
-    TimeWeightedStats,
-    confidence_interval,
-)
+from repro.sim.stats import ObservationStats, TimeWeightedStats
 from repro.sim.trace import TrajectoryTracer
 
 __all__ = [
@@ -45,9 +40,7 @@ __all__ = [
     "RandomStreams",
     "Resource",
     "Store",
-    "BatchMeans",
     "ObservationStats",
     "TimeWeightedStats",
-    "confidence_interval",
     "TrajectoryTracer",
 ]

@@ -12,10 +12,6 @@ confidence level.  The classes here provide the required building blocks:
 * :class:`P2Quantile` -- deterministic streaming quantile estimation (the
   P-squared algorithm of Jain & Chlamtac), used for the p95/p99 SLO
   metrics of open-system runs.
-* :class:`BatchMeans` -- the classic batch-means method for confidence
-  intervals on steady-state means from a single run.
-* :func:`confidence_interval` -- half-width of a t/normal confidence
-  interval.
 * :func:`required_observations` -- how many observations are needed for a
   target relative accuracy, the quantity Heiss (1988) uses to size the
   measurement interval ("rather hundreds of departures than some tens").
@@ -24,30 +20,7 @@ confidence level.  The classes here provide the required building blocks:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
-
-
-def _student_t_quantile(probability: float, dof: int) -> float:
-    """Two-sided Student-t quantile, falling back to the normal for large dof.
-
-    SciPy is an optional dependency of the core library; when it is present
-    the exact quantile is used, otherwise the Cornish-Fisher style expansion
-    of the normal quantile is applied, which is accurate to ~1e-3 for the
-    degrees of freedom encountered in practice (>= 5).
-    """
-    if dof <= 0:
-        raise ValueError(f"degrees of freedom must be positive, got {dof}")
-    try:  # pragma: no cover - exercised when scipy is installed
-        from scipy import stats as _scipy_stats
-
-        return float(_scipy_stats.t.ppf(probability, dof))
-    except ImportError:  # pragma: no cover - fallback path
-        z = _normal_quantile(probability)
-        g1 = (z**3 + z) / 4.0
-        g2 = (5 * z**5 + 16 * z**3 + 3 * z) / 96.0
-        g3 = (3 * z**7 + 19 * z**5 + 17 * z**3 - 15 * z) / 384.0
-        return z + g1 / dof + g2 / dof**2 + g3 / dof**3
+from typing import List, Optional
 
 
 def _normal_quantile(probability: float) -> float:
@@ -356,62 +329,6 @@ class P2Quantile:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"P2Quantile(p={self.probability}, n={self.count}, value={self.value:.4g})"
-
-
-@dataclass
-class BatchMeans:
-    """Batch-means estimator for steady-state means from one long run.
-
-    Observations are grouped into batches of ``batch_size``; the batch means
-    are treated as (approximately) independent samples, which gives a
-    defensible confidence interval without independent replications.
-    """
-
-    batch_size: int
-    _current: ObservationStats = field(default_factory=ObservationStats)
-    _batch_means: List[float] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-
-    def add(self, value: float) -> None:
-        """Record one observation, closing a batch when it fills up."""
-        self._current.add(value)
-        if self._current.count >= self.batch_size:
-            self._batch_means.append(self._current.mean)
-            self._current = ObservationStats()
-
-    @property
-    def batch_count(self) -> int:
-        """Number of completed batches."""
-        return len(self._batch_means)
-
-    @property
-    def mean(self) -> float:
-        """Grand mean over completed batches."""
-        if not self._batch_means:
-            return self._current.mean
-        return sum(self._batch_means) / len(self._batch_means)
-
-    def half_width(self, confidence: float = 0.95) -> float:
-        """Half-width of the confidence interval on the grand mean."""
-        if len(self._batch_means) < 2:
-            return math.inf
-        return confidence_interval(self._batch_means, confidence)
-
-
-def confidence_interval(samples: Sequence[float], confidence: float = 0.95) -> float:
-    """Half-width of the two-sided t confidence interval for the mean."""
-    n = len(samples)
-    if n < 2:
-        return math.inf
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    mean = sum(samples) / n
-    variance = sum((s - mean) ** 2 for s in samples) / (n - 1)
-    quantile = _student_t_quantile(0.5 + confidence / 2.0, n - 1)
-    return quantile * math.sqrt(variance / n)
 
 
 def required_observations(coefficient_of_variation: float,

@@ -32,8 +32,10 @@ The executor-facing seam (:meth:`ResultCache.lookup` /
 point :func:`~repro.runner.cells.execute_run_spec` mapped over
 :class:`~repro.runner.specs.RunSpec` items; any other function or item
 type bypasses the cache entirely, so a cache-backed executor stays a
-correct general-purpose executor.  Specs the JSON encoder refuses
-(ad-hoc callables, interval tuners) are uncacheable and always simulate.
+correct general-purpose executor.  Every :class:`RunSpec` is plain data
+and so has a key; a spec the JSON encoder refuses (a non-scalar option
+value, an unknown schedule or arrival subclass) fails the lookup with the
+encoder's ``ValueError`` rather than run uncached.
 """
 
 from __future__ import annotations
@@ -79,18 +81,10 @@ class ResultCache:
         self._hits = 0
         self._misses = 0
         self._stores = 0
-        self._uncacheable = 0
 
     # ------------------------------------------------------------------
     # spec-keyed primitives
     # ------------------------------------------------------------------
-    def key_for(self, spec: RunSpec) -> Optional[str]:
-        """The cache key of ``spec``, or None if it cannot be encoded."""
-        try:
-            return run_spec_fingerprint(spec)
-        except ValueError:
-            return None
-
     def path_for(self, key: str) -> Path:
         """The on-disk entry path of a fingerprint."""
         return self._dir / f"{key}.pkl"
@@ -99,14 +93,9 @@ class ResultCache:
         """The cached result of ``spec``, or None on a miss.
 
         Counts a hit or a miss and emits the matching telemetry span
-        (``cache_hit`` / ``cache_miss``).  Uncacheable specs count
-        separately and emit nothing — they are invisible to the hit-rate.
+        (``cache_hit`` / ``cache_miss``).
         """
-        key = self.key_for(spec)
-        if key is None:
-            with self._lock:
-                self._uncacheable += 1
-            return None
+        key = run_spec_fingerprint(spec)
         result = self._read(key)
         if result is not None:
             with self._lock:
@@ -122,11 +111,9 @@ class ResultCache:
         """Store ``result`` under ``spec``'s key; returns the key used.
 
         Atomic: a concurrent reader sees either no entry or a complete
-        one.  Uncacheable specs are silently skipped (returns None).
+        one.  A failed write is logged and returns None.
         """
-        key = self.key_for(spec)
-        if key is None:
-            return None
+        key = run_spec_fingerprint(spec)
         path = self.path_for(key)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
@@ -193,7 +180,6 @@ class ResultCache:
                 "hits": self._hits,
                 "misses": self._misses,
                 "stores": self._stores,
-                "uncacheable": self._uncacheable,
                 "entries": self.entries(),
             }
 

@@ -184,6 +184,8 @@ class SweepService:
         self._queue: collections.deque = collections.deque()
         self._next_id = 0
         self._closed = False
+        #: threads answering control requests, which close() joins
+        self._control_threads: set = set()
         host, port = protocol.parse_address(control_bind)
         self._control_listener = socket.create_server((host, port))
         self._runner_thread = threading.Thread(
@@ -319,18 +321,22 @@ class SweepService:
             return self._closed
 
     def close(self) -> None:
-        """Stop the control plane, the runner thread and the executor."""
+        """Stop the control plane, the runner thread and the executor.
+
+        Joins the service's threads within a bounded wait, except the
+        calling one: a shutdown request closes the service from a control
+        thread.
+        """
         with self._state:
             if self._closed:
                 return
             self._closed = True
+            control = list(self._control_threads)
             self._state.notify_all()
-        try:
-            self._control_listener.close()
-        except OSError:  # pragma: no cover - platform dependent
-            pass
+        protocol.close_listener(self._control_listener)
         self._executor.close()
-        self._runner_thread.join(timeout=10.0)
+        protocol.join_threads([self._runner_thread, self._control_thread, *control],
+                              timeout=10.0)
 
     def __enter__(self) -> "SweepService":
         return self
@@ -378,10 +384,16 @@ class SweepService:
                 sock, address = self._control_listener.accept()
             except OSError:
                 return  # listener closed
-            threading.Thread(
+            thread = threading.Thread(
                 target=self._serve_control, args=(sock,),
                 name=f"svc-ctl-{address[0]}:{address[1]}", daemon=True,
-            ).start()
+            )
+            with self._state:
+                if self._closed:
+                    sock.close()
+                    return
+                self._control_threads.add(thread)
+                thread.start()
 
     def _serve_control(self, sock: socket.socket) -> None:
         """Answer exactly one control request, then close the connection."""
@@ -401,6 +413,8 @@ class SweepService:
                 sock.close()
             except OSError:  # pragma: no cover - platform dependent
                 pass
+            with self._state:
+                self._control_threads.discard(threading.current_thread())
             if shutdown:
                 self.close()
 

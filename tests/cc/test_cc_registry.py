@@ -65,12 +65,6 @@ class TestResolveCC:
         scheme = resolve_cc(CCSpec.make("two_phase_locking"), Simulator())
         assert isinstance(scheme, TwoPhaseLocking)
 
-    def test_callable_factory_supported(self):
-        sim = Simulator()
-        scheme = resolve_cc(TimestampCertification, sim)
-        assert isinstance(scheme, TimestampCertification)
-        assert scheme.sim is sim
-
     def test_ready_instances_rejected(self):
         sim = Simulator()
         with pytest.raises(TypeError, match="built fresh"):
@@ -81,16 +75,33 @@ class TestResolveCC:
             resolve_cc("timestamp_cert", Simulator())
 
 
+def _controller_factory(params):
+    from repro.core.static import NoControl
+
+    return NoControl(upper_bound=params.n_terminals)
+
+
 class TestRunSpecCCValidation:
-    def test_runspec_rejects_non_spec_cc(self):
+    def _stationary_cell(self, **fields):
         from repro.experiments.config import (
             ExperimentScale,
             default_system_params,
         )
         from repro.runner.specs import RunSpec
 
-        with pytest.raises(TypeError, match="cc must be"):
-            RunSpec(kind="stationary", cell_id="x",
-                    params=default_system_params(),
-                    scale=ExperimentScale.smoke(),
-                    cc="timestamp_cert")
+        return RunSpec(kind="stationary", cell_id="x",
+                       params=default_system_params(),
+                       scale=ExperimentScale.smoke(), **fields)
+
+    @pytest.mark.parametrize("cc", ["timestamp_cert", TimestampCertification],
+                             ids=["string", "callable"])
+    def test_runspec_rejects_non_spec_cc(self, cc):
+        with pytest.raises(TypeError, match="cc must be None or a CCSpec"):
+            self._stationary_cell(cc=cc)
+
+    @pytest.mark.parametrize("controller", ["parabola", _controller_factory],
+                             ids=["string", "callable"])
+    def test_runspec_rejects_non_spec_controller(self, controller):
+        with pytest.raises(TypeError,
+                           match="controller must be None or a ControllerSpec"):
+            self._stationary_cell(controller=controller)

@@ -90,3 +90,21 @@ class TestIntervalAdaptation:
         tuner.next_interval(5.0, measurement(throughput=50.0))
         tuner.next_interval(5.0, measurement(throughput=50.0))
         assert tuner.adjustments >= 1
+
+
+class TestConfigurationEquality:
+    def test_compares_by_configuration_not_run_state(self):
+        fresh = MeasurementIntervalTuner(target_departures=100, max_interval=10.0)
+        used = MeasurementIntervalTuner(target_departures=100, max_interval=10.0)
+        for _ in range(5):
+            used.next_interval(5.0, measurement(throughput=40.0))
+        assert used.adjustments > 0
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+
+    def test_any_option_tells_tuners_apart(self):
+        base = MeasurementIntervalTuner()
+        for options in ({"target_departures": 100}, {"relative_accuracy": 0.2},
+                        {"confidence": 0.9}, {"min_interval": 1.0},
+                        {"max_interval": 30.0}, {"smoothing": 0.25}):
+            assert MeasurementIntervalTuner(**options) != base, options

@@ -55,6 +55,12 @@ def thrashing_serial(thrashing_spec):
     return SerialExecutor().execute(execute_run_spec, thrashing_spec.cells)
 
 
+def _started_since(before, *prefixes):
+    """Names of live threads started after ``before`` whose name matches."""
+    return [thread.name for thread in threading.enumerate()
+            if thread not in before and thread.name.startswith(prefixes)]
+
+
 def _assert_identical(distributed, serial):
     assert [r.cell_id for r in distributed] == [r.cell_id for r in serial]
     for left, right in zip(serial, distributed):
@@ -281,6 +287,27 @@ class TestDistributedExecutorBehaviour:
         executor.close()
         with pytest.raises(RuntimeError, match="closed"):
             executor.execute(_slow_identity, [0.0])
+
+    def test_close_wakes_and_joins_every_thread_it_started(self):
+        # a thread blocked in accept() or in a silent peer's recv() must not
+        # outlive close(), nor log into streams its test has since closed
+        before = set(threading.enumerate())
+        executor = DistributedExecutor("127.0.0.1:0")
+        worker = Worker(executor.bound_address, connect_retry=30.0)
+        threading.Thread(target=worker.run, daemon=True).start()
+        executor.wait_for_workers(1)
+        silent = socket.create_connection(
+            protocol.parse_address(executor.bound_address))  # never says hello
+        try:
+            for _ in range(500):
+                if len(_started_since(before, "dist-serve-")) == 2:
+                    break
+                time.sleep(0.01)
+            assert len(_started_since(before, "dist-serve-")) == 2
+            executor.close()
+            assert _started_since(before, "dist-accept", "dist-serve-") == []
+        finally:
+            silent.close()
 
 
 class TestConsoleEntryPoints:

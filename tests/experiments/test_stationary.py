@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.parabola import ParabolaController
 from repro.core.static import FixedLimit
 from repro.experiments.config import ExperimentScale, default_system_params
 from repro.experiments.stationary import (
@@ -10,6 +9,7 @@ from repro.experiments.stationary import (
     run_stationary_point,
     sweep_offered_load,
 )
+from repro.runner.specs import ControllerSpec
 from repro.tp.params import WorkloadParams
 
 
@@ -51,7 +51,7 @@ class TestRunStationaryPoint:
 
     def test_controlled_point_reports_finite_limit(self):
         point = run_stationary_point(
-            tiny_params(), controller_factory=lambda p: FixedLimit(5, upper_bound=50),
+            tiny_params(), controller=FixedLimit(5, upper_bound=50),
             horizon=4.0, warmup=1.0)
         assert point.final_limit == 5
         assert point.mean_concurrency <= 5.5
@@ -75,8 +75,7 @@ class TestSweep:
                                           include_model_reference=False)
         controlled = sweep_offered_load(
             tiny_params(), scale=tiny_scale(), include_model_reference=False,
-            controller_factory=lambda p: ParabolaController(
-                initial_limit=5, upper_bound=p.n_terminals))
+            controller=ControllerSpec.make("parabola", initial_limit=5))
         assert uncontrolled.label == "without control"
         assert controlled.label == "with control"
 

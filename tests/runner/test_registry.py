@@ -249,11 +249,11 @@ class TestRunSweep:
 
     def test_sweep_offered_load_controller_spec_parallel(self):
         sweep = sweep_offered_load(
-            controller_factory=ControllerSpec.make("parabola"),
+            controller=ControllerSpec.make("parabola"),
             scale=TINY, label="PA", workers=2)
         assert [point.offered_load for point in sweep.points] == [10, 30]
         serial = sweep_offered_load(
-            controller_factory=ControllerSpec.make("parabola"),
+            controller=ControllerSpec.make("parabola"),
             scale=TINY, label="PA", workers=0)
         assert [p.throughput for p in sweep.points] == \
             [p.throughput for p in serial.points]

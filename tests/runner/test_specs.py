@@ -8,6 +8,7 @@ import pytest
 from repro.cc.registry import CCSpec
 from repro.core.displacement import DisplacementPolicy, VictimCriterion
 from repro.core.incremental_steps import IncrementalStepsController
+from repro.core.outer_loop import MeasurementIntervalTuner
 from repro.core.parabola import ParabolaController
 from repro.core.static import FixedLimit, NoControl
 from repro.experiments.config import ExperimentScale, default_system_params
@@ -107,16 +108,21 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="replicate"):
             _stationary_spec(replicate=-1)
 
-    def test_controller_factory_paths(self):
-        assert _stationary_spec(controller=None).controller_factory() is None
+    def test_build_controller(self):
+        assert _stationary_spec(controller=None).build_controller() is None
         spec_controller = _stationary_spec(controller=ControllerSpec.make("parabola"))
         assert isinstance(spec_controller.build_controller(), ParabolaController)
 
-        def factory(params):
-            return NoControl(upper_bound=params.n_terminals)
-
-        callable_controller = _stationary_spec(controller=factory)
-        assert isinstance(callable_controller.build_controller(), NoControl)
+    @pytest.mark.parametrize("field,value", [
+        ("scenario", jump_scenario("accesses", 4, 8, jump_time=10.0)),
+        ("displacement", DisplacementPolicy()),
+        ("interval_tuner", MeasurementIntervalTuner(target_departures=150)),
+    ], ids=["scenario", "displacement", "interval_tuner"])
+    def test_tracking_only_fields_rejected_on_stationary_cells(self, field, value):
+        # a stationary run ignores these fields, so accepting them would
+        # file one result under several cache keys
+        with pytest.raises(ValueError, match="tracking runs only"):
+            _stationary_spec(**{field: value})
 
     def test_run_spec_is_picklable(self):
         scenario = jump_scenario("accesses", 4, 8, jump_time=10.0)
@@ -203,10 +209,8 @@ class TestRunSpecJsonRoundTrip:
             assert clone.scenario[1] == schedule, type(schedule).__name__
 
     def test_rich_spec_round_trips_exactly(self):
-        spec = _stationary_spec(
+        stationary = _stationary_spec(
             controller=ControllerSpec.make("incremental_steps"),
-            displacement=DisplacementPolicy(
-                criterion=VictimCriterion.QUERIES_FIRST, hysteresis=2.0),
             workload_classes=(
                 TransactionClassSpec(name="oltp", weight=3.0,
                                      accesses_per_txn=4, write_fraction=0.6),
@@ -217,30 +221,27 @@ class TestRunSpecJsonRoundTrip:
             observers=("aborts_by_reason", "isolation"),
             replicate=2,
         )
-        encoded = run_spec_to_jsonable(spec)
-        # the encoding itself must be pure JSON: a dump/load cycle is lossless
-        decoded = json.loads(json.dumps(encoded))
-        clone = run_spec_from_jsonable(decoded)
-        assert clone == spec
+        tracking = self._tracking_spec(
+            displacement=DisplacementPolicy(
+                criterion=VictimCriterion.QUERIES_FIRST, hysteresis=2.0),
+            interval_tuner=MeasurementIntervalTuner(
+                target_departures=None, relative_accuracy=0.2, confidence=0.9,
+                min_interval=0.25, max_interval=8.0, smoothing=0.75),
+            cc=CCSpec.make("two_phase_locking", victim_policy="oldest"),
+            observers=("trace",),
+        )
+        for spec in (stationary, tracking):
+            encoded = run_spec_to_jsonable(spec)
+            # the encoding itself must be pure JSON: a dump/load cycle is lossless
+            decoded = json.loads(json.dumps(encoded))
+            clone = run_spec_from_jsonable(decoded)
+            assert clone == spec
 
     def test_encoding_is_json_serialisable_and_stable(self):
         spec = self._tracking_spec()
         first = json.dumps(run_spec_to_jsonable(spec), sort_keys=True)
         second = json.dumps(run_spec_to_jsonable(spec), sort_keys=True)
         assert first == second
-
-    def test_callable_controller_rejected(self):
-        spec = _stationary_spec(controller=NoControl)
-        with pytest.raises(ValueError, match="ControllerSpec"):
-            run_spec_to_jsonable(spec)
-
-    def test_callable_cc_rejected(self):
-        def factory(sim):
-            raise NotImplementedError
-
-        spec = _stationary_spec(cc=factory)
-        with pytest.raises(ValueError, match="CCSpec"):
-            run_spec_to_jsonable(spec)
 
     def test_non_scalar_option_rejected(self):
         spec = _stationary_spec(

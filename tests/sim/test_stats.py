@@ -1,18 +1,14 @@
 """Tests for the statistics utilities."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.stats import (
-    BatchMeans,
     ObservationStats,
     P2Quantile,
     TimeWeightedStats,
-    confidence_interval,
     required_observations,
 )
 
@@ -229,61 +225,6 @@ class TestP2Quantile:
         for value in values:
             estimator.add(value)
         assert min(values) - 1e-9 <= estimator.value <= max(values) + 1e-9
-
-
-class TestBatchMeans:
-    def test_batch_size_must_be_positive(self):
-        with pytest.raises(ValueError):
-            BatchMeans(batch_size=0)
-
-    def test_batches_close_at_the_right_size(self):
-        batches = BatchMeans(batch_size=3)
-        for value in range(9):
-            batches.add(float(value))
-        assert batches.batch_count == 3
-        assert batches.mean == pytest.approx(4.0)
-
-    def test_half_width_infinite_with_few_batches(self):
-        batches = BatchMeans(batch_size=5)
-        for value in range(5):
-            batches.add(float(value))
-        assert batches.half_width() == math.inf
-
-    def test_half_width_shrinks_with_more_data(self):
-        rng = np.random.default_rng(0)
-        small = BatchMeans(batch_size=10)
-        large = BatchMeans(batch_size=10)
-        for value in rng.normal(10, 2, size=100):
-            small.add(float(value))
-        for value in rng.normal(10, 2, size=2000):
-            large.add(float(value))
-        assert large.half_width() < small.half_width()
-
-
-class TestConfidenceInterval:
-    def test_needs_two_samples(self):
-        assert confidence_interval([1.0]) == math.inf
-
-    def test_invalid_confidence(self):
-        with pytest.raises(ValueError):
-            confidence_interval([1.0, 2.0], confidence=1.5)
-
-    def test_identical_samples_zero_width(self):
-        assert confidence_interval([5.0, 5.0, 5.0, 5.0]) == pytest.approx(0.0)
-
-    def test_higher_confidence_wider_interval(self):
-        samples = [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert confidence_interval(samples, 0.99) > confidence_interval(samples, 0.90)
-
-    def test_matches_scipy_t_interval(self):
-        from scipy import stats as scipy_stats
-
-        samples = [2.1, 2.9, 3.4, 1.8, 2.6, 3.1, 2.2]
-        half_width = confidence_interval(samples, 0.95)
-        mean = np.mean(samples)
-        sem = scipy_stats.sem(samples)
-        low, high = scipy_stats.t.interval(0.95, len(samples) - 1, loc=mean, scale=sem)
-        assert half_width == pytest.approx((high - low) / 2, rel=1e-6)
 
 
 class TestRequiredObservations:

@@ -18,14 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.outer_loop import MeasurementIntervalTuner
 from repro.dist.cluster import launch_local_cluster
 from repro.experiments.config import ExperimentScale
 from repro.runner.executor import make_executor
 from repro.runner.registry import available_scenarios, build_sweep
 from repro.runner.specs import (
     SPEC_FINGERPRINT_VERSION,
+    ControllerSpec,
     run_spec_fingerprint,
     run_spec_from_jsonable,
+    run_spec_to_jsonable,
 )
 from repro.svc.cache import ResultCache
 from repro.tp.workload import JumpSchedule
@@ -137,6 +140,15 @@ class TestSensitivity:
         closed = dataclasses.replace(cell, arrivals=None)
         assert run_spec_fingerprint(closed) != run_spec_fingerprint(cell)
 
+    def test_tuner_option_changes_the_key(self):
+        cell = next(c for c in _cells("fig13_is_jump") if c.scenario)
+        tuned = dataclasses.replace(
+            cell, interval_tuner=MeasurementIntervalTuner(target_departures=150))
+        retuned = dataclasses.replace(
+            cell, interval_tuner=MeasurementIntervalTuner(target_departures=151))
+        keys = {run_spec_fingerprint(c) for c in (cell, tuned, retuned)}
+        assert len(keys) == 3
+
     @settings(max_examples=25, deadline=None)
     @given(seed_a=st.integers(min_value=0, max_value=2**31),
            seed_b=st.integers(min_value=0, max_value=2**31))
@@ -151,7 +163,7 @@ class TestSensitivity:
 
 
 # ----------------------------------------------------------------------
-# versioning and uncacheable specs
+# versioning
 # ----------------------------------------------------------------------
 #: the cache key of every smoke-scale registry cell and of every committed
 #: corpus spec: a change to any of them orphans existing cache entries, so
@@ -164,8 +176,13 @@ class TestVersioning:
     @pytest.mark.parametrize("scenario", sorted(PINNED["scenarios"]))
     def test_registry_keys_are_pinned(self, scenario):
         """A spec refactor that moves a key silently orphans every cache entry."""
+        cells = _cells(scenario)
         assert {f"{cell.cell_id}#{cell.replicate}": run_spec_fingerprint(cell)
-                for cell in _cells(scenario)} == PINNED["scenarios"][scenario]
+                for cell in cells} == PINNED["scenarios"][scenario]
+        # and every cell decodes back to an equal spec
+        for cell in cells:
+            assert run_spec_from_jsonable(json.loads(json.dumps(
+                run_spec_to_jsonable(cell)))) == cell, cell.cell_id
 
     def test_every_scenario_is_pinned(self):
         assert sorted(PINNED["scenarios"]) == sorted(available_scenarios())
@@ -184,18 +201,20 @@ class TestVersioning:
                             SPEC_FINGERPRINT_VERSION + 1)
         assert specs.run_spec_fingerprint(base_cell) != before
 
-    def test_uncacheable_spec_raises_and_cache_returns_none(self, base_cell,
+    def test_unencodable_spec_fails_loudly_through_the_cache(self, base_cell,
                                                             tmp_path):
-        opaque = dataclasses.replace(
-            base_cell, controller=lambda params: None)
-        with pytest.raises(ValueError):
-            run_spec_fingerprint(opaque)
+        """The one refusal left fails the lookup; it never runs uncached."""
+        unencodable = dataclasses.replace(
+            base_cell, controller=ControllerSpec.make("fixed", limit=[1, 2]))
+        with pytest.raises(ValueError, match="JSON scalar"):
+            run_spec_fingerprint(unencodable)
         cache = ResultCache(tmp_path)
-        assert cache.key_for(opaque) is None
-        assert cache.get(opaque) is None
-        assert cache.put(opaque, object()) is None
-        assert cache.stats()["uncacheable"] == 1
+        for call in (lambda: cache.get(unencodable),
+                     lambda: cache.put(unencodable, object())):
+            with pytest.raises(ValueError, match="JSON scalar"):
+                call()
         assert cache.stats()["hits"] == cache.stats()["misses"] == 0
+        assert cache.entries() == 0
 
 
 # ----------------------------------------------------------------------

@@ -107,6 +107,7 @@ def test_cold_then_warm_byte_identical_to_golden(service, scenario):
 def test_warm_cache_serves_every_scenario_with_zero_workers(cache_dir):
     """Zero simulations, not merely fewer: no worker ever connects."""
     from repro.runner.cells import execute_run_spec
+    from repro.runner.specs import run_spec_fingerprint
     from repro.svc.cache import ResultCache
     from repro.svc.service import scenario_cells
 
@@ -116,7 +117,7 @@ def test_warm_cache_serves_every_scenario_with_zero_workers(cache_dir):
     cache = ResultCache(cache_dir)
     for scenario in SCENARIOS:
         for cell in scenario_cells(scenario):
-            if not cache.path_for(cache.key_for(cell)).exists():
+            if not cache.path_for(run_spec_fingerprint(cell)).exists():
                 cache.put(cell, execute_run_spec(cell))
 
     with SweepService(cache=cache_dir) as svc:

@@ -20,18 +20,47 @@ import urllib.request
 import pytest
 
 from repro.canonical import canonical_json
+from repro.core import DisplacementPolicy, MeasurementIntervalTuner, VictimCriterion
 from repro.dist.worker import Worker
-from repro.experiments.config import ExperimentScale
+from repro.experiments.config import ExperimentScale, default_system_params
 from repro.obs.telemetry import telemetry_to
 from repro.runner.cells import execute_run_spec
 from repro.runner.executor import SerialExecutor
 from repro.runner.registry import build_sweep
-from repro.runner.specs import ControllerSpec
+from repro.runner.specs import (
+    KIND_TRACKING,
+    ControllerSpec,
+    RunSpec,
+    run_spec_fingerprint,
+    run_spec_to_jsonable,
+)
 from repro.svc.cache import ResultCache
 from repro.svc.cli import main as svc_main
 from repro.svc.client import ServiceClient, ServiceError, ServiceExecutor
 from repro.svc.http import make_http_server
 from repro.svc.service import SweepService, results_document
+from repro.tp.workload import StepSchedule
+
+
+def _outer_loop_cell() -> RunSpec:
+    """The "PA + displacement + outer loop" row of
+    ``examples/policy_comparison.py``, at smoke scale."""
+    scale = ExperimentScale.smoke()
+    third = scale.tracking_horizon / 3
+    return RunSpec(
+        kind=KIND_TRACKING,
+        cell_id="policies/PA + displacement + outer loop",
+        params=default_system_params(seed=19).with_changes(n_terminals=250),
+        scale=scale,
+        controller=ControllerSpec.make(
+            "parabola", initial_limit=20, forgetting=0.9, probe_amplitude=3.0,
+            max_move=30.0, lower_bound=2),
+        scenario=("accesses", StepSchedule(initial=6, steps=[(third, 12), (2 * third, 4)])),
+        label="PA + displacement + outer loop",
+        displacement=DisplacementPolicy(criterion=VictimCriterion.YOUNGEST, hysteresis=5),
+        interval_tuner=MeasurementIntervalTuner(target_departures=150, min_interval=0.5,
+                                                max_interval=10.0),
+    )
 
 
 def _thread_worker(address: str) -> threading.Thread:
@@ -138,6 +167,18 @@ class TestJobLifecycle:
             assert status["state"] == "done"
             assert status["cache_hits"] == status["cache_misses"] == 0
 
+    def test_close_joins_the_threads_it_started(self, tmp_path):
+        before = set(threading.enumerate())
+        svc = SweepService(cache=tmp_path / "c")
+        _thread_worker(svc.worker_address)
+        svc.executor.wait_for_workers(1)
+        assert ServiceClient(svc.control_address).cache_stats()["enabled"]
+        svc.close()
+        leaked = [thread.name for thread in threading.enumerate()
+                  if thread not in before and thread.name.startswith(
+                      ("dist-accept", "dist-serve-", "svc-"))]
+        assert leaked == []
+
     def test_shutdown_request_closes_the_service(self, tmp_path):
         svc = SweepService(cache=tmp_path / "s")
         client = ServiceClient(svc.control_address)
@@ -239,7 +280,7 @@ class TestCacheDegradation:
         cache = service.cache
         poisoned = dataclasses.replace(
             serial_results[0], metrics={**serial_results[0].metrics, "throughput": -1.0})
-        legacy = cache.directory / "v1" / f"{cache.key_for(cells[0])}.pkl"
+        legacy = cache.directory / "v1" / f"{run_spec_fingerprint(cells[0])}.pkl"
         legacy.parent.mkdir(exist_ok=True)
         legacy.write_bytes(pickle.dumps(poisoned))
         client = ServiceClient(service.control_address)
@@ -302,8 +343,6 @@ class TestHttpControlPlane:
 
     def test_submission_by_explicit_cell_documents(self, service, http_base,
                                                    cells):
-        from repro.runner.specs import run_spec_to_jsonable
-
         payload = {"name": "by-cells",
                    "cells": [run_spec_to_jsonable(cells[0])]}
         status, created = self._post(http_base + "/jobs", payload)
@@ -311,6 +350,26 @@ class TestHttpControlPlane:
         final = ServiceClient(service.control_address).wait(
             created["job_id"], timeout=120.0)
         assert final["state"] == "done" and final["n_cells"] == 1
+
+    def test_outer_loop_cells_travel_both_planes_and_hit_the_cache(
+            self, service, http_base):
+        """A tuner-carrying cell is plain data: either plane submits it, it
+        has a cache key, and the resubmission simulates nothing."""
+        cell = _outer_loop_cell()
+        client = ServiceClient(service.control_address)
+        tcp_job = client.submit("outer-loop", [cell])
+        assert client.wait(tcp_job, timeout=120.0)["state"] == "done"
+        status, created = self._post(http_base + "/jobs", {
+            "name": "outer-loop", "cells": [run_spec_to_jsonable(cell)]})
+        assert status == 201
+        http_job = created["job_id"]
+        final = client.wait(http_job, timeout=120.0)
+        assert final["state"] == "done"
+        assert (final["cache_hits"], final["cache_misses"]) == (1, 0)
+        serial = SerialExecutor().execute(execute_run_spec, [cell])
+        expected = canonical_json(results_document("outer-loop", serial))
+        assert canonical_json(client.results(tcp_job)) == expected
+        assert canonical_json(client.results(http_job)) == expected
 
     @pytest.mark.parametrize("path", ["/nope", "/jobs/job-999",
                                       "/jobs/job-999/results"])

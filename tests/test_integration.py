@@ -76,7 +76,7 @@ class TestControlPreventsThrashing(object):
             self, params, scale, uncontrolled_sweep, factory):
         heavy_params = params.with_changes(n_terminals=200)
         controlled = run_stationary_point(
-            heavy_params, controller_factory=factory,
+            heavy_params, controller=factory(heavy_params),
             horizon=scale.stationary_horizon, warmup=scale.warmup,
             measurement_interval=scale.measurement_interval)
         uncontrolled_heavy = uncontrolled_sweep.throughput_at(200)
@@ -93,14 +93,14 @@ class TestControlPreventsThrashing(object):
             workload=params.workload.with_changes(accesses_per_txn=12))
         generous = run_stationary_point(
             heavy_params,
-            controller_factory=lambda p: ParabolaController(
+            controller=ParabolaController(
                 initial_limit=8, probe_amplitude=2.0, lower_bound=2,
-                upper_bound=p.n_terminals),
+                upper_bound=heavy_params.n_terminals),
             horizon=scale.stationary_horizon, warmup=scale.warmup,
             measurement_interval=scale.measurement_interval)
         starved = run_stationary_point(
             heavy_params,
-            controller_factory=lambda p: FixedLimit(2, upper_bound=p.n_terminals),
+            controller=FixedLimit(2, upper_bound=heavy_params.n_terminals),
             horizon=scale.stationary_horizon, warmup=scale.warmup,
             measurement_interval=scale.measurement_interval)
         assert generous.throughput > starved.throughput

@@ -10,8 +10,8 @@ results are asserted bit-identical to the serial executor — the scaling
 lever never costs determinism.
 
 Scale follows ``REPRO_BENCH_SCALE`` like every other benchmark; worker
-counts are fixed at {1, 2, 4} (the ``REPRO_BENCH_WORKERS`` variable
-controls the *multiprocessing* benchmarks, not this cluster sweep).
+counts are fixed at {1, 2, 4} (the ``REPRO_BENCH_WORKERS`` variable sizes
+the local cluster of every other benchmark's sweeps, not this one).
 """
 
 import time

@@ -16,8 +16,8 @@ Scale is controlled with the ``REPRO_BENCH_SCALE`` environment variable:
 Execution is controlled with two more variables, both forwarded to
 :func:`repro.runner.run_sweep`:
 
-* ``REPRO_BENCH_WORKERS``    -- worker processes per sweep (0 = serial,
-  the default; results are identical for every setting)
+* ``REPRO_BENCH_WORKERS``    -- local dist worker processes per sweep
+  (0 = serial, the default; results are identical for every setting)
 * ``REPRO_BENCH_REPLICATES`` -- independent replicates per cell (default 1;
   with more, the sweep tables report mean ± 95% CI)
 

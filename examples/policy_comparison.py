@@ -7,8 +7,8 @@ of thumb.  This example runs all of them — plus the paper's IS and PA
 controllers — through a workload whose transaction size changes twice.
 
 The policies are independent simulation cells, so the example delegates to
-the parallel runner: ``--workers N`` fans the policies out over worker
-processes (identical results to serial), and ``--replicates R`` runs each
+the parallel runner: ``--workers N`` fans the policies out over N local
+dist worker processes (identical results to serial), and ``--replicates R`` runs each
 policy R times with independent replicate seeds and reports mean ± 95% CI.
 It also demonstrates two optional features of the framework:
 

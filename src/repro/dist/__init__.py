@@ -1,9 +1,11 @@
 """Distributed sweep execution: coordinator, workers, archives.
 
 The paper's evaluation grid is embarrassingly parallel and every cell is a
-deterministic function of its picklable spec (PR 1), so scaling beyond one
-host is a dispatch problem, not a simulation problem.  This package solves
-it with a small TCP protocol:
+deterministic function of its picklable spec, so fanning cells out — to
+local processes or to other hosts — is a dispatch problem, not a
+simulation problem.  This package solves it with a small TCP protocol,
+which is the only way a cell leaves the calling process (``workers=N``
+runs on a :class:`LocalCluster`):
 
 * :mod:`~repro.dist.protocol` — length-prefixed pickle framing;
 * :mod:`~repro.dist.coordinator` — :class:`DistributedExecutor`, serving
@@ -11,15 +13,15 @@ it with a small TCP protocol:
   deterministic cell order, re-queueing the in-flight cells of dead
   workers (the sweep completes as long as one worker survives);
 * :mod:`~repro.dist.worker` — the cell-executing loop with heartbeats;
-* :mod:`~repro.dist.cluster` — :func:`launch_local_cluster`, a
-  coordinator plus N localhost subprocess workers for tests and CI;
+* :mod:`~repro.dist.cluster` — :class:`LocalCluster`, a coordinator plus
+  N localhost subprocess workers: what ``workers=N`` starts;
 * :mod:`~repro.dist.archive` — versioned JSON artifacts of replicated
   runs with mean ± confidence-interval summaries.
 
-The determinism contract is unchanged from the in-process executors: for
-any worker count, join order, or mid-run worker crash, a sweep's results
-are bit-identical to :class:`~repro.runner.executor.SerialExecutor` —
-asserted against the golden trajectories in ``tests/dist/``.
+The determinism contract: for any worker count, join order, or mid-run
+worker crash, a sweep's results are bit-identical to
+:class:`~repro.runner.executor.SerialExecutor` — asserted against the
+golden trajectories in ``tests/golden/`` and ``tests/dist/``.
 """
 
 from repro.dist.archive import (

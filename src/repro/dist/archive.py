@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 from repro.canonical import sanitize as _sanitize
+from repro.experiments.config import scale_preset
 
 #: bump when the artifact structure changes; load_archive enforces it
 ARCHIVE_FORMAT = 1
@@ -143,29 +144,22 @@ def format_archive_table(archive: dict,
     return format_table(headers, rows, float_format=float_format)
 
 
-_SCALE_PRESETS = ("smoke", "benchmark", "paper")
-
-
 def archive_sweep(scenario: str, *, out_dir, scale: str = "paper",
-                  replicates: int = 10, workers: int = 0,
-                  address: Optional[str] = None, executor=None,
+                  replicates: int = 10, workers: int = 0, executor=None,
                   confidence: float = 0.95, base_params=None) -> Path:
     """Run a replicated registry sweep and archive it; returns the path.
 
     ``scale`` is a preset name (``smoke``/``benchmark``/``paper``; the
     ROADMAP's paper-scale default).  Execution is selected exactly as in
-    :func:`~repro.runner.api.run_sweep`: in-process (``workers=0``),
-    multiprocessing (``workers=N``), a distributed cluster
-    (``address="host:port"``), or any ready ``executor``.
+    :func:`~repro.runner.api.run_sweep`: in-process (``workers=0``), a
+    local dist cluster (``workers=N``), or any ready ``executor`` — e.g. a
+    :class:`~repro.dist.coordinator.DistributedExecutor` that networked
+    workers join.
     """
-    from repro.experiments.config import ExperimentScale
     from repro.runner.api import run_sweep
 
-    if scale not in _SCALE_PRESETS:
-        raise ValueError(f"scale must be one of {_SCALE_PRESETS}, got {scale!r}")
-    scale_preset = getattr(ExperimentScale, scale)()
-    result = run_sweep(scenario, scale=scale_preset, replicates=replicates,
-                       workers=workers, address=address, executor=executor,
+    result = run_sweep(scenario, scale=scale_preset(scale), replicates=replicates,
+                       workers=workers, executor=executor,
                        confidence=confidence, base_params=base_params)
     archive = build_archive(result, scenario=scenario, scale_name=scale,
                             confidence=confidence)

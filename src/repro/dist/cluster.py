@@ -1,20 +1,23 @@
 """Localhost clusters: a coordinator plus N subprocess workers in one call.
 
-:func:`launch_local_cluster` is how tests, CI and the scaling benchmark
-exercise the *full* network path — real TCP sockets, real worker
-processes, real pickle frames — without any deployment machinery:
+A :class:`LocalCluster` is what ``workers=N`` means everywhere
+(:func:`~repro.runner.executor.make_executor` starts one), and it is how
+tests, CI and the scaling benchmark exercise the *full* network path —
+real TCP sockets, real worker processes, real pickle frames — without any
+deployment machinery:
 
 >>> from repro.dist.cluster import launch_local_cluster
 >>> from repro.runner import run_sweep
 >>> with launch_local_cluster(workers=2) as cluster:
 ...     result = run_sweep("fig12_stationary", executor=cluster)
 
-The context manager owns everything: it binds an ephemeral port on
-localhost, spawns ``python -m repro.dist.worker`` subprocesses pointed at
-it, waits until they have joined, and on exit shuts the executor down and
-reaps the processes.  ``fail_after_cells={worker_index: n}`` arms the
-worker-side fault injection (die abruptly when accepting cell ``n+1``)
-used by the fault-tolerance tests.
+The cluster owns everything: :meth:`LocalCluster.start` binds an
+ephemeral port on localhost, spawns ``python -m repro.dist.worker``
+subprocesses pointed at it and waits until they have joined;
+:meth:`LocalCluster.close` (or leaving the ``with`` block) shuts the
+executor down and reaps the processes.  ``fail_after_cells={worker_index:
+n}`` arms the worker-side fault injection (die abruptly when accepting
+cell ``n+1``) used by the fault-tolerance tests.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ def spawn_local_workers(address: str, count: int, *,
             "--connect", address,
             "--name", f"{name_prefix}-{index}",
             "--retry", str(connect_retry),
+            "--quiet",  # the coordinator logs joins and departures itself
         ]
         if fail_after_cells is not None and index in fail_after_cells:
             argv += ["--fail-after-cells", str(fail_after_cells[index])]
@@ -67,9 +71,9 @@ class LocalCluster:
 
     Implements the executor interface by delegation, so a cluster can be
     passed anywhere an executor is accepted (``run_sweep(executor=...)``).
-    Use as a context manager; :attr:`executor` and :attr:`processes` stay
-    accessible for assertions (e.g. that an injected crash really killed
-    its worker).
+    Use it as a context manager, or pair :meth:`start` with :meth:`close`;
+    :attr:`executor` and :attr:`processes` stay accessible for assertions
+    (e.g. that an injected crash really killed its worker).
     """
 
     def __init__(self, workers: int = 2, *,
@@ -88,7 +92,10 @@ class LocalCluster:
         self.processes: List[subprocess.Popen] = []
 
     # ------------------------------------------------------------------
-    def __enter__(self) -> "LocalCluster":
+    def start(self) -> "LocalCluster":
+        """Bind the coordinator, spawn the workers, wait until all joined."""
+        if self.executor is not None:
+            return self
         self.executor = DistributedExecutor(
             "127.0.0.1:0",
             heartbeat_timeout=self.heartbeat_timeout,
@@ -102,14 +109,12 @@ class LocalCluster:
             self.executor.wait_for_workers(self.worker_count,
                                            timeout=self.wait_timeout)
         except BaseException:
-            self._shutdown()
+            self.close()
             raise
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        self._shutdown()
-
-    def _shutdown(self) -> None:
+    def close(self) -> None:
+        """Shut the coordinator down and reap the worker processes."""
         if self.executor is not None:
             self.executor.close()
         for process in self.processes:
@@ -118,6 +123,12 @@ class LocalCluster:
             except subprocess.TimeoutExpired:  # pragma: no cover - stuck worker
                 process.kill()
                 process.wait()
+
+    def __enter__(self) -> "LocalCluster":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # executor interface by delegation
@@ -137,7 +148,7 @@ class LocalCluster:
 
     def _require_executor(self) -> DistributedExecutor:
         if self.executor is None:
-            raise RuntimeError("the cluster is not running; use it as a context manager")
+            raise RuntimeError("the cluster is not running; start() it first")
         return self.executor
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

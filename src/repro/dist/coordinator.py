@@ -1,10 +1,12 @@
 """Coordinator side of distributed sweep execution.
 
 :class:`DistributedExecutor` implements the same two-method executor
-interface as :class:`~repro.runner.executor.SerialExecutor` and
-:class:`~repro.runner.executor.ParallelExecutor` — ``map`` streams results
-back in the items' order, ``execute`` collects them — but fans the cells
-out over *networked* workers instead of local processes:
+interface as :class:`~repro.runner.executor.SerialExecutor` — ``map``
+streams results back in the items' order, ``execute`` collects them — but
+fans the cells out over *networked* workers.  It is the only way a cell
+leaves the calling process (``workers=N`` runs one behind a
+:class:`~repro.dist.cluster.LocalCluster` of localhost subprocesses, and
+the sweep service wraps one too):
 
 * it binds a TCP address and accepts ``repro-dist-worker`` connections at
   any time, including mid-sweep (late workers simply start pulling cells);
@@ -21,15 +23,19 @@ out over *networked* workers instead of local processes:
 
 Determinism contract: a cell's result depends only on its spec, never on
 the worker that ran it, so the reassembled results are bit-identical to a
-:class:`~repro.runner.executor.SerialExecutor` run of the same spec — the
-same guarantee the multiprocessing executor gives, extended across hosts
-and asserted against the golden trajectories in ``tests/dist/``.
+:class:`~repro.runner.executor.SerialExecutor` run of the same spec —
+asserted against the golden trajectories in ``tests/golden/`` and
+``tests/dist/``.
 
 A cell that *raises* (as opposed to a worker that *dies*) is not retried:
 the error — a :class:`~repro.runner.errors.CellExecutionError` naming the
 cell — is forwarded to the coordinator and re-raised out of ``map``.
 Retrying a deterministic failure would loop forever; dying workers, by
-contrast, are environmental and their cells are safely re-run.
+contrast, are environmental and their cells are safely re-run.  A task
+that cannot travel fails its sweep the same way, at once: one the
+coordinator cannot pickle raises the pickling error, and one a worker
+cannot unpickle (say, a function the worker's interpreter cannot import)
+comes back as an error naming the cell, while the worker keeps serving.
 
 ``main`` is the ``repro-dist-coordinator`` console entry point: it runs a
 named registry scenario over the cluster, prints the replicate-aggregate
@@ -49,7 +55,10 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, TypeVar
 
 from repro.dist import protocol
+from repro.experiments.config import SCALE_PRESETS, scale_preset
 from repro.obs import telemetry
+from repro.runner.errors import cell_error
+from repro.runner.executor import timed_execute
 from repro.dist.protocol import (
     MSG_HEARTBEAT,
     MSG_HELLO,
@@ -237,7 +246,7 @@ class DistributedExecutor:
     def execute(self, function: Callable[[ItemT], ResultT],
                 items: Iterable[ItemT]) -> List[ResultT]:
         """Apply ``function`` to every item and return the ordered results."""
-        return list(self.map(function, items))
+        return timed_execute(self, "dist", function, items)
 
     def wait_for_workers(self, count: int, timeout: float = 60.0) -> int:
         """Block until ``count`` workers are connected; return the count."""
@@ -389,6 +398,45 @@ class DistributedExecutor:
                            index, worker.name)
             telemetry.emit("requeue", peer=worker.name, index=index)
 
+    def _fail_sweep(self, worker: _WorkerState, error) -> None:
+        """End the worker's task with ``error``, failing the sweep it belongs to.
+
+        A non-exception ``error`` is a worker's report that it could not
+        decode the task; it is raised as a cell error naming that cell.
+        """
+        with self._state:
+            generation, index = worker.in_flight
+            worker.in_flight = None
+            sweep = self._sweep
+            if (sweep is not None and sweep.generation == generation
+                    and sweep.error is None):
+                if not isinstance(error, BaseException):
+                    error = cell_error(sweep.items[index], str(error))
+                sweep.error = error
+            self._state.notify_all()
+
+    def _dispatch(self, worker: _WorkerState) -> None:
+        """Send a ready worker its next cell, or shut it down."""
+        while True:
+            task = self._next_task(worker)
+            if task is None:
+                worker.send((MSG_SHUTDOWN,))
+                raise ConnectionClosed("executor closed")
+            generation, index, function, item, queued_at = task
+            worker.dispatched_at = time.monotonic()
+            try:
+                worker.send((MSG_TASK, generation, index, function, item))
+            except OSError:
+                raise
+            except Exception as exc:
+                # the task failed to pickle, so no byte reached the wire
+                # and the worker still waits for one
+                self._fail_sweep(worker, exc)
+                continue
+            telemetry.emit("dispatch", peer=worker.name, index=index,
+                           queue_wait=worker.dispatched_at - queued_at)
+            return
+
     def _next_task(self, worker: _WorkerState):
         """Block until a cell can be assigned; None means shut down."""
         with self._state:
@@ -417,15 +465,7 @@ class DistributedExecutor:
                 continue
             if kind != MSG_READY:
                 raise ProtocolError(f"expected ready, got {kind!r}")
-            task = self._next_task(worker)
-            if task is None:
-                worker.send((MSG_SHUTDOWN,))
-                raise ConnectionClosed("executor closed")
-            generation, index, function, item, queued_at = task
-            worker.dispatched_at = time.monotonic()
-            worker.send((MSG_TASK, generation, index, function, item))
-            telemetry.emit("dispatch", peer=worker.name, index=index,
-                           queue_wait=worker.dispatched_at - queued_at)
+            self._dispatch(worker)
             # await the result; heartbeats keep the connection trusted
             # while the (possibly minutes-long) cell executes remotely
             while True:
@@ -459,16 +499,7 @@ class DistributedExecutor:
                         duration=time.monotonic() - worker.dispatched_at)
                     break
                 if kind == MSG_TASK_ERROR:
-                    _, generation, index, error = message
-                    if not isinstance(error, BaseException):
-                        error = RuntimeError(str(error))
-                    with self._state:
-                        worker.in_flight = None
-                        sweep = self._sweep
-                        if (sweep is not None and sweep.generation == generation
-                                and sweep.error is None):
-                            sweep.error = error
-                        self._state.notify_all()
+                    self._fail_sweep(worker, message[3])
                     break
                 raise ProtocolError(
                     f"unexpected message while awaiting a result: {kind!r}"
@@ -490,8 +521,7 @@ def main(argv=None) -> int:
     parser.add_argument("scenario", help="registry scenario name (e.g. fig12_stationary)")
     parser.add_argument("--bind", default="127.0.0.1:0", metavar="HOST:PORT",
                         help="address to listen on (default: 127.0.0.1:0, ephemeral port)")
-    parser.add_argument("--scale", default="benchmark",
-                        choices=("smoke", "benchmark", "paper"),
+    parser.add_argument("--scale", default="benchmark", choices=SCALE_PRESETS,
                         help="experiment scale preset (default: benchmark)")
     parser.add_argument("--replicates", type=int, default=1,
                         help="independent replicates per cell (default: 1)")
@@ -514,15 +544,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     telemetry.configure_cli_logging(verbose=args.verbose, quiet=args.quiet)
 
-    from repro.experiments.config import ExperimentScale
     from repro.experiments.report import format_aggregate_table
     from repro.runner.api import run_sweep
 
-    scale = {
-        "smoke": ExperimentScale.smoke,
-        "benchmark": ExperimentScale.benchmark,
-        "paper": ExperimentScale.paper,
-    }[args.scale]()
+    scale = scale_preset(args.scale)
 
     executor = DistributedExecutor(
         args.bind,

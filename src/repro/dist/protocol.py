@@ -42,6 +42,7 @@ MSG_READY = "ready"            # (MSG_READY,)
 MSG_HEARTBEAT = "heartbeat"    # (MSG_HEARTBEAT,)
 MSG_RESULT = "result"          # (MSG_RESULT, generation, index, payload)
 MSG_TASK_ERROR = "task-error"  # (MSG_TASK_ERROR, generation, index, error)
+# ... or (MSG_TASK_ERROR, None, None, text) for a task that did not decode
 
 # coordinator -> worker
 MSG_TASK = "task"              # (MSG_TASK, generation, index, function, item)

@@ -7,16 +7,18 @@ thread sends heartbeats so the coordinator keeps trusting the connection;
 a worker that stops heartbeating (killed host, severed network) has its
 in-flight cell re-queued there.
 
-Cell failures go through the same
-:func:`~repro.runner.errors.run_with_cell_context` path the
-multiprocessing executor uses: the coordinator receives a
+Cell failures go through :func:`~repro.runner.errors.run_with_cell_context`:
+the coordinator receives a
 :class:`~repro.runner.errors.CellExecutionError` naming the failing cell,
 not a bare remote traceback.  A worker survives its own cell errors — it
-reports them and keeps serving.
+reports them and keeps serving.  So it does when a task frame does not
+decode (its function or cell cannot be imported in this interpreter): it
+answers with a task error, which the coordinator raises naming the cell.
 
 ``main`` is the ``repro-dist-worker`` console entry point (also runnable
 as ``python -m repro.dist.worker``, which is how
-:func:`~repro.dist.cluster.launch_local_cluster` spawns local workers).
+:class:`~repro.dist.cluster.LocalCluster` — and so every ``workers=N``
+sweep — spawns local workers).
 ``--fail-after-cells N`` is deliberate fault injection for the
 fault-tolerance tests: the worker accepts its ``N+1``-th cell and then
 dies abruptly (``os._exit``), exactly like a crashed host with a cell in
@@ -115,7 +117,15 @@ class Worker:
             while True:
                 send((MSG_READY,))
                 sock.settimeout(None)  # idle waits between sweeps are unbounded
-                message = protocol.recv_message(sock)
+                try:
+                    message = protocol.recv_message(sock)
+                except ProtocolError as exc:
+                    if exc.__cause__ is None:  # an oversized frame: the stream is lost
+                        raise
+                    # the whole frame was read but did not unpickle: report
+                    # it against the cell in flight and keep serving
+                    send((MSG_TASK_ERROR, None, None, str(exc)))
+                    continue
                 kind = message[0]
                 if kind == MSG_SHUTDOWN:
                     return self.cells_executed

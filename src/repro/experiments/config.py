@@ -146,3 +146,16 @@ class ExperimentScale:
             measurement_interval=5.0,
             synthetic_steps=1000,
         )
+
+
+#: the names of the :class:`ExperimentScale` presets, smallest first
+SCALE_PRESETS = ("smoke", "benchmark", "paper")
+
+
+def scale_preset(name: str) -> ExperimentScale:
+    """The :class:`ExperimentScale` preset called ``name``."""
+    if name not in SCALE_PRESETS:
+        raise ValueError(
+            f"unknown scale preset {name!r}; the presets are {', '.join(SCALE_PRESETS)}"
+        )
+    return getattr(ExperimentScale, name)()

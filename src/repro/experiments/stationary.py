@@ -49,7 +49,11 @@ class StationaryPoint:
     throughput: float
     #: mean submission-to-commit latency
     mean_response_time: float
-    #: time-averaged number of admitted transactions
+    #: time-averaged number of admitted transactions since the gate's last
+    #: statistics reset: the measured window for an uncontrolled cell, but
+    #: only the time since the controller's last sample for a controlled
+    #: one, because every measurement sample resets the gate's load
+    #: statistics (``RunMetrics.mean_concurrency()`` covers the window)
     mean_concurrency: float
     #: abandoned executions per commit
     restart_ratio: float

@@ -13,7 +13,7 @@ hostile inputs, don't hand-pick them):
   against the scheme-aware analytic optimum, displacement livelock,
   admission collapse);
 * :mod:`repro.fuzz.executor` — the campaign loop over the runner's
-  serial/parallel executors;
+  executors (serial, a local dist cluster, or a sweep service);
 * :mod:`repro.fuzz.corpus` — counterexamples archived as replayable JSON
   regression fixtures (``tests/fuzz_corpus/``);
 * :mod:`repro.fuzz.cli` — the ``repro-fuzz`` console entry point.

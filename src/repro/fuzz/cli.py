@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.experiments.config import ExperimentScale
+from repro.experiments.config import SCALE_PRESETS, scale_preset
 from repro.fuzz.adversaries import adversary_kinds
 from repro.fuzz.corpus import archive_counterexamples
 from repro.fuzz.executor import run_campaign
@@ -29,12 +29,6 @@ from repro.fuzz.oracle import FailureThresholds
 from repro.obs.telemetry import configure_cli_logging
 
 logger = logging.getLogger("repro.fuzz")
-
-_SCALES = {
-    "smoke": ExperimentScale.smoke,
-    "benchmark": ExperimentScale.benchmark,
-    "paper": ExperimentScale.paper,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="campaign seed; same seed + budget = same candidates")
     parser.add_argument("--budget", type=int, default=10,
                         help="number of distinct candidates to run (default: 10)")
-    parser.add_argument("--scale", default="smoke", choices=sorted(_SCALES),
+    parser.add_argument("--scale", default="smoke", choices=SCALE_PRESETS,
                         help="experiment scale preset (default: smoke)")
     parser.add_argument("--workers", type=int, default=0,
                         help="worker processes (0/1 = in-process serial)")
@@ -86,14 +80,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # and archive paths below are the CLI's contract and stay on stdout
     logger.info("seed=%d budget=%d scale=%s workers=%d service=%s",
                 args.seed, args.budget, args.scale, args.workers, args.service)
+    executor = None
+    if args.service is not None:
+        from repro.svc.client import ServiceExecutor
+
+        # repeat candidates hit the service's cache
+        executor = ServiceExecutor(args.service,
+                                   name=f"fuzz-seed{args.seed}-budget{args.budget}")
     report = run_campaign(
         seed=args.seed,
         budget=args.budget,
-        scale=_SCALES[args.scale](),
+        scale=scale_preset(args.scale),
         workers=args.workers,
         thresholds=thresholds,
         kinds=args.kinds,
-        service_address=args.service,
+        executor=executor,
     )
     for verdict in report.verdicts:
         status = f"FAIL({','.join(verdict.reasons)})" if verdict.failed else "ok"

@@ -3,11 +3,11 @@
 :func:`run_campaign` is the fuzzer's single entry point.  It is
 deterministic end to end: the candidate stream is a pure function of
 ``(seed, budget, kinds)`` (:mod:`repro.fuzz.generator`), every lowered cell
-seeds its own random streams from its spec (so serial, parallel and
-distributed execution are bitwise identical — the runner's standing
-guarantee), and the verdicts are pure functions of the metrics.  Two
-campaigns with the same arguments therefore find the same counterexamples
-and archive byte-identical documents.
+seeds its own random streams from its spec (so serial and distributed
+execution are bitwise identical — the runner's standing guarantee), and
+the verdicts are pure functions of the metrics.  Two campaigns with the
+same arguments therefore find the same counterexamples and archive
+byte-identical documents.
 """
 
 from __future__ import annotations
@@ -51,35 +51,32 @@ def run_campaign(seed: int, budget: int,
                  workers: int = 0,
                  thresholds: Optional[FailureThresholds] = None,
                  kinds: Optional[Sequence[str]] = None,
-                 executor=None,
-                 service_address: Optional[str] = None) -> FuzzReport:
+                 executor=None) -> FuzzReport:
     """Search ``budget`` adversarial candidates for controller failures.
 
-    ``executor`` overrides the worker-count seam (any object with the
-    runner's ``execute(function, items)`` interface); otherwise ``workers``
-    selects the serial (0/1) or process-parallel executor exactly as
-    :func:`repro.runner.executor.make_executor` does for sweeps.
-    ``service_address`` instead routes the campaign's cells through a
-    running sweep service's control plane (:mod:`repro.svc`): candidates
-    any earlier campaign or sweep already simulated are served from the
-    service's content-addressed cache — bit-identical to a fresh run, so
-    verdicts and archived counterexamples are unchanged byte for byte.
+    ``workers`` selects the executor exactly as
+    :func:`repro.runner.executor.make_executor` does for sweeps: serial
+    (0/1) or a local dist cluster, which the campaign closes.  A ready
+    ``executor`` (any object with the runner's ``execute(function,
+    items)`` interface) replaces that choice.  A
+    :class:`~repro.svc.client.ServiceExecutor` routes the cells through a
+    running sweep service (:mod:`repro.svc`): candidates any earlier
+    campaign or sweep already simulated are served from the service's
+    content-addressed cache — bit-identical to a fresh run, so verdicts
+    and archived counterexamples are unchanged byte for byte.
     """
     scale = scale or ExperimentScale.smoke()
     thresholds = thresholds or FailureThresholds()
     adversaries = generate_candidates(seed, budget, kinds)
     cells = [adversary.lower(scale) for adversary in adversaries]
-    if executor is not None and service_address is not None:
-        raise TypeError("pass either executor= or service_address=, not both")
+    owned_executor = None
     if executor is None:
-        if service_address is not None:
-            from repro.svc.client import ServiceExecutor
-
-            executor = ServiceExecutor(service_address,
-                                       name=f"fuzz-seed{seed}-budget{budget}")
-        else:
-            executor = make_executor(workers)
-    results = executor.execute(execute_run_spec, cells)
+        executor = owned_executor = make_executor(workers)
+    try:
+        results = executor.execute(execute_run_spec, cells)
+    finally:
+        if owned_executor is not None:
+            owned_executor.close()
     report = FuzzReport(seed=seed, budget=budget,
                         candidates=list(zip(adversaries, cells)),
                         results=results)

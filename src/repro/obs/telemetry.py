@@ -10,16 +10,16 @@ queue, and ``cache_hit`` / ``cache_miss`` (with the content-addressed
 ``key`` and ``cell_id``) for every consultation of its result cache
 (:mod:`repro.svc.cache`).  Spans are appended as one
 canonical-JSON line each (sorted keys, compact separators) to a single
-file, so a whole local cluster — coordinator, multiprocessing workers,
-dist worker processes — interleaves safely into one stream:
+file, so a whole local cluster — the coordinator and its dist worker
+processes — interleaves safely into one stream:
 
 * every ``emit`` performs exactly one ``os.write`` on a file descriptor
   opened with ``O_APPEND``, which POSIX guarantees to be atomic for
   the short lines written here;
 * the sink is configured by the :data:`TELEMETRY_ENV` environment
-  variable (a file path), which child processes inherit — fork-based
-  multiprocessing workers and spawned dist workers alike — so one
-  exported variable captures the whole run without any plumbing;
+  variable (a file path), which child processes inherit — the dist
+  workers a ``workers=N`` sweep spawns included — so one exported
+  variable captures the whole run without any plumbing;
 * every record carries the ``span`` name, the emitting ``worker``
   (``hostname-pid`` by default, overridable via :func:`set_worker_name`
   so dist workers report their CLI-given name) and a wall-clock ``ts``.
@@ -27,7 +27,9 @@ dist worker processes — interleaves safely into one stream:
 Telemetry costs one ``None`` check when off — the executors consult
 :func:`active_sink` once per operation and skip all clock reads without a
 sink — and is wall-clock only by design: it never touches the simulation,
-so telemetered runs remain bit-identical to untelemetered ones.
+so telemetered runs remain bit-identical to untelemetered ones.  A closed
+sink stays closed: a span that a coordinator thread emits after
+:func:`telemetry_to` has exited is dropped, never reopening the file.
 
 Summarise a telemetry file with the ``repro-obs`` CLI
 (:mod:`repro.obs.cli`).  The propagation contract shared with the
@@ -42,6 +44,7 @@ import logging
 import os
 import socket
 import sys
+import threading
 import time
 from typing import Dict, Iterator, Optional
 
@@ -67,31 +70,39 @@ class TelemetrySink(object):
     """Appends telemetry records to one JSONL file, atomically per line.
 
     The file descriptor is opened lazily (on the first :meth:`write`) with
-    ``O_APPEND``, so many processes — a coordinator, its multiprocessing
-    pool, networked workers — can share one file without interleaving
-    partial lines.  Records are canonical JSON: sorted keys, compact
-    separators, one line per record.
+    ``O_APPEND``, so many processes — a coordinator and its dist workers,
+    local or networked — can share one file without interleaving partial
+    lines.  Records are canonical JSON: sorted keys, compact separators,
+    one line per record.
     """
 
     def __init__(self, path: str):
         self.path = os.fspath(path)
         self._fd: Optional[int] = None
+        self._closed = False
+        #: orders writes from many threads against close()
+        self._lock = threading.Lock()
 
     def write(self, record: dict) -> None:
-        """Append one record as a single canonical-JSON line."""
+        """Append one record as a single canonical-JSON line (dropped once closed)."""
         line = json.dumps(record, sort_keys=True,
                           separators=(",", ":")) + "\n"
-        if self._fd is None:
-            self._fd = os.open(self.path,
-                               os.O_APPEND | os.O_CREAT | os.O_WRONLY,
-                               0o644)
-        os.write(self._fd, line.encode("utf-8"))
+        with self._lock:
+            if self._closed:
+                return
+            if self._fd is None:
+                self._fd = os.open(self.path,
+                                   os.O_APPEND | os.O_CREAT | os.O_WRONLY,
+                                   0o644)
+            os.write(self._fd, line.encode("utf-8"))
 
     def close(self) -> None:
-        """Close the underlying file descriptor (reopened on next write)."""
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        """Close the underlying file descriptor; later writes are dropped."""
+        with self._lock:
+            self._closed = True
+            if self._fd is not None:
+                os.close(self._fd)
+                self._fd = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TelemetrySink({self.path!r})"
@@ -113,7 +124,7 @@ def active_sink() -> Optional[TelemetrySink]:
     An explicitly installed sink wins; otherwise the environment variable
     is consulted on every call (cheap — one dict lookup when unset), so a
     sink appears automatically in any process that inherited the variable,
-    including forked multiprocessing workers.
+    including spawned dist workers.
     """
     if _installed is not None:
         return _installed
@@ -188,6 +199,19 @@ def emit(span: str, **fields: object) -> None:
     sink.write(record)
 
 
+class _StderrHandler(logging.StreamHandler):
+    """A stream handler writing to whatever ``sys.stderr`` is at emit time."""
+
+    def __init__(self):
+        # skips StreamHandler.__init__, which would pin today's stream
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        """The current ``sys.stderr``."""
+        return sys.stderr
+
+
 def configure_cli_logging(verbose: bool = False, quiet: bool = False) -> None:
     """Configure stdlib logging for a ``repro-*`` CLI process.
 
@@ -195,6 +219,9 @@ def configure_cli_logging(verbose: bool = False, quiet: bool = False) -> None:
     and up with ``quiet``, DEBUG and up with ``verbose``, INFO otherwise.
     ``force=True`` so the last CLI to configure wins, which keeps tests
     that invoke several ``main()`` functions in one process predictable.
+    The stream is looked up per record, so a log line never goes to a
+    ``sys.stderr`` that has since been replaced and closed (as a test's
+    captured stderr is).
     """
     level = logging.INFO
     if quiet:
@@ -203,7 +230,7 @@ def configure_cli_logging(verbose: bool = False, quiet: bool = False) -> None:
         level = logging.DEBUG
     logging.basicConfig(
         level=level,
-        stream=sys.stderr,
+        handlers=[_StderrHandler()],
         format="%(levelname)s %(name)s: %(message)s",
         force=True,
     )

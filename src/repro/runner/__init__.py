@@ -2,9 +2,9 @@
 
 The paper's evaluation is a grid of independent simulation cells — offered
 load × controller × scenario × replicate.  This package turns that grid
-into data (:mod:`~repro.runner.specs`), executes it serially or over
-``multiprocessing`` workers with deterministic, common-random-numbers seed
-discipline (:mod:`~repro.runner.executor`, :mod:`~repro.runner.cells`),
+into data (:mod:`~repro.runner.specs`), executes it serially or over local
+dist workers with deterministic, common-random-numbers seed discipline
+(:mod:`~repro.runner.executor`, :mod:`~repro.runner.cells`),
 folds replicated runs into mean ± confidence-interval summaries
 (:mod:`~repro.runner.replication`), and names the paper's experiments so a
 whole figure is one call (:mod:`~repro.runner.registry`,
@@ -29,12 +29,11 @@ from repro.runner.api import (
 )
 from repro.runner.cells import CellResult, execute_run_spec, replicate_streams
 from repro.runner.errors import (
-    CellErrorContext,
     CellExecutionError,
     describe_item,
     run_with_cell_context,
 )
-from repro.runner.executor import ParallelExecutor, SerialExecutor, make_executor
+from repro.runner.executor import SerialExecutor, make_executor
 from repro.runner.registry import (
     ScenarioDefinition,
     available_scenarios,
@@ -67,12 +66,10 @@ __all__ = [
     "CellResult",
     "execute_run_spec",
     "replicate_streams",
-    "CellErrorContext",
     "CellExecutionError",
     "describe_item",
     "run_with_cell_context",
     "SerialExecutor",
-    "ParallelExecutor",
     "make_executor",
     "ScenarioDefinition",
     "available_scenarios",

@@ -2,8 +2,9 @@
 
 :func:`run_sweep` ties the layers together: it resolves a scenario name (or
 accepts a ready :class:`~repro.runner.specs.SweepSpec`), expands replicates,
-selects a serial or parallel executor from ``workers``, runs every cell,
-and aggregates replicates into mean ± confidence-interval summaries.
+selects the serial executor or a local dist cluster from ``workers``, runs
+every cell, and aggregates replicates into mean ± confidence-interval
+summaries.
 
 Converters turn a :class:`SweepResult` back into the result objects the
 figure-level code has always consumed
@@ -64,18 +65,19 @@ def run_sweep(sweep: Union[str, SweepSpec], *,
               scale: Optional[ExperimentScale] = None,
               base_params: Optional[SystemParams] = None,
               executor=None,
-              address: Optional[str] = None,
               confidence: float = 0.95,
               **scenario_overrides) -> SweepResult:
     """Run a sweep (by name or spec) and aggregate its replicates.
 
-    ``workers`` selects the executor: 0/1 run serially in-process, ``N>1``
-    fan out over ``N`` processes, ``None`` uses every CPU.
-    ``address="host:port"`` serves the cells to networked
-    ``repro-dist-worker`` processes instead (the executor is owned, and
-    closed, by this call; pass a ready ``executor`` — e.g. a
-    :class:`~repro.dist.cluster.LocalCluster` — to manage its lifetime
-    yourself).  Results are bit-identical between all settings.
+    ``workers`` selects the executor, which this call makes and closes:
+    0/1 run serially in-process, ``N>1`` fan out over a local cluster of
+    ``N`` dist worker processes, ``None`` uses one worker per CPU.  A
+    ready ``executor`` replaces that choice and stays open — e.g. a
+    :class:`~repro.dist.coordinator.DistributedExecutor` that networked
+    ``repro-dist-worker`` processes join, a
+    :class:`~repro.dist.cluster.LocalCluster` reused across sweeps, or a
+    :class:`~repro.svc.client.ServiceExecutor`.  Results are bit-identical
+    between all settings.
     ``scale``, ``base_params`` and extra keyword arguments are forwarded
     to the scenario builder and are only valid when ``sweep`` is a
     scenario name.
@@ -93,13 +95,11 @@ def run_sweep(sweep: Union[str, SweepSpec], *,
     expanded = spec.with_replicates(replicates)
     owned_executor = None
     if executor is None:
-        executor = owned_executor = make_executor(workers, address=address)
-    elif address is not None:
-        raise TypeError("pass either executor= or address=, not both")
+        executor = owned_executor = make_executor(workers)
     try:
         results = executor.execute(execute_run_spec, expanded.cells)
     finally:
-        if owned_executor is not None and hasattr(owned_executor, "close"):
+        if owned_executor is not None:
             owned_executor.close()
     aggregates = aggregate_cells(results, confidence=confidence)
     return SweepResult(spec=expanded, results=results, aggregates=aggregates)

@@ -1,10 +1,11 @@
-"""Executing one experiment cell inside a worker process.
+"""Executing one experiment cell, in-process or inside a dist worker.
 
 :func:`execute_run_spec` is the single entry point every executor maps over
 the cells of a :class:`~repro.runner.specs.SweepSpec`.  It is a module-level
-function (so ``multiprocessing`` can pickle it by reference), builds all
-stateful objects locally, and returns a :class:`CellResult` whose payload
-and metrics are plain picklable data.
+function (so the dist wire protocol pickles it by reference and a worker
+imports it by module path), builds all stateful objects locally, and
+returns a :class:`CellResult` whose payload and metrics are plain
+picklable data.
 
 The experiment modules are imported lazily inside the function:
 ``repro.experiments`` delegates sweep execution *to* the runner, so a
@@ -161,7 +162,7 @@ def _execute_tracking(spec: RunSpec) -> CellResult:
 
     # the policy objects accumulate run state; copying per execution keeps
     # cells independent however often a process executes one (serial
-    # executor, replicate expansion, multiprocessing worker reuse)
+    # executor, replicate expansion, dist worker reuse)
     displacement = copy.deepcopy(spec.displacement)
     result = run_tracking_experiment(
         spec.build_controller(),

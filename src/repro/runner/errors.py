@@ -1,13 +1,15 @@
-"""Cell-identity error context shared by every fan-out executor.
+"""Cell-identity error context for cells that run outside the caller.
 
-A worker crash deep inside a multi-hour sweep used to surface as a bare
-``multiprocessing.pool`` traceback with no indication of *which* cell died.
-The parallel and the distributed executor therefore run every cell through
-:func:`run_with_cell_context`, which re-raises any failure as a
+A worker crash deep inside a multi-hour sweep must not surface as a bare
+remote traceback with no indication of *which* cell died.  The dist worker
+(:mod:`repro.dist.worker`), which runs every fanned-out cell, therefore
+calls :func:`run_with_cell_context`, which re-raises any failure as a
 :class:`CellExecutionError` naming the failing cell's full identity
 (cell id, kind, label, offered load, seed, replicate) — enough to re-run
 exactly that cell serially with
-:func:`~repro.runner.cells.execute_run_spec` under a debugger.
+:func:`~repro.runner.cells.execute_run_spec` under a debugger.  The
+coordinator names a cell with :func:`cell_error` when the failure happens
+before the cell ran, e.g. when a worker cannot decode the task.
 
 The error is deliberately flat (a message string plus the cell id): it must
 survive pickling across process and network boundaries, where exception
@@ -60,6 +62,12 @@ def describe_item(item) -> str:
     return f"cell {cell_id!r} ({', '.join(details)})"
 
 
+def cell_error(item, detail: str) -> CellExecutionError:
+    """A :class:`CellExecutionError` saying that ``item`` failed with ``detail``."""
+    return CellExecutionError(f"{describe_item(item)} failed: {detail}",
+                              cell_id=str(getattr(item, "cell_id", "")))
+
+
 def run_with_cell_context(function, item):
     """Run ``function(item)``, re-raising failures with the cell identity."""
     try:
@@ -68,26 +76,4 @@ def run_with_cell_context(function, item):
         raise
     except Exception as exc:
         detail = traceback.format_exception_only(type(exc), exc)[-1].strip()
-        raise CellExecutionError(
-            f"{describe_item(item)} failed: {detail}",
-            cell_id=str(getattr(item, "cell_id", "")),
-        ) from exc
-
-
-class CellErrorContext:
-    """Picklable callable adapter applying :func:`run_with_cell_context`.
-
-    The parallel executor maps this over its pool instead of the bare cell
-    function; the distributed worker calls :func:`run_with_cell_context`
-    directly.  Both therefore report failures through the same
-    :class:`CellExecutionError` path.
-    """
-
-    def __init__(self, function):
-        self.function = function
-
-    def __call__(self, item):
-        return run_with_cell_context(self.function, item)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CellErrorContext({self.function!r})"
+        raise cell_error(item, detail) from exc

@@ -228,7 +228,7 @@ class P2Quantile:
     stored samples beyond the five markers — so the same trajectory yields
     bit-identical quantiles on every executor, which is what lets the
     ``p95_response_time``/``p99_response_time`` cell metrics be pinned by
-    the golden harness across serial, multiprocessing and dist runs.
+    the golden harness across serial and dist runs.
 
     Until five observations have arrived the estimate is the exact sample
     quantile (linear interpolation of the sorted observations, which the

@@ -28,6 +28,7 @@ import sys
 import threading
 import time
 
+from repro.experiments.config import SCALE_PRESETS
 from repro.obs import telemetry
 from repro.svc.cache import ResultCache
 from repro.svc.client import ServiceClient
@@ -204,8 +205,7 @@ def main(argv=None) -> int:
         "submit", help="submit a registry scenario as a job")
     _add_address(submit)
     submit.add_argument("scenario", help="registry scenario name")
-    submit.add_argument("--scale", default="smoke",
-                        choices=("smoke", "benchmark", "paper"),
+    submit.add_argument("--scale", default="smoke", choices=SCALE_PRESETS,
                         help="experiment scale preset (default: smoke)")
     submit.add_argument("--replicates", type=int, default=1,
                         help="independent replicates per cell (default: 1)")

@@ -139,15 +139,10 @@ def scenario_cells(scenario: str, scale: str = "smoke",
     a service job for a scenario simulates (and caches) the same cells a
     direct run would.
     """
-    from repro.experiments.config import ExperimentScale
+    from repro.experiments.config import scale_preset
     from repro.runner.registry import build_sweep
 
-    presets = {"smoke": ExperimentScale.smoke,
-               "benchmark": ExperimentScale.benchmark,
-               "paper": ExperimentScale.paper}
-    if scale not in presets:
-        raise ValueError(f"scale must be one of {sorted(presets)}, got {scale!r}")
-    spec = build_sweep(scenario, scale=presets[scale]())
+    spec = build_sweep(scenario, scale=scale_preset(scale))
     return list(spec.with_replicates(replicates).cells)
 
 

@@ -8,8 +8,10 @@ here against both a fresh serial run and the checked-in golden trajectory
 fixtures.
 """
 
+import importlib
 import importlib.util
 import json
+import pickle
 import socket
 import sys
 import threading
@@ -26,7 +28,7 @@ from repro.experiments.config import ExperimentScale
 from repro.runner.api import run_sweep
 from repro.runner.cells import execute_run_spec
 from repro.runner.errors import CellExecutionError
-from repro.runner.executor import SerialExecutor, make_executor
+from repro.runner.executor import SerialExecutor
 from repro.runner.registry import build_sweep
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
@@ -110,6 +112,45 @@ class TestLocalClusterEndToEnd:
         _assert_identical(result.results, thrashing_serial)
         assert [a.cell_id for a in result.aggregates] == \
             [r.cell_id for r in thrashing_serial]
+
+
+class TestTasksThatCannotTravel:
+    """A sweep whose task cannot reach a worker fails at once, naming the cause.
+
+    Both workers stay connected and serve the next sweep; before, the
+    workers died (or the coordinator's serving threads did) and the sweep
+    only ended with "no workers connected" after ``worker_timeout``.
+    """
+
+    def test_undecodable_task_fails_the_sweep_naming_the_cell(
+            self, thrashing_spec, tmp_path, monkeypatch):
+        # a module this process can import but the workers cannot
+        (tmp_path / "parent_only_cells.py").write_text(
+            "def identity(cell):\n    return cell\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        parent_only = importlib.import_module("parent_only_cells")
+        with launch_local_cluster(workers=2, worker_timeout=5.0) as cluster:
+            started = time.monotonic()
+            with pytest.raises(CellExecutionError) as caught:
+                cluster.execute(parent_only.identity, thrashing_spec.cells)
+            assert time.monotonic() - started < 5.0
+            assert caught.value.cell_id in {cell.cell_id for cell in thrashing_spec.cells}
+            assert caught.value.cell_id in str(caught.value)
+            assert "No module named 'parent_only_cells'" in str(caught.value)
+            assert cluster.executor.workers == 2
+            assert cluster.execute(len, ["ab"]) == [2]
+        assert [process.returncode for process in cluster.processes] == [0, 0]
+
+    def test_unpicklable_function_fails_the_sweep_at_once(self, thrashing_spec):
+        with launch_local_cluster(workers=2, worker_timeout=5.0) as cluster:
+            started = time.monotonic()
+            with pytest.raises((pickle.PicklingError, AttributeError),
+                               match="Can't pickle"):
+                cluster.execute(lambda cell: cell, thrashing_spec.cells)
+            assert time.monotonic() - started < 5.0
+            assert cluster.executor.workers == 2
+            assert cluster.execute(len, ["ab"]) == [2]
+        assert [process.returncode for process in cluster.processes] == [0, 0]
 
 
 # ----------------------------------------------------------------------
@@ -355,32 +396,16 @@ class TestConsoleEntryPoints:
         assert "executed 2 cell(s)" in captured.out + captured.err
 
 
-class TestMakeExecutorSeam:
-    def test_address_selects_distributed(self):
-        executor = make_executor(address="127.0.0.1:0", heartbeat_timeout=5.0)
-        try:
-            assert isinstance(executor, DistributedExecutor)
-            assert executor.bound_address.startswith("127.0.0.1:")
-        finally:
-            executor.close()
-
-    def test_distributed_options_require_address(self):
-        with pytest.raises(TypeError, match="address"):
-            make_executor(workers=2, heartbeat_timeout=5.0)
-
+class TestRunSweepOverAnAddress:
     def test_run_sweep_address_plumbing(self, thrashing_spec, thrashing_serial):
-        # reserve an ephemeral port, point run_sweep at it, and let a
-        # retrying worker join once run_sweep's own executor has bound it
+        # reserve an ephemeral port, start a retrying worker on it, and let
+        # it join once the executor handed to run_sweep has bound it
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
         probe.close()
         address = f"127.0.0.1:{port}"
         _start_thread_worker(address)
-        result = run_sweep(thrashing_spec, address=address)
+        with DistributedExecutor(address) as executor:
+            result = run_sweep(thrashing_spec, executor=executor)
         _assert_identical(result.results, thrashing_serial)
-
-    def test_run_sweep_rejects_executor_and_address(self, thrashing_spec):
-        with pytest.raises(TypeError, match="not both"):
-            run_sweep(thrashing_spec, executor=SerialExecutor(),
-                      address="127.0.0.1:0")

@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments.config import ExperimentScale
 from repro.fuzz import cli
+from repro.fuzz import executor as campaign_module
 from repro.fuzz.corpus import canonical_json, load_counterexample
 from repro.fuzz.executor import FuzzReport, run_campaign
 from repro.fuzz.generator import generate_candidates
@@ -33,6 +34,10 @@ class StubExecutor:
 
     def __init__(self):
         self.calls = 0
+        self.closed = False
+
+    def close(self):
+        self.closed = True
 
     def execute(self, function, items):
         self.calls += 1
@@ -67,6 +72,20 @@ class TestCampaignWiring:
     def test_report_found_counts_counterexamples(self):
         report = FuzzReport(seed=1, budget=1)
         assert report.found == 0
+
+    def test_the_campaign_closes_the_executor_it_makes(self, monkeypatch):
+        made = []
+
+        def stub_make_executor(workers):
+            made.append(StubExecutor())
+            return made[-1]
+
+        monkeypatch.setattr(campaign_module, "make_executor", stub_make_executor)
+        run_campaign(seed=1, budget=2, workers=2)
+        ready = StubExecutor()
+        run_campaign(seed=1, budget=2, executor=ready)
+        assert [executor.closed for executor in made] == [True]
+        assert not ready.closed
 
 
 class TestCampaignDeterminism:

@@ -4,8 +4,8 @@
 fuzz campaigns (see docs/fuzzing.md for the pinning policy).  Each document
 carries the full lowered RunSpec and the metrics the failing run produced;
 replaying the cell must reproduce those metrics *exactly* — serially and
-under the process-parallel executor — so a found controller failure can
-never silently disappear or change shape.
+over two local dist workers — so a found controller failure can never
+silently disappear or change shape.
 """
 
 from pathlib import Path
@@ -54,8 +54,11 @@ class TestReplay:
 
     def test_parallel_replay_is_bit_identical(self, path):
         counterexample = load_counterexample(path)
-        (result,) = make_executor(2).execute(execute_run_spec,
-                                             [counterexample.spec])
+        executor = make_executor(2)
+        try:
+            (result,) = executor.execute(execute_run_spec, [counterexample.spec])
+        finally:
+            executor.close()
         assert dict(result.metrics) == dict(counterexample.metrics)
 
     def test_rescoring_reproduces_the_archived_verdict(self, path):

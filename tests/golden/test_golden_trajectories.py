@@ -17,17 +17,12 @@ Two assertions per scenario:
 * **serial** — re-capturing the scenario in-process reproduces the golden
   file bitwise (canonical JSON string equality, covering every event
   timestamp and every metric);
-* **workers=2** — running the same traced sweep through the
-  multiprocessing executor reproduces every cell's golden metrics and
-  event log (length and digest) bitwise: the ``trace`` observer rides the
-  cell spec, so trajectories come back from worker processes like any
-  other observation.
-
-The scenarios that carry the sweep dimensions added after the distributed
-subsystem landed (concurrency control schemes and displacement policies)
-are additionally asserted over a 2-worker localhost cluster, so the new
-spec fields provably survive the wire protocol with bit-identical metrics
-and trajectories.
+* **workers=2** — running the same traced sweep over two local dist
+  workers (a :class:`~repro.dist.cluster.LocalCluster`, real TCP sockets
+  and subprocesses) reproduces every cell's golden metrics and event log
+  (length and digest) bitwise: the ``trace`` observer rides the cell spec,
+  so trajectories come back from worker processes like any other
+  observation, and every spec field provably survives the wire protocol.
 
 A failure here means a change altered simulated trajectories.  Never
 "fix" it by regenerating the goldens unless the semantic change is
@@ -84,29 +79,9 @@ def test_serial_trajectories_bitwise_identical(name):
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_workers2_metrics_and_trajectories_bitwise_identical(name):
-    """The multiprocessing executor reproduces every cell's metrics and trajectory."""
+    """Two local dist workers reproduce every cell's metrics and trajectory."""
     golden = json.loads(_golden_path(name).read_text(encoding="utf-8"))
     result = run_sweep(regen_goldens.traced_sweep(name), workers=2)
-    _assert_cells_match_golden(result, golden)
-
-
-#: scenarios exercising the post-dist sweep dimensions (CCSpec on the cell
-#: specs, DisplacementPolicy/VictimCriterion, observers): these must
-#: round-trip the wire protocol, so they are asserted over a real
-#: localhost cluster too
-DIST_PINNED_SCENARIOS = ("cc_compare", "displacement_policies",
-                         "deadlock_resolution", "isolation_tradeoff",
-                         "probe_calibration", "open_diurnal", "flash_crowd")
-
-
-@pytest.mark.parametrize("name", DIST_PINNED_SCENARIOS)
-def test_dist_cluster_metrics_and_trajectories_bitwise_identical(name):
-    """A 2-worker localhost cluster reproduces every cell's metrics and trajectory."""
-    from repro.dist.cluster import launch_local_cluster
-
-    golden = json.loads(_golden_path(name).read_text(encoding="utf-8"))
-    with launch_local_cluster(workers=2) as cluster:
-        result = run_sweep(regen_goldens.traced_sweep(name), executor=cluster)
     _assert_cells_match_golden(result, golden)
 
 

@@ -16,7 +16,7 @@ def write_spans(path):
         set_worker_name("w2")
         emit("cell_execute", cell_id="a/N=300", replicate=0, kind="stationary",
              duration=0.5)
-        emit("sweep", executor="parallel", workers=2, cells=3, duration=1.1)
+        emit("sweep", executor="dist", workers=2, cells=3, duration=1.1)
         emit("worker_join", peer="w2")
     set_worker_name(None)
 

@@ -1,7 +1,10 @@
 """Structured run telemetry: spans, sinks, and executor integration."""
 
+import io
 import json
+import logging
 import os
+import sys
 
 import pytest
 
@@ -10,6 +13,7 @@ from repro.obs.telemetry import (
     TELEMETRY_ENV,
     TelemetrySink,
     active_sink,
+    configure_cli_logging,
     emit,
     install_sink,
     set_worker_name,
@@ -69,6 +73,48 @@ class TestSinkPlumbing:
         record = json.loads(line)
         assert line == json.dumps(record, sort_keys=True, separators=(",", ":"))
 
+    def test_a_closed_sink_drops_writes_and_keeps_no_descriptor(self, tmp_path):
+        # a serving thread may emit a span after telemetry_to() has exited;
+        # that span must neither reopen the file nor leak its descriptor
+        path = tmp_path / "closed.jsonl"
+        with telemetry_to(str(path)) as sink:
+            emit("sweep", cells=1)
+        before = path.read_bytes()
+        sink.write({"span": "late"})
+        assert path.read_bytes() == before
+        if os.path.isdir("/proc/self/fd"):
+            open_paths = []
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    open_paths.append(os.readlink(f"/proc/self/fd/{fd}"))
+                except OSError:
+                    continue  # the descriptor listdir itself used
+            assert str(path) not in open_paths
+
+
+class TestCliLogging:
+    def test_records_follow_the_current_stderr(self, capsys):
+        # a CLI main() configures logging while a test's stderr is swapped
+        # in; once that stream is closed, later records must reach the
+        # current stderr instead of failing on the closed one
+        root = logging.getLogger()
+        saved = (root.handlers[:], root.level)
+        original = sys.stderr
+        sys.stderr = io.StringIO()
+        try:
+            configure_cli_logging()
+        finally:
+            sys.stderr.close()
+            sys.stderr = original
+        try:
+            logging.getLogger("repro.test").info("logged after the stream closed")
+        finally:
+            root.handlers[:], root.level = saved
+        captured = capsys.readouterr()
+        assert "Logging error" not in captured.err
+        assert "I/O operation on closed file" not in captured.err
+        assert "INFO repro.test: logged after the stream closed" in captured.err
+
 
 class TestWorkerAttribution:
     def test_default_name_is_hostname_pid(self):
@@ -123,7 +169,7 @@ class TestExecutorSpans:
         result, records = self._run(tmp_path, workers=2)
         cells = [r for r in records if r["span"] == "cell_execute"]
         [sweep] = [r for r in records if r["span"] == "sweep"]
-        assert sweep["executor"] == "parallel"
+        assert sweep["executor"] == "dist"
         assert sweep["workers"] == 2
         assert len(cells) == len(result.results)
         for record in cells:

@@ -1,22 +1,23 @@
-"""Executor tests, including the serial/parallel determinism guarantee."""
+"""Executor tests, including the serial/``workers=N`` determinism guarantee."""
 
+import dataclasses
 import pickle
-import subprocess
-import sys
-import textwrap
+import threading
 
 import pytest
 
-from repro.dist.cluster import _worker_env
+from repro.dist.cluster import LocalCluster
 from repro.experiments.config import ExperimentScale, default_system_params
 from repro.experiments.dynamic import jump_scenario
+from repro.runner import api
+from repro.runner.api import run_sweep
 from repro.runner.cells import execute_run_spec
 from repro.runner.errors import (
     CellExecutionError,
     describe_item,
     run_with_cell_context,
 )
-from repro.runner.executor import ParallelExecutor, SerialExecutor, make_executor
+from repro.runner.executor import SerialExecutor, make_executor
 from repro.runner.specs import (
     KIND_STATIONARY,
     KIND_TRACKING,
@@ -65,35 +66,58 @@ def _double(value):
     return 2 * value
 
 
+@pytest.fixture(scope="module")
+def cluster():
+    """One ``make_executor(2)`` cluster shared by this module's fan-out tests."""
+    executor = make_executor(2)
+    yield executor
+    executor.close()
+
+
 class TestMakeExecutor:
     def test_zero_and_one_are_serial(self):
         assert isinstance(make_executor(0), SerialExecutor)
         assert isinstance(make_executor(1), SerialExecutor)
 
-    def test_many_is_parallel(self):
-        executor = make_executor(4)
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.workers == 4
+    def test_many_is_a_started_local_cluster(self, cluster):
+        assert isinstance(cluster, LocalCluster)
+        assert cluster.worker_count == 2
+        assert cluster.executor.workers == 2
+
+    def test_close_reaps_the_worker_processes(self):
+        executor = make_executor(2)
+        processes = list(executor.processes)
+        executor.close()
+        assert [process.poll() for process in processes] == [0, 0]
+
+    def test_none_is_one_worker_per_cpu(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        executor = make_executor(None)
+        try:
+            assert isinstance(executor, LocalCluster)
+            assert executor.executor.workers == 2
+        finally:
+            executor.close()
+
+    def test_none_with_an_unknown_cpu_count_is_serial(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert isinstance(make_executor(None), SerialExecutor)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             make_executor(-1)
-
-    def test_parallel_requires_two(self):
-        with pytest.raises(ValueError, match=">= 2"):
-            ParallelExecutor(workers=1)
 
 
 class TestOrderingAndStreaming:
     def test_serial_preserves_order(self):
         assert SerialExecutor().execute(_double, range(10)) == [2 * i for i in range(10)]
 
-    def test_parallel_preserves_order(self):
-        assert ParallelExecutor(workers=4).execute(_double, range(32)) == \
-            [2 * i for i in range(32)]
+    def test_workers_preserve_order(self, cluster):
+        # the mapped function must import in a fresh interpreter: a builtin
+        assert cluster.execute(str, range(32)) == [str(i) for i in range(32)]
 
-    def test_parallel_empty_items(self):
-        assert ParallelExecutor(workers=2).execute(_double, []) == []
+    def test_workers_empty_items(self, cluster):
+        assert cluster.execute(str, []) == []
 
     def test_serial_map_is_lazy(self):
         calls = []
@@ -108,6 +132,41 @@ class TestOrderingAndStreaming:
         assert calls == [1]
 
 
+class _ClosingRecorder(SerialExecutor):
+    """A serial executor that records whether it was closed."""
+
+    closed = False
+
+    def close(self):
+        self.closed = True
+
+
+class TestRunSweepOwnership:
+    """``run_sweep`` closes the executor it makes, never a caller's."""
+
+    def test_closes_the_executor_it_makes_also_on_failure(self, monkeypatch):
+        made = []
+
+        def recording_make_executor(workers):
+            made.append(_ClosingRecorder())
+            return made[-1]
+
+        monkeypatch.setattr(api, "make_executor", recording_make_executor)
+        one_cell = SweepSpec(name="one", cells=_mixed_sweep().cells[:1])
+        assert len(run_sweep(one_cell, workers=2).results) == 1
+        broken = dataclasses.replace(
+            one_cell.cells[0], controller=ControllerSpec.make("no_such_controller"))
+        with pytest.raises(KeyError, match="no_such_controller"):
+            run_sweep(SweepSpec(name="broken", cells=(broken,)), workers=2)
+        assert [executor.closed for executor in made] == [True, True]
+
+    def test_leaves_a_ready_executor_open(self):
+        ready = _ClosingRecorder()
+        one_cell = SweepSpec(name="one", cells=_mixed_sweep().cells[:1])
+        assert len(run_sweep(one_cell, executor=ready).results) == 1
+        assert not ready.closed
+
+
 def _explode(item):
     raise ValueError("injected cell failure")
 
@@ -115,46 +174,46 @@ def _explode(item):
 class TestCellErrorWrapping:
     """A worker crash must name the failing cell, not dump a bare traceback."""
 
-    def test_parallel_failure_names_the_cell(self):
+    def test_workers_failure_names_the_cell(self, cluster):
         sweep = _mixed_sweep()
+        # an unknown controller kind fails inside the worker, at build time
+        broken = RunSpec(kind=KIND_STATIONARY, cell_id="mix/broken/N=10",
+                         params=sweep.cells[0].params, scale=TINY,
+                         controller=ControllerSpec.make("no_such_controller"),
+                         label="broken")
         with pytest.raises(CellExecutionError) as caught:
-            ParallelExecutor(workers=2).execute(_explode, sweep.cells)
-        first = sweep.cells[0]
-        assert caught.value.cell_id == first.cell_id
+            cluster.execute(execute_run_spec, (broken,) + sweep.cells[1:])
+        assert caught.value.cell_id == broken.cell_id
         message = str(caught.value)
-        assert first.cell_id in message
-        assert f"N={first.params.n_terminals}" in message
-        assert "ValueError: injected cell failure" in message
+        assert broken.cell_id in message
+        assert f"N={broken.params.n_terminals}" in message
+        assert "KeyError" in message and "no_such_controller" in message
 
-    def test_failure_while_workers_send_results_does_not_hang(self):
-        """The pool shuts down cleanly while other workers are mid-result.
+    def test_failure_while_workers_send_results_does_not_hang(self, cluster):
+        """A failing cell ends the sweep promptly while the other worker sends results.
 
-        A ``multiprocessing.Pool`` terminated on the failure killed workers
-        mid-write, left the result queue's lock held and hung within a few
-        of these rounds.  The rounds run in a subprocess, so a regression
-        fails on the timeout instead of hanging the suite.
+        ``bytes(-1)`` raises; every other cell returns 4 MiB, large enough
+        that a send takes a while.  The results still in flight are dropped,
+        and the cluster serves the next sweep.  The rounds run in a thread,
+        so a regression fails on the timeout instead of hanging the suite.
         """
-        script = textwrap.dedent("""
-            import time
-            from repro.runner.errors import CellExecutionError
-            from repro.runner.executor import ParallelExecutor
+        outcome = {}
 
-            def fail_first(item):
-                if item == 0:
-                    time.sleep(0.05)  # the other worker is sending results by now
-                    raise ValueError("injected cell failure")
-                return bytes(4 << 20)  # large enough that a send takes a while
-
-            for _ in range(25):
+        def rounds():
+            for _ in range(5):
                 try:
-                    ParallelExecutor(workers=2).execute(fail_first, range(8))
-                except CellExecutionError:
-                    continue
-                raise SystemExit("the failing cell was not reported")
-        """)
-        completed = subprocess.run([sys.executable, "-c", script], env=_worker_env(),
-                                   capture_output=True, text=True, timeout=90)
-        assert completed.returncode == 0, completed.stderr
+                    cluster.execute(bytes, [4 << 20] * 3 + [-1] + [4 << 20] * 4)
+                except CellExecutionError as exc:
+                    outcome.setdefault("errors", []).append(str(exc))
+            outcome["after"] = cluster.execute(len, ["ab", "c"])
+
+        runner = threading.Thread(target=rounds, daemon=True)
+        runner.start()
+        runner.join(timeout=90)
+        assert not runner.is_alive(), "a failed sweep hung the cluster"
+        assert len(outcome["errors"]) == 5
+        assert all("-1 failed: ValueError" in error for error in outcome["errors"])
+        assert outcome["after"] == [2, 1]
 
     def test_error_survives_pickling(self):
         error = CellExecutionError("cell 'x' failed: boom", cell_id="x")
@@ -186,12 +245,12 @@ class TestCellErrorWrapping:
 
 
 class TestDeterminism:
-    """Acceptance: workers=0 and workers=4 produce identical cells, bitwise."""
+    """Acceptance: workers=0 and workers=2 produce identical cells, bitwise."""
 
-    def test_parallel_matches_serial_bitwise(self):
+    def test_parallel_matches_serial_bitwise(self, cluster):
         sweep = _mixed_sweep()
         serial = SerialExecutor().execute(execute_run_spec, sweep.cells)
-        parallel = ParallelExecutor(workers=4).execute(execute_run_spec, sweep.cells)
+        parallel = cluster.execute(execute_run_spec, sweep.cells)
 
         assert [r.cell_id for r in serial] == [r.cell_id for r in parallel]
         for left, right in zip(serial, parallel):
@@ -205,7 +264,7 @@ class TestDeterminism:
         assert left_track.trace.limits == right_track.trace.limits
         assert left_track.trace.throughput == right_track.trace.throughput
 
-    def test_stateful_policies_do_not_leak_between_cells(self):
+    def test_stateful_policies_do_not_leak_between_cells(self, cluster):
         # displacement policies and interval tuners accumulate run state;
         # replicate expansion shares the spec's instances, so the executor
         # must isolate them per execution or serial and parallel runs diverge
@@ -224,14 +283,14 @@ class TestDeterminism:
         )
         sweep = SweepSpec(name="tuner", cells=(cell,)).with_replicates(3)
         serial = SerialExecutor().execute(execute_run_spec, sweep.cells)
-        parallel = ParallelExecutor(workers=3).execute(execute_run_spec, sweep.cells)
+        parallel = cluster.execute(execute_run_spec, sweep.cells)
         for left, right in zip(serial, parallel):
             assert left.metrics == right.metrics, left.replicate
 
-    def test_replicates_are_deterministic_and_distinct(self):
+    def test_replicates_are_deterministic_and_distinct(self, cluster):
         sweep = SweepSpec(name="rep", cells=(_mixed_sweep().cells[0],)).with_replicates(3)
         first = SerialExecutor().execute(execute_run_spec, sweep.cells)
-        second = ParallelExecutor(workers=3).execute(execute_run_spec, sweep.cells)
+        second = cluster.execute(execute_run_spec, sweep.cells)
         for left, right in zip(first, second):
             assert left.metrics == right.metrics
         # different replicates see different variates (independent streams)

@@ -202,7 +202,7 @@ class TestServiceExecutor:
             svc.executor.wait_for_workers(1)
             direct = run_campaign(seed=5, budget=2)
             routed = run_campaign(seed=5, budget=2,
-                                  service_address=svc.control_address)
+                                  executor=ServiceExecutor(svc.control_address))
             # bit-identical verdicts and metrics through the service
             assert [v.failed for v in routed.verdicts] == \
                 [v.failed for v in direct.verdicts]
@@ -210,7 +210,7 @@ class TestServiceExecutor:
                 [r.metrics for r in direct.results]
             # a repeat campaign is served entirely from the cache
             repeat = run_campaign(seed=5, budget=2,
-                                  service_address=svc.control_address)
+                                  executor=ServiceExecutor(svc.control_address))
             assert [r.metrics for r in repeat.results] == \
                 [r.metrics for r in direct.results]
             client = ServiceClient(svc.control_address)
@@ -218,16 +218,20 @@ class TestServiceExecutor:
             assert last["cache_hits"] == last["n_cells"]
             assert last["cache_misses"] == 0
 
-    def test_rejects_foreign_functions_and_mixed_seams(self, service, cells):
+    def test_fuzz_cli_names_its_service_job_after_the_campaign(self, service):
+        from repro.fuzz import cli
+
+        assert cli.main(["--seed", "5", "--budget", "1", "--quiet",
+                         "--service", service.control_address]) == 0
+        [job] = ServiceClient(service.control_address).status()
+        assert job["name"] == "fuzz-seed5-budget1"
+        assert job["state"] == "done"
+
+    def test_rejects_foreign_functions(self, service, cells):
         executor = ServiceExecutor(service.control_address)
         with pytest.raises(ValueError, match="execute_run_spec"):
             executor.execute(len, cells)
         assert executor.execute(execute_run_spec, []) == []
-        from repro.fuzz.executor import run_campaign
-
-        with pytest.raises(TypeError, match="not both"):
-            run_campaign(seed=1, budget=1, executor=SerialExecutor(),
-                         service_address=service.control_address)
 
 
 class TestTelemetry:

@@ -5,7 +5,9 @@ cluster — TCP sockets, subprocess workers, pickle frames — for 1, 2 and 4
 workers, and reports the measured throughput in cells per second.  On a
 many-core host the speedup approaches the worker count (the cells are
 independent, minutes-long simulations); on a small CI box the numbers
-mostly document the dispatch overhead.  Either way, every configuration's
+mostly document the dispatch overhead, which the one-worker run records as
+``overhead_ms_per_cell``: its wall time less the serial executor's, per
+cell (``serial_s`` is the serial time).  Either way, every configuration's
 results are asserted bit-identical to the serial executor — the scaling
 lever never costs determinism.
 
@@ -25,8 +27,8 @@ from repro.runner.registry import build_sweep
 
 SCENARIO = "fig12_stationary"
 
-#: (scale, spec, serial results) — computed once per session; keyed by the
-#: scale's value (a frozen dataclass), not its identity
+#: (scale, spec, serial results, serial seconds) — computed once per
+#: session; keyed by the scale's value (a frozen dataclass), not its identity
 _serial_cache = None
 
 
@@ -34,14 +36,15 @@ def _serial_reference(scale):
     global _serial_cache
     if _serial_cache is None or _serial_cache[0] != scale:
         spec = build_sweep(SCENARIO, scale=scale)
-        _serial_cache = (scale, spec,
-                         SerialExecutor().execute(execute_run_spec, spec.cells))
-    return _serial_cache[1], _serial_cache[2]
+        started = time.monotonic()
+        results = SerialExecutor().execute(execute_run_spec, spec.cells)
+        _serial_cache = (scale, spec, results, time.monotonic() - started)
+    return _serial_cache[1:]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_dist_scaling(benchmark, scale, workers):
-    spec, serial = _serial_reference(scale)
+    spec, serial, serial_s = _serial_reference(scale)
 
     def experiment():
         with launch_local_cluster(workers=workers) as cluster:
@@ -58,6 +61,12 @@ def test_dist_scaling(benchmark, scale, workers):
     benchmark.extra_info["workers"] = workers
     benchmark.extra_info["n_cells"] = len(spec.cells)
     benchmark.extra_info["cells_per_sec"] = round(cells_per_sec, 3)
+    benchmark.extra_info["serial_s"] = round(serial_s, 3)
+    if workers == 1:
+        # one worker runs the cells one after another, as the serial
+        # executor does: the difference is the executor's cost per cell
+        benchmark.extra_info["overhead_ms_per_cell"] = round(
+            1e3 * (elapsed - serial_s) / len(results), 3)
 
     # determinism contract: bit-identical to serial at every worker count
     assert [r.cell_id for r in results] == [r.cell_id for r in serial]

@@ -321,7 +321,7 @@ class DistributedExecutor:
     def _accept_loop(self) -> None:
         while True:
             try:
-                sock, address = self._listener.accept()
+                sock, address = protocol.accept(self._listener)
             except OSError:
                 return  # listener closed
             thread = threading.Thread(

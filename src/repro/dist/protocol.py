@@ -16,6 +16,15 @@ Everything crossing the wire — :class:`~repro.runner.specs.RunSpec` cells,
 :class:`~repro.runner.cells.CellResult` payloads, exceptions — is already
 picklable by the runner's design (PR 1), so the framing layer needs no
 schema of its own.
+
+Every TCP socket of the worker wire and of the service's control plane
+comes from :func:`connect` or :func:`accept`, which set ``TCP_NODELAY``
+so that each frame goes out as soon as :func:`send_message` writes it.  Without it the worker's pull
+loop stalls on every cell: it writes ``result``, writes ``ready``, then
+waits for the next ``task``.  Nagle's algorithm holds the small ``ready``
+frame until ``result`` is acknowledged, and the coordinator, which sends
+nothing until ``ready`` arrives, delays that acknowledgement (40 ms at
+least on Linux).
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ import socket
 import struct
 import threading
 import time
-from typing import Iterable, Tuple
+from typing import Iterable, Optional, Tuple
 
 #: 8-byte big-endian unsigned frame-length prefix
 HEADER = struct.Struct(">Q")
@@ -114,6 +123,35 @@ def recv_message(sock: socket.socket):
         return pickle.loads(payload)
     except Exception as exc:
         raise ProtocolError(f"undecodable frame: {exc}") from exc
+
+
+def connect(address: str, timeout: Optional[float] = None) -> socket.socket:
+    """Open a TCP connection to ``"host:port"`` that sends each frame at once."""
+    sock = socket.create_connection(parse_address(address), timeout=timeout)
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    except OSError:
+        sock.close()
+        raise
+    return sock
+
+
+def accept(listener: socket.socket) -> Tuple[socket.socket, Tuple]:
+    """Accept a connection that sends each frame at once: ``(socket, peer)``.
+
+    An ``OSError`` comes only from ``listener`` itself (closed, say), so
+    an accept loop can stop on it.  A connection the option cannot be set
+    on (some systems refuse it once the peer has reset) is closed, and the
+    next one is accepted.
+    """
+    while True:
+        sock, address = listener.accept()
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError:
+            sock.close()
+            continue
+        return sock, address
 
 
 def parse_address(address: str) -> Tuple[str, int]:

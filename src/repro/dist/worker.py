@@ -75,11 +75,10 @@ class Worker:
 
     # ------------------------------------------------------------------
     def _connect(self) -> socket.socket:
-        host, port = protocol.parse_address(self.address)
         deadline = time.monotonic() + self.connect_retry
         while True:
             try:
-                return socket.create_connection((host, port))
+                return protocol.connect(self.address)
             except OSError:
                 if time.monotonic() >= deadline:
                     raise

@@ -19,7 +19,7 @@ the wrong thing.
 
 from __future__ import annotations
 
-import socket
+import time
 from typing import Callable, Iterable, Iterator, List, Optional
 
 from repro.dist import protocol
@@ -52,9 +52,7 @@ class ServiceClient:
         self._timeout = float(timeout)
 
     def _request(self, message):
-        host, port = protocol.parse_address(self.address)
-        with socket.create_connection((host, port),
-                                      timeout=self._timeout) as sock:
+        with protocol.connect(self.address, timeout=self._timeout) as sock:
             protocol.send_message(sock, message)
             reply = protocol.recv_message(sock)
         if not (isinstance(reply, tuple) and len(reply) == 2):
@@ -104,10 +102,15 @@ class ServiceClient:
 
     def wait(self, job_id: str, timeout: float = 600.0,
              poll_interval: float = 0.1) -> dict:
-        """Poll until the job leaves the queue/running states."""
-        import time
+        """Poll until the job leaves the queue/running states.
 
+        The first re-poll comes after 1 ms and each later wait doubles, up
+        to ``poll_interval``: a job of cached cells is seen done within
+        milliseconds, and a long one costs one status request per
+        ``poll_interval``.
+        """
         deadline = time.monotonic() + timeout
+        delay = min(0.001, poll_interval)
         while True:
             status = self.status(job_id)
             if status["state"] not in ("queued", "running"):
@@ -115,7 +118,8 @@ class ServiceClient:
             if time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"{job_id} still {status['state']} after {timeout:.0f}s")
-            time.sleep(poll_interval)
+            time.sleep(delay)
+            delay = min(2 * delay, poll_interval)
 
 
 class ServiceExecutor:

@@ -376,7 +376,7 @@ class SweepService:
     def _control_accept_loop(self) -> None:
         while True:
             try:
-                sock, address = self._control_listener.accept()
+                sock, address = protocol.accept(self._control_listener)
             except OSError:
                 return  # listener closed
             thread = threading.Thread(

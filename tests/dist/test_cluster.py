@@ -196,6 +196,19 @@ class TestDistributedExecutorBehaviour:
             # the worker survives its cell's error; the executor stays usable
             assert executor.execute(_slow_identity, [0.0, 0.0]) == [0.0, 0.0]
 
+    def test_trivial_cells_dispatch_without_a_delayed_ack_stall(self):
+        # the worker writes result, then ready, then waits for a task: if
+        # either end held back a small frame (Nagle's algorithm), each cell
+        # would wait out the peer's delayed ACK, >= 40 ms on Linux, so 60
+        # cells would take > 2.4 s whatever the host's load
+        with DistributedExecutor("127.0.0.1:0") as executor:
+            _start_thread_worker(executor.bound_address)
+            executor.wait_for_workers(1)
+            assert executor.execute(_slow_identity, [0.0]) == [0.0]
+            started = time.monotonic()
+            assert executor.execute(_slow_identity, [0.0] * 60) == [0.0] * 60
+            assert time.monotonic() - started < 1.0
+
     def test_heartbeats_keep_slow_cells_alive(self):
         # the cell takes 3x the heartbeat timeout; without heartbeats the
         # coordinator would declare the worker dead and requeue forever

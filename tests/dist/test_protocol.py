@@ -169,6 +169,44 @@ class TestFramingFailureModes:
         assert HEADER.pack(1) == struct.pack(">Q", 1)
 
 
+class TestSockets:
+    def test_connect_and_accept_send_each_frame_at_once(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            client = protocol.connect(format_address(*listener.getsockname()),
+                                      timeout=10.0)
+            server, _ = protocol.accept(listener)
+            with client, server:
+                for sock in (client, server):
+                    assert sock.getsockopt(socket.IPPROTO_TCP,
+                                           socket.TCP_NODELAY) != 0
+                send_message(client, ("ping",))
+                assert recv_message(server) == ("ping",)
+
+    def test_accept_skips_a_connection_it_cannot_configure(self):
+        # an accept loop stops on OSError, so one from a dead peer's socket
+        # must not escape as if the listener had closed
+        class Connection:
+            def __init__(self, usable):
+                self.usable, self.closed = usable, False
+
+            def setsockopt(self, *option):
+                if not self.usable:
+                    raise OSError(22, "Invalid argument")
+
+            def close(self):
+                self.closed = True
+
+        dead, live = Connection(False), Connection(True)
+        pending = [(dead, ("peer", 1)), (live, ("peer", 2))]
+
+        class Listener:
+            def accept(self):
+                return pending.pop(0)
+
+        assert protocol.accept(Listener()) == (live, ("peer", 2))
+        assert dead.closed and not live.closed
+
+
 class TestAddresses:
     def test_parse_and_format_roundtrip(self):
         assert parse_address("10.0.0.5:7077") == ("10.0.0.5", 7077)

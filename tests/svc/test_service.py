@@ -14,6 +14,7 @@ import dataclasses
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -140,6 +141,27 @@ class TestJobLifecycle:
         # the failure is not cached and the service keeps serving
         follow_up = client.submit("after-failure", cells[:1])
         assert client.wait(follow_up, timeout=120.0)["state"] == "done"
+
+    def test_wait_backs_off_from_1ms_to_the_poll_interval(self, monkeypatch):
+        states = iter(["running"] * 8 + ["done"])
+        client = ServiceClient("127.0.0.1:1")
+        monkeypatch.setattr(client, "status",
+                            lambda job_id: {"state": next(states)})
+        sleeps, real_sleep, caller = [], time.sleep, threading.current_thread()
+
+        def sleep(seconds):
+            # record only this thread's waits: a stray thread may sleep too
+            if threading.current_thread() is caller:
+                sleeps.append(seconds)
+            else:
+                real_sleep(seconds)
+
+        monkeypatch.setattr(time, "sleep", sleep)
+        assert client.wait("job-1", poll_interval=0.1)["state"] == "done"
+        assert len(sleeps) == 8
+        assert sleeps[0] <= 0.01
+        assert sleeps == sorted(sleeps)
+        assert max(sleeps) == sleeps[-1] == 0.1
 
     def test_submission_validates_cell_types(self, service):
         with pytest.raises(TypeError):

@@ -2,12 +2,15 @@
 
 This subpackage is the substrate every other part of the reproduction is
 built on.  It provides a small, process-based discrete-event simulation
-kernel in the style of SimPy:
+kernel in the style of SimPy, with the four primitives the closed model
+needs: timeouts, processes, interrupts and an FCFS multiprocessor.
 
-* :class:`~repro.sim.engine.Simulator` -- the event loop and clock.
-* :class:`~repro.sim.engine.Event`, :class:`~repro.sim.engine.Timeout`,
-  :class:`~repro.sim.engine.Process` -- the event primitives processes
-  yield on.
+* :class:`~repro.sim.engine.Simulator` -- the event loop and clock; its
+  ``timeout`` and ``process`` factories build the events processes yield
+  on.
+* :class:`~repro.sim.engine.Event`, :class:`~repro.sim.engine.Process` --
+  the event primitives; :meth:`~repro.sim.engine.Process.interrupt` raises
+  :class:`~repro.sim.engine.Interrupt` inside a process.
 * :class:`~repro.sim.resources.Resource` -- an FCFS multi-server queue
   (used for the multiprocessor of the transaction processing model).
 * :class:`~repro.sim.random_streams.RandomStreams` -- named, independently
@@ -21,12 +24,10 @@ from repro.sim.engine import (
     Event,
     Interrupt,
     Process,
-    ProcessKilled,
     Simulator,
-    Timeout,
 )
 from repro.sim.random_streams import RandomStreams
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.stats import ObservationStats, TimeWeightedStats
 from repro.sim.trace import TrajectoryTracer
 
@@ -34,12 +35,9 @@ __all__ = [
     "Event",
     "Interrupt",
     "Process",
-    "ProcessKilled",
     "Simulator",
-    "Timeout",
     "RandomStreams",
     "Resource",
-    "Store",
     "ObservationStats",
     "TimeWeightedStats",
     "TrajectoryTracer",

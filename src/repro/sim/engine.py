@@ -5,7 +5,8 @@ The engine follows the classic event/process design used by SimPy:
 * A :class:`Simulator` owns the clock and a priority queue of scheduled
   events.
 * An :class:`Event` is a one-shot object that is *triggered* (succeeded or
-  failed) and later *processed*, at which point its waiter and callbacks run.
+  failed) and later *processed*, at which point its consumers (a waiting
+  process and callbacks) run.
 * A :class:`Process` wraps a generator.  The generator yields events; the
   process resumes when the yielded event is processed.  The value of the
   event is sent into the generator (or, for failed events, the exception is
@@ -15,9 +16,33 @@ The engine follows the classic event/process design used by SimPy:
   generator at the current simulation time.  This is how the transaction
   model implements displacement (aborting an active transaction).
 
-The engine is deliberately small but complete enough to express the closed
-transaction processing model of the paper: FCFS resources, timeouts,
-interrupts and process completion events.
+The engine provides exactly what the closed transaction processing model of
+the paper needs: timeouts, processes, interrupts and (in
+:mod:`repro.sim.resources`) an FCFS multiprocessor.
+
+Scheduling contract.  ``tests/sim/reference_kernel.py`` states these rules
+as plain code, and ``tests/sim/test_kernel_differential.py`` requires this
+engine to produce the same event log as that reference on random scripts:
+
+1. Equal times run in scheduling order.  The sequence number is taken when
+   an event is scheduled.
+2. ``timeout(d)`` is scheduled when it is created, for now + d.
+   ``succeed`` and ``fail`` schedule the event for now.
+3. Creating a process schedules one start-up wake-up for now.
+4. An event's consumers run in registration order.  A consumer removed
+   before its turn does not run.  A consumer registered on an already
+   processed event runs at once, with no heap entry.
+5. ``interrupt()`` detaches the process from its target at once and
+   schedules a wake-up for now that throws :class:`Interrupt`.  If the
+   process has registered on a newer target by the time that wake-up runs,
+   it is detached from that target too.  A wake-up for a finished process
+   is dropped.
+6. A returning process schedules its completion event for now.
+7. A resource grants FCFS (see :mod:`repro.sim.resources`).
+
+An exception other than :class:`Interrupt` escaping a process fails the
+process's completion event and then propagates out of :meth:`Simulator.run`.
+An unhandled :class:`Interrupt` fails the process without propagating.
 
 Hot-path design (the engine dominates experiment cell runtime, so the
 common paths are aggressively slimmed; the golden-trajectory harness under
@@ -27,43 +52,33 @@ common paths are aggressively slimmed; the golden-trajectory harness under
   process waits on an event (``yield sim.timeout(...)``, ``yield child``).
   That process is stored in the event's ``_waiter`` slot and resumed
   directly when the event is processed — no callback list is allocated, no
-  indirection through bound methods.  Explicit :meth:`Event.add_callback`
-  callbacks still work and run *after* the waiter only if the waiter
-  registered first (registration order is preserved exactly).
+  indirection through bound methods.  The slot is used only by a consumer
+  that registers first, so the waiter followed by the callback list is
+  registration order.
 * **Lazy callback lists.**  ``Event.callbacks`` is ``None`` until the first
   callback is registered (and ``None`` again once processed), so the two
   dominant event kinds — timeouts and process completions — never allocate
   a list.
 * **Slim heap entries with an explicit tie-break.**  The pending queue
-  holds ``(time, sequence, event)`` triples.  ``sequence`` is a monotonic
-  counter assigned at scheduling time; it is the *documented contract* for
-  equal-timestamp ordering: events scheduled at the same simulation time
-  are processed strictly in the order they were scheduled (FIFO).  The
-  counter also guarantees the heap never compares two :class:`Event`
-  objects.  (Earlier revisions carried an unused ``priority`` field;
-  ordering is by ``(time, sequence)`` only.)
-* **Fast-path construction.**  :class:`Timeout` initialises its fields
-  directly and schedules itself without going through the generic
-  ``succeed`` machinery, and process bootstrap/interrupt wake-ups use
-  pre-triggered internal events built without redundant state checks.
+  holds ``(time, sequence, event)`` triples.  ``sequence`` is the monotonic
+  counter of rule 1; it also guarantees the heap never compares two
+  :class:`Event` objects.
+* **Fast-path construction.**  :meth:`Simulator.timeout` initialises the
+  event's fields directly and schedules it without the generic ``succeed``
+  machinery, and process start-up/interrupt wake-ups use pre-triggered
+  internal events built without redundant state checks.
 * **Inlined run loop.**  :meth:`Simulator.run` processes events with local
-  variable bindings instead of per-event method dispatch.  It must stay
-  semantically in sync with :meth:`Simulator.step` (kept for manual
-  stepping and tests).
+  variable bindings instead of per-event method dispatch.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 
 class SimulationError(RuntimeError):
     """Base class for errors raised by the simulation kernel."""
-
-
-class StopSimulation(Exception):
-    """Raised internally to stop the event loop early."""
 
 
 class Interrupt(Exception):
@@ -79,10 +94,6 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-class ProcessKilled(Exception):
-    """Failure value used for the completion event of a killed process."""
-
-
 class Event:
     """A one-shot occurrence in simulated time.
 
@@ -92,7 +103,7 @@ class Event:
     * *triggered* -- a value (or exception) has been set and the event has
       been scheduled on the simulator's queue;
     * *processed* -- the simulator has popped the event and executed its
-      waiter and callbacks.
+      consumers.
 
     Callbacks are callables of one argument (the event itself).  They run in
     the order they were appended.  ``callbacks`` is ``None`` while no
@@ -120,11 +131,6 @@ class Event:
     def triggered(self) -> bool:
         """True once the event has a value and is on the event queue."""
         return self._triggered
-
-    @property
-    def processed(self) -> bool:
-        """True once the event's waiter/callbacks have been executed."""
-        return self._processed
 
     @property
     def ok(self) -> bool:
@@ -201,33 +207,6 @@ class Event:
         return f"<{type(self).__name__} {state} at t={self.sim.now:.6g}>"
 
 
-class Timeout(Event):
-    """An event that succeeds after a fixed delay.
-
-    Construction is the engine's hottest allocation site, so the fields are
-    initialised directly and the event schedules itself without the generic
-    ``succeed`` checks (a fresh timeout cannot have been triggered before).
-    """
-
-    __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"timeout delay must be non-negative, got {delay}")
-        delay = float(delay)
-        self.sim = sim
-        self.callbacks = None
-        self._value = value
-        self._exception = None
-        self._triggered = True
-        self._processed = False
-        self._waiter = None
-        self.delay = delay
-        seq = sim._sequence
-        sim._sequence = seq + 1
-        heappush(sim._queue, (sim._now + delay, seq, self))
-
-
 class Process(Event):
     """A running simulation process wrapping a generator.
 
@@ -278,24 +257,11 @@ class Process(Event):
         """
         if self._triggered:
             raise SimulationError(f"cannot interrupt terminated process {self.name!r}")
-        target = self._target
-        if target is not None:
-            if target._waiter is self:
-                target._waiter = None
-            else:
-                target.remove_callback(self._resume_callback)
-            self._target = None
+        self._detach()
         self.sim._schedule_wakeup(self, Interrupt(cause))
 
-    def kill(self, cause: Any = None) -> None:
-        """Terminate the process without running any more of its code.
-
-        Unlike :meth:`interrupt`, the generator gets no chance to handle the
-        termination; its completion event fails with :class:`ProcessKilled`.
-        Used for hard shutdown of the simulation world in tests.
-        """
-        if self._triggered:
-            return
+    def _detach(self) -> None:
+        """Stop waiting on the current target, if any."""
         target = self._target
         if target is not None:
             if target._waiter is self:
@@ -303,42 +269,37 @@ class Process(Event):
             else:
                 target.remove_callback(self._resume_callback)
             self._target = None
-        self.generator.close()
-        self.fail(ProcessKilled(cause))
 
     # ------------------------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
-        self._target = None
-        sim = self.sim
-        sim._active_process = self
         try:
             if event._exception is None:
+                self._target = None
                 next_target = self.generator.send(event._value)
             else:
+                if self._target is not event:
+                    # an interrupt wake-up that ran after the process had
+                    # registered on a newer target: abandon that one too
+                    self._detach()
+                self._target = None
                 next_target = self.generator.throw(event._exception)
         except StopIteration as stop:
-            sim._active_process = None
             if not self._triggered:
                 self.succeed(stop.value)
             return
         except Interrupt as unhandled:
-            # The process chose not to handle an interrupt: treat as failure.
-            sim._active_process = None
+            # The process chose not to handle an interrupt (or the wake-up
+            # was for a finished process, whose generator re-raises it).
             if not self._triggered:
                 self.fail(unhandled)
             return
         except BaseException as exc:
-            sim._active_process = None
             if not self._triggered:
                 self.fail(exc)
-            if not isinstance(exc, Exception):  # re-raise KeyboardInterrupt etc.
-                raise
-            if sim.raise_process_errors:
-                raise
-            return
-        sim._active_process = None
+            raise
 
+        sim = self.sim
         if isinstance(next_target, Event) and next_target.sim is sim:
             self._target = next_target
             if next_target._processed:
@@ -364,49 +325,11 @@ class Process(Event):
             )
         self.generator.close()
         self.fail(error)
-        if sim.raise_process_errors:
-            raise error
+        raise error
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self._triggered else "alive"
         return f"<Process {self.name!r} {state} at t={self.sim.now:.6g}>"
-
-
-class Condition(Event):
-    """An event that succeeds when all (or any) of its children succeed.
-
-    Only the two standard combinators are provided; they are sufficient for
-    the transaction model (e.g. waiting for a lock grant *or* an abort
-    signal).
-    """
-
-    __slots__ = ("events", "mode", "_pending")
-
-    ALL = "all"
-    ANY = "any"
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event], mode: str):
-        super().__init__(sim)
-        self.events = list(events)
-        if mode not in (self.ALL, self.ANY):
-            raise ValueError(f"mode must be 'all' or 'any', got {mode!r}")
-        self.mode = mode
-        self._pending = len(self.events)
-        if not self.events:
-            self.succeed({})
-            return
-        for child in self.events:
-            child.add_callback(self._on_child)
-
-    def _on_child(self, child: Event) -> None:
-        if self._triggered:
-            return
-        if child._exception is not None:
-            self.fail(child._exception)
-            return
-        self._pending -= 1
-        if self.mode == self.ANY or self._pending == 0:
-            self.succeed({e: e._value for e in self.events if e._triggered and e.ok})
 
 
 class Simulator:
@@ -414,29 +337,21 @@ class Simulator:
 
     Responsibilities:
 
-    * maintain the simulation clock (:attr:`now`);
+    * maintain the simulation clock (:attr:`now`), starting at zero;
     * maintain the pending-event queue ordered by ``(time, sequence)``;
-    * run events, their waiting processes and their callbacks in
-      deterministic order;
-    * provide factory helpers (:meth:`timeout`, :meth:`process`,
-      :meth:`event`) so user code never touches the queue directly.
+    * run events, their waiting processes and their callbacks in the order
+      of the module docstring's scheduling contract;
+    * provide factory helpers (:meth:`timeout`, :meth:`process`) so user
+      code never touches the queue directly.
 
     The executive is single-threaded and deterministic: two runs with the
-    same seeds produce identical traces.  **Equal-timestamp ordering
-    contract:** events scheduled at the same simulation time are processed
-    strictly in scheduling order, enforced by the monotonic ``sequence``
-    counter carried in every heap entry (not by heap insertion accidents).
+    same seeds produce identical traces.
     """
 
-    def __init__(self, start_time: float = 0.0, raise_process_errors: bool = True):
-        self._now = float(start_time)
+    def __init__(self):
+        self._now = 0.0
         self._queue: list[tuple[float, int, Event]] = []
         self._sequence = 0
-        self._active_process: Optional[Process] = None
-        #: If True (default), exceptions escaping a process propagate out of
-        #: :meth:`run`; if False they are recorded on the process completion
-        #: event only.
-        self.raise_process_errors = raise_process_errors
 
     # ------------------------------------------------------------------
     @property
@@ -444,33 +359,19 @@ class Simulator:
         """Current simulation time."""
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
-
-    @property
-    def queue_length(self) -> int:
-        """Number of triggered-but-unprocessed events."""
-        return len(self._queue)
-
     # ------------------------------------------------------------------
     # factories
     # ------------------------------------------------------------------
-    def event(self) -> Event:
-        """Create a fresh, untriggered event bound to this simulator."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float, value: Any = None) -> Event:
         """Create an event that fires ``delay`` time units from now.
 
-        This is the hottest allocation in the engine; the fields are set
-        inline (equivalent to ``Timeout(self, delay, value)`` without the
-        extra constructor frame).
+        This is the hottest allocation in the engine, so the fields are set
+        inline and the event is scheduled without the ``succeed`` checks (a
+        fresh event cannot have been triggered before).
         """
         if delay < 0:
             raise ValueError(f"timeout delay must be non-negative, got {delay}")
-        event = Timeout.__new__(Timeout)
+        event = Event.__new__(Event)
         event.sim = self
         event.callbacks = None
         event._value = value
@@ -478,23 +379,14 @@ class Simulator:
         event._triggered = True
         event._processed = False
         event._waiter = None
-        event.delay = delay = float(delay)
         seq = self._sequence
         self._sequence = seq + 1
-        heappush(self._queue, (self._now + delay, seq, event))
+        heappush(self._queue, (self._now + float(delay), seq, event))
         return event
 
     def process(self, generator: Generator[Event, Any, Any], name: Optional[str] = None) -> Process:
         """Start a new process from ``generator``."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> Condition:
-        """Event that succeeds when all ``events`` have succeeded."""
-        return Condition(self, events, Condition.ALL)
-
-    def any_of(self, events: Iterable[Event]) -> Condition:
-        """Event that succeeds when any of ``events`` has succeeded."""
-        return Condition(self, events, Condition.ANY)
 
     # ------------------------------------------------------------------
     # scheduling / running
@@ -502,7 +394,7 @@ class Simulator:
     def _schedule_wakeup(self, process: Process, exception: Optional[BaseException]) -> None:
         """Schedule an internal pre-triggered event that resumes ``process`` now.
 
-        Used for process bootstrap (``exception=None`` sends ``None`` into
+        Used for process start-up (``exception=None`` sends ``None`` into
         the generator) and interrupts (the exception is thrown into it).
         The event is built directly -- it is internal, already triggered,
         and its sole consumer is the process itself.
@@ -519,94 +411,43 @@ class Simulator:
         self._sequence = seq + 1
         heappush(self._queue, (self._now, seq, wakeup))
 
-    def call_at(self, time: float, callback: Callable[[], None]) -> Event:
-        """Run ``callback`` (a zero-argument callable) at absolute ``time``."""
-        if time < self._now:
-            raise ValueError(f"cannot schedule a callback in the past ({time} < {self._now})")
-        marker = Timeout(self, time - self._now)
-        marker.add_callback(lambda _event: callback())
-        return marker
+    def run(self, until: float) -> float:
+        """Run the simulation until ``until`` and return that time.
 
-    def call_in(self, delay: float, callback: Callable[[], None]) -> Event:
-        """Run ``callback`` ``delay`` time units from now."""
-        return self.call_at(self._now + delay, callback)
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if the queue is empty."""
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def step(self) -> None:
-        """Process exactly one event.
-
-        Kept for manual stepping and tests; :meth:`run` inlines the same
-        logic for speed -- the two must stay semantically identical.
+        The clock is advanced to exactly ``until`` even if no event is
+        scheduled there; events scheduled later stay queued for the next
+        call.
         """
-        if not self._queue:
-            raise SimulationError("cannot step an empty event queue")
-        time, _seq, event = heappop(self._queue)
-        if time < self._now - 1e-12:
-            raise SimulationError("event scheduled in the past; queue corrupted")
-        if time > self._now:
-            self._now = time
-        event._processed = True
-        waiter = event._waiter
-        if waiter is not None:
-            event._waiter = None
-            waiter._resume(event)
-        callbacks = event.callbacks
-        if callbacks is not None:
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-
-    def run(self, until: Optional[float] = None) -> float:
-        """Run the simulation.
-
-        If ``until`` is a number the clock is advanced to exactly that time
-        (even if no event is scheduled there).  With ``until=None`` the
-        simulation runs until the event queue drains, which for closed models
-        with terminal loops means forever -- always pass ``until`` for the
-        transaction model.
-
-        Returns the simulation time at which the run stopped.
-        """
-        if until is not None:
-            until = float(until)
-            if until < self._now:
-                raise ValueError(f"until={until} lies in the past (now={self._now})")
+        until = float(until)
+        if until < self._now:
+            raise ValueError(f"until={until} lies in the past (now={self._now})")
         queue = self._queue
         pop = heappop
-        limit = float("inf") if until is None else until
         now = self._now
-        try:
-            # inlined event loop (see step(): same semantics, local bindings)
-            while queue:
-                entry = pop(queue)
-                time = entry[0]
-                if time > limit:
-                    heappush(queue, entry)
-                    break
-                if time > now:
-                    self._now = now = time
-                elif time < now - 1e-12:
-                    raise SimulationError("event scheduled in the past; queue corrupted")
-                event = entry[2]
-                event._processed = True
-                waiter = event._waiter
-                if waiter is not None:
-                    event._waiter = None
-                    waiter._resume(event)
-                callbacks = event.callbacks
-                if callbacks is not None:
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-        except StopSimulation:
-            pass
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
-
-    def stop(self) -> None:
-        """Stop the run loop after the current event (usable from callbacks)."""
-        raise StopSimulation()
+        while queue:
+            entry = pop(queue)
+            time = entry[0]
+            if time > until:
+                heappush(queue, entry)
+                break
+            if time > now:
+                self._now = now = time
+            elif time < now - 1e-12:
+                raise SimulationError("event scheduled in the past; queue corrupted")
+            event = entry[2]
+            event._processed = True
+            waiter = event._waiter
+            if waiter is not None:
+                event._waiter = None
+                waiter._resume(event)
+            callbacks = event.callbacks
+            if callbacks is not None:
+                # the live list (rule 4): a consumer interrupted by an
+                # earlier one is removed from it before its turn, and none
+                # is appended, since add_callback on a processed event runs
+                # the callback at once
+                for callback in callbacks:
+                    callback(event)
+                event.callbacks = None
+        self._now = until
+        return until

@@ -1,32 +1,33 @@
 """Queueing resources for the simulation kernel.
 
-Two resource types are provided:
+:class:`Resource` is an FCFS multi-server station.  The transaction
+processing model uses one instance with capacity ``m`` for the homogeneous
+multiprocessor ("m CPUs serving a shared queue").
 
-* :class:`Resource` -- an FCFS multi-server station.  The transaction
-  processing model uses one instance with capacity ``m`` for the homogeneous
-  multiprocessor ("m CPUs serving a shared queue") and, when disk contention
-  is modelled explicitly, one instance per disk.
-* :class:`Store` -- an unbounded FIFO of items with blocking ``get``.  Used
-  by the admission gate's FCFS waiting queue and in tests.
-
-Both follow the request/release protocol: ``request()`` returns an event that
-succeeds once the resource is granted; the holder must later call
+It follows the request/release protocol: ``request()`` returns an event that
+succeeds once a server is granted; the holder must later call
 ``release(request)``.  Requests may be cancelled before they are granted,
 which is how interrupted transactions withdraw from queues without leaking
 capacity.
+
+Grant contract (rule 7 of :mod:`repro.sim.engine`): a request is granted
+when made if a server is free, and its grant is scheduled then; otherwise
+it queues.  A release grants queued requests in order while servers are
+free, and schedules each grant at the release.  Cancelling a queued request
+removes it; cancelling a held one releases it.
 
 Hot-path design: every grant and release is O(1).  Held slots are a plain
 counter (a request knows whether it holds the resource via its ``granted``
 flag), and cancelling a waiting request marks it and adjusts the live queue
 count instead of scanning the deque -- cancelled entries are skipped lazily
-when they reach the head.  Grant order (strict FCFS among non-cancelled
-requests) and all time-integral statistics are unchanged.
+when they reach the head.  Grant order is unchanged by this: strict FCFS
+among non-cancelled requests.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Deque
 
 from repro.sim.engine import Event, SimulationError, Simulator
 
@@ -34,12 +35,11 @@ from repro.sim.engine import Event, SimulationError, Simulator
 class Request(Event):
     """A pending or granted claim on a :class:`Resource` slot."""
 
-    __slots__ = ("resource", "granted", "cancelled", "enqueued_at", "granted_at")
+    __slots__ = ("resource", "granted", "cancelled")
 
     def __init__(self, resource: "Resource"):
         # inline Event.__init__ -- requests are created once per CPU phase
-        sim = resource.sim
-        self.sim = sim
+        self.sim = resource.sim
         self.callbacks = None
         self._value = None
         self._exception = None
@@ -49,8 +49,6 @@ class Request(Event):
         self.resource = resource
         self.granted = False
         self.cancelled = False
-        self.enqueued_at = sim._now
-        self.granted_at: Optional[float] = None
 
     def cancel(self) -> None:
         """Withdraw the request.
@@ -74,8 +72,8 @@ class Resource:
     """First-come-first-served multi-server resource.
 
     ``capacity`` servers are available; requests beyond the capacity wait in
-    an FCFS queue.  The resource keeps the occupancy and waiting statistics
-    needed by the measurement layer (utilisation, mean queue length).
+    an FCFS queue.  The resource keeps the busy-time integral behind
+    :meth:`utilisation`, which the measurement layer reports.
     """
 
     def __init__(self, sim: Simulator, capacity: int, name: str = "resource"):
@@ -89,15 +87,12 @@ class Resource:
         # _waiting_count is the live number of non-cancelled waiters
         self._waiting: Deque[Request] = deque()
         self._waiting_count = 0
-        # statistics: time integrals of busy servers and queue length
+        # statistics: time integral of busy servers
         self._last_change = sim.now
         self._busy_time_integral = 0.0
-        self._queue_time_integral = 0.0
-        self.total_requests = 0
-        self.total_wait_time = 0.0
         # start of the measured window: construction time, rebound by
-        # reset_statistics() so the rate denominators always match the span
-        # the integrals actually cover
+        # reset_statistics() so the rate denominator always matches the span
+        # the integral actually covers
         self._measured_from = sim.now
 
     # ------------------------------------------------------------------
@@ -116,7 +111,6 @@ class Resource:
         """Claim a server; the returned event succeeds once granted."""
         self._accumulate()
         req = Request(self)
-        self.total_requests += 1
         if self._in_use < self.capacity:
             self._grant(req)
         else:
@@ -137,16 +131,18 @@ class Resource:
         self._grant_waiters()
 
     def _drop_waiting(self, req: Request) -> None:
-        """Account for a cancelled waiting request (removed lazily)."""
+        """Account for a cancelled waiting request (removed lazily).
+
+        A waiter leaving does not change the busy-time integral, but the
+        ``_accumulate`` call stays: it splits that floating-point sum at
+        this instant, and the goldens pin ``utilisation`` to the bit.
+        """
         self._accumulate()
         self._waiting_count -= 1
 
     # ------------------------------------------------------------------
     def _grant(self, req: Request) -> None:
         req.granted = True
-        now = self.sim.now
-        req.granted_at = now
-        self.total_wait_time += now - req.enqueued_at
         self._in_use += 1
         req.succeed(req)
 
@@ -167,7 +163,6 @@ class Resource:
         elapsed = now - self._last_change
         if elapsed > 0:
             self._busy_time_integral += elapsed * self._in_use
-            self._queue_time_integral += elapsed * self._waiting_count
             self._last_change = now
 
     def utilisation(self) -> float:
@@ -184,21 +179,10 @@ class Resource:
             return 0.0
         return self._busy_time_integral / (horizon * self.capacity)
 
-    def mean_queue_length(self) -> float:
-        """Time-averaged number of waiting requests over the measured window."""
-        self._accumulate()
-        horizon = self.sim.now - self._measured_from
-        if horizon <= 0:
-            return 0.0
-        return self._queue_time_integral / horizon
-
     def reset_statistics(self) -> None:
         """Forget accumulated statistics (used at the end of warm-up)."""
         self._accumulate()
         self._busy_time_integral = 0.0
-        self._queue_time_integral = 0.0
-        self.total_requests = 0
-        self.total_wait_time = 0.0
         self._last_change = self.sim.now
         self._measured_from = self.sim.now
 
@@ -208,48 +192,3 @@ class Resource:
             f"in_use={self.in_use} queued={self.queue_length}>"
         )
 
-
-class Store:
-    """Unbounded FIFO of items with blocking retrieval.
-
-    ``put`` never blocks.  ``get`` returns an event that succeeds with the
-    oldest item once one is available.
-    """
-
-    def __init__(self, sim: Simulator, name: str = "store"):
-        self.sim = sim
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    @property
-    def size(self) -> int:
-        """Number of items currently stored."""
-        return len(self._items)
-
-    @property
-    def waiting_getters(self) -> int:
-        """Number of get() calls still blocked."""
-        return len(self._getters)
-
-    def put(self, item: Any) -> None:
-        """Add ``item``; wakes the oldest blocked getter if any."""
-        while self._getters:
-            getter = self._getters.popleft()
-            if getter.triggered:
-                continue
-            getter.succeed(item)
-            return
-        self._items.append(item)
-
-    def get(self) -> Event:
-        """Event that succeeds with the next item (FIFO order)."""
-        event = Event(self.sim)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Store {self.name!r} size={self.size} waiting={self.waiting_getters}>"

@@ -2,15 +2,9 @@
 
 import pytest
 
-from repro.sim.engine import (
-    Event,
-    Interrupt,
-    Process,
-    ProcessKilled,
-    SimulationError,
-    Simulator,
-    Timeout,
-)
+from timed_call import call_at
+
+from repro.sim.engine import Event, Interrupt, Process, SimulationError, Simulator
 
 
 class TestSimulatorBasics:
@@ -18,73 +12,50 @@ class TestSimulatorBasics:
         sim = Simulator()
         assert sim.now == 0.0
 
-    def test_clock_starts_at_custom_time(self):
-        sim = Simulator(start_time=42.0)
-        assert sim.now == 42.0
-
     def test_run_until_advances_clock_without_events(self):
         sim = Simulator()
         sim.run(until=10.0)
         assert sim.now == 10.0
 
     def test_run_until_in_the_past_raises(self):
-        sim = Simulator(start_time=5.0)
+        sim = Simulator()
+        sim.run(until=5.0)
         with pytest.raises(ValueError):
             sim.run(until=1.0)
-
-    def test_step_on_empty_queue_raises(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.step()
-
-    def test_peek_empty_queue_is_infinite(self):
-        sim = Simulator()
-        assert sim.peek() == float("inf")
 
     def test_events_run_in_time_order(self):
         sim = Simulator()
         order = []
-        sim.call_in(3.0, lambda: order.append("late"))
-        sim.call_in(1.0, lambda: order.append("early"))
-        sim.call_in(2.0, lambda: order.append("middle"))
+        call_at(sim, 3.0, lambda: order.append("late"))
+        call_at(sim, 1.0, lambda: order.append("early"))
+        call_at(sim, 2.0, lambda: order.append("middle"))
         sim.run(until=5.0)
         assert order == ["early", "middle", "late"]
 
     def test_same_time_events_run_in_schedule_order(self):
         sim = Simulator()
         order = []
-        sim.call_in(1.0, lambda: order.append("first"))
-        sim.call_in(1.0, lambda: order.append("second"))
+        call_at(sim, 1.0, lambda: order.append("first"))
+        call_at(sim, 1.0, lambda: order.append("second"))
         sim.run(until=2.0)
         assert order == ["first", "second"]
 
     def test_run_stops_exactly_at_until(self):
         sim = Simulator()
         fired = []
-        sim.call_in(10.0, lambda: fired.append(True))
+        call_at(sim, 10.0, lambda: fired.append(True))
         sim.run(until=5.0)
         assert sim.now == 5.0
         assert not fired
         sim.run(until=20.0)
         assert fired
 
-    def test_call_at_in_the_past_raises(self):
-        sim = Simulator(start_time=10.0)
-        with pytest.raises(ValueError):
-            sim.call_at(5.0, lambda: None)
-
-    def test_stop_halts_the_run_loop(self):
-        sim = Simulator()
-        sim.call_in(1.0, sim.stop)
-        sim.call_in(2.0, lambda: pytest.fail("event after stop should not run"))
-        sim.run(until=10.0)
-        assert sim.now == pytest.approx(10.0)
 
 
 class TestEvent:
     def test_succeed_sets_value(self):
         sim = Simulator()
-        event = sim.event()
+        event = Event(sim)
         event.succeed(99)
         sim.run(until=0.0)
         assert event.ok
@@ -92,20 +63,20 @@ class TestEvent:
 
     def test_value_before_trigger_raises(self):
         sim = Simulator()
-        event = sim.event()
+        event = Event(sim)
         with pytest.raises(SimulationError):
             _ = event.value
 
     def test_double_succeed_raises(self):
         sim = Simulator()
-        event = sim.event()
+        event = Event(sim)
         event.succeed()
         with pytest.raises(SimulationError):
             event.succeed()
 
     def test_fail_records_exception(self):
         sim = Simulator()
-        event = sim.event()
+        event = Event(sim)
         error = RuntimeError("boom")
         event.fail(error)
         sim.run(until=0.0)
@@ -116,13 +87,13 @@ class TestEvent:
 
     def test_fail_requires_exception_instance(self):
         sim = Simulator()
-        event = sim.event()
+        event = Event(sim)
         with pytest.raises(TypeError):
             event.fail("not an exception")
 
     def test_callback_after_processed_runs_immediately(self):
         sim = Simulator()
-        event = sim.event()
+        event = Event(sim)
         event.succeed("x")
         sim.run(until=0.0)
         seen = []
@@ -132,7 +103,7 @@ class TestEvent:
     def test_timeout_negative_delay_raises(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            Timeout(sim, -1.0)
+            sim.timeout(-1.0)
 
     def test_timeout_fires_at_the_right_time(self):
         sim = Simulator()
@@ -196,25 +167,27 @@ class TestProcess:
         assert parent_process.value == 14
 
     def test_yielding_non_event_fails_process(self):
-        sim = Simulator(raise_process_errors=False)
+        sim = Simulator()
 
         def bad():
             yield 42
 
         process = sim.process(bad())
-        sim.run(until=1.0)
+        with pytest.raises(SimulationError):
+            sim.run(until=1.0)
         assert not process.is_alive
         assert isinstance(process.exception, SimulationError)
 
     def test_yielding_foreign_event_fails_process(self):
-        sim = Simulator(raise_process_errors=False)
+        sim = Simulator()
         other = Simulator()
 
         def bad():
             yield other.timeout(1.0)
 
         process = sim.process(bad())
-        sim.run(until=1.0)
+        with pytest.raises(SimulationError):
+            sim.run(until=1.0)
         assert isinstance(process.exception, SimulationError)
 
     def test_exception_in_process_propagates_by_default(self):
@@ -224,24 +197,16 @@ class TestProcess:
             yield sim.timeout(1.0)
             raise ValueError("inner failure")
 
-        sim.process(bad())
+        process = sim.process(bad())
         with pytest.raises(ValueError, match="inner failure"):
             sim.run(until=2.0)
-
-    def test_exception_recorded_when_errors_suppressed(self):
-        sim = Simulator(raise_process_errors=False)
-
-        def bad():
-            yield sim.timeout(1.0)
-            raise ValueError("inner failure")
-
-        process = sim.process(bad())
-        sim.run(until=2.0)
+        # the failure is also recorded on the completion event
+        assert not process.is_alive
         assert isinstance(process.exception, ValueError)
 
     def test_failed_event_is_thrown_into_process(self):
         sim = Simulator()
-        trigger = sim.event()
+        trigger = Event(sim)
         caught = []
 
         def worker():
@@ -251,7 +216,7 @@ class TestProcess:
                 caught.append(str(error))
 
         sim.process(worker())
-        sim.call_in(1.0, lambda: trigger.fail(RuntimeError("failed event")))
+        call_at(sim, 1.0, lambda: trigger.fail(RuntimeError("failed event")))
         sim.run(until=2.0)
         assert caught == ["failed event"]
 
@@ -268,7 +233,7 @@ class TestInterrupt:
                 causes.append(interrupt.cause)
 
         process = sim.process(sleeper())
-        sim.call_in(1.0, lambda: process.interrupt("wake up"))
+        call_at(sim, 1.0, lambda: process.interrupt("wake up"))
         sim.run(until=5.0)
         assert causes == ["wake up"]
         assert sim.now == 5.0
@@ -291,7 +256,7 @@ class TestInterrupt:
             yield sim.timeout(100.0)
 
         process = sim.process(sleeper())
-        sim.call_in(1.0, lambda: process.interrupt("no handler"))
+        call_at(sim, 1.0, lambda: process.interrupt("no handler"))
         sim.run(until=5.0)
         assert not process.is_alive
         assert isinstance(process.exception, Interrupt)
@@ -309,65 +274,63 @@ class TestInterrupt:
             log.append(("resumed", sim.now))
 
         process = sim.process(sleeper())
-        sim.call_in(3.0, lambda: process.interrupt())
+        call_at(sim, 3.0, lambda: process.interrupt())
         sim.run(until=10.0)
         assert log == [("interrupted", 3.0), ("resumed", 5.0)]
 
-    def test_kill_terminates_without_running_more_code(self):
-        sim = Simulator(raise_process_errors=False)
+    def test_interrupt_before_a_pending_wakeup_abandons_the_next_target(self):
+        """Rule 5: the interrupt overtakes the start-up wake-up.
+
+        The process registers on its first timeout when it starts, after
+        the interrupt; the interrupt wake-up must detach it from that
+        timeout, or the abandoned timeout resumes it at t=1.
+        """
+        sim = Simulator()
         log = []
 
-        def sleeper():
+        def victim():
             try:
-                yield sim.timeout(100.0)
-            finally:
-                log.append("cleanup")
+                yield sim.timeout(1.0)
+            except Interrupt:
+                log.append(("interrupted", sim.now))
+            value = yield sim.timeout(5.0, value="T2")
+            log.append(("resumed", sim.now, value))
 
-        process = sim.process(sleeper())
-        sim.call_in(1.0, lambda: process.kill("shutdown"))
+        sim.process(victim()).interrupt("early")
+        sim.run(until=10.0)
+        assert log == [("interrupted", 0.0), ("resumed", 5.0, "T2")]
+
+    @pytest.mark.parametrize("callback_first", [False, True],
+                             ids=["waiter-first", "callback-first"])
+    def test_peer_interrupt_abandons_a_shared_event(self, callback_first):
+        """Rule 4: a consumer removed before its turn does not run.
+
+        Two processes wait on one event; when it fires, the first interrupts
+        the second.  Whether an unrelated callback registered first (as the
+        isolation recorder does on lock grants) must not matter.
+        """
+        sim = Simulator()
+        shared = Event(sim)
+        log = []
+        if callback_first:
+            shared.add_callback(lambda _event: None)
+
+        def first():
+            yield shared
+            second_process.interrupt("peer")
+
+        def second():
+            try:
+                value = yield shared
+                log.append(("resumed", sim.now, value))
+            except Interrupt:
+                log.append(("interrupted", sim.now))
+
+        sim.process(first())
+        second_process = sim.process(second())
+        call_at(sim, 1.0, lambda: shared.succeed("fired"))
         sim.run(until=5.0)
-        assert not process.is_alive
-        assert isinstance(process.exception, ProcessKilled)
-        assert log == ["cleanup"]
-
-
-class TestConditions:
-    def test_all_of_waits_for_every_event(self):
-        sim = Simulator()
-        done_times = []
-
-        def waiter():
-            yield sim.all_of([sim.timeout(1.0), sim.timeout(4.0), sim.timeout(2.0)])
-            done_times.append(sim.now)
-
-        sim.process(waiter())
-        sim.run(until=10.0)
-        assert done_times == [4.0]
-
-    def test_any_of_fires_on_first_event(self):
-        sim = Simulator()
-        done_times = []
-
-        def waiter():
-            yield sim.any_of([sim.timeout(5.0), sim.timeout(1.5)])
-            done_times.append(sim.now)
-
-        sim.process(waiter())
-        sim.run(until=10.0)
-        assert done_times == [1.5]
-
-    def test_all_of_empty_list_succeeds_immediately(self):
-        sim = Simulator()
-        done = []
-
-        def waiter():
-            yield sim.all_of([])
-            done.append(sim.now)
-
-        sim.process(waiter())
-        sim.run(until=1.0)
-        assert done == [0.0]
-
+        assert log == [("interrupted", 1.0)]
 
 class TestTieBreakContract:
     """The documented equal-timestamp ordering contract.
@@ -382,8 +345,8 @@ class TestTieBreakContract:
     def test_two_events_at_same_time_process_in_schedule_order(self):
         sim = Simulator()
         order = []
-        first = sim.event()
-        second = sim.event()
+        first = Event(sim)
+        second = Event(sim)
         # triggered (= scheduled) in this order, both at t=0
         first.succeed("first")
         second.succeed("second")
@@ -404,7 +367,7 @@ class TestTieBreakContract:
 
         timeout_a = sim.timeout(1.0)          # scheduled 1st for t=1
         sim.process(proc())                   # bootstrap scheduled 2nd for t=0
-        event = sim.event().succeed(None)     # scheduled 3rd for t=0
+        event = Event(sim).succeed(None)     # scheduled 3rd for t=0
         timeout_b = sim.timeout(1.0)          # scheduled 4th for t=1
         timeout_a.add_callback(lambda _e: order.append("timeout-a"))
         event.add_callback(lambda _e: order.append("plain-event"))
@@ -422,7 +385,7 @@ class TestTieBreakContract:
         before = sim._sequence
         sim.timeout(0.5)
         sim.timeout(0.5)
-        sim.event().succeed()
+        Event(sim).succeed()
         assert sim._sequence == before + 3
 
     def test_schedule_order_preserved_across_heap_reshuffles(self):
@@ -431,7 +394,7 @@ class TestTieBreakContract:
         fired = []
         # build a deliberately adversarial creation order for the heap
         for index, delay in enumerate([5.0, 1.0, 5.0, 3.0, 5.0, 1.0, 5.0]):
-            sim.call_in(delay, lambda i=index, d=delay: fired.append((d, i)))
+            call_at(sim, delay, lambda i=index, d=delay: fired.append((d, i)))
         sim.run(until=10.0)
         assert fired == [(1.0, 1), (1.0, 5), (3.0, 3),
                          (5.0, 0), (5.0, 2), (5.0, 4), (5.0, 6)]

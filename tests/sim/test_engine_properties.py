@@ -17,9 +17,9 @@ Invariants covered:
 * **equal-timestamp FIFO** -- events scheduled at the same simulation time
   are processed strictly in scheduling order (the documented sequence
   counter tie-break contract);
-* **interrupt / kill semantics** -- interrupts arrive exactly at the
-  interrupt time with their cause, unhandled interrupts fail the process,
-  kills run no further process code but do run ``finally`` blocks;
+* **interrupt semantics** -- interrupts arrive exactly at the interrupt
+  time with their cause, unhandled interrupts fail the process but run its
+  ``finally`` blocks, and an interrupted process abandons its target;
 * **resource grant conservation** -- an FCFS resource never over-grants,
   never leaks slots through cancels or interrupts, and serves
   non-cancelled waiters in strict FCFS order;
@@ -32,7 +32,9 @@ import random
 
 import pytest
 
-from repro.sim.engine import Interrupt, ProcessKilled, Simulator
+from timed_call import call_at
+
+from repro.sim.engine import Event, Interrupt, Simulator
 from repro.sim.resources import Resource
 
 SEEDS = [1, 7, 42, 1991]
@@ -58,7 +60,7 @@ def test_clock_is_monotone_under_random_schedules(seed):
         sim.process(sleeper(naps))
     # sprinkle immediate events and absolute-time callbacks between them
     for _ in range(50):
-        sim.call_at(rng.random() * 20.0, lambda: observed.append(sim.now))
+        call_at(sim, rng.random() * 20.0, lambda: observed.append(sim.now))
     sim.run(until=60.0)
 
     assert observed, "the random schedule must produce observations"
@@ -84,7 +86,7 @@ def test_equal_timestamp_events_fire_in_schedule_order(seed):
     for index in range(200):
         time = rng.choice(times)
         scheduled.append((time, index))
-        sim.call_at(time, lambda t=time, i=index: fired.append((t, i)))
+        call_at(sim, time, lambda t=time, i=index: fired.append((t, i)))
     sim.run(until=10.0)
 
     assert len(fired) == len(scheduled)
@@ -114,7 +116,7 @@ def test_equal_timestamp_process_wakeups_are_fifo(seed):
 
 
 # ----------------------------------------------------------------------
-# interrupt / kill semantics
+# interrupt semantics
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
 def test_interrupts_arrive_on_time_with_their_cause(seed):
@@ -135,7 +137,7 @@ def test_interrupts_arrive_on_time_with_their_cause(seed):
         if rng.random() < 0.7:
             at = round(rng.uniform(0.1, 50.0), 6)
             interrupt_times[index] = at
-            sim.call_at(at, lambda p=process, i=index: p.interrupt(f"cause-{i}"))
+            call_at(sim, at, lambda p=process, i=index: p.interrupt(f"cause-{i}"))
     sim.run(until=200.0)
 
     for index in processes:
@@ -149,9 +151,9 @@ def test_interrupts_arrive_on_time_with_their_cause(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_unhandled_interrupt_and_kill_terminate_processes(seed):
+def test_unhandled_interrupts_terminate_processes(seed):
     rng = random.Random(seed)
-    sim = Simulator(raise_process_errors=False)
+    sim = Simulator()
     cleanups = []
 
     def stubborn(index):
@@ -161,21 +163,14 @@ def test_unhandled_interrupt_and_kill_terminate_processes(seed):
             cleanups.append(index)
 
     processes = {index: sim.process(stubborn(index)) for index in range(20)}
-    fate = {}
-    for index, process in processes.items():
-        at = round(rng.uniform(0.1, 20.0), 6)
-        if rng.random() < 0.5:
-            fate[index] = Interrupt
-            sim.call_at(at, process.interrupt)
-        else:
-            fate[index] = ProcessKilled
-            sim.call_at(at, process.kill)
+    for process in processes.values():
+        call_at(sim, round(rng.uniform(0.1, 20.0), 6), process.interrupt)
     sim.run(until=200.0)
 
     assert sorted(cleanups) == sorted(processes), "finally blocks must always run"
-    for index, process in processes.items():
+    for process in processes.values():
         assert not process.is_alive
-        assert isinstance(process.exception, fate[index])
+        assert isinstance(process.exception, Interrupt)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -196,13 +191,13 @@ def test_interrupted_process_abandons_its_target(seed):
             resumes.append(("later", index, sim.now))
 
     for index in range(15):
-        trigger = sim.event()
+        trigger = Event(sim)
         process = sim.process(waiter(index, trigger))
         interrupt_at = round(rng.uniform(1.0, 5.0), 6)
         trigger_at = interrupt_at + rng.uniform(0.5, 2.0)
-        sim.call_at(interrupt_at, lambda p=process: p.interrupt())
+        call_at(sim, interrupt_at, lambda p=process: p.interrupt())
         # the abandoned event still triggers afterwards -- it must be inert
-        sim.call_at(trigger_at, lambda t=trigger: t.succeed("late"))
+        call_at(sim, trigger_at, lambda t=trigger: t.succeed("late"))
     sim.run(until=100.0)
 
     kinds = [kind for kind, _i, _t in resumes]
@@ -249,7 +244,7 @@ def test_resource_conservation_under_random_workload(seed, capacity):
     for _ in range(20):
         victim = rng.choice(workers)
         at = rng.uniform(0.0, 15.0)
-        sim.call_at(at, lambda p=victim: p.interrupt() if p.is_alive else None)
+        call_at(sim, at, lambda p=victim: p.interrupt() if p.is_alive else None)
     sim.run(until=1000.0)
 
     assert len(finished) == 30, "every worker must run to completion"
@@ -257,10 +252,10 @@ def test_resource_conservation_under_random_workload(seed, capacity):
     # request was either granted at some point or cancelled while waiting
     assert resource.in_use == 0
     assert resource.queue_length == 0
-    assert resource.total_requests == len(all_requests)
-    granted = sum(1 for request in all_requests if request.granted_at is not None)
+    # only a grant triggers a request
+    granted = sum(1 for request in all_requests if request.triggered)
     cancelled_waiting = sum(1 for request in all_requests
-                            if request.cancelled and request.granted_at is None)
+                            if request.cancelled and not request.triggered)
     assert granted + cancelled_waiting == len(all_requests)
     assert not any(request.granted for request in all_requests), "leaked slot"
 

@@ -1,0 +1,270 @@
+"""The scheduling contract, rule by rule, on both kernels.
+
+``test_kernel_differential.py`` only requires the engine and
+``reference_kernel`` to agree, so a change made to both the same way would
+still pass it.  These tests pin what the two agree on to the seven rules of
+the engine's module docstring: each runs once on ``repro.sim`` and once on
+the reference kernel, which exposes the same ``Simulator``, ``Event``,
+``Interrupt`` and ``Resource`` names.
+"""
+
+import pytest
+import reference_kernel
+
+import repro.sim
+
+KERNELS = pytest.mark.parametrize(
+    "kernel", [pytest.param(repro.sim, id="engine"), pytest.param(reference_kernel, id="reference")])
+
+
+@KERNELS
+def test_rule_1_equal_times_run_in_scheduling_order(kernel):
+    sim = kernel.Simulator()
+    log = []
+    # both fire at t=2; the one scheduled at t=0 goes first
+    sim.timeout(1.0).add_callback(
+        lambda _e: sim.timeout(1.0).add_callback(lambda _e: log.append("scheduled at 1")))
+    sim.timeout(2.0).add_callback(lambda _e: log.append("scheduled at 0"))
+    sim.run(until=5.0)
+    assert log == ["scheduled at 0", "scheduled at 1"]
+
+
+@KERNELS
+def test_rule_1_the_sequence_is_taken_when_scheduled_not_when_built(kernel):
+    sim = kernel.Simulator()
+    log = []
+    built_first = kernel.Event(sim)
+    built_first.add_callback(lambda _e: log.append("built first"))
+    sim.timeout(1.0).add_callback(lambda _e: built_first.succeed())
+    sim.timeout(1.0).add_callback(lambda _e: log.append("timeout"))
+    sim.run(until=5.0)
+    assert log == ["timeout", "built first"]
+
+
+@KERNELS
+def test_rule_2_a_timeout_is_scheduled_when_created(kernel):
+    sim = kernel.Simulator()
+    sim.run(until=0.5)
+    before = sim._sequence
+    timeout = sim.timeout(2.0, value="v")
+    assert timeout.triggered
+    assert sim._sequence == before + 1
+    seen = []
+    timeout.add_callback(lambda event: seen.append((sim.now, event.value)))
+    sim.run(until=10.0)
+    assert seen == [(2.5, "v")]
+
+
+@KERNELS
+def test_rule_2_succeed_and_fail_schedule_the_event_for_now(kernel):
+    sim = kernel.Simulator()
+    sim.run(until=1.0)
+    good, bad = kernel.Event(sim), kernel.Event(sim)
+    seen = []
+    for event in (good, bad):
+        event.add_callback(lambda event: seen.append((sim.now, event.ok)))
+    good.succeed("x")
+    bad.fail(RuntimeError("no"))
+    assert seen == []  # the consumers wait for the run loop
+    sim.run(until=5.0)
+    assert seen == [(1.0, True), (1.0, False)]
+
+
+@KERNELS
+def test_rule_3_a_new_process_starts_from_one_wakeup_for_now(kernel):
+    sim = kernel.Simulator()
+    log = []
+
+    def body():
+        log.append(("started", sim.now))
+        yield sim.timeout(1.0)
+
+    sim.timeout(0.0).add_callback(lambda _e: log.append(("earlier", sim.now)))
+    before = sim._sequence
+    sim.process(body())
+    assert sim._sequence == before + 1
+    assert log == []
+    sim.run(until=5.0)
+    assert log == [("earlier", 0.0), ("started", 0.0)]
+
+
+@KERNELS
+def test_rule_4_consumers_run_in_registration_order(kernel):
+    sim = kernel.Simulator()
+    event = kernel.Event(sim)
+    log = []
+
+    def waiter(name):
+        yield event
+        log.append(name)
+
+    # registration happens at the start-up wake-ups, in this order
+    sim.process(waiter("first process"))
+    sim.timeout(0.0).add_callback(lambda _e: event.add_callback(lambda _e: log.append("callback")))
+    sim.process(waiter("second process"))
+    sim.timeout(1.0).add_callback(lambda _e: event.succeed())
+    sim.run(until=5.0)
+    assert log == ["first process", "callback", "second process"]
+
+
+@KERNELS
+def test_rule_4_a_consumer_removed_before_its_turn_does_not_run(kernel):
+    sim = kernel.Simulator()
+    event = kernel.Event(sim)
+    log = []
+
+    def second(_event):
+        log.append("second")
+
+    def first(_event):
+        log.append("first")
+        event.remove_callback(second)
+
+    event.add_callback(first)
+    event.add_callback(second)
+    event.add_callback(lambda _e: log.append("third"))
+    event.succeed()
+    sim.run(until=1.0)
+    assert log == ["first", "third"]
+
+
+@KERNELS
+def test_rule_4_a_consumer_of_a_processed_event_runs_at_once(kernel):
+    sim = kernel.Simulator()
+    event = kernel.Event(sim).succeed("v")
+    sim.run(until=1.0)
+    before = sim._sequence
+    seen = []
+    event.add_callback(lambda event: seen.append((sim.now, event.value)))
+    assert seen == [(1.0, "v")]
+    assert sim._sequence == before
+
+
+@KERNELS
+def test_rule_5_an_interrupt_detaches_at_once_and_throws_at_a_wakeup_for_now(kernel):
+    sim = kernel.Simulator()
+    log = []
+
+    def victim():
+        try:
+            yield sim.timeout(1.0, value="abandoned")
+            log.append("resumed by the abandoned timeout")
+        except kernel.Interrupt as interrupt:
+            log.append(("interrupted", sim.now, interrupt.cause))
+        value = yield sim.timeout(1.0, value="next")
+        log.append(("resumed", sim.now, value))
+
+    # scheduled before the victim's timeout, so it interrupts first at t=1
+    sim.timeout(1.0).add_callback(lambda _e: process.interrupt("stop"))
+    process = sim.process(victim())
+    sim.run(until=5.0)
+    assert log == [("interrupted", 1.0, "stop"), ("resumed", 2.0, "next")]
+
+
+@KERNELS
+def test_rule_5_a_second_interrupt_detaches_the_target_registered_since(kernel):
+    sim = kernel.Simulator()
+    log = []
+
+    def victim():
+        for _ in range(2):
+            try:
+                yield sim.timeout(5.0, value="abandoned")
+            except kernel.Interrupt as interrupt:
+                log.append(("interrupted", sim.now, interrupt.cause))
+        # outlasts the timeout abandoned by the second interrupt
+        value = yield sim.timeout(10.0, value="last")
+        log.append(("resumed", sim.now, value))
+
+    def interrupt_twice(_event):
+        process.interrupt("a")
+        process.interrupt("b")
+
+    process = sim.process(victim())
+    sim.timeout(1.0).add_callback(interrupt_twice)
+    sim.run(until=20.0)
+    assert log == [("interrupted", 1.0, "a"), ("interrupted", 1.0, "b"),
+                   ("resumed", 11.0, "last")]
+
+
+@KERNELS
+def test_rule_5_a_wakeup_for_a_finished_process_is_dropped(kernel):
+    sim = kernel.Simulator()
+    log = []
+
+    def quick():
+        log.append("ran")
+        return "done"
+        yield  # pragma: no cover - makes this a generator
+
+    process = sim.process(quick())
+    process.interrupt("too late")  # queued behind the start-up wake-up
+    sim.run(until=1.0)
+    assert log == ["ran"]
+    assert process.ok
+    assert process.value == "done"
+
+
+@KERNELS
+def test_rule_6_a_returning_process_schedules_its_completion_for_now(kernel):
+    sim = kernel.Simulator()
+    log = []
+
+    def child():
+        timeout = sim.timeout(1.0)
+        sim.timeout(1.0).add_callback(lambda _e: log.append((sim.now, "after the child's timeout")))
+        yield timeout
+        return "child value"
+
+    def parent():
+        value = yield sim.process(child())
+        log.append((sim.now, value))
+
+    sim.process(parent())
+    sim.run(until=5.0)
+    assert log == [(1.0, "after the child's timeout"), (1.0, "child value")]
+
+
+@KERNELS
+def test_rule_7_a_free_server_grants_the_request_when_made(kernel):
+    sim = kernel.Simulator()
+    resource = kernel.Resource(sim, 1)
+    before = sim._sequence
+    granted = resource.request()
+    assert granted.triggered
+    assert sim._sequence == before + 1
+    waiting = resource.request()
+    assert not waiting.triggered
+    assert sim._sequence == before + 1
+    assert (resource.in_use, resource.queue_length) == (1, 1)
+
+
+@KERNELS
+def test_rule_7_a_release_grants_queued_requests_in_order_while_servers_are_free(kernel):
+    sim = kernel.Simulator()
+    resource = kernel.Resource(sim, 2)
+    held = [resource.request() for _ in range(2)]
+    queued = [resource.request() for _ in range(3)]
+    log = []
+    for index, request in enumerate(queued):
+        request.add_callback(lambda _e, index=index: log.append((sim.now, index)))
+    sim.run(until=1.0)
+    resource.release(held[1])
+    resource.release(held[0])
+    assert [request.triggered for request in queued] == [True, True, False]
+    assert (resource.in_use, resource.queue_length) == (2, 1)
+    sim.run(until=2.0)
+    assert log == [(1.0, 0), (1.0, 1)]
+
+
+@KERNELS
+def test_rule_7_cancel_removes_a_queued_request_and_releases_a_held_one(kernel):
+    sim = kernel.Simulator()
+    resource = kernel.Resource(sim, 1)
+    held, cancelled, last = (resource.request() for _ in range(3))
+    cancelled.cancel()
+    assert (resource.in_use, resource.queue_length) == (1, 1)
+    held.cancel()
+    assert last.triggered
+    assert not cancelled.triggered
+    assert (resource.in_use, resource.queue_length) == (1, 0)

@@ -1,9 +1,11 @@
-"""Tests for FCFS resources and stores."""
+"""Tests for FCFS resources."""
 
 import pytest
 
+from timed_call import call_at
+
 from repro.sim.engine import Interrupt, SimulationError, Simulator
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 
 class TestResourceBasics:
@@ -139,7 +141,7 @@ class TestResourceInProcesses:
 
         sim.process(holder())
         impatient_process = sim.process(impatient())
-        sim.call_in(2.0, lambda: impatient_process.interrupt())
+        call_at(sim, 2.0, lambda: impatient_process.interrupt())
         sim.run(until=20.0)
         assert outcomes == ["gave up"]
         assert resource.queue_length == 0
@@ -159,22 +161,6 @@ class TestResourceInProcesses:
         sim.process(worker())
         sim.run(until=8.0)
         assert resource.utilisation() == pytest.approx(0.5)
-
-    def test_mean_queue_length(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=1)
-
-        def worker():
-            request = resource.request()
-            yield request
-            yield sim.timeout(5.0)
-            resource.release(request)
-
-        sim.process(worker())
-        sim.process(worker())
-        sim.run(until=10.0)
-        # one worker queued for the first five seconds of a ten second run
-        assert resource.mean_queue_length() == pytest.approx(0.5)
 
     def test_reset_statistics(self):
         sim = Simulator()
@@ -216,90 +202,3 @@ class TestResourceInProcesses:
         resource.reset_statistics()
         sim.run(until=8.0)
         assert resource.utilisation() == pytest.approx(1.0)
-        assert resource.mean_queue_length() == pytest.approx(0.0)
-
-    def test_total_wait_time_accumulates(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=1)
-
-        def worker():
-            request = resource.request()
-            yield request
-            yield sim.timeout(3.0)
-            resource.release(request)
-
-        sim.process(worker())
-        sim.process(worker())
-        sim.run(until=10.0)
-        assert resource.total_requests == 2
-        assert resource.total_wait_time == pytest.approx(3.0)
-
-
-class TestStore:
-    def test_put_then_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put("item")
-        received = []
-
-        def getter():
-            value = yield store.get()
-            received.append(value)
-
-        sim.process(getter())
-        sim.run(until=1.0)
-        assert received == ["item"]
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-        received = []
-
-        def getter():
-            value = yield store.get()
-            received.append((value, sim.now))
-
-        sim.process(getter())
-        sim.call_in(3.0, lambda: store.put("late item"))
-        sim.run(until=5.0)
-        assert received == [("late item", 3.0)]
-
-    def test_fifo_ordering_of_items(self):
-        sim = Simulator()
-        store = Store(sim)
-        for value in (1, 2, 3):
-            store.put(value)
-        received = []
-
-        def getter():
-            for _ in range(3):
-                value = yield store.get()
-                received.append(value)
-
-        sim.process(getter())
-        sim.run(until=1.0)
-        assert received == [1, 2, 3]
-
-    def test_fifo_ordering_of_getters(self):
-        sim = Simulator()
-        store = Store(sim)
-        received = []
-
-        def getter(name):
-            value = yield store.get()
-            received.append((name, value))
-
-        sim.process(getter("first"))
-        sim.process(getter("second"))
-        sim.call_in(1.0, lambda: store.put("a"))
-        sim.call_in(2.0, lambda: store.put("b"))
-        sim.run(until=5.0)
-        assert received == [("first", "a"), ("second", "b")]
-
-    def test_size_and_waiting_counters(self):
-        sim = Simulator()
-        store = Store(sim)
-        assert store.size == 0
-        store.put(1)
-        assert store.size == 1
-        assert store.waiting_getters == 0

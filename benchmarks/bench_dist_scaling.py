@@ -21,7 +21,7 @@ import time
 import pytest
 from conftest import run_once
 
-from repro.dist.cluster import launch_local_cluster
+from repro.dist.coordinator import DistributedExecutor
 from repro.runner import SerialExecutor, execute_run_spec
 from repro.runner.registry import build_sweep
 
@@ -47,9 +47,9 @@ def test_dist_scaling(benchmark, scale, workers):
     spec, serial, serial_s = _serial_reference(scale)
 
     def experiment():
-        with launch_local_cluster(workers=workers) as cluster:
+        with DistributedExecutor(local_workers=workers) as executor:
             started = time.monotonic()
-            results = cluster.execute(execute_run_spec, spec.cells)
+            results = executor.execute(execute_run_spec, spec.cells)
             return results, time.monotonic() - started
 
     results, elapsed = run_once(benchmark, experiment)

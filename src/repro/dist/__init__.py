@@ -5,16 +5,20 @@ deterministic function of its picklable spec, so fanning cells out — to
 local processes or to other hosts — is a dispatch problem, not a
 simulation problem.  This package solves it with a small TCP protocol,
 which is the only way a cell leaves the calling process (``workers=N``
-runs on a :class:`LocalCluster`):
+runs on ``DistributedExecutor(local_workers=N)``):
 
-* :mod:`~repro.dist.protocol` — length-prefixed pickle framing;
+* :mod:`~repro.dist.protocol` — length-prefixed pickle framing, and the
+  :class:`~repro.dist.protocol.ConnectionServer` behind every listening
+  port;
 * :mod:`~repro.dist.coordinator` — :class:`DistributedExecutor`, serving
   cells from a work queue to connected workers and reassembling results in
   deterministic cell order, re-queueing the in-flight cells of dead
-  workers (the sweep completes as long as one worker survives);
+  workers (the sweep completes as long as one worker survives); with
+  ``local_workers=N`` it also spawns, waits for and reaps N localhost
+  worker subprocesses;
 * :mod:`~repro.dist.worker` — the cell-executing loop with heartbeats;
-* :mod:`~repro.dist.cluster` — :class:`LocalCluster`, a coordinator plus
-  N localhost subprocess workers: what ``workers=N`` starts;
+* :mod:`~repro.dist.cluster` — :func:`spawn_local_workers`, which starts
+  those subprocesses;
 * :mod:`~repro.dist.archive` — versioned JSON artifacts of replicated
   runs with mean ± confidence-interval summaries.
 
@@ -32,7 +36,7 @@ from repro.dist.archive import (
     load_archive,
     write_archive,
 )
-from repro.dist.cluster import LocalCluster, launch_local_cluster, spawn_local_workers
+from repro.dist.cluster import spawn_local_workers
 from repro.dist.coordinator import DistributedExecutor
 from repro.dist.protocol import (
     ConnectionClosed,
@@ -43,8 +47,8 @@ from repro.dist.protocol import (
 
 
 def __getattr__(name):
-    # lazy: ``python -m repro.dist.worker`` (how local clusters spawn
-    # workers) imports this package first, and an eager import of the
+    # lazy: ``python -m repro.dist.worker`` (how local workers are
+    # spawned) imports this package first, and an eager import of the
     # worker module here would make runpy warn about re-executing it
     if name == "Worker":
         from repro.dist.worker import Worker
@@ -59,8 +63,6 @@ __all__ = [
     "format_archive_table",
     "load_archive",
     "write_archive",
-    "LocalCluster",
-    "launch_local_cluster",
     "spawn_local_workers",
     "DistributedExecutor",
     "ConnectionClosed",

@@ -4,12 +4,13 @@
 interface as :class:`~repro.runner.executor.SerialExecutor` — ``map``
 streams results back in the items' order, ``execute`` collects them — but
 fans the cells out over *networked* workers.  It is the only way a cell
-leaves the calling process (``workers=N`` runs one behind a
-:class:`~repro.dist.cluster.LocalCluster` of localhost subprocesses, and
-the sweep service wraps one too):
+leaves the calling process (``workers=N`` runs one with ``N`` local worker
+subprocesses, and the sweep service wraps one too):
 
 * it binds a TCP address and accepts ``repro-dist-worker`` connections at
   any time, including mid-sweep (late workers simply start pulling cells);
+* with ``local_workers=N`` it also spawns ``N`` worker subprocesses on
+  this host, waits until they have joined, and reaps them on ``close``;
 * each connected worker pulls one cell at a time (``ready`` -> ``task``),
   so fast hosts naturally take more cells than slow ones;
 * results are reassembled into the items' submission order, so a sweep's
@@ -49,12 +50,13 @@ import argparse
 import collections
 import logging
 import socket
+import subprocess
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, List, Optional, TypeVar
 
-from repro.dist import protocol
+from repro.dist import cluster, protocol
 from repro.experiments.config import SCALE_PRESETS, scale_preset
 from repro.obs import telemetry
 from repro.runner.errors import cell_error
@@ -115,16 +117,13 @@ class _SweepState:
     __slots__ = ("generation", "function", "items", "pending", "results",
                  "error", "last_progress", "queued_since")
 
-    def __init__(self, generation: int, function, items, prefilled=None):
+    def __init__(self, generation: int, function, items):
         self.generation = generation
         self.function = function
         self.items = items
-        #: item index -> result, drained in order by the consumer;
-        #: cache hits arrive pre-filled and are never queued at all
-        self.results = dict(prefilled) if prefilled else {}
-        self.pending = collections.deque(
-            index for index in range(len(items)) if index not in self.results
-        )
+        #: item index -> result, drained in order by the consumer
+        self.results = {}
+        self.pending = collections.deque(range(len(items)))
         self.error: Optional[BaseException] = None
         self.last_progress = time.monotonic()
         #: item index -> monotonic time it (re-)entered the queue; the
@@ -137,49 +136,42 @@ class DistributedExecutor:
     """Serve sweep cells to networked workers; reassemble ordered results.
 
     ``address`` is ``"host:port"``; port 0 binds an ephemeral port (read
-    the actual one back from :attr:`bound_address` — this is how the local
-    cluster helper and the tests wire workers up).  ``heartbeat_timeout``
-    is how long a silent worker is trusted before its in-flight cell is
-    re-queued; ``worker_timeout`` bounds how long a sweep waits with *zero*
-    connected workers before giving up.
-
-    ``cell_cache`` (a :class:`~repro.svc.cache.ResultCache`, or anything
-    with its ``lookup``/``store`` seam) makes the executor consult a
-    content-addressed result cache before queueing each cell: hits are
-    pre-filled into the ordered result stream without ever reaching a
-    worker — a sweep whose every cell hits completes with zero workers
-    connected — and every fresh worker result fills the cache.  Errors
-    are never cached.  Soundness rests on cells being bit-deterministic;
-    the cache itself only engages for the canonical cell entry point
-    (see :mod:`repro.svc.cache`).
+    the actual one back from :attr:`bound_address`).  ``local_workers=N``
+    spawns ``N`` ``python -m repro.dist.worker`` subprocesses pointed at
+    it and waits until they have joined; :attr:`processes` holds their
+    handles and :meth:`close` reaps them.  ``heartbeat_timeout`` is how
+    long a silent worker is trusted before its in-flight cell is
+    re-queued; ``worker_timeout`` bounds how long a sweep waits with
+    *zero* connected workers before giving up.
     """
 
     def __init__(self, address: str = "127.0.0.1:0", *,
+                 local_workers: int = 0,
                  heartbeat_timeout: float = 30.0,
-                 worker_timeout: float = 600.0,
-                 cell_cache=None):
+                 worker_timeout: float = 600.0):
         if heartbeat_timeout <= 0:
             raise ValueError(f"heartbeat_timeout must be positive, got {heartbeat_timeout}")
         if worker_timeout <= 0:
             raise ValueError(f"worker_timeout must be positive, got {worker_timeout}")
-        host, port = protocol.parse_address(address)
-        self._listener = socket.create_server((host, port))
         self._heartbeat_timeout = float(heartbeat_timeout)
         self._worker_timeout = float(worker_timeout)
-        self._cell_cache = cell_cache
         #: one lock+condition guards _workers, _sweep, _closed, _generation
         self._state = threading.Condition()
         self._workers: set = set()
-        #: every accepted connection -> its serving thread, which close()
-        #: wakes and joins
-        self._connections: Dict[socket.socket, threading.Thread] = {}
         self._closed = False
         self._generation = 0
         self._sweep: Optional[_SweepState] = None
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="dist-accept", daemon=True
-        )
-        self._accept_thread.start()
+        #: the local worker subprocesses this executor spawned
+        self.processes: List[subprocess.Popen] = []
+        self._server = protocol.ConnectionServer(address, self._serve_worker, "dist")
+        if local_workers:
+            try:
+                self.processes = cluster.spawn_local_workers(self.bound_address,
+                                                             local_workers)
+                self.wait_for_workers(local_workers)
+            except BaseException:
+                self.close()
+                raise
 
     # ------------------------------------------------------------------
     # executor interface
@@ -193,10 +185,7 @@ class DistributedExecutor:
     @property
     def bound_address(self) -> str:
         """The actual ``host:port`` workers should connect to."""
-        host, port = self._listener.getsockname()[:2]
-        if host in ("0.0.0.0", "::"):
-            host = "127.0.0.1"
-        return protocol.format_address(host, port)
+        return self._server.address
 
     def map(self, function: Callable[[ItemT], ResultT],
             items: Iterable[ItemT]) -> Iterator[ResultT]:
@@ -206,14 +195,6 @@ class DistributedExecutor:
         def stream() -> Iterator[ResultT]:
             if not materialised:
                 return
-            # cache reads happen before the sweep is installed (no lock
-            # held, workers idle): hits never enter the work queue
-            prefilled = {}
-            if self._cell_cache is not None:
-                for index, item in enumerate(materialised):
-                    cached = self._cell_cache.lookup(function, item)
-                    if cached is not None:
-                        prefilled[index] = cached
             with self._state:
                 if self._closed:
                     raise RuntimeError("the executor is closed")
@@ -222,8 +203,7 @@ class DistributedExecutor:
                         "another sweep is already running on this executor"
                     )
                 self._generation += 1
-                sweep = _SweepState(self._generation, function, materialised,
-                                    prefilled=prefilled)
+                sweep = _SweepState(self._generation, function, materialised)
                 self._sweep = sweep
                 self._state.notify_all()
             try:
@@ -246,7 +226,7 @@ class DistributedExecutor:
     def execute(self, function: Callable[[ItemT], ResultT],
                 items: Iterable[ItemT]) -> List[ResultT]:
         """Apply ``function`` to every item and return the ordered results."""
-        return timed_execute(self, "dist", function, items)
+        return timed_execute(self, "dist", self.map(function, items))
 
     def wait_for_workers(self, count: int, timeout: float = 60.0) -> int:
         """Block until ``count`` workers are connected; return the count."""
@@ -263,31 +243,29 @@ class DistributedExecutor:
             return len(self._workers)
 
     def close(self) -> None:
-        """Stop accepting workers, tell connected ones to shut down.
+        """Tell connected workers to shut down, close the port, reap local workers.
 
-        Wakes the accept thread and every serving thread, then joins them
-        within a bounded wait.
+        The port's threads are joined within a bounded wait; a local worker
+        still running 15 s later is killed.
         """
         with self._state:
             if self._closed:
                 return
             self._closed = True
             workers = list(self._workers)
-            connections = dict(self._connections)
             self._state.notify_all()
-        protocol.close_listener(self._listener)
         for worker in workers:
             try:
                 worker.send((MSG_SHUTDOWN,))
             except OSError:
                 pass
-        for sock in connections:
+        self._server.close(timeout=5.0)
+        for process in self.processes:
             try:
-                # wakes a serving thread blocked in recv with a clean EOF
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        protocol.join_threads([self._accept_thread, *connections.values()], timeout=5.0)
+                process.wait(timeout=15)
+            except subprocess.TimeoutExpired:  # pragma: no cover - stuck worker
+                process.kill()
+                process.wait()
 
     def __enter__(self) -> "DistributedExecutor":
         return self
@@ -318,23 +296,6 @@ class DistributedExecutor:
                 f"start workers with: repro-dist-worker --connect {self.bound_address}"
             )
 
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                sock, address = protocol.accept(self._listener)
-            except OSError:
-                return  # listener closed
-            thread = threading.Thread(
-                target=self._serve_worker, args=(sock,),
-                name=f"dist-serve-{address[0]}:{address[1]}", daemon=True,
-            )
-            with self._state:
-                if self._closed:
-                    sock.close()
-                    return
-                self._connections[sock] = thread
-                thread.start()
-
     def _serve_worker(self, sock: socket.socket) -> None:
         worker = None
         try:
@@ -359,22 +320,16 @@ class DistributedExecutor:
             # in-flight cell is re-queued below and the sweep carries on
             pass
         finally:
-            with self._state:
-                self._connections.pop(sock, None)
-                if worker is not None:
+            if worker is not None:
+                with self._state:
                     self._workers.discard(worker)
                     self._requeue_in_flight(worker)
-                self._state.notify_all()
-            if worker is not None:
+                    self._state.notify_all()
                 logger.info("worker %s left after %d cell(s)",
                             worker.name, worker.cells_done)
                 telemetry.emit("worker_leave", peer=worker.name,
                                cells=worker.cells_done,
                                max_heartbeat_gap=worker.max_gap)
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - platform dependent
-                pass
 
     def _requeue_in_flight(self, worker: _WorkerState) -> None:
         # caller holds self._state
@@ -477,7 +432,6 @@ class DistributedExecutor:
                     continue
                 if kind == MSG_RESULT:
                     _, generation, index, payload = message
-                    fill = None
                     with self._state:
                         worker.in_flight = None
                         worker.cells_done += 1
@@ -485,15 +439,9 @@ class DistributedExecutor:
                         if sweep is not None and sweep.generation == generation:
                             sweep.results[index] = payload
                             sweep.last_progress = time.monotonic()
-                            if self._cell_cache is not None:
-                                fill = (sweep.function, sweep.items[index])
                         # a stale generation means the sweep this cell
                         # belonged to is gone; drop the payload silently
                         self._state.notify_all()
-                    if fill is not None:
-                        # disk write outside the lock: filling the cache
-                        # must never stall dispatch to other workers
-                        self._cell_cache.store(fill[0], fill[1], payload)
                     telemetry.emit(
                         "cell_result", peer=worker.name, index=index,
                         duration=time.monotonic() - worker.dispatched_at)
@@ -549,20 +497,13 @@ def main(argv=None) -> int:
 
     scale = scale_preset(args.scale)
 
-    executor = DistributedExecutor(
+    with DistributedExecutor(
         args.bind,
+        local_workers=args.local_workers,
         heartbeat_timeout=args.heartbeat_timeout,
         worker_timeout=args.worker_wait,
-    )
-    logger.info("coordinator listening on %s", executor.bound_address)
-    local_processes = []
-    try:
-        if args.local_workers:
-            from repro.dist.cluster import spawn_local_workers
-
-            local_processes = spawn_local_workers(
-                executor.bound_address, args.local_workers
-            )
+    ) as executor:
+        logger.info("coordinator listening on %s", executor.bound_address)
         executor.wait_for_workers(max(args.min_workers, 1),
                                   timeout=args.worker_wait)
         logger.info("%d worker(s) connected; running %r at %s scale, "
@@ -588,14 +529,6 @@ def main(argv=None) -> int:
                                     confidence=args.confidence)
             path = write_archive(archive, args.archive)
             logger.info("archive written to %s", path)
-    finally:
-        executor.close()
-        for process in local_processes:
-            try:
-                process.wait(timeout=15)
-            except Exception:
-                process.kill()
-                process.wait()
     return 0
 
 

@@ -25,6 +25,10 @@ waits for the next ``task``.  Nagle's algorithm holds the small ``ready``
 frame until ``result`` is acknowledged, and the coordinator, which sends
 nothing until ``ready`` arrives, delays that acknowledgement (40 ms at
 least on Linux).
+
+Both listening ports, the coordinator's worker port and the service's
+control port, are a :class:`ConnectionServer`: it owns the accept loop,
+the thread serving each connection and the shutdown of all of them.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import socket
 import struct
 import threading
 import time
-from typing import Iterable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 #: 8-byte big-endian unsigned frame-length prefix
 HEADER = struct.Struct(">Q")
@@ -173,22 +177,79 @@ def format_address(host: str, port: int) -> str:
     return f"{host}:{port}"
 
 
-def close_listener(listener: socket.socket) -> None:
-    """Close a listening socket, waking a thread blocked in its ``accept()``.
+class ConnectionServer:
+    """A listening TCP port that serves each connection on a thread of its own.
 
-    On Linux ``close()`` alone leaves such a thread blocked; ``shutdown``
-    first makes its ``accept()`` fail at once (with ``EINVAL``).
+    Binds ``bind`` (``"host:port"``; port 0 picks a free port, read back
+    from :attr:`address`) and accepts on a thread named ``<name>-accept``.
+    Each connection runs ``handler(sock)`` on a thread named
+    ``<name>-serve-<peer>``; the socket is closed when the handler returns.
     """
-    try:
-        listener.shutdown(socket.SHUT_RDWR)
-    except OSError:  # pragma: no cover - platform dependent
-        pass
-    listener.close()
 
+    def __init__(self, bind: str, handler: Callable[[socket.socket], None],
+                 name: str):
+        self._listener = socket.create_server(parse_address(bind))
+        self._handler = handler
+        self._name = name
+        #: guards _connections and _closed
+        self._lock = threading.Lock()
+        #: every open connection -> the thread serving it
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+        self._closed = False
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, name=f"{name}-accept", daemon=True)
+        self._accept_thread.start()
 
-def join_threads(threads: Iterable[threading.Thread], timeout: float) -> None:
-    """Join ``threads`` within one shared deadline, never the calling thread."""
-    deadline = time.monotonic() + timeout
-    for thread in threads:
-        if thread is not threading.current_thread():
-            thread.join(max(0.0, deadline - time.monotonic()))
+    @property
+    def address(self) -> str:
+        """The bound ``host:port``; a wildcard host reads as ``127.0.0.1``."""
+        host, port = self._listener.getsockname()[:2]
+        if host in ("0.0.0.0", "::"):
+            host = "127.0.0.1"
+        return format_address(host, port)
+
+    def close(self, timeout: float = 5.0) -> None:
+        """Stop accepting, end every open connection, join the threads.
+
+        A handler blocked in ``recv`` sees EOF.  A handler may call this:
+        the calling thread is never joined.
+        """
+        with self._lock:
+            self._closed = True
+            connections = dict(self._connections)
+        # on Linux close() alone leaves the accept thread blocked;
+        # shutdown first makes its accept() fail at once
+        for sock in (self._listener, *connections):
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        self._listener.close()
+        deadline = time.monotonic() + timeout
+        for thread in (self._accept_thread, *connections.values()):
+            if thread is not threading.current_thread():
+                thread.join(max(0.0, deadline - time.monotonic()))
+
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                sock, peer = accept(self._listener)
+            except OSError:
+                return  # the listener closed
+            thread = threading.Thread(
+                target=self._serve, args=(sock,),
+                name=f"{self._name}-serve-{peer[0]}:{peer[1]}", daemon=True)
+            with self._lock:
+                if self._closed:
+                    sock.close()
+                    return
+                self._connections[sock] = thread
+                thread.start()
+
+    def _serve(self, sock: socket.socket) -> None:
+        try:
+            with sock:
+                self._handler(sock)
+        finally:
+            with self._lock:
+                self._connections.pop(sock, None)

@@ -17,8 +17,8 @@ answers with a task error, which the coordinator raises naming the cell.
 
 ``main`` is the ``repro-dist-worker`` console entry point (also runnable
 as ``python -m repro.dist.worker``, which is how
-:class:`~repro.dist.cluster.LocalCluster` — and so every ``workers=N``
-sweep — spawns local workers).
+:func:`~repro.dist.cluster.spawn_local_workers` — and so every
+``workers=N`` sweep — starts local workers).
 ``--fail-after-cells N`` is deliberate fault injection for the
 fault-tolerance tests: the worker accepts its ``N+1``-th cell and then
 dies abruptly (``os._exit``), exactly like a crashed host with a cell in
@@ -99,9 +99,16 @@ class Worker:
         the loop cleanly (the results it missed are simply lost — it is
         the coordinator that owns re-queueing, not the worker).
         """
-        # telemetry spans emitted while executing cells (cell_execute) carry
-        # the worker's announced name, matching the coordinator's logs
-        telemetry.set_worker_name(self.name)
+        # spans emitted while executing cells (cell_execute) carry the
+        # worker's announced name, matching the coordinator's logs; the
+        # name is this thread's only, and only until the loop ends
+        previous = telemetry.set_worker_name(self.name)
+        try:
+            return self._serve()
+        finally:
+            telemetry.set_worker_name(previous)
+
+    def _serve(self) -> int:
         sock = self._connect()
         send_lock = threading.Lock()
 

@@ -21,8 +21,9 @@ processes — interleaves safely into one stream:
   workers a ``workers=N`` sweep spawns included — so one exported
   variable captures the whole run without any plumbing;
 * every record carries the ``span`` name, the emitting ``worker``
-  (``hostname-pid`` by default, overridable via :func:`set_worker_name`
-  so dist workers report their CLI-given name) and a wall-clock ``ts``.
+  (``hostname-pid`` by default, overridable per thread via
+  :func:`set_worker_name` so dist workers report their CLI-given name) and
+  a wall-clock ``ts``.
 
 Telemetry costs one ``None`` check when off — the executors consult
 :func:`active_sink` once per operation and skip all clock reads without a
@@ -59,8 +60,9 @@ _installed: Optional["TelemetrySink"] = None
 #: active_sink() calls reuse one file descriptor per process
 _env_sinks: Dict[str, "TelemetrySink"] = {}
 
-#: worker name override (dist workers set their CLI-given name here)
-_worker_name: Optional[str] = None
+#: per-thread worker name override (a dist worker's loop sets its
+#: CLI-given name here, so an in-process worker renames only its own spans)
+_worker_name = threading.local()
 #: pid the cached default worker name was computed for (fork invalidates it)
 _worker_name_pid: Optional[int] = None
 _default_worker_name: str = ""
@@ -160,15 +162,16 @@ def telemetry_to(path: str) -> Iterator[TelemetrySink]:
 
 
 def worker_name() -> str:
-    """This process's worker attribution (``hostname-pid`` by default).
+    """The calling thread's worker attribution (``hostname-pid`` by default).
 
     Recomputed after a fork (the pid changed); dist workers override it
     with their CLI-given name via :func:`set_worker_name` so spans line up
     with the names the coordinator logs.
     """
     global _default_worker_name, _worker_name_pid
-    if _worker_name is not None:
-        return _worker_name
+    override = getattr(_worker_name, "name", None)
+    if override is not None:
+        return override
     pid = os.getpid()
     if pid != _worker_name_pid:
         _worker_name_pid = pid
@@ -176,10 +179,14 @@ def worker_name() -> str:
     return _default_worker_name
 
 
-def set_worker_name(name: Optional[str]) -> None:
-    """Override (or, with ``None``, restore) this process's worker name."""
-    global _worker_name
-    _worker_name = name
+def set_worker_name(name: Optional[str]) -> Optional[str]:
+    """Override (or, with ``None``, restore) the calling thread's worker name.
+
+    Returns the override it replaces, so a caller can put it back.
+    """
+    previous = getattr(_worker_name, "name", None)
+    _worker_name.name = name
+    return previous
 
 
 def emit(span: str, **fields: object) -> None:

@@ -2,9 +2,9 @@
 
 :func:`run_sweep` ties the layers together: it resolves a scenario name (or
 accepts a ready :class:`~repro.runner.specs.SweepSpec`), expands replicates,
-selects the serial executor or a local dist cluster from ``workers``, runs
-every cell, and aggregates replicates into mean ± confidence-interval
-summaries.
+selects the serial executor or a distributed one with local worker
+processes from ``workers``, runs every cell, and aggregates replicates
+into mean ± confidence-interval summaries.
 
 Converters turn a :class:`SweepResult` back into the result objects the
 figure-level code has always consumed
@@ -70,12 +70,12 @@ def run_sweep(sweep: Union[str, SweepSpec], *,
     """Run a sweep (by name or spec) and aggregate its replicates.
 
     ``workers`` selects the executor, which this call makes and closes:
-    0/1 run serially in-process, ``N>1`` fan out over a local cluster of
-    ``N`` dist worker processes, ``None`` uses one worker per CPU.  A
+    0/1 run serially in-process, ``N>1`` fan out over ``N`` local dist
+    worker processes, ``None`` uses one worker per CPU.  A
     ready ``executor`` replaces that choice and stays open — e.g. a
     :class:`~repro.dist.coordinator.DistributedExecutor` that networked
-    ``repro-dist-worker`` processes join, a
-    :class:`~repro.dist.cluster.LocalCluster` reused across sweeps, or a
+    ``repro-dist-worker`` processes join, one with ``local_workers=N``
+    reused across sweeps, or a
     :class:`~repro.svc.client.ServiceExecutor`.  Results are bit-identical
     between all settings.
     ``scale``, ``base_params`` and extra keyword arguments are forwarded

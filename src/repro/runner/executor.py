@@ -11,8 +11,10 @@ way the experiment entry points expose it:
 
 * ``workers=0`` or ``1`` — run in-process (no pickling requirements, exact
   same code path the tests exercise);
-* ``workers=N>1`` — start a :class:`~repro.dist.cluster.LocalCluster`: a
-  coordinator plus ``N`` ``repro.dist.worker`` subprocesses on localhost;
+* ``workers=N>1`` — start a
+  :class:`~repro.dist.coordinator.DistributedExecutor` with
+  ``local_workers=N``: a coordinator plus ``N`` ``repro.dist.worker``
+  subprocesses on localhost;
 * ``workers=None`` — one worker per available CPU.
 
 The dist wire protocol is the only way a cell leaves the calling process,
@@ -40,17 +42,18 @@ ResultT = TypeVar("ResultT")
 
 
 def timed_execute(executor, kind: str,
-                  function: Callable[[ItemT], ResultT],
-                  items: Iterable[ItemT]) -> List[ResultT]:
-    """Collect ``executor.map`` results, in a ``sweep`` span when telemetered.
+                  stream: Iterable[ResultT]) -> List[ResultT]:
+    """Collect a lazy result ``stream``, in a ``sweep`` span when telemetered.
 
-    Only :meth:`execute` is instrumented — a lazy :meth:`map` generator has
-    no well-defined end to time.  Without an active sink no clock is read.
+    ``stream`` is ``executor.map(...)`` or a stream built on it (a service
+    job's), and only collecting it is timed — a lazy :meth:`map` generator
+    has no well-defined end to time.  Without an active sink no clock is
+    read.
     """
     if telemetry.active_sink() is None:
-        return list(executor.map(function, items))
+        return list(stream)
     started = time.monotonic()
-    results = list(executor.map(function, items))
+    results = list(stream)
     telemetry.emit(
         "sweep",
         executor=kind,
@@ -74,7 +77,7 @@ class SerialExecutor:
     def execute(self, function: Callable[[ItemT], ResultT],
                 items: Iterable[ItemT]) -> List[ResultT]:
         """Apply ``function`` to every item and return the ordered results."""
-        return timed_execute(self, "serial", function, items)
+        return timed_execute(self, "serial", self.map(function, items))
 
     def close(self) -> None:
         """Nothing to release; every executor ``make_executor`` returns closes."""
@@ -86,8 +89,8 @@ class SerialExecutor:
 def make_executor(workers: Optional[int] = 0):
     """Select an executor from a ``workers`` count (see module docstring).
 
-    Whoever makes an executor closes it: ``close()`` on a cluster shuts its
-    coordinator down and reaps its worker processes.
+    Whoever makes an executor closes it: ``close()`` on a distributed one
+    shuts its coordinator down and reaps its worker processes.
     """
     if workers is None:
         workers = os.cpu_count() or 1
@@ -96,6 +99,7 @@ def make_executor(workers: Optional[int] = 0):
     if workers <= 1:
         return SerialExecutor()
     # imported lazily: repro.dist depends on repro.runner, not vice versa
-    from repro.dist.cluster import LocalCluster
+    from repro.dist.coordinator import DistributedExecutor
 
-    return LocalCluster(workers).start()
+    return DistributedExecutor(local_workers=workers, heartbeat_timeout=10.0,
+                               worker_timeout=120.0)

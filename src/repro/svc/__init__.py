@@ -11,10 +11,11 @@ and makes repeated work free:
   bit-deterministic, a cache hit is *provably* byte-identical to a fresh
   simulation — the soundness guarantee ``tests/svc/`` pins end to end;
 * :mod:`repro.svc.service` — :class:`~repro.svc.service.SweepService`, a
-  FIFO job queue over one cache-backed
+  FIFO job queue over one
   :class:`~repro.dist.coordinator.DistributedExecutor`, accepting
   :class:`~repro.runner.specs.SweepSpec` submissions over the existing
-  length-prefixed TCP protocol;
+  length-prefixed TCP protocol; it looks every cell up in the cache and
+  sends only the misses to the executor;
 * :mod:`repro.svc.http` — a stdlib HTTP/JSON control plane (submit /
   status / results / cache stats / health) over the same service;
 * :mod:`repro.svc.client` — :class:`~repro.svc.client.ServiceClient`

@@ -27,15 +27,13 @@ Layout and durability:
   on the next store), never as errors — the cache is an accelerator, not
   a dependency.
 
-The executor-facing seam (:meth:`ResultCache.lookup` /
-:meth:`ResultCache.store`) only engages for the canonical cell entry
-point :func:`~repro.runner.cells.execute_run_spec` mapped over
-:class:`~repro.runner.specs.RunSpec` items; any other function or item
-type bypasses the cache entirely, so a cache-backed executor stays a
-correct general-purpose executor.  Every :class:`RunSpec` is plain data
-and so has a key; a spec the JSON encoder refuses (a non-scalar option
-value, an unknown schedule or arrival subclass) fails the lookup with the
-encoder's ``ValueError`` rather than run uncached.
+The cache has one reader and one writer, the sweep service
+(:class:`~repro.svc.service.SweepService`): it looks up every cell of a
+job before dispatch and stores each fresh result as its ordered result
+stream yields it.  Every :class:`~repro.runner.specs.RunSpec` is plain
+data and so has a key; a spec the JSON encoder refuses (a non-scalar
+option value, an unknown schedule or arrival subclass) fails the lookup
+with the encoder's ``ValueError`` rather than run uncached.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from pathlib import Path
 from typing import Optional
 
 from repro.obs import telemetry
-from repro.runner.cells import execute_run_spec
 from repro.runner.specs import RunSpec, run_spec_fingerprint
 
 logger = logging.getLogger("repro.svc.cache")
@@ -64,13 +61,10 @@ CACHE_FORMAT = 2
 class ResultCache:
     """On-disk content-addressed store of :class:`CellResult` values.
 
-    ``get``/``put`` are the spec-keyed primitives; ``lookup``/``store``
-    are the guarded seam :class:`~repro.dist.coordinator.DistributedExecutor`
-    calls with its generic ``(function, item)`` pairs.  All methods are
-    thread-safe (the coordinator fills from per-worker serving threads)
-    and a single directory may be shared by any number of processes —
-    atomic writes make concurrent fills of the same key converge on one
-    valid entry.
+    :meth:`lookup` and :meth:`store` are keyed by the cell's spec.  All
+    methods are thread-safe and a single directory may be shared by any
+    number of handles and processes — atomic writes make concurrent fills
+    of the same key converge on one valid entry.
     """
 
     def __init__(self, directory):
@@ -82,14 +76,11 @@ class ResultCache:
         self._misses = 0
         self._stores = 0
 
-    # ------------------------------------------------------------------
-    # spec-keyed primitives
-    # ------------------------------------------------------------------
     def path_for(self, key: str) -> Path:
         """The on-disk entry path of a fingerprint."""
         return self._dir / f"{key}.pkl"
 
-    def get(self, spec: RunSpec):
+    def lookup(self, spec: RunSpec):
         """The cached result of ``spec``, or None on a miss.
 
         Counts a hit or a miss and emits the matching telemetry span
@@ -107,7 +98,7 @@ class ResultCache:
         telemetry.emit("cache_miss", key=key, cell_id=spec.cell_id)
         return None
 
-    def put(self, spec: RunSpec, result) -> Optional[str]:
+    def store(self, spec: RunSpec, result) -> Optional[str]:
         """Store ``result`` under ``spec``'s key; returns the key used.
 
         Atomic: a concurrent reader sees either no entry or a complete
@@ -120,7 +111,7 @@ class ResultCache:
             with open(tmp, "wb") as handle:
                 pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(tmp, path)
-        except OSError as exc:  # pragma: no cover - disk-full etc.
+        except OSError as exc:  # disk full, say
             logger.warning("cache store of %s failed: %s", key, exc)
             try:
                 os.unlink(tmp)
@@ -143,21 +134,6 @@ class ResultCache:
             logger.warning("cache entry %s unreadable (%s); treating as miss",
                            key, exc)
             return None
-
-    # ------------------------------------------------------------------
-    # the executor seam
-    # ------------------------------------------------------------------
-    def lookup(self, function, item):
-        """Coordinator-side read: None unless this is a cacheable cell hit."""
-        if function is not execute_run_spec or not isinstance(item, RunSpec):
-            return None
-        return self.get(item)
-
-    def store(self, function, item, result) -> None:
-        """Coordinator-side fill after a worker returns a fresh result."""
-        if function is not execute_run_spec or not isinstance(item, RunSpec):
-            return
-        self.put(item, result)
 
     # ------------------------------------------------------------------
     # introspection

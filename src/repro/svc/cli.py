@@ -41,8 +41,8 @@ class _CrashAfterFills(ResultCache):
     """Test-only cache that hard-kills the process after N fills.
 
     The deterministic fault injection behind the crash-recovery test
-    (mirroring ``repro-dist-worker --fail-after-cells``): with one worker,
-    cells complete in submission order, so exactly the first N results
+    (mirroring ``repro-dist-worker --fail-after-cells``): the service
+    stores fresh results in cell order, so exactly the first N results
     land in the cache before the service dies mid-job without any
     shutdown courtesies.  Exit code 17 distinguishes the injected crash
     from a real failure.
@@ -52,8 +52,8 @@ class _CrashAfterFills(ResultCache):
         super().__init__(directory)
         self._fills_left = int(limit)
 
-    def put(self, spec, result):
-        key = super().put(spec, result)
+    def store(self, spec, result):
+        key = super().store(spec, result)
         if key is not None:
             self._fills_left -= 1
             if self._fills_left <= 0:
@@ -76,11 +76,11 @@ def _serve(args) -> int:
         worker_bind=args.bind,
         control_bind=args.control,
         cache=cache,
+        local_workers=args.local_workers,
         heartbeat_timeout=args.heartbeat_timeout,
         worker_timeout=args.worker_wait,
     )
     http_server = None
-    local_processes = []
     try:
         print(f"worker address: {service.worker_address}", flush=True)
         print(f"control address: {service.control_address}", flush=True)
@@ -92,11 +92,6 @@ def _serve(args) -> int:
             print(f"http address: {host}:{port}", flush=True)
             threading.Thread(target=http_server.serve_forever,
                              name="svc-http", daemon=True).start()
-        if args.local_workers:
-            from repro.dist.cluster import spawn_local_workers
-
-            local_processes = spawn_local_workers(service.worker_address,
-                                                  args.local_workers)
         if args.min_workers:
             service.executor.wait_for_workers(args.min_workers,
                                               timeout=args.worker_wait)
@@ -112,12 +107,6 @@ def _serve(args) -> int:
         if http_server is not None:
             http_server.shutdown()
         service.close()
-        for process in local_processes:
-            try:
-                process.wait(timeout=15)
-            except Exception:
-                process.kill()
-                process.wait()
     return 0
 
 

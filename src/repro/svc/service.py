@@ -1,6 +1,6 @@
-"""The persistent sweep service: a FIFO job queue over one cached executor.
+"""The persistent sweep service: a FIFO job queue over a result cache and one executor.
 
-A :class:`SweepService` owns a cache-backed
+A :class:`SweepService` owns a
 :class:`~repro.dist.coordinator.DistributedExecutor` (workers connect to
 ``worker_address`` exactly as they would to a bare coordinator) and keeps
 it alive between sweeps.  Clients submit :class:`~repro.runner.specs.RunSpec`
@@ -16,9 +16,12 @@ queue; ``status`` reports the queue position.  This mirrors the paper's
 load-control stance: bounded concurrency with explicit queueing beats
 thrashing the executor with interleaved sweeps.
 
-Per-job cache accounting is exact: jobs run one at a time, so the delta of
-the cache's hit/miss counters across a job is that job's hit/miss count —
-the quantity ``tests/svc/test_cache_soundness.py`` pins (a warm
+The service, not the executor, consults the cache.  A job looks up every
+one of its cells first; only the misses go to the executor, and each fresh
+result is stored as the executor's ordered stream yields it (errors never
+are).  A job whose every cell hits completes with zero workers connected.
+Its ``cache_hits`` and ``cache_misses`` are the outcomes of its own
+lookups — the quantity ``tests/svc/test_cache_soundness.py`` pins (a warm
 re-submission of any golden scenario is 100% hits and zero simulations).
 
 Results documents are deliberately deterministic (no job ids, no
@@ -29,11 +32,12 @@ to the cold run's, which is the headline guarantee of the cache.
 from __future__ import annotations
 
 import collections
+import contextlib
 import logging
 import socket
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.canonical import sanitize
 from repro.dist import protocol
@@ -52,6 +56,7 @@ from repro.dist.protocol import (
 )
 from repro.obs import telemetry
 from repro.runner.cells import execute_run_spec
+from repro.runner.executor import timed_execute
 from repro.runner.specs import RunSpec
 from repro.svc.cache import ResultCache
 
@@ -81,7 +86,7 @@ class JobRecord:
         self.error: Optional[str] = None
         #: ordered CellResult list once the job is done
         self.results = None
-        #: exact per-job cache accounting (delta across the run)
+        #: outcomes of this job's own cache lookups
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -147,7 +152,7 @@ def scenario_cells(scenario: str, scale: str = "smoke",
 
 
 class SweepService:
-    """A persistent, cache-backed sweep executor with a FIFO job queue.
+    """A persistent sweep executor with a result cache and a FIFO job queue.
 
     ``worker_bind`` is where ``repro-dist-worker`` processes connect;
     ``control_bind`` is where :class:`~repro.svc.client.ServiceClient`
@@ -156,39 +161,46 @@ class SweepService:
     :attr:`worker_address` / :attr:`control_address`.  ``cache`` may be a
     ready :class:`~repro.svc.cache.ResultCache`, a directory path, or
     None to run uncached (every cell always simulates).
+    ``local_workers``, ``heartbeat_timeout`` and ``worker_timeout`` go to
+    the executor.  A constructor that fails closes what it had started.
     """
 
     def __init__(self, *, worker_bind: str = "127.0.0.1:0",
                  control_bind: str = "127.0.0.1:0",
                  cache=None,
+                 local_workers: int = 0,
                  heartbeat_timeout: float = 30.0,
                  worker_timeout: float = 600.0):
         if cache is None or isinstance(cache, ResultCache):
             self._cache = cache
         else:
             self._cache = ResultCache(cache)
-        self._executor = DistributedExecutor(
-            worker_bind,
-            heartbeat_timeout=heartbeat_timeout,
-            worker_timeout=worker_timeout,
-            cell_cache=self._cache,
-        )
         #: guards _jobs, _queue, _next_id, _closed; runner waits on it
         self._state = threading.Condition()
         self._jobs: Dict[str, JobRecord] = {}
         self._queue: collections.deque = collections.deque()
         self._next_id = 0
         self._closed = False
-        #: threads answering control requests, which close() joins
-        self._control_threads: set = set()
-        host, port = protocol.parse_address(control_bind)
-        self._control_listener = socket.create_server((host, port))
+        #: held for the whole of close()
+        self._closing = threading.Lock()
+        # the runner starts first: it waits for jobs, which only the control
+        # plane (started last) or the caller can submit
         self._runner_thread = threading.Thread(
             target=self._run_loop, name="svc-runner", daemon=True)
         self._runner_thread.start()
-        self._control_thread = threading.Thread(
-            target=self._control_accept_loop, name="svc-control", daemon=True)
-        self._control_thread.start()
+        self._executor = self._control = None
+        try:
+            self._executor = DistributedExecutor(
+                worker_bind,
+                local_workers=local_workers,
+                heartbeat_timeout=heartbeat_timeout,
+                worker_timeout=worker_timeout,
+            )
+            self._control = protocol.ConnectionServer(
+                control_bind, self._serve_control, "svc-control")
+        except BaseException:
+            self.close()
+            raise
 
     # ------------------------------------------------------------------
     # addresses
@@ -201,10 +213,7 @@ class SweepService:
     @property
     def control_address(self) -> str:
         """``host:port`` of the TCP control plane."""
-        host, port = self._control_listener.getsockname()[:2]
-        if host in ("0.0.0.0", "::"):
-            host = "127.0.0.1"
-        return protocol.format_address(host, port)
+        return self._control.address
 
     @property
     def executor(self) -> DistributedExecutor:
@@ -320,18 +329,19 @@ class SweepService:
 
         Joins the service's threads within a bounded wait, except the
         calling one: a shutdown request closes the service from a control
-        thread.
+        thread.  A second caller returns once the first one has finished,
+        so whoever closes a service last has its workers reaped.
         """
-        with self._state:
-            if self._closed:
-                return
-            self._closed = True
-            control = list(self._control_threads)
-            self._state.notify_all()
-        protocol.close_listener(self._control_listener)
-        self._executor.close()
-        protocol.join_threads([self._runner_thread, self._control_thread, *control],
-                              timeout=10.0)
+        with self._closing:
+            with self._state:
+                if self._closed:
+                    return
+                self._closed = True
+                self._state.notify_all()
+            for server in (self._control, self._executor):
+                if server is not None:  # None only after a failed constructor
+                    server.close()
+            self._runner_thread.join(timeout=10.0)
 
     def __enter__(self) -> "SweepService":
         return self
@@ -352,9 +362,8 @@ class SweepService:
                     return
                 job = self._jobs[self._queue.popleft()]
                 job.state = JOB_RUNNING
-            before = self._cache.stats() if self._cache is not None else None
             try:
-                results = self._executor.execute(execute_run_spec, job.cells)
+                results = timed_execute(self._executor, "dist", self._job_results(job))
             except Exception as exc:
                 with self._state:
                     job.state = JOB_FAILED
@@ -362,36 +371,36 @@ class SweepService:
                     self._state.notify_all()
                 logger.warning("%s failed: %s", job.job_id, exc)
                 continue
-            after = self._cache.stats() if self._cache is not None else None
             with self._state:
                 job.results = results
-                if before is not None:
-                    job.cache_hits = after["hits"] - before["hits"]
-                    job.cache_misses = after["misses"] - before["misses"]
                 job.state = JOB_DONE
                 self._state.notify_all()
             logger.info("%s done: %d cells (%d cache hit(s))",
                         job.job_id, len(results), job.cache_hits)
 
-    def _control_accept_loop(self) -> None:
-        while True:
-            try:
-                sock, address = protocol.accept(self._control_listener)
-            except OSError:
-                return  # listener closed
-            thread = threading.Thread(
-                target=self._serve_control, args=(sock,),
-                name=f"svc-ctl-{address[0]}:{address[1]}", daemon=True,
-            )
+    def _job_results(self, job: JobRecord) -> Iterator:
+        """A job's results in cell order: hits from the cache, misses from
+        the executor, each fresh result stored as the executor yields it."""
+        cache = self._cache
+        cached = [cache.lookup(cell) if cache is not None else None
+                  for cell in job.cells]
+        misses = [cell for cell, result in zip(job.cells, cached) if result is None]
+        if cache is not None:
             with self._state:
-                if self._closed:
-                    sock.close()
-                    return
-                self._control_threads.add(thread)
-                thread.start()
+                job.cache_hits = len(cached) - len(misses)
+                job.cache_misses = len(misses)
+        # the executor's stream stays suspended after its last result, its
+        # sweep still installed, until it is advanced once more or closed
+        with contextlib.closing(self._executor.map(execute_run_spec, misses)) as fresh:
+            for cell, result in zip(job.cells, cached):
+                if result is None:
+                    result = next(fresh)
+                    if cache is not None:
+                        cache.store(cell, result)
+                yield result
 
     def _serve_control(self, sock: socket.socket) -> None:
-        """Answer exactly one control request, then close the connection."""
+        """Answer exactly one control request on its own connection."""
         shutdown = False
         try:
             sock.settimeout(30.0)
@@ -403,15 +412,8 @@ class SweepService:
             protocol.send_message(sock, reply)
         except (ConnectionClosed, ProtocolError, OSError):
             pass  # a vanished client is not the service's problem
-        finally:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - platform dependent
-                pass
-            with self._state:
-                self._control_threads.discard(threading.current_thread())
-            if shutdown:
-                self.close()
+        if shutdown:
+            self.close()
 
     def _handle_control(self, message):
         """Dispatch one control-plane request tuple; returns (reply, shutdown)."""
@@ -431,6 +433,6 @@ class SweepService:
         if kind == MSG_SVC_CACHE:
             return (MSG_SVC_OK, self.cache_stats()), False
         if kind == MSG_SVC_SHUTDOWN:
-            # reply first, then close (the finally block in _serve_control)
+            # reply first, then close (at the end of _serve_control)
             return (MSG_SVC_OK, "shutting down"), True
         raise ProtocolError(f"unknown control request kind {kind!r}")

@@ -13,6 +13,7 @@ import importlib.util
 import json
 import pickle
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -21,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.dist import protocol
-from repro.dist.cluster import launch_local_cluster
+from repro.dist.cluster import spawn_local_workers
 from repro.dist.coordinator import DistributedExecutor
 from repro.dist.worker import Worker
 from repro.experiments.config import ExperimentScale
@@ -57,6 +58,16 @@ def thrashing_serial(thrashing_spec):
     return SerialExecutor().execute(execute_run_spec, thrashing_spec.cells)
 
 
+def _reap(processes):
+    """Wait for worker processes a test spawned itself; kill a stuck one."""
+    for process in processes:
+        try:
+            process.wait(timeout=15)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.wait()
+
+
 def _started_since(before, *prefixes):
     """Names of live threads started after ``before`` whose name matches."""
     return [thread.name for thread in threading.enumerate()
@@ -71,10 +82,12 @@ def _assert_identical(distributed, serial):
 
 
 class TestLocalClusterEndToEnd:
+    """A coordinator with local worker subprocesses: ``local_workers=N``."""
+
     def test_two_workers_bitwise_identical_to_serial_and_golden(
             self, thrashing_spec, thrashing_serial):
-        with launch_local_cluster(workers=2) as cluster:
-            distributed = cluster.execute(execute_run_spec, thrashing_spec.cells)
+        with DistributedExecutor(local_workers=2) as executor:
+            distributed = executor.execute(execute_run_spec, thrashing_spec.cells)
         _assert_identical(distributed, thrashing_serial)
 
         # and identical to the checked-in golden trajectory fixture
@@ -91,24 +104,30 @@ class TestLocalClusterEndToEnd:
         serial = SerialExecutor().execute(execute_run_spec, spec.cells)
         # worker 0 dies abruptly (os._exit) when accepting the cell after
         # its first `cells_before_crash` — a crashed host with work in flight
-        with launch_local_cluster(
-                workers=2, heartbeat_timeout=5.0,
-                fail_after_cells={0: cells_before_crash}) as cluster:
-            distributed = cluster.execute(execute_run_spec, spec.cells)
-            assert cluster.processes[0].wait(timeout=30) == 17
+        with DistributedExecutor(heartbeat_timeout=5.0) as executor:
+            processes = spawn_local_workers(
+                executor.bound_address, 2,
+                fail_after_cells={0: cells_before_crash})
+            try:
+                executor.wait_for_workers(2)
+                distributed = executor.execute(execute_run_spec, spec.cells)
+                assert processes[0].wait(timeout=30) == 17
+            finally:
+                executor.close()
+                _reap(processes)
         _assert_identical(distributed, serial)
 
     def test_repeated_sweeps_on_one_cluster(self, thrashing_spec, thrashing_serial):
-        with launch_local_cluster(workers=2) as cluster:
-            first = cluster.execute(execute_run_spec, thrashing_spec.cells)
-            second = cluster.execute(execute_run_spec, thrashing_spec.cells)
+        with DistributedExecutor(local_workers=2) as executor:
+            first = executor.execute(execute_run_spec, thrashing_spec.cells)
+            second = executor.execute(execute_run_spec, thrashing_spec.cells)
         _assert_identical(first, thrashing_serial)
         _assert_identical(second, thrashing_serial)
 
     def test_run_sweep_accepts_a_cluster_as_executor(self, thrashing_spec,
                                                      thrashing_serial):
-        with launch_local_cluster(workers=2) as cluster:
-            result = run_sweep(thrashing_spec, executor=cluster)
+        with DistributedExecutor(local_workers=2) as executor:
+            result = run_sweep(thrashing_spec, executor=executor)
         _assert_identical(result.results, thrashing_serial)
         assert [a.cell_id for a in result.aggregates] == \
             [r.cell_id for r in thrashing_serial]
@@ -129,28 +148,28 @@ class TestTasksThatCannotTravel:
             "def identity(cell):\n    return cell\n")
         monkeypatch.syspath_prepend(str(tmp_path))
         parent_only = importlib.import_module("parent_only_cells")
-        with launch_local_cluster(workers=2, worker_timeout=5.0) as cluster:
+        with DistributedExecutor(local_workers=2, worker_timeout=5.0) as executor:
             started = time.monotonic()
             with pytest.raises(CellExecutionError) as caught:
-                cluster.execute(parent_only.identity, thrashing_spec.cells)
+                executor.execute(parent_only.identity, thrashing_spec.cells)
             assert time.monotonic() - started < 5.0
             assert caught.value.cell_id in {cell.cell_id for cell in thrashing_spec.cells}
             assert caught.value.cell_id in str(caught.value)
             assert "No module named 'parent_only_cells'" in str(caught.value)
-            assert cluster.executor.workers == 2
-            assert cluster.execute(len, ["ab"]) == [2]
-        assert [process.returncode for process in cluster.processes] == [0, 0]
+            assert executor.workers == 2
+            assert executor.execute(len, ["ab"]) == [2]
+        assert [process.returncode for process in executor.processes] == [0, 0]
 
     def test_unpicklable_function_fails_the_sweep_at_once(self, thrashing_spec):
-        with launch_local_cluster(workers=2, worker_timeout=5.0) as cluster:
+        with DistributedExecutor(local_workers=2, worker_timeout=5.0) as executor:
             started = time.monotonic()
             with pytest.raises((pickle.PicklingError, AttributeError),
                                match="Can't pickle"):
-                cluster.execute(lambda cell: cell, thrashing_spec.cells)
+                executor.execute(lambda cell: cell, thrashing_spec.cells)
             assert time.monotonic() - started < 5.0
-            assert cluster.executor.workers == 2
-            assert cluster.execute(len, ["ab"]) == [2]
-        assert [process.returncode for process in cluster.processes] == [0, 0]
+            assert executor.workers == 2
+            assert executor.execute(len, ["ab"]) == [2]
+        assert [process.returncode for process in executor.processes] == [0, 0]
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ Two assertions per scenario:
   file bitwise (canonical JSON string equality, covering every event
   timestamp and every metric);
 * **workers=2** — running the same traced sweep over two local dist
-  workers (a :class:`~repro.dist.cluster.LocalCluster`, real TCP sockets
+  workers (``DistributedExecutor(local_workers=2)``, real TCP sockets
   and subprocesses) reproduces every cell's golden metrics and event log
   (length and digest) bitwise: the ``trace`` observer rides the cell spec,
   so trajectories come back from worker processes like any other

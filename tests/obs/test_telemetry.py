@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import sys
+import threading
 
 import pytest
 
@@ -194,14 +195,14 @@ class TestTelemetryDoesNotPerturb:
 
 class TestDistSpans:
     def test_dist_cluster_emits_coordinator_and_worker_spans(self, tmp_path):
-        from repro.dist.cluster import launch_local_cluster
+        from repro.dist.coordinator import DistributedExecutor
         from repro.runner.registry import build_sweep
 
         path = tmp_path / "dist.jsonl"
         spec = build_sweep("thrashing", scale=ExperimentScale.smoke())
         with telemetry_to(str(path)):
-            with launch_local_cluster(workers=2) as cluster:
-                result = run_sweep(spec, executor=cluster)
+            with DistributedExecutor(local_workers=2) as executor:
+                result = run_sweep(spec, executor=executor)
         records = read_jsonl(path)
         spans = {record["span"] for record in records}
         assert {"worker_join", "dispatch", "cell_result",
@@ -218,3 +219,37 @@ class TestDistSpans:
         # the remote workers wrote their own spans into the shared file
         assert {r["worker"] for r in executes} \
             == {r["peer"] for r in dispatches}
+
+    def test_an_in_process_worker_names_only_its_own_spans(self, tmp_path):
+        from repro.dist.coordinator import DistributedExecutor
+        from repro.dist.worker import Worker
+        from repro.runner.cells import execute_run_spec
+        from repro.runner.registry import build_sweep
+
+        path = tmp_path / "named.jsonl"
+        cell = build_sweep("thrashing", scale=ExperimentScale.smoke()).cells[0]
+        default = worker_name()
+        after_run = {}
+
+        def serve(address):
+            Worker(address, name="w1", connect_retry=5.0).run()
+            after_run["name"] = worker_name()
+
+        with telemetry_to(str(path)):
+            with DistributedExecutor() as executor:
+                thread = threading.Thread(target=serve, args=(executor.bound_address,),
+                                          daemon=True)
+                thread.start()
+                executor.wait_for_workers(1)
+                executor.execute(execute_run_spec, [cell])
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        records = read_jsonl(path)
+        [execute] = [r for r in records if r["span"] == "cell_execute"]
+        assert execute["worker"] == "w1"
+        coordinator = [r for r in records if r["span"] != "cell_execute"]
+        assert {r["span"] for r in coordinator} == \
+            {"worker_join", "dispatch", "cell_result", "sweep", "worker_leave"}
+        assert {r["worker"] for r in coordinator} == {default}
+        # the worker's thread gets the default back when run() returns
+        assert after_run["name"] == worker_name() == default

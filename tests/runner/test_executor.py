@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.dist.cluster import LocalCluster
+from repro.dist.coordinator import DistributedExecutor
 from repro.experiments.config import ExperimentScale, default_system_params
 from repro.experiments.dynamic import jump_scenario
 from repro.runner import api
@@ -80,9 +80,9 @@ class TestMakeExecutor:
         assert isinstance(make_executor(1), SerialExecutor)
 
     def test_many_is_a_started_local_cluster(self, cluster):
-        assert isinstance(cluster, LocalCluster)
-        assert cluster.worker_count == 2
-        assert cluster.executor.workers == 2
+        assert isinstance(cluster, DistributedExecutor)
+        assert len(cluster.processes) == 2
+        assert cluster.workers == 2
 
     def test_close_reaps_the_worker_processes(self):
         executor = make_executor(2)
@@ -94,8 +94,8 @@ class TestMakeExecutor:
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         executor = make_executor(None)
         try:
-            assert isinstance(executor, LocalCluster)
-            assert executor.executor.workers == 2
+            assert isinstance(executor, DistributedExecutor)
+            assert executor.workers == 2
         finally:
             executor.close()
 

@@ -209,8 +209,8 @@ class TestVersioning:
         with pytest.raises(ValueError, match="JSON scalar"):
             run_spec_fingerprint(unencodable)
         cache = ResultCache(tmp_path)
-        for call in (lambda: cache.get(unencodable),
-                     lambda: cache.put(unencodable, object())):
+        for call in (lambda: cache.lookup(unencodable),
+                     lambda: cache.store(unencodable, object())):
             with pytest.raises(ValueError, match="JSON scalar"):
                 call()
         assert cache.stats()["hits"] == cache.stats()["misses"] == 0

@@ -118,7 +118,7 @@ def test_warm_cache_serves_every_scenario_with_zero_workers(cache_dir):
     for scenario in SCENARIOS:
         for cell in scenario_cells(scenario):
             if not cache.path_for(run_spec_fingerprint(cell)).exists():
-                cache.put(cell, execute_run_spec(cell))
+                cache.store(cell, execute_run_spec(cell))
 
     with SweepService(cache=cache_dir) as svc:
         client = ServiceClient(svc.control_address)

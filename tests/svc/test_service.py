@@ -4,15 +4,18 @@ The soundness and recovery guarantees live in ``test_cache_soundness.py``
 and ``test_crash_recovery.py``; this module covers the machinery around
 them: FIFO queue semantics, per-request error mapping on both control
 planes (TCP and HTTP), the cache's degradation paths (corrupt entries,
-foreign functions), the telemetry spans, fuzz-campaign routing, and the
-``repro-svc`` CLI end to end (``serve`` runs in a thread here so the
-coverage gate sees it; the subprocess path is exercised by the
+failed writes, concurrent writers), the telemetry spans, fuzz-campaign
+routing, and the ``repro-svc`` CLI end to end (``serve`` runs in a thread
+here so the coverage gate sees it; the subprocess path is exercised by the
 crash-recovery test).
 """
 
 import dataclasses
+import errno
 import json
+import os
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -35,6 +38,7 @@ from repro.runner.specs import (
     run_spec_fingerprint,
     run_spec_to_jsonable,
 )
+from repro.svc import cache as cache_module
 from repro.svc.cache import ResultCache
 from repro.svc.cli import main as svc_main
 from repro.svc.client import ServiceClient, ServiceError, ServiceExecutor
@@ -215,6 +219,39 @@ class TestJobLifecycle:
             svc.submit("late", [])
 
 
+class TestFailedConstructor:
+    """A constructor that cannot bind its control port leaves nothing running."""
+
+    def test_no_thread_or_port_outlives_a_failed_bind(self):
+        worker_port = _free_port()
+        before = set(threading.enumerate())
+        with socket.create_server(("127.0.0.1", 0)) as busy:
+            with pytest.raises(OSError):
+                SweepService(worker_bind=f"127.0.0.1:{worker_port}",
+                             control_bind=f"127.0.0.1:{busy.getsockname()[1]}")
+        assert _started_since(before, "dist-", "svc-") == []
+        # the worker port the executor had bound is free again
+        socket.create_server(("127.0.0.1", worker_port)).close()
+
+    def test_local_workers_are_reaped_after_a_failed_bind(self, monkeypatch):
+        from repro.dist import cluster
+
+        spawned = []
+        spawn = cluster.spawn_local_workers
+
+        def recording_spawn(*args, **kwargs):
+            spawned.extend(spawn(*args, **kwargs))
+            return spawned
+
+        monkeypatch.setattr(cluster, "spawn_local_workers", recording_spawn)
+        with socket.create_server(("127.0.0.1", 0)) as busy:
+            with pytest.raises(OSError):
+                SweepService(local_workers=1,
+                             control_bind=f"127.0.0.1:{busy.getsockname()[1]}")
+        assert len(spawned) == 1
+        assert [process.poll() for process in spawned] == [0]
+
+
 class TestServiceExecutor:
     def test_routes_a_fuzz_campaign_with_cache_reuse(self, tmp_path):
         from repro.fuzz.executor import run_campaign
@@ -257,6 +294,21 @@ class TestServiceExecutor:
 
 
 class TestTelemetry:
+    def test_each_job_emits_one_sweep_span_cold_and_warm(self, tmp_path, cells):
+        sink_path = tmp_path / "telemetry.jsonl"
+        with telemetry_to(str(sink_path)):
+            with SweepService(cache=tmp_path / "cache") as svc:
+                _thread_worker(svc.worker_address)
+                svc.executor.wait_for_workers(1)
+                client = ServiceClient(svc.control_address)
+                cold = client.wait(client.submit("cold", cells), timeout=120.0)
+                warm = client.wait(client.submit("warm", cells), timeout=120.0)
+        assert (cold["cache_misses"], warm["cache_hits"]) == (len(cells), len(cells))
+        sweeps = [record for record in map(json.loads, sink_path.read_text().splitlines())
+                  if record["span"] == "sweep"]
+        assert [(record["executor"], record["cells"]) for record in sweeps] == \
+            [("dist", len(cells))] * 2
+
     def test_cache_and_job_spans_are_emitted(self, tmp_path, cells):
         sink_path = tmp_path / "telemetry.jsonl"
         with telemetry_to(str(sink_path)):
@@ -285,12 +337,12 @@ class TestCacheDegradation:
                                                          cells,
                                                          serial_results):
         cache = ResultCache(tmp_path)
-        key = cache.put(cells[0], serial_results[0])
-        assert cache.get(cells[0]).metrics == serial_results[0].metrics
+        key = cache.store(cells[0], serial_results[0])
+        assert cache.lookup(cells[0]).metrics == serial_results[0].metrics
         cache.path_for(key).write_bytes(b"torn write")
-        assert cache.get(cells[0]) is None  # degraded, not raised
-        cache.put(cells[0], serial_results[0])
-        assert cache.get(cells[0]).metrics == serial_results[0].metrics
+        assert cache.lookup(cells[0]) is None  # degraded, not raised
+        cache.store(cells[0], serial_results[0])
+        assert cache.lookup(cells[0]).metrics == serial_results[0].metrics
         stats = cache.stats()
         assert stats["hits"] == 2 and stats["misses"] == 1
         assert stats["stores"] == 2 and stats["entries"] == 1
@@ -317,14 +369,54 @@ class TestCacheDegradation:
         assert canonical_json(client.results(job_id)) == \
             canonical_json(results_document("legacy", serial_results[:1]))
 
-    def test_seam_ignores_foreign_functions_and_items(self, tmp_path, cells):
-        cache = ResultCache(tmp_path)
-        cache.store(len, cells[0], "nonsense")
-        assert cache.entries() == 0
-        assert cache.lookup(len, cells[0]) is None
-        assert cache.lookup(execute_run_spec, "not a spec") is None
-        # none of that touched the hit/miss accounting
-        assert cache.stats()["hits"] == cache.stats()["misses"] == 0
+
+    def test_a_failed_store_leaves_the_job_done_and_nothing_on_disk(
+            self, service, cells, serial_results, monkeypatch, caplog):
+        class FullDisk:
+            """``os`` as the cache sees it, on a disk with no space left."""
+
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            @staticmethod
+            def replace(source, destination):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cache_module, "os", FullDisk())
+        client = ServiceClient(service.control_address)
+        job_id = client.submit("full-disk", cells)
+        assert client.wait(job_id, timeout=120.0)["state"] == "done"
+        assert canonical_json(client.results(job_id)) == \
+            canonical_json(results_document("full-disk", serial_results))
+        assert service.cache.stats()["stores"] == 0
+        assert service.cache.entries() == 0
+        assert _files_under(service.cache.directory, ".tmp") == []
+        assert "cache store of" in caplog.text
+
+    def test_concurrent_writers_of_one_spec_leave_one_whole_entry(
+            self, tmp_path, cells, serial_results):
+        handles = [ResultCache(tmp_path), ResultCache(tmp_path)]
+        barrier = threading.Barrier(8)
+
+        def store(handle):
+            barrier.wait()
+            handle.store(cells[0], serial_results[0])
+
+        writers = [threading.Thread(target=store, args=(handles[index % 2],))
+                   for index in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the writers as finely as possible
+        try:
+            for writer in writers:
+                writer.start()
+            for writer in writers:
+                writer.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(writer.is_alive() for writer in writers)
+        assert handles[0].entries() == 1
+        assert ResultCache(tmp_path).lookup(cells[0]) == serial_results[0]
+        assert _files_under(tmp_path, ".tmp") == []
 
 
 class TestHttpControlPlane:
@@ -413,6 +505,17 @@ class TestHttpControlPlane:
         with pytest.raises(urllib.error.HTTPError) as caught:
             self._post(http_base + "/nope", {"scenario": "thrashing"})
         assert caught.value.code == 404
+
+
+def _started_since(before, *prefixes):
+    """Names of live threads started after ``before`` whose name matches."""
+    return [thread.name for thread in threading.enumerate()
+            if thread not in before and thread.name.startswith(prefixes)]
+
+
+def _files_under(directory, suffix):
+    return [name for _, _, names in os.walk(directory)
+            for name in names if name.endswith(suffix)]
 
 
 def _free_port() -> int:

@@ -259,7 +259,7 @@ class DistributedExecutor:
                 worker.send((MSG_SHUTDOWN,))
             except OSError:
                 pass
-        self._server.close(timeout=5.0)
+        self._server.close()
         for process in self.processes:
             try:
                 process.wait(timeout=15)

@@ -49,6 +49,9 @@ MAX_MESSAGE_BYTES = 1 << 30
 #: largest single ``recv`` when draining a frame body
 _RECV_CHUNK = 1 << 20
 
+#: how long ConnectionServer.close waits for its threads, in seconds
+_CLOSE_JOIN_S = 5.0
+
 # worker -> coordinator
 MSG_HELLO = "hello"            # (MSG_HELLO, worker_name)
 MSG_READY = "ready"            # (MSG_READY,)
@@ -208,11 +211,12 @@ class ConnectionServer:
             host = "127.0.0.1"
         return format_address(host, port)
 
-    def close(self, timeout: float = 5.0) -> None:
+    def close(self) -> None:
         """Stop accepting, end every open connection, join the threads.
 
-        A handler blocked in ``recv`` sees EOF.  A handler may call this:
-        the calling thread is never joined.
+        A handler blocked in ``recv`` sees EOF.  The threads are joined
+        within a bounded wait.  A handler may call this: the calling
+        thread is never joined.
         """
         with self._lock:
             self._closed = True
@@ -225,7 +229,7 @@ class ConnectionServer:
             except OSError:
                 pass
         self._listener.close()
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + _CLOSE_JOIN_S
         for thread in (self._accept_thread, *connections.values()):
             if thread is not threading.current_thread():
                 thread.join(max(0.0, deadline - time.monotonic()))

@@ -102,11 +102,11 @@ class Worker:
         # spans emitted while executing cells (cell_execute) carry the
         # worker's announced name, matching the coordinator's logs; the
         # name is this thread's only, and only until the loop ends
-        previous = telemetry.set_worker_name(self.name)
+        telemetry.set_worker_name(self.name)
         try:
             return self._serve()
         finally:
-            telemetry.set_worker_name(previous)
+            telemetry.set_worker_name(None)
 
     def _serve(self) -> int:
         sock = self._connect()

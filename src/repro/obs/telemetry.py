@@ -179,14 +179,9 @@ def worker_name() -> str:
     return _default_worker_name
 
 
-def set_worker_name(name: Optional[str]) -> Optional[str]:
-    """Override (or, with ``None``, restore) the calling thread's worker name.
-
-    Returns the override it replaces, so a caller can put it back.
-    """
-    previous = getattr(_worker_name, "name", None)
+def set_worker_name(name: Optional[str]) -> None:
+    """Override (or, with ``None``, restore) the calling thread's worker name."""
     _worker_name.name = name
-    return previous
 
 
 def emit(span: str, **fields: object) -> None:

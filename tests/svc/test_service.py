@@ -146,6 +146,28 @@ class TestJobLifecycle:
         follow_up = client.submit("after-failure", cells[:1])
         assert client.wait(follow_up, timeout=120.0)["state"] == "done"
 
+    def test_a_failed_multi_worker_job_caches_only_the_prefix_it_reached(
+            self, tmp_path, cells):
+        # results are stored as the ordered stream yields them, so a failed
+        # job keeps only cells before its failing one; whatever a second
+        # worker returned past it is dropped and simulated again on retry
+        broken = dataclasses.replace(
+            cells[0], controller=ControllerSpec.make("no-such-controller"))
+        with SweepService(cache=tmp_path / "cache") as svc:
+            for _ in range(2):
+                _thread_worker(svc.worker_address)
+            svc.executor.wait_for_workers(2)
+            failed = svc.submit("broken", [cells[0], broken, *cells[1:]])
+            assert svc.wait(failed, timeout=120.0)["state"] == "failed"
+            probe = ResultCache(svc.cache.directory)
+            cached = [probe.lookup(cell) is not None for cell in cells]
+            assert not any(cached[1:])
+            retry = svc.submit("retry", cells)
+            status = svc.wait(retry, timeout=120.0)
+            assert status["state"] == "done"
+            assert (status["cache_hits"], status["cache_misses"]) == \
+                (int(cached[0]), len(cells) - int(cached[0]))
+
     def test_wait_backs_off_from_1ms_to_the_poll_interval(self, monkeypatch):
         states = iter(["running"] * 8 + ["done"])
         client = ServiceClient("127.0.0.1:1")

@@ -98,18 +98,18 @@ class DynamicOptimumScenario:
     def function_at(self, time: float) -> SyntheticOverloadFunction:
         """The overload function in effect at ``time``."""
         return SyntheticOverloadFunction(
-            optimum_position=max(1e-9, self.position.value(time)),
-            peak_performance=max(0.0, self.height.value(time)),
+            optimum_position=max(1e-9, self.position(time)),
+            peak_performance=max(0.0, self.height(time)),
             overload_decay=self.overload_decay,
         )
 
     def optimum_at(self, time: float) -> float:
         """True optimum position at ``time`` (the reference for tracking error)."""
-        return self.position.value(time)
+        return self.position(time)
 
     def peak_at(self, time: float) -> float:
         """True peak performance at ``time``."""
-        return self.height.value(time)
+        return self.height(time)
 
 
 class SyntheticSystem:

@@ -16,9 +16,9 @@ The multiversion family (:mod:`repro.cc.mvcc`) adds the scheme production
 engines actually run: snapshot isolation — reads served from a begin-time
 snapshot without ever blocking, writes validated first-committer-wins.
 
-The registry (:mod:`repro.cc.registry`) makes the scheme a sweepable
-dimension of the experiment grid: a picklable :class:`CCSpec` names a
-registered kind (``timestamp_cert``, ``occ_forward``, ``two_phase_locking``,
+The scheme table (:data:`repro.cc.registry.SCHEMES`) makes the scheme a
+sweepable dimension of the experiment grid: a picklable :class:`CCSpec`
+names a kind (``timestamp_cert``, ``occ_forward``, ``two_phase_locking``,
 ``wound_wait``, ``wait_die``, ``snapshot_isolation``) plus its options, and
 the runner builds the scheme inside the worker that runs the cell — exactly
 like controllers.  Each kind carries a *family* (:func:`cc_family`) that
@@ -30,8 +30,8 @@ that observes any scheme through the ``ConcurrencyControl`` surface plus
 history checkers — serialization-graph acyclicity
 (:func:`check_serializability`), a weak-isolation anomaly classifier
 (:func:`classify_anomalies`), and the declared-level tester
-(:func:`check_isolation`) — the certification harness every registered
-scheme must pass at its own level.
+(:func:`check_isolation`) — the certification harness every scheme of the
+table must pass at its own level.
 """
 
 from repro.cc.base import (
@@ -62,7 +62,6 @@ from repro.cc.registry import (
     cc_kinds,
     cc_level,
     declared_level,
-    register_cc,
     resolve_cc,
 )
 from repro.cc.timestamp_cert import TimestampCertification
@@ -91,7 +90,6 @@ __all__ = [
     "cc_kinds",
     "cc_level",
     "declared_level",
-    "register_cc",
     "resolve_cc",
     "HistoryRecorder",
     "RecordingConcurrencyControl",

@@ -1,17 +1,17 @@
-"""The concurrency control registry: schemes as picklable sweep data.
+"""The concurrency control schemes as picklable sweep data.
 
 The paper claims its load-control results hold across concurrency control
 classes (blocking and non-blocking, Section 1); to *test* that claim the
 scheme must be a first-class dimension of the experiment grid.  Like
 controllers (:class:`~repro.runner.specs.ControllerSpec`), stateful CC
 objects cannot travel to worker processes — a :class:`CCSpec` names a
-scheme from this registry plus its constructor options, and the scheme
-instance is built inside the worker that runs the cell, bound to that
-cell's simulator.
+scheme of the :data:`SCHEMES` table plus its constructor options, and the
+scheme instance is built inside the worker that runs the cell, bound to
+that cell's simulator.
 
-Six schemes are registered out of the box, spanning the two *families* the
-paper's Section 1 distinguishes plus the multiversion family production
-engines actually run:
+The table holds six schemes, spanning the two *families* the paper's
+Section 1 distinguishes plus the multiversion family production engines
+actually run:
 
 * ``timestamp_cert`` (optimistic) — the paper's backward-oriented timestamp
   certification (:class:`~repro.cc.timestamp_cert.TimestampCertification`),
@@ -44,20 +44,18 @@ against.  The five single-version schemes declare ``"serializable"``;
 ``snapshot_isolation`` declares ``"snapshot_isolation"`` — write skew is
 admitted, anything weaker is a bug.
 
-``register_cc`` extends the registry the same way ``register_controller``
-and ``register_scenario`` do; pass ``family="locking"`` for blocking
-schemes or ``family="multiversion"`` for snapshot schemes (the default,
-``"optimistic"``, keeps the OCC reference), and ``level=`` for schemes
-that guarantee less than serializability.
+Adding a scheme is one row of :data:`SCHEMES`: its class (constructed as
+``cls(sim, **options)``), its family and its isolation level.  The table is
+fixed by the code, so a fingerprint that names a kind also fixes what that
+kind runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Type
 
 from repro.cc.base import ConcurrencyControl
-from repro.cc.history import ISOLATION_LEVELS
 from repro.cc.mvcc import SnapshotIsolation
 from repro.cc.occ_forward import OccForwardValidation
 from repro.cc.timestamp_cert import TimestampCertification
@@ -70,68 +68,43 @@ from repro.cc.two_phase_locking import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.sim.engine import Simulator
 
-#: a CC builder receives the cell's simulator plus the spec's options
-CCBuilder = Callable[..., ConcurrencyControl]
-
-#: the scheme families the analytic references distinguish
-CC_FAMILIES = ("optimistic", "locking", "multiversion")
-
-_CC_BUILDERS: Dict[str, CCBuilder] = {}
-_CC_FAMILIES: Dict[str, str] = {}
-_CC_LEVELS: Dict[str, str] = {}
-
-
-def register_cc(kind: str, family: str = "optimistic",
-                level: str = "serializable") -> Callable[[CCBuilder], CCBuilder]:
-    """Register a concurrency control builder under ``kind`` (decorator).
-
-    ``family`` classifies the scheme for the analytic layer: ``"locking"``
-    schemes are compared against Tay's blocking model, ``"optimistic"``
-    and ``"multiversion"`` ones against the OCC fixed point.  ``level``
-    declares the isolation level the scheme guarantees (one of
-    :data:`repro.cc.history.ISOLATION_LEVELS`); the isolation oracle
-    certifies every registered scheme's histories against it.
-    """
-    if family not in CC_FAMILIES:
-        raise ValueError(
-            f"unknown cc family {family!r}; expected one of {CC_FAMILIES}")
-    if level not in ISOLATION_LEVELS:
-        raise ValueError(
-            f"unknown isolation level {level!r}; "
-            f"expected one of {ISOLATION_LEVELS}")
-
-    def decorator(builder: CCBuilder) -> CCBuilder:
-        if kind in _CC_BUILDERS:
-            raise ValueError(f"cc kind {kind!r} is already registered")
-        _CC_BUILDERS[kind] = builder
-        _CC_FAMILIES[kind] = family
-        _CC_LEVELS[kind] = level
-        return builder
-
-    return decorator
+#: kind -> (scheme class, family, isolation level).  ``family`` classifies
+#: the scheme for the analytic layer: ``"locking"`` schemes are compared
+#: against Tay's blocking model, ``"optimistic"`` and ``"multiversion"``
+#: ones against the OCC fixed point.  ``level`` is the isolation level the
+#: scheme guarantees (one of :data:`repro.cc.history.ISOLATION_LEVELS`); the
+#: isolation oracle certifies every scheme's histories against it.
+SCHEMES: Dict[str, Tuple[Type[ConcurrencyControl], str, str]] = {
+    "timestamp_cert": (TimestampCertification, "optimistic", "serializable"),
+    "occ_forward": (OccForwardValidation, "optimistic", "serializable"),
+    "two_phase_locking": (TwoPhaseLocking, "locking", "serializable"),
+    "wound_wait": (WoundWaitLocking, "locking", "serializable"),
+    "wait_die": (WaitDieLocking, "locking", "serializable"),
+    "snapshot_isolation": (SnapshotIsolation, "multiversion", "snapshot_isolation"),
+}
 
 
 def cc_kinds() -> Tuple[str, ...]:
-    """All registered concurrency control kinds."""
-    return tuple(sorted(_CC_BUILDERS))
+    """All concurrency control kinds."""
+    return tuple(sorted(SCHEMES))
+
+
+def _scheme(kind: str) -> Tuple[Type[ConcurrencyControl], str, str]:
+    row = SCHEMES.get(kind)
+    if row is None:
+        raise KeyError(
+            f"unknown cc kind {kind!r}; available: {', '.join(cc_kinds())}")
+    return row
 
 
 def cc_family(kind: str) -> str:
     """The family (``"locking"`` / ``"optimistic"`` / ``"multiversion"``)."""
-    family = _CC_FAMILIES.get(kind)
-    if family is None:
-        raise KeyError(
-            f"unknown cc kind {kind!r}; available: {', '.join(cc_kinds())}")
-    return family
+    return _scheme(kind)[1]
 
 
 def cc_level(kind: str) -> str:
-    """The isolation level a registered kind declares."""
-    level = _CC_LEVELS.get(kind)
-    if level is None:
-        raise KeyError(
-            f"unknown cc kind {kind!r}; available: {', '.join(cc_kinds())}")
-    return level
+    """The isolation level a kind declares."""
+    return _scheme(kind)[2]
 
 
 def declared_level(cc: Optional["CCSpec"]) -> str:
@@ -145,7 +118,7 @@ def declared_level(cc: Optional["CCSpec"]) -> str:
 
 @dataclass(frozen=True)
 class CCSpec:
-    """A picklable description of a CC scheme: registry kind + options.
+    """A picklable description of a CC scheme: a :data:`SCHEMES` kind + options.
 
     ``options`` is stored as a sorted tuple of ``(name, value)`` pairs so
     specs are hashable and two specs with the same options compare equal
@@ -164,18 +137,12 @@ class CCSpec:
 
     @property
     def level(self) -> str:
-        """The isolation level the named kind declares (registry metadata)."""
+        """The isolation level the named kind declares."""
         return cc_level(self.kind)
 
     def build(self, sim: "Simulator") -> ConcurrencyControl:
         """Construct a fresh scheme instance bound to one run's simulator."""
-        builder = _CC_BUILDERS.get(self.kind)
-        if builder is None:
-            raise KeyError(
-                f"unknown cc kind {self.kind!r}; "
-                f"available: {', '.join(cc_kinds())}"
-            )
-        return builder(sim, **dict(self.options))
+        return _scheme(self.kind)[0](sim, **dict(self.options))
 
 
 def resolve_cc(cc: Optional[CCSpec], sim: "Simulator") -> Optional[ConcurrencyControl]:
@@ -194,37 +161,3 @@ def resolve_cc(cc: Optional[CCSpec], sim: "Simulator") -> Optional[ConcurrencyCo
             "schemes hold per-run state and must be built fresh inside each run"
         )
     return cc.build(sim)
-
-
-# ----------------------------------------------------------------------
-# built-in schemes
-# ----------------------------------------------------------------------
-@register_cc("timestamp_cert", family="optimistic")
-def _build_timestamp_cert(sim: "Simulator", **options) -> ConcurrencyControl:
-    return TimestampCertification(sim, **options)
-
-
-@register_cc("occ_forward", family="optimistic")
-def _build_occ_forward(sim: "Simulator", **options) -> ConcurrencyControl:
-    return OccForwardValidation(sim, **options)
-
-
-@register_cc("two_phase_locking", family="locking")
-def _build_two_phase_locking(sim: "Simulator", **options) -> ConcurrencyControl:
-    return TwoPhaseLocking(sim, **options)
-
-
-@register_cc("wound_wait", family="locking")
-def _build_wound_wait(sim: "Simulator", **options) -> ConcurrencyControl:
-    return WoundWaitLocking(sim, **options)
-
-
-@register_cc("wait_die", family="locking")
-def _build_wait_die(sim: "Simulator", **options) -> ConcurrencyControl:
-    return WaitDieLocking(sim, **options)
-
-
-@register_cc("snapshot_isolation", family="multiversion",
-             level="snapshot_isolation")
-def _build_snapshot_isolation(sim: "Simulator", **options) -> ConcurrencyControl:
-    return SnapshotIsolation(sim, **options)

@@ -463,11 +463,10 @@ class _TimestampPriorityLocking(LockingScheme):
         """Release locks; keep the priority so a restarting victim ages.
 
         Displacement is the exception: the transaction leaves by controller
-        decision, not by losing a conflict, and may never come back
-        (``resubmit_displaced=False``) — retiring the priority there keeps
-        the table bounded.  A resubmitted displaced transaction simply
-        starts over as the youngest, which costs it fairness it was not
-        owed: it was never a wound/die victim.
+        decision, not by losing a conflict, and queues at the admission
+        gate again before it resubmits, so its priority is retired.  The
+        resubmitted transaction simply starts over as the youngest, which
+        costs it fairness it was not owed: it was never a wound/die victim.
         """
         super().abort(txn, reason)
         if reason is AbortReason.DISPLACEMENT:

@@ -12,15 +12,17 @@ the responsiveness of the controller cannot be achieved otherwise."
 
 The paper's experiments used admission control only; displacement is
 implemented here so the trade-off can be studied (and because the paper
-recommends keeping it "as a last resort").  The policy is passive: it only
-*selects* victims; the transaction system applies the aborts by
-interrupting the victims' processes.
+recommends keeping it "as a last resort").  The policy is passive plain
+data: it only *selects* victims; the transaction system applies the aborts
+by interrupting the victims' processes, and the measurement process counts
+them.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,26 +42,25 @@ class VictimCriterion(enum.Enum):
     QUERIES_FIRST = "queries_first"
 
 
+@dataclass(frozen=True)
 class DisplacementPolicy:
-    """Selects which active transactions to abort to enforce a new threshold."""
+    """Selects which active transactions to abort to enforce a new threshold.
 
-    def __init__(self, criterion: VictimCriterion = VictimCriterion.YOUNGEST,
-                 enabled: bool = True,
-                 hysteresis: float = 0.0):
-        """Create a displacement policy.
+    ``hysteresis`` delays displacement until the overshoot exceeds the
+    given number of transactions; small controller-induced oscillations of
+    the threshold then never trigger aborts (Section 4.3 notes that not
+    displacing has "a smoothing effect ... that supports controller
+    stability").
+    """
 
-        ``hysteresis`` delays displacement until the overshoot exceeds the
-        given number of transactions; small controller-induced oscillations
-        of the threshold then never trigger aborts (Section 4.3 notes that
-        not displacing has "a smoothing effect ... that supports controller
-        stability").
-        """
-        if hysteresis < 0:
-            raise ValueError(f"hysteresis must be non-negative, got {hysteresis}")
-        self.criterion = criterion
-        self.enabled = enabled
-        self.hysteresis = float(hysteresis)
-        self.total_displaced = 0
+    criterion: VictimCriterion = VictimCriterion.YOUNGEST
+    enabled: bool = True
+    hysteresis: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.hysteresis < 0:
+            raise ValueError(f"hysteresis must be non-negative, got {self.hysteresis}")
+        object.__setattr__(self, "hysteresis", float(self.hysteresis))
 
     # ------------------------------------------------------------------
     def select_victims(self, active: Sequence["Transaction"], new_limit: float) -> List["Transaction"]:
@@ -76,9 +77,7 @@ class DisplacementPolicy:
         if overshoot <= self.hysteresis:
             return []
         ordered = sorted(active, key=self._victim_key(), reverse=True)
-        victims = ordered[:overshoot]
-        self.total_displaced += len(victims)
-        return victims
+        return ordered[:overshoot]
 
     def _victim_key(self) -> Callable[["Transaction"], tuple]:
         """Sort key: transactions sorted by this key descending are victims first."""
@@ -93,24 +92,3 @@ class DisplacementPolicy:
             1 if txn.is_read_only else 0,
             txn.admitted_at if txn.admitted_at is not None else -math.inf,
         )
-
-    # ------------------------------------------------------------------
-    # Policies compare (and hash) by *configuration*, not by accumulated
-    # run state: a RunSpec carrying a policy must equal its pickled copy
-    # after a trip through the dist wire protocol, and two cells
-    # configured identically describe the same experiment regardless of
-    # how many victims either instance has selected so far.
-    def _config(self) -> tuple:
-        return (self.criterion, self.enabled, self.hysteresis)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DisplacementPolicy):
-            return NotImplemented
-        return self._config() == other._config()
-
-    def __hash__(self) -> int:
-        return hash(self._config())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "enabled" if self.enabled else "disabled"
-        return f"<DisplacementPolicy {self.criterion.value} {state}>"

@@ -15,6 +15,10 @@ Every measurement interval ``Δt`` the process:
    what the trajectory figures 13/14 are generated from);
 6. optionally lets an outer-loop tuner adjust the next interval length.
 
+The run's state lives here, not on the policies it applies: the count of
+displaced transactions and the per-interval throughputs the tuner's
+variability estimate reads.
+
 Choosing ``Δt`` is the stability/responsiveness trade-off discussed in
 Section 5: the interval must contain enough departures to filter stochastic
 noise ("rather hundreds of departures than some tens") but be short enough
@@ -29,8 +33,10 @@ from typing import Callable, Optional
 
 from repro.core.admission import AdmissionGate
 from repro.core.controller import LoadController
+from repro.core.outer_loop import MeasurementIntervalTuner
 from repro.core.types import ControlTrace, IntervalMeasurement
 from repro.sim.engine import Simulator
+from repro.sim.stats import ObservationStats
 from repro.tp.metrics import RunMetrics
 
 
@@ -44,7 +50,7 @@ class MeasurementProcess:
                  controller: LoadController,
                  interval: float,
                  displace: Optional[Callable[[float], int]] = None,
-                 interval_tuner: Optional["MeasurementIntervalTunerProtocol"] = None,
+                 interval_tuner: Optional[MeasurementIntervalTuner] = None,
                  mean_accesses_provider: Optional[Callable[[float], float]] = None,
                  warmup: float = 0.0):
         """Wire the loop together.
@@ -71,7 +77,10 @@ class MeasurementProcess:
         self.warmup = float(warmup)
         self.trace = ControlTrace()
         self.samples_taken = 0
+        #: transactions the displace callable aborted over the run
         self.total_displaced = 0
+        #: per-interval throughputs, the outer loop's variability estimate
+        self.throughputs = ObservationStats()
         self._process = None
 
     # ------------------------------------------------------------------
@@ -128,13 +137,7 @@ class MeasurementProcess:
         self.samples_taken += 1
 
         if self.interval_tuner is not None:
-            self.interval = self.interval_tuner.next_interval(self.interval, measurement)
+            self.throughputs.add(measurement.throughput)
+            self.interval = self.interval_tuner.next_interval(
+                self.interval, measurement, self.throughputs)
         return measurement
-
-
-class MeasurementIntervalTunerProtocol:
-    """Protocol expected from outer-loop interval tuners (duck-typed)."""
-
-    def next_interval(self, current_interval: float,
-                      measurement: IntervalMeasurement) -> float:  # pragma: no cover
-        raise NotImplementedError

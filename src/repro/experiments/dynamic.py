@@ -75,6 +75,8 @@ class TrackingResult:
     restart_ratio: float = 0.0
     #: the ``trace`` observer's lifecycle log; empty when not tracing
     trace_events: Sequence[TraceEvent] = ()
+    #: transactions aborted by displacement over the run
+    displaced: int = 0
 
     def threshold_series(self) -> List[Tuple[float, float]]:
         """(time, threshold) points -- the solid line of Figures 13/14."""
@@ -124,6 +126,11 @@ def _build_workload(params: SystemParams, streams, parameter: str,
     return Workload.with_schedules(params.workload, streams, **kwargs)
 
 
+#: how many distinct workload states get an analytic reference optimum per
+#: run; later states reuse the first one computed
+REFERENCE_RESOLUTION = 20
+
+
 def _reference_optimum(params: SystemParams, workload: Workload, time: float) -> Tuple[float, float]:
     """True optimum (position, peak) from the analytic model at ``time``."""
     current = workload.params_at(time)
@@ -140,14 +147,13 @@ def run_tracking_experiment(controller: LoadController,
                             base_params: Optional[SystemParams] = None,
                             scale: Optional[ExperimentScale] = None,
                             displacement: Optional[DisplacementPolicy] = None,
-                            reference_resolution: int = 20,
                             interval_tuner: Optional[MeasurementIntervalTuner] = None,
                             streams: Optional[RandomStreams] = None,
                             cc: Optional[CCSpec] = None,
                             observers: Sequence[str] = ()) -> TrackingResult:
     """Run the full simulation with a time-varying workload and a controller.
 
-    ``reference_resolution`` limits how many times the (comparatively
+    :data:`REFERENCE_RESOLUTION` limits how many times the (comparatively
     expensive) analytic reference optimum is recomputed; between those
     instants the reference is held constant, which is exact for jump
     scenarios and a fine approximation for slow sinusoids.
@@ -197,7 +203,7 @@ def run_tracking_experiment(controller: LoadController,
         key = (current.accesses_per_txn, round(current.query_fraction, 6),
                round(current.write_fraction, 6))
         if key not in cache:
-            if len(cache) < reference_resolution:
+            if len(cache) < REFERENCE_RESOLUTION:
                 cache[key] = _reference_optimum(base_params, workload_for_reference, sample_time)
             else:
                 # fall back to the nearest already computed reference
@@ -216,6 +222,7 @@ def run_tracking_experiment(controller: LoadController,
         mean_response_time=system.metrics.mean_response_time(),
         restart_ratio=system.metrics.restart_ratio,
         trace_events=observer_set.trace,
+        displaced=measurement.total_displaced,
     )
 
 

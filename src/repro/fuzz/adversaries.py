@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, Tuple, Type
+from typing import Tuple
 
 from repro.core.displacement import DisplacementPolicy, VictimCriterion
 from repro.experiments.config import (
@@ -41,21 +41,10 @@ from repro.tp.workload import JumpSchedule, TransactionClassSpec
 #: load-control policies, Section 5/6)
 ADAPTIVE_CONTROLLERS = ("incremental_steps", "parabola")
 
-_ADVERSARY_KINDS: Dict[str, Type["AdversarySpec"]] = {}
-
-
-def register_adversary(cls: Type["AdversarySpec"]) -> Type["AdversarySpec"]:
-    """Register an adversary class under its ``kind`` tag (decorator)."""
-    kind = cls.kind
-    if kind in _ADVERSARY_KINDS:
-        raise ValueError(f"adversary kind {kind!r} is already registered")
-    _ADVERSARY_KINDS[kind] = cls
-    return cls
-
 
 def adversary_kinds() -> Tuple[str, ...]:
-    """All registered adversary kinds, sorted."""
-    return tuple(sorted(_ADVERSARY_KINDS))
+    """All adversary kinds of :data:`ADVERSARIES`, sorted."""
+    return tuple(sorted(ADVERSARIES))
 
 
 @dataclass(frozen=True)
@@ -115,7 +104,7 @@ def adversary_from_jsonable(data: dict) -> AdversarySpec:
     """Reconstruct the adversary encoded by :meth:`AdversarySpec.to_jsonable`."""
     data = dict(data)
     kind = data.pop("kind", None)
-    cls = _ADVERSARY_KINDS.get(kind)
+    cls = ADVERSARIES.get(kind)
     if cls is None:
         raise ValueError(
             f"unknown adversary kind {kind!r}; available: {', '.join(adversary_kinds())}"
@@ -130,7 +119,6 @@ def adversary_from_jsonable(data: dict) -> AdversarySpec:
 # ----------------------------------------------------------------------
 # attack patterns
 # ----------------------------------------------------------------------
-@register_adversary
 @dataclass(frozen=True)
 class SizeSpikeAdversary(AdversarySpec):
     """Transaction-size spike: ``k`` jumps mid-run (a hostile Figure 13).
@@ -182,7 +170,6 @@ class SizeSpikeAdversary(AdversarySpec):
         )
 
 
-@register_adversary
 @dataclass(frozen=True)
 class HotKeyAdversary(AdversarySpec):
     """Correlated hot-key traffic: every transaction hits a small hot set.
@@ -237,7 +224,6 @@ class HotKeyAdversary(AdversarySpec):
         )
 
 
-@register_adversary
 @dataclass(frozen=True)
 class ArrivalBurstAdversary(AdversarySpec):
     """Arrival burst: many terminals with near-zero think time.
@@ -284,7 +270,6 @@ class ArrivalBurstAdversary(AdversarySpec):
         )
 
 
-@register_adversary
 @dataclass(frozen=True)
 class ClassMixFlipAdversary(AdversarySpec):
     """Hostile class mix: long queries sharing the gate with hot updaters.
@@ -355,7 +340,6 @@ class ClassMixFlipAdversary(AdversarySpec):
         )
 
 
-@register_adversary
 @dataclass(frozen=True)
 class DisplacementSpikeAdversary(AdversarySpec):
     """Displacement storm: a size spike with eager displacement enabled.
@@ -411,3 +395,9 @@ class DisplacementSpikeAdversary(AdversarySpec):
             displacement=DisplacementPolicy(
                 criterion=VictimCriterion(self.criterion), hysteresis=0.0),
         )
+
+
+#: kind tag -> adversary class; adding an attack pattern is one entry here
+ADVERSARIES = {cls.kind: cls for cls in (
+    SizeSpikeAdversary, HotKeyAdversary, ArrivalBurstAdversary,
+    ClassMixFlipAdversary, DisplacementSpikeAdversary)}

@@ -126,7 +126,7 @@ def generate_candidates(seed: int, budget: int,
 
     Returns up to ``budget`` distinct adversary specs (distinct by content
     fingerprint), drawn round-robin over ``kinds`` (default: every
-    registered kind, sorted).  The stream is a pure function of ``(seed,
+    adversary kind, sorted).  The stream is a pure function of ``(seed,
     budget, kinds)``.
     """
     if budget < 1:

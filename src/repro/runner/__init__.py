@@ -20,7 +20,7 @@ The two invariants everything here is built around:
   common-random-numbers structure across controllers is preserved.
 """
 
-from repro.cc.registry import CCSpec, cc_kinds, register_cc
+from repro.cc.registry import CCSpec, cc_kinds
 from repro.runner.api import (
     SweepResult,
     run_sweep,
@@ -34,13 +34,7 @@ from repro.runner.errors import (
     run_with_cell_context,
 )
 from repro.runner.executor import SerialExecutor, make_executor
-from repro.runner.registry import (
-    ScenarioDefinition,
-    available_scenarios,
-    build_sweep,
-    get_scenario,
-    register_scenario,
-)
+from repro.runner.registry import available_scenarios, build_sweep
 from repro.runner.replication import (
     CellAggregate,
     MetricAggregate,
@@ -55,7 +49,6 @@ from repro.runner.specs import (
     RunSpec,
     SweepSpec,
     controller_kinds,
-    register_controller,
 )
 
 __all__ = [
@@ -71,11 +64,8 @@ __all__ = [
     "run_with_cell_context",
     "SerialExecutor",
     "make_executor",
-    "ScenarioDefinition",
     "available_scenarios",
     "build_sweep",
-    "get_scenario",
-    "register_scenario",
     "CellAggregate",
     "MetricAggregate",
     "aggregate_cells",
@@ -89,6 +79,4 @@ __all__ = [
     "SweepSpec",
     "cc_kinds",
     "controller_kinds",
-    "register_cc",
-    "register_controller",
 ]

@@ -14,7 +14,6 @@ module-level import in either direction would be circular.
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Sequence
@@ -160,17 +159,13 @@ def _execute_tracking(spec: RunSpec) -> CellResult:
     from repro.experiments.dynamic import run_tracking_experiment
     from repro.experiments.tracking import compute_tracking_metrics
 
-    # the policy objects accumulate run state; copying per execution keeps
-    # cells independent however often a process executes one (serial
-    # executor, replicate expansion, dist worker reuse)
-    displacement = copy.deepcopy(spec.displacement)
     result = run_tracking_experiment(
         spec.build_controller(),
         spec.scenario,
         base_params=spec.params,
         scale=spec.scale,
-        displacement=displacement,
-        interval_tuner=copy.deepcopy(spec.interval_tuner),
+        displacement=spec.displacement,
+        interval_tuner=spec.interval_tuner,
         streams=replicate_streams(spec.params.seed, spec.replicate),
         cc=spec.cc,
         observers=spec.observers,
@@ -182,10 +177,10 @@ def _execute_tracking(spec: RunSpec) -> CellResult:
         "restart_ratio": result.restart_ratio,
         "commits": float(result.total_commits),
     }
-    if displacement is not None:
+    if spec.displacement is not None:
         # only cells that carry a policy report this, so the metrics of all
         # displacement-free cells (and their goldens) are unchanged
-        metrics["displaced"] = float(displacement.total_displaced)
+        metrics["displaced"] = float(result.displaced)
     try:
         tracking = compute_tracking_metrics(
             result,

@@ -1,23 +1,25 @@
 """Named experiment scenarios: the paper's evaluation grid by name.
 
-Each scenario maps a name (``cc_compare``, ``deadlock_resolution``,
+:data:`SCENARIOS` maps each name (``cc_compare``, ``deadlock_resolution``,
 ``displacement_policies``, ``fig12_stationary``, ``fig13_is_jump``,
 ``fig14_pa_jump``, ``flash_crowd``, ``isolation_tradeoff``,
 ``mixed_classes``, ``open_diurnal``, ``probe_calibration``, ``sinusoid``,
-``thrashing``) to a builder that produces
-the corresponding :class:`~repro.runner.specs.SweepSpec` for a given
-:class:`~repro.experiments.config.ExperimentScale`.  Benchmarks, examples
-and ad-hoc scripts all obtain their cells here, so "run Figure 12 at smoke
-scale with 4 workers and 5 replicates" is one call:
+``thrashing``) to a builder that produces the corresponding
+:class:`~repro.runner.specs.SweepSpec` for a given
+:class:`~repro.experiments.config.ExperimentScale`; each builder's
+docstring says what its scenario shows.  Benchmarks, examples and ad-hoc
+scripts all obtain their cells here, so "run Figure 12 at smoke scale with
+4 workers and 5 replicates" is one call:
 
 >>> from repro.runner import run_sweep
 >>> result = run_sweep("fig12_stationary", workers=4, replicates=5)
+
+Adding a scenario is one builder and one row of :data:`SCENARIOS`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.cc.registry import CCSpec
 from repro.core.displacement import DisplacementPolicy, VictimCriterion
@@ -37,66 +39,27 @@ from repro.tp.arrivals import OpenArrivals, PartlyOpenArrivals
 from repro.tp.params import SystemParams
 from repro.tp.workload import JumpSchedule, SinusoidSchedule, TransactionClassSpec
 
-#: a scenario builder produces the sweep for one named experiment
-ScenarioBuilder = Callable[..., SweepSpec]
-
-
-@dataclass(frozen=True)
-class ScenarioDefinition:
-    """A named, documented entry of the scenario registry."""
-
-    name: str
-    description: str
-    builder: ScenarioBuilder
-
-    def build(self, scale: Optional[ExperimentScale] = None,
-              base_params: Optional[SystemParams] = None, **overrides) -> SweepSpec:
-        """Build the sweep at the given scale (benchmark scale by default)."""
-        return self.builder(scale or ExperimentScale.benchmark(), base_params,
-                            **overrides)
-
-
-_SCENARIOS: Dict[str, ScenarioDefinition] = {}
-
-
-def register_scenario(name: str, description: str):
-    """Register a scenario builder under ``name`` (decorator)."""
-
-    def decorator(builder: ScenarioBuilder) -> ScenarioBuilder:
-        if name in _SCENARIOS:
-            raise ValueError(f"scenario {name!r} is already registered")
-        _SCENARIOS[name] = ScenarioDefinition(name=name, description=description,
-                                              builder=builder)
-        return builder
-
-    return decorator
-
 
 def available_scenarios() -> Tuple[str, ...]:
-    """All registered scenario names, sorted."""
-    return tuple(sorted(_SCENARIOS))
-
-
-def get_scenario(name: str) -> ScenarioDefinition:
-    """Look up one scenario definition by name."""
-    definition = _SCENARIOS.get(name)
-    if definition is None:
-        raise KeyError(
-            f"unknown scenario {name!r}; available: {', '.join(available_scenarios())}"
-        )
-    return definition
+    """All scenario names, sorted."""
+    return tuple(sorted(SCENARIOS))
 
 
 def build_sweep(name: str, scale: Optional[ExperimentScale] = None,
                 base_params: Optional[SystemParams] = None, **overrides) -> SweepSpec:
-    """Build the sweep of a named scenario."""
-    return get_scenario(name).build(scale=scale, base_params=base_params, **overrides)
+    """Build the sweep of a named scenario (benchmark scale by default)."""
+    builder = SCENARIOS.get(name)
+    if builder is None:
+        raise KeyError(
+            f"unknown scenario {name!r}; available: {', '.join(available_scenarios())}"
+        )
+    return builder(scale or ExperimentScale.benchmark(), base_params, **overrides)
 
 
 # ----------------------------------------------------------------------
 # controller parameterisations shared by the figure scenarios (these mirror
 # the settings the corresponding benchmarks have always used; the stationary
-# figures use the registered builders' defaults as-is)
+# figures use the CONTROLLERS table's defaults as-is)
 # ----------------------------------------------------------------------
 def _tracking_is() -> ControllerSpec:
     return ControllerSpec.make("incremental_steps", initial_limit=30, beta=0.5,
@@ -123,23 +86,21 @@ def _stationary_cells(name: str, scale: ExperimentScale, base_params: SystemPara
 
 
 # ----------------------------------------------------------------------
-# the registered scenarios
+# the scenarios
 # ----------------------------------------------------------------------
-@register_scenario(
-    "thrashing",
-    "Figure 1: the uncontrolled load/throughput curve (rise, saturation, thrashing)",
-)
 def _thrashing(scale: ExperimentScale, base_params: Optional[SystemParams]) -> SweepSpec:
+    """Figure 1: the uncontrolled load/throughput curve (rise, saturation,
+    thrashing).
+    """
     base = base_params or default_system_params()
     return _stationary_cells("thrashing", scale, base,
                              [("without control", None)])
 
 
-@register_scenario(
-    "fig12_stationary",
-    "Figure 12: stationary throughput without control and under IS/PA control",
-)
 def _fig12_stationary(scale: ExperimentScale, base_params: Optional[SystemParams]) -> SweepSpec:
+    """Figure 12: stationary throughput without control and under IS/PA
+    control.
+    """
     base = base_params or default_system_params()
     return _stationary_cells("fig12_stationary", scale, base, [
         ("without control", None),
@@ -157,17 +118,15 @@ def _jump_cells(name: str, scale: ExperimentScale, base_params: Optional[SystemP
                                scale=scale, name=name)
 
 
-@register_scenario(
-    "mixed_classes",
-    "Mixed OLTP/query workload: two transaction classes with distinct size and "
-    "write ratio, uncontrolled and under IS/PA control",
-)
 def _mixed_classes(scale: ExperimentScale, base_params: Optional[SystemParams],
                    oltp_weight: float = 0.75,
                    oltp_accesses: int = 4,
                    oltp_write_fraction: float = 0.6,
                    query_accesses: int = 20) -> SweepSpec:
-    """The ROADMAP's "mixed OLTP/query classes" scenario.
+    """Mixed OLTP/query workload: two transaction classes with distinct
+    size and write ratio, uncontrolled and under IS/PA control.
+
+    The ROADMAP's "mixed OLTP/query classes" scenario.
 
     Small frequent updaters (the OLTP class) share the admission gate with
     long read-only queries; the defaults keep the *expected* transaction
@@ -194,41 +153,37 @@ def _mixed_classes(scale: ExperimentScale, base_params: Optional[SystemParams],
     ], workload_classes=classes)
 
 
-@register_scenario(
-    "fig13_is_jump",
-    "Figure 13: IS threshold trajectory under an abrupt transaction-size jump",
-)
 def _fig13_is_jump(scale: ExperimentScale, base_params: Optional[SystemParams],
                    jump_before: float = 4, jump_after: float = 16) -> SweepSpec:
+    """Figure 13: IS threshold trajectory under an abrupt transaction-size
+    jump.
+    """
     return _jump_cells("fig13_is_jump", scale, base_params,
                        [("IS", _tracking_is())], jump_before, jump_after)
 
 
-@register_scenario(
-    "fig14_pa_jump",
-    "Figure 14: PA threshold trajectory on the Figure 13 jump, with the IS reference",
-)
 def _fig14_pa_jump(scale: ExperimentScale, base_params: Optional[SystemParams],
                    jump_before: float = 4, jump_after: float = 16) -> SweepSpec:
+    """Figure 14: PA threshold trajectory on the Figure 13 jump, with the
+    IS reference.
+    """
     return _jump_cells("fig14_pa_jump", scale, base_params,
                        [("PA", _tracking_pa()), ("IS", _tracking_is())],
                        jump_before, jump_after)
 
 
-@register_scenario(
-    "cc_compare",
-    "Section 1's cross-scheme claim: 2PL vs OCC load/throughput curves, "
-    "uncontrolled and under IS control, one labeled series per scheme",
-)
 def _cc_compare(scale: ExperimentScale, base_params: Optional[SystemParams],
                 db_size: int = 1500,
                 write_fraction: float = 0.6,
                 victim_policy: str = "youngest") -> SweepSpec:
-    """2PL vs OCC under identical workload, with and without load control.
+    """Section 1's cross-scheme claim: 2PL vs OCC load/throughput curves,
+    uncontrolled and under IS control, one labeled series per scheme.
+
+    2PL vs OCC under identical workload, with and without load control.
 
     The paper simulates only the optimistic scheme but argues (Section 1)
     that adaptive load control applies to blocking schemes as well.  This
-    scenario runs the same closed system under both registered CC schemes:
+    scenario runs the same closed system under both CC schemes:
     the default configuration is tightened (smaller database, higher write
     fraction) so that *both* schemes exhibit the rise-then-fall curve
     within the standard offered-load grid — under the default parameters
@@ -254,17 +209,15 @@ def _cc_compare(scale: ExperimentScale, base_params: Optional[SystemParams],
     return SweepSpec(name="cc_compare", cells=tuple(cells))
 
 
-@register_scenario(
-    "deadlock_resolution",
-    "The locking family side by side: deadlock detection vs wound-wait vs "
-    "wait-die on the cc_compare workload, uncontrolled and under IS control, "
-    "with per-reason abort counts surfaced per cell",
-)
 def _deadlock_resolution(scale: ExperimentScale, base_params: Optional[SystemParams],
                          db_size: int = 1500,
                          write_fraction: float = 0.6,
                          victim_policy: str = "youngest") -> SweepSpec:
-    """All three strict-2PL conflict resolutions over one contended workload.
+    """The locking family side by side: deadlock detection vs wound-wait vs
+    wait-die on the cc_compare workload, uncontrolled and under IS
+    control, with per-reason abort counts surfaced per cell.
+
+    All three strict-2PL conflict resolutions over one contended workload.
 
     The schemes share every line of lock-table machinery
     (:class:`~repro.cc.two_phase_locking.LockingScheme`) and differ only in
@@ -299,17 +252,15 @@ def _deadlock_resolution(scale: ExperimentScale, base_params: Optional[SystemPar
     return SweepSpec(name="deadlock_resolution", cells=tuple(cells))
 
 
-@register_scenario(
-    "isolation_tradeoff",
-    "The isolation trade-off: strict 2PL vs backward OCC vs snapshot "
-    "isolation on one contended workload, uncontrolled and under IS control, "
-    "with per-kind anomaly counts surfaced per cell",
-)
 def _isolation_tradeoff(scale: ExperimentScale, base_params: Optional[SystemParams],
                         db_size: int = 800,
                         write_fraction: float = 0.6,
                         victim_policy: str = "youngest") -> SweepSpec:
-    """What weakening the isolation level buys — and what it costs.
+    """The isolation trade-off: strict 2PL vs backward OCC vs snapshot
+    isolation on one contended workload, uncontrolled and under IS
+    control, with per-kind anomaly counts surfaced per cell.
+
+    What weakening the isolation level buys — and what it costs.
 
     Three schemes run the same closed system under common random numbers:
     strict 2PL and backward-validation OCC, which certify at
@@ -345,16 +296,15 @@ def _isolation_tradeoff(scale: ExperimentScale, base_params: Optional[SystemPara
     return SweepSpec(name="isolation_tradeoff", cells=tuple(cells))
 
 
-@register_scenario(
-    "probe_calibration",
-    "The observability loop closed: a contended 2PL sweep with every built-in "
-    "probe on, whose measured lock-wait share calibrates the Tay reference",
-)
 def _probe_calibration(scale: ExperimentScale, base_params: Optional[SystemParams],
                        db_size: int = 1500,
                        write_fraction: float = 0.6,
                        victim_policy: str = "youngest") -> SweepSpec:
-    """A probed 2PL sweep: the source data of Tay-model calibration.
+    """The observability loop closed: a contended 2PL sweep with every
+    built-in probe on, whose measured lock-wait share calibrates the Tay
+    reference.
+
+    A probed 2PL sweep: the source data of Tay-model calibration.
 
     The ``cc_compare`` workload tightening (1500 granules, write fraction
     0.6) is reused so two-phase locking actually blocks — and therefore
@@ -384,18 +334,17 @@ def _probe_calibration(scale: ExperimentScale, base_params: Optional[SystemParam
     ], cc=cc, observers=observers)
 
 
-@register_scenario(
-    "displacement_policies",
-    "Section 4.3: enforcing a threshold drop by displacement — one IS tracking "
-    "run per victim-selection criterion on a downward jump of the optimum",
-)
 def _displacement_policies(scale: ExperimentScale,
                            base_params: Optional[SystemParams],
                            jump_before: float = 4,
                            jump_after: float = 16,
                            db_size: int = 500,
                            hysteresis: float = 1.0) -> SweepSpec:
-    """Victim-criterion sweep over :class:`~repro.core.displacement.VictimCriterion`.
+    """Section 4.3: enforcing a threshold drop by displacement — one IS
+    tracking run per victim-selection criterion on a downward jump of
+    the optimum.
+
+    Victim-criterion sweep over :class:`~repro.core.displacement.VictimCriterion`.
 
     Section 4.3's motivation is *responsiveness*: when the workload turns
     hostile, admission control alone can only wait for departures, while
@@ -435,12 +384,11 @@ def _displacement_policies(scale: ExperimentScale,
     return SweepSpec(name="displacement_policies", cells=tuple(cells))
 
 
-@register_scenario(
-    "sinusoid",
-    "Section 9: IS and PA tracking a sinusoidal transaction-size variation",
-)
 def _sinusoid(scale: ExperimentScale, base_params: Optional[SystemParams],
               mean: float = 10.0, amplitude: float = 6.0) -> SweepSpec:
+    """Section 9: IS and PA tracking a sinusoidal transaction-size
+    variation.
+    """
     base = base_params or contention_bound_params(seed=23)
     scenario = sinusoid_scenario("accesses", mean=mean, amplitude=amplitude,
                                  period=scale.tracking_horizon / 2.0)
@@ -454,16 +402,15 @@ def _sinusoid(scale: ExperimentScale, base_params: Optional[SystemParams],
                                scale=scale, name="sinusoid")
 
 
-@register_scenario(
-    "open_diurnal",
-    "Open-system arrivals: a diurnal (sinusoid) Poisson arrival rate over the "
-    "IS-controlled 2PL system, with response-time tail percentiles per cell",
-)
 def _open_diurnal(scale: ExperimentScale, base_params: Optional[SystemParams],
                   rate_per_load: float = 0.25,
                   relative_amplitude: float = 0.6,
                   victim_policy: str = "youngest") -> SweepSpec:
-    """The diurnal open-system sweep: arrival rate replaces the terminal count.
+    """Open-system arrivals: a diurnal (sinusoid) Poisson arrival rate over
+    the IS-controlled 2PL system, with response-time tail percentiles
+    per cell.
+
+    The diurnal open-system sweep: arrival rate replaces the terminal count.
 
     Every cell runs the :class:`~repro.tp.arrivals.OpenArrivals` source —
     transactions arrive in a nonhomogeneous Poisson stream whose rate
@@ -495,18 +442,16 @@ def _open_diurnal(scale: ExperimentScale, base_params: Optional[SystemParams],
     ], cc=cc, observers=("arrival_backlog",), arrivals=diurnal)
 
 
-@register_scenario(
-    "flash_crowd",
-    "Partly-open flash crowd: a session arrival-rate jump against two tenants "
-    "with admission/queue quotas — load control must shed the bursting tenant "
-    "while the steady tenant keeps its SLO",
-)
 def _flash_crowd(scale: ExperimentScale, base_params: Optional[SystemParams],
                  rate_per_load: float = 0.10,
                  surge_factor: float = 3.5,
                  burst_admission_quota: int = 6,
                  burst_queue_quota: int = 6) -> SweepSpec:
-    """Two tenants, one flash crowd, and the quota machinery between them.
+    """Partly-open flash crowd: a session arrival-rate jump against two
+    tenants with admission/queue quotas — load control must shed the
+    bursting tenant while the steady tenant keeps its SLO.
+
+    Two tenants, one flash crowd, and the quota machinery between them.
 
     The arrival source is :class:`~repro.tp.arrivals.PartlyOpenArrivals`:
     *sessions* arrive in a Poisson stream and each issues a bounded-Pareto
@@ -548,3 +493,21 @@ def _flash_crowd(scale: ExperimentScale, base_params: Optional[SystemParams],
         ("without control", None),
         ("IS control", ControllerSpec.make("incremental_steps")),
     ], workload_classes=classes, arrivals=crowd)
+
+
+#: scenario name -> builder(scale, base_params, **overrides)
+SCENARIOS = {
+    "cc_compare": _cc_compare,
+    "deadlock_resolution": _deadlock_resolution,
+    "displacement_policies": _displacement_policies,
+    "fig12_stationary": _fig12_stationary,
+    "fig13_is_jump": _fig13_is_jump,
+    "fig14_pa_jump": _fig14_pa_jump,
+    "flash_crowd": _flash_crowd,
+    "isolation_tradeoff": _isolation_tradeoff,
+    "mixed_classes": _mixed_classes,
+    "open_diurnal": _open_diurnal,
+    "probe_calibration": _probe_calibration,
+    "sinusoid": _sinusoid,
+    "thrashing": _thrashing,
+}

@@ -7,19 +7,25 @@ data that survives pickling; stateful objects (controllers, simulators,
 RNG streams) are only ever constructed *inside* the worker that runs the
 cell.
 
-* :class:`ControllerSpec` names a controller kind from a small registry and
-  carries its constructor options;
+* :class:`ControllerSpec` names a controller kind of the
+  :data:`CONTROLLERS` table and carries its constructor options;
 * :class:`RunSpec` describes one cell: the kind of run (stationary point or
   dynamic tracking), system parameters, scale, controller, scenario and
-  replicate index;
+  replicate index.  Every value it carries is a frozen dataclass that holds
+  no run state, so running a cell never changes its spec;
 * :class:`SweepSpec` is an ordered collection of cells, optionally expanded
   into ``R`` replicates per cell.
+
+Adding a controller kind is one row of :data:`CONTROLLERS`.  The JSON codec
+(:func:`run_spec_to_jsonable` / :func:`run_spec_from_jsonable`) writes each
+value from its fields and reads schedules and arrival processes back
+through one tag table each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.canonical import canonical_digest
 from repro.cc.registry import CCSpec
@@ -48,33 +54,34 @@ from repro.tp.workload import (
 KIND_STATIONARY = "stationary"
 KIND_TRACKING = "tracking"
 
-#: a controller builder receives the cell's system parameters (for bounds
-#: and workload-derived defaults) plus the spec's options
-ControllerBuilder = Callable[..., LoadController]
-
-_CONTROLLER_BUILDERS: Dict[str, ControllerBuilder] = {}
-
-
-def register_controller(kind: str) -> Callable[[ControllerBuilder], ControllerBuilder]:
-    """Register a controller builder under ``kind`` (decorator)."""
-
-    def decorator(builder: ControllerBuilder) -> ControllerBuilder:
-        if kind in _CONTROLLER_BUILDERS:
-            raise ValueError(f"controller kind {kind!r} is already registered")
-        _CONTROLLER_BUILDERS[kind] = builder
-        return builder
-
-    return decorator
+#: kind -> (controller class, default options).  Every kind's
+#: ``upper_bound`` defaults to the cell's ``params.n_terminals``, ``tay``
+#: also takes ``db_size`` and ``accesses_per_txn`` from ``params.workload``,
+#: and a spec's options override all defaults.  The defaults follow the
+#: parameterisations used throughout the benchmarks.
+CONTROLLERS: Dict[str, Tuple[type, Dict[str, object]]] = {
+    "no_control": (NoControl, {}),
+    "fixed": (FixedLimit, {"limit": 20.0}),
+    "tay": (TayRule, {}),
+    "iyer": (IyerRule, {"target_conflicts": 0.75, "step": 3.0,
+                        "initial_limit": 20.0}),
+    "incremental_steps": (IncrementalStepsController, {
+        "initial_limit": 10.0, "beta": 1.0, "gamma": 5, "delta": 10,
+        "min_step": 2.0, "lower_bound": 2.0}),
+    "parabola": (ParabolaController, {
+        "initial_limit": 10.0, "forgetting": 0.9, "probe_amplitude": 3.0,
+        "lower_bound": 2.0}),
+}
 
 
 def controller_kinds() -> Tuple[str, ...]:
-    """All registered controller kinds."""
-    return tuple(sorted(_CONTROLLER_BUILDERS))
+    """All controller kinds."""
+    return tuple(sorted(CONTROLLERS))
 
 
 @dataclass(frozen=True)
 class ControllerSpec:
-    """A picklable description of a controller: registry kind + options.
+    """A picklable description of a controller: a :data:`CONTROLLERS` kind + options.
 
     ``options`` is stored as a sorted tuple of ``(name, value)`` pairs so
     specs are hashable and two specs with the same options compare equal
@@ -92,84 +99,19 @@ class ControllerSpec:
 
     def build(self, params: SystemParams) -> LoadController:
         """Construct a fresh controller instance for one run."""
-        builder = _CONTROLLER_BUILDERS.get(self.kind)
-        if builder is None:
+        row = CONTROLLERS.get(self.kind)
+        if row is None:
             raise KeyError(
                 f"unknown controller kind {self.kind!r}; "
                 f"available: {', '.join(controller_kinds())}"
             )
-        return builder(params, **dict(self.options))
-
-
-# ----------------------------------------------------------------------
-# built-in controller kinds
-#
-# Defaults follow the parameterisations used throughout the benchmarks;
-# every option can be overridden via ControllerSpec.make(kind, option=...).
-# ----------------------------------------------------------------------
-@register_controller("no_control")
-def _build_no_control(params: SystemParams, **options) -> LoadController:
-    settings = {"upper_bound": params.n_terminals}
-    settings.update(options)
-    return NoControl(**settings)
-
-
-@register_controller("fixed")
-def _build_fixed(params: SystemParams, **options) -> LoadController:
-    settings = {"limit": 20.0, "upper_bound": params.n_terminals}
-    settings.update(options)
-    return FixedLimit(**settings)
-
-
-@register_controller("tay")
-def _build_tay(params: SystemParams, **options) -> LoadController:
-    settings = {
-        "db_size": params.workload.db_size,
-        "accesses_per_txn": params.workload.accesses_per_txn,
-        "upper_bound": params.n_terminals,
-    }
-    settings.update(options)
-    return TayRule(**settings)
-
-
-@register_controller("iyer")
-def _build_iyer(params: SystemParams, **options) -> LoadController:
-    settings = {
-        "target_conflicts": 0.75,
-        "step": 3.0,
-        "initial_limit": 20.0,
-        "upper_bound": params.n_terminals,
-    }
-    settings.update(options)
-    return IyerRule(**settings)
-
-
-@register_controller("incremental_steps")
-def _build_incremental_steps(params: SystemParams, **options) -> LoadController:
-    settings = {
-        "initial_limit": 10.0,
-        "beta": 1.0,
-        "gamma": 5,
-        "delta": 10,
-        "min_step": 2.0,
-        "lower_bound": 2.0,
-        "upper_bound": params.n_terminals,
-    }
-    settings.update(options)
-    return IncrementalStepsController(**settings)
-
-
-@register_controller("parabola")
-def _build_parabola(params: SystemParams, **options) -> LoadController:
-    settings = {
-        "initial_limit": 10.0,
-        "forgetting": 0.9,
-        "probe_amplitude": 3.0,
-        "lower_bound": 2.0,
-        "upper_bound": params.n_terminals,
-    }
-    settings.update(options)
-    return ParabolaController(**settings)
+        controller_class, defaults = row
+        settings = {"upper_bound": params.n_terminals, **defaults}
+        if controller_class is TayRule:
+            settings["db_size"] = params.workload.db_size
+            settings["accesses_per_txn"] = params.workload.accesses_per_txn
+        settings.update(self.options)
+        return controller_class(**settings)
 
 
 # ----------------------------------------------------------------------
@@ -184,9 +126,11 @@ class RunSpec:
     ``controller`` is ``None`` (the system runs uncontrolled, with no
     measurement loop at all) or a :class:`ControllerSpec`; ``cc`` is
     ``None`` (the system default, timestamp certification) or a
-    :class:`~repro.cc.registry.CCSpec`.  Both are built from their
-    registries inside whichever process executes the cell; anything else
-    raises ``TypeError`` here.
+    :class:`~repro.cc.registry.CCSpec`.  Both are built from their kind
+    tables inside whichever process executes the cell; anything else
+    raises ``TypeError`` here.  Every other value is a frozen dataclass
+    that holds no run state, so executing a cell leaves its spec, its
+    pickle and its fingerprint unchanged.
 
     ``replicate`` selects the replicate branch of the run's random streams
     (see :meth:`repro.sim.random_streams.RandomStreams.spawn`); replicate 0
@@ -205,7 +149,7 @@ class RunSpec:
     #: label used to group cells into curves/series in reports
     label: str = ""
     #: tracking runs only: the displacement policy and the outer loop
-    #: tuning the measurement interval (both copied per execution)
+    #: tuning the measurement interval
     displacement: Optional[DisplacementPolicy] = None
     interval_tuner: Optional[MeasurementIntervalTuner] = None
     #: stationary runs only: transaction classes of a mixed-class workload
@@ -306,73 +250,41 @@ def _encode_options(options: Tuple[Tuple[str, object], ...], what: str) -> dict:
     return dict(options)
 
 
-def _encode_schedule(schedule: ParameterSchedule) -> dict:
-    if isinstance(schedule, ConstantSchedule):
-        return {"type": "constant", "value": schedule._value}
-    if isinstance(schedule, JumpSchedule):
-        return {"type": "jump", "before": schedule.before,
-                "after": schedule.after, "jump_time": schedule.jump_time}
-    if isinstance(schedule, StepSchedule):
-        return {"type": "step", "initial": schedule.initial,
-                "steps": [list(step) for step in schedule.steps]}
-    if isinstance(schedule, SinusoidSchedule):
-        return {"type": "sinusoid", "mean": schedule.mean,
-                "amplitude": schedule.amplitude, "period": schedule.period,
-                "phase": schedule.phase}
-    raise ValueError(
-        f"schedule type {type(schedule).__name__} has no JSON encoding"
-    )
+#: wire tag -> class, for the two families of tagged values: schedules
+#: (tagged by ``type``) and arrival processes (tagged by ``kind``)
+_SCHEDULES = {cls.type: cls for cls in (
+    ConstantSchedule, JumpSchedule, StepSchedule, SinusoidSchedule)}
+_ARRIVALS = {cls.kind: cls for cls in (
+    ClosedArrivals, OpenArrivals, PartlyOpenArrivals)}
 
 
-def _encode_arrivals(arrivals: ArrivalProcess) -> dict:
-    if type(arrivals) is ClosedArrivals:
-        return {"kind": ClosedArrivals.kind}
-    if type(arrivals) is OpenArrivals:
-        return {"kind": OpenArrivals.kind,
-                "rate": _encode_schedule(arrivals.rate)}
-    if type(arrivals) is PartlyOpenArrivals:
-        return {"kind": PartlyOpenArrivals.kind,
-                "rate": _encode_schedule(arrivals.rate),
-                "session_alpha": arrivals.session_alpha,
-                "min_session": arrivals.min_session,
-                "max_session": arrivals.max_session,
-                "session_think_time": arrivals.session_think_time}
-    raise ValueError(
-        f"arrival process type {type(arrivals).__name__} has no JSON encoding"
-    )
+def _encode_tagged(value, tag: str, table: dict) -> dict:
+    """``value``'s fields under its wire tag; a ``rate`` field nests a schedule.
+
+    A shallow copy of the fields, not ``dataclasses.asdict``: the service
+    fingerprints every cell of every job, and ``asdict`` costs several
+    times more.  A subclass outside ``table`` raises, since it would
+    decode as its base class.
+    """
+    name = getattr(value, tag, None)
+    if table.get(name) is not type(value):
+        raise ValueError(f"{type(value).__name__} has no JSON encoding")
+    data = {tag: name, **vars(value)}
+    if "rate" in data:
+        data["rate"] = _encode_tagged(data["rate"], "type", _SCHEDULES)
+    return data
 
 
-def _decode_arrivals(data: dict) -> ArrivalProcess:
-    kind = data["kind"]
-    if kind == ClosedArrivals.kind:
-        return ClosedArrivals()
-    if kind == OpenArrivals.kind:
-        return OpenArrivals(_decode_schedule(data["rate"]))
-    if kind == PartlyOpenArrivals.kind:
-        return PartlyOpenArrivals(
-            _decode_schedule(data["rate"]),
-            session_alpha=data["session_alpha"],
-            min_session=data["min_session"],
-            max_session=data["max_session"],
-            session_think_time=data["session_think_time"],
-        )
-    raise ValueError(f"unknown arrival kind {kind!r}")
-
-
-def _decode_schedule(data: dict) -> ParameterSchedule:
-    kind = data["type"]
-    if kind == "constant":
-        return ConstantSchedule(data["value"])
-    if kind == "jump":
-        return JumpSchedule(before=data["before"], after=data["after"],
-                            jump_time=data["jump_time"])
-    if kind == "step":
-        return StepSchedule(initial=data["initial"],
-                            steps=[tuple(step) for step in data["steps"]])
-    if kind == "sinusoid":
-        return SinusoidSchedule(mean=data["mean"], amplitude=data["amplitude"],
-                                period=data["period"], phase=data["phase"])
-    raise ValueError(f"unknown schedule type {kind!r}")
+def _decode_tagged(data: dict, tag: str, table: dict):
+    """Inverse of :func:`_encode_tagged`."""
+    fields = dict(data)
+    name = fields.pop(tag)
+    cls = table.get(name)
+    if cls is None:
+        raise ValueError(f"unknown {tag} {name!r}")
+    if "rate" in fields:
+        fields["rate"] = _decode_tagged(fields["rate"], "type", _SCHEDULES)
+    return cls(**fields)
 
 
 def run_spec_to_jsonable(spec: RunSpec) -> dict:
@@ -385,66 +297,32 @@ def run_spec_to_jsonable(spec: RunSpec) -> dict:
     the codec does not know.
     """
     params = spec.params
-    workload = params.workload
     data = {
         "format": RUN_SPEC_FORMAT,
         "kind": spec.kind,
         "cell_id": spec.cell_id,
         "label": spec.label,
         "replicate": spec.replicate,
-        "params": {
-            "n_terminals": params.n_terminals,
-            "think_time": params.think_time,
-            "n_cpus": params.n_cpus,
-            "cpu_init": params.cpu_init,
-            "cpu_per_access": params.cpu_per_access,
-            "cpu_commit": params.cpu_commit,
-            "disk_per_access": params.disk_per_access,
-            "disk_commit": params.disk_commit,
-            "restart_delay": params.restart_delay,
-            "stochastic_cpu": params.stochastic_cpu,
-            "seed": params.seed,
-            "workload": {
-                "db_size": workload.db_size,
-                "accesses_per_txn": workload.accesses_per_txn,
-                "query_fraction": workload.query_fraction,
-                "write_fraction": workload.write_fraction,
-            },
-        },
-        "scale": {
-            "stationary_horizon": spec.scale.stationary_horizon,
-            "warmup": spec.scale.warmup,
-            "offered_loads": [int(load) for load in spec.scale.offered_loads],
-            "tracking_horizon": spec.scale.tracking_horizon,
-            "measurement_interval": spec.scale.measurement_interval,
-            "synthetic_steps": spec.scale.synthetic_steps,
-        },
+        "params": {**vars(params), "workload": dict(vars(params.workload))},
+        "scale": {**vars(spec.scale), "offered_loads": [
+            int(load) for load in spec.scale.offered_loads]},
         "controller": None if spec.controller is None else {
             "kind": spec.controller.kind,
             "options": _encode_options(spec.controller.options, "controller"),
         },
         "scenario": None if spec.scenario is None else {
             "parameter": spec.scenario[0],
-            "schedule": _encode_schedule(spec.scenario[1]),
+            "schedule": _encode_tagged(spec.scenario[1], "type", _SCHEDULES),
         },
         "displacement": None if spec.displacement is None else {
+            **vars(spec.displacement),
             "criterion": spec.displacement.criterion.value,
-            "enabled": spec.displacement.enabled,
-            "hysteresis": spec.displacement.hysteresis,
         },
+        # quota keys (the only fields that may be None) are emitted only
+        # when set, so archives of quota-free mixes keep their pre-quota
+        # byte encoding
         "workload_classes": None if spec.workload_classes is None else [
-            {
-                "name": cls.name,
-                "weight": cls.weight,
-                "accesses_per_txn": cls.accesses_per_txn,
-                "write_fraction": cls.write_fraction,
-                # quota keys are emitted only when set, so archives of
-                # quota-free mixes keep their pre-quota byte encoding
-                **({"admission_quota": cls.admission_quota}
-                   if cls.admission_quota is not None else {}),
-                **({"queue_quota": cls.queue_quota}
-                   if cls.queue_quota is not None else {}),
-            }
+            {name: value for name, value in vars(cls).items() if value is not None}
             for cls in spec.workload_classes
         ],
         "cc": None if spec.cc is None else {
@@ -464,17 +342,9 @@ def run_spec_to_jsonable(spec: RunSpec) -> dict:
         data["trace"] = True
     # same byte-identity discipline for the arrival model and the tuner
     if spec.arrivals is not None:
-        data["arrivals"] = _encode_arrivals(spec.arrivals)
+        data["arrivals"] = _encode_tagged(spec.arrivals, "kind", _ARRIVALS)
     if spec.interval_tuner is not None:
-        tuner = spec.interval_tuner
-        data["interval_tuner"] = {
-            "target_departures": tuner.target_departures,
-            "relative_accuracy": tuner.relative_accuracy,
-            "confidence": tuner.confidence,
-            "min_interval": tuner.min_interval,
-            "max_interval": tuner.max_interval,
-            "smoothing": tuner.smoothing,
-        }
+        data["interval_tuner"] = dict(vars(spec.interval_tuner))
     return data
 
 
@@ -498,14 +368,12 @@ def run_spec_from_jsonable(data: dict) -> RunSpec:
     scenario = None
     if data["scenario"] is not None:
         scenario = (data["scenario"]["parameter"],
-                    _decode_schedule(data["scenario"]["schedule"]))
+                    _decode_tagged(data["scenario"]["schedule"], "type", _SCHEDULES))
     displacement = None
     if data["displacement"] is not None:
-        displacement = DisplacementPolicy(
-            criterion=VictimCriterion(data["displacement"]["criterion"]),
-            enabled=data["displacement"]["enabled"],
-            hysteresis=data["displacement"]["hysteresis"],
-        )
+        displacement = DisplacementPolicy(**{
+            **data["displacement"],
+            "criterion": VictimCriterion(data["displacement"]["criterion"])})
     workload_classes = None
     if data["workload_classes"] is not None:
         workload_classes = tuple(
@@ -531,7 +399,7 @@ def run_spec_from_jsonable(data: dict) -> RunSpec:
         workload_classes=workload_classes,
         cc=cc,
         observers=observers,
-        arrivals=(_decode_arrivals(data["arrivals"])
+        arrivals=(_decode_tagged(data["arrivals"], "kind", _ARRIVALS)
                   if data.get("arrivals") else None),
         interval_tuner=(MeasurementIntervalTuner(**data["interval_tuner"])
                         if data.get("interval_tuner") else None),

@@ -80,7 +80,7 @@ def _serve(args) -> int:
         heartbeat_timeout=args.heartbeat_timeout,
         worker_timeout=args.worker_wait,
     )
-    http_server = None
+    http_server = http_thread = None
     try:
         print(f"worker address: {service.worker_address}", flush=True)
         print(f"control address: {service.control_address}", flush=True)
@@ -88,10 +88,11 @@ def _serve(args) -> int:
             from repro.svc.http import make_http_server
 
             http_server = make_http_server(service, args.http)
+            http_thread = threading.Thread(target=http_server.serve_forever,
+                                           name="svc-http", daemon=True)
+            http_thread.start()
             host, port = http_server.server_address[:2]
             print(f"http address: {host}:{port}", flush=True)
-            threading.Thread(target=http_server.serve_forever,
-                             name="svc-http", daemon=True).start()
         if args.min_workers:
             service.executor.wait_for_workers(args.min_workers,
                                               timeout=args.worker_wait)
@@ -104,8 +105,12 @@ def _serve(args) -> int:
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         logger.info("interrupted")
     finally:
-        if http_server is not None:
+        # shutdown() waits for serve_forever, so only a started thread
+        if http_thread is not None:
             http_server.shutdown()
+            http_thread.join()
+        if http_server is not None:
+            http_server.server_close()
         service.close()
     return 0
 

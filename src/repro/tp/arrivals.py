@@ -10,8 +10,8 @@ before leaving.  The load-control question changes character across these
 shapes: an open overload cannot be absorbed by slowing the sources down, so
 the gate must shed work instead of merely queueing it.
 
-This module describes the arrival shape as picklable plain configuration,
-mirroring :class:`~repro.tp.workload.ParameterSchedule`:
+This module describes the arrival shape as frozen dataclasses that hold no
+run state, like the schedules of :mod:`repro.tp.workload`:
 
 * :class:`ClosedArrivals` — the paper's terminal model (also selected by
   ``arrivals=None`` everywhere, which keeps every existing trajectory
@@ -20,7 +20,7 @@ mirroring :class:`~repro.tp.workload.ParameterSchedule`:
   :class:`~repro.tp.workload.ParameterSchedule`, so diurnal sinusoids and
   flash-crowd jumps reuse the existing schedule machinery.  Nonhomogeneous
   rates are realised by Lewis–Shedler thinning against the schedule's
-  static peak;
+  static :meth:`~repro.tp.workload.ParameterSchedule.peak`;
 * :class:`PartlyOpenArrivals` — sessions arrive Poisson, each submitting a
   bounded-Pareto number of transactions back to back (with an optional
   exponential intra-session think time).
@@ -35,17 +35,10 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.tp.workload import (
-    ConstantSchedule,
-    JumpSchedule,
-    ParameterSchedule,
-    SinusoidSchedule,
-    StepSchedule,
-    _as_schedule,
-    static_schedule_values,
-)
+from repro.tp.workload import ConstantSchedule, ParameterSchedule, _as_schedule, _store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.random_streams import RandomStreams
@@ -58,41 +51,17 @@ SESSION_SIZE_STREAM = "session-size"
 SESSION_THINK_STREAM = "session-think"
 
 
-def schedule_upper_bound(schedule: ParameterSchedule) -> float:
-    """A static upper bound on the values a rate schedule can take.
-
-    Used as the majorising rate of the Lewis–Shedler thinning loop, so it
-    must dominate ``schedule.value(t)`` for every ``t``.  Exact for the
-    four shipped schedule families; unknown schedule types are rejected
-    because an under-estimated bound would silently distort the arrival
-    process rather than fail.
-    """
-    if isinstance(schedule, ConstantSchedule):
-        return schedule.value(0.0)
-    if isinstance(schedule, JumpSchedule):
-        return max(schedule.before, schedule.after)
-    if isinstance(schedule, StepSchedule):
-        return max((schedule.initial,) + tuple(v for _, v in schedule.steps))
-    if isinstance(schedule, SinusoidSchedule):
-        return schedule.mean + abs(schedule.amplitude)
-    raise ValueError(
-        f"cannot bound the peak of schedule type {type(schedule).__name__}; "
-        "thinning needs a static majorising rate"
-    )
-
-
 class ArrivalProcess(ABC):
-    """How transactions enter the system, as picklable plain configuration.
+    """How transactions enter the system, as a frozen dataclass.
 
-    Like :class:`~repro.tp.workload.ParameterSchedule`, instances are pure
-    configuration and compare/hash by it (runtime counters, stored under
-    underscore-prefixed attributes, are excluded), so a
-    :class:`~repro.runner.specs.RunSpec` carrying an arrival process equals
+    Like :class:`~repro.tp.workload.ParameterSchedule`, every concrete
+    process holds configuration only, so it compares and hashes by its
+    fields and a :class:`~repro.runner.specs.RunSpec` carrying one equals
     its copy after a trip through the dist wire protocol.
     """
 
     #: wire-format discriminator, set by each concrete subclass
-    kind: str = ""
+    kind = ""
 
     @abstractmethod
     def next_interarrival(self, streams: "RandomStreams", now: float) -> float:
@@ -103,23 +72,10 @@ class ArrivalProcess(ABC):
         return 1
 
     #: mean think time between a session's transactions (0 = back to back)
-    session_think_time: float = 0.0
-
-    def _config(self) -> tuple:
-        return tuple(sorted(
-            (name, attr) for name, attr in self.__dict__.items()
-            if not name.startswith("_")
-        ))
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._config() == other._config()
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self._config()))
+    session_think_time = 0.0
 
 
+@dataclass(frozen=True)
 class ClosedArrivals(ArrivalProcess):
     """The paper's closed model: ``N`` terminals with exponential think.
 
@@ -139,6 +95,7 @@ class ClosedArrivals(ArrivalProcess):
         )
 
 
+@dataclass(frozen=True)
 class OpenArrivals(ArrivalProcess):
     """A Poisson source with a (possibly time-varying) rate schedule.
 
@@ -150,62 +107,46 @@ class OpenArrivals(ArrivalProcess):
     drawn on a separate thinning stream.  Constant-rate schedules skip the
     thinning draws entirely (one exponential per arrival).
 
-    A dynamic schedule (sinusoid) may dip below zero; such instants get an
-    arrival rate of zero and each clamped evaluation is counted in
-    :attr:`clamped_evaluations`, mirroring the workload schedules'
-    ``schedule_clamped`` diagnostic.
+    A dynamic schedule (sinusoid) may dip below zero; no arrival is
+    accepted while the rate is negative, since the acceptance draw lies in
+    ``[0, peak)``.  Static negative rates are rejected at construction.
     """
 
     kind = "open"
 
-    def __init__(self, rate):
-        self.rate = _as_schedule(rate)
-        peak = schedule_upper_bound(self.rate)
+    #: the arrival rate; a number becomes a :class:`ConstantSchedule`
+    rate: ParameterSchedule
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rate", _as_schedule(self.rate))
+        peak = self.rate.peak()
         if not math.isfinite(peak) or peak <= 0.0:
             raise ValueError(
                 f"arrival rate schedule must have a positive finite peak, got {peak}"
             )
-        for value in static_schedule_values(self.rate):
+        for value in self.rate.values():
             if value < 0.0:
                 raise ValueError(
                     f"arrival rate schedule value {value} is negative; the "
                     "source would silently emit nothing at that rate"
                 )
-        self._peak = peak
-        self._constant_rate = (
-            self.rate.value(0.0) if isinstance(self.rate, ConstantSchedule) else None
-        )
-        #: evaluations of a dynamic rate schedule clamped up to zero
-        self._clamped = 0
-
-    @property
-    def clamped_evaluations(self) -> int:
-        """How often a dynamic rate value had to be clamped up to zero."""
-        return self._clamped
 
     def next_interarrival(self, streams: "RandomStreams", now: float) -> float:
         """Gap to the next arrival, by thinning against the peak rate."""
-        constant = self._constant_rate
-        if constant is not None:
-            return float(streams.exponential(INTERARRIVAL_STREAM, 1.0 / constant))
-        peak = self._peak
+        rate = self.rate
+        if isinstance(rate, ConstantSchedule):
+            return float(streams.exponential(INTERARRIVAL_STREAM, 1.0 / rate.value))
+        peak = rate.peak()
         gap_rng = streams.stream(INTERARRIVAL_STREAM)
-        rate_at = self.rate.value
         gap = 0.0
         while True:
             gap += float(gap_rng.exponential(1.0 / peak))
-            rate = rate_at(now + gap)
-            if rate < 0.0:
-                rate = 0.0
-                self._clamped += 1
             accept = float(streams.uniform(THINNING_STREAM, 0.0, peak))
-            if accept < rate:
+            if accept < rate(now + gap):
                 return gap
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"OpenArrivals(rate={self.rate!r})"
 
-
+@dataclass(frozen=True)
 class PartlyOpenArrivals(OpenArrivals):
     """Sessions arrive Poisson; each submits a bounded-Pareto burst.
 
@@ -219,25 +160,26 @@ class PartlyOpenArrivals(OpenArrivals):
 
     kind = "partly_open"
 
-    def __init__(self, rate, session_alpha: float = 1.5,
-                 min_session: int = 1, max_session: int = 50,
-                 session_think_time: float = 0.0):
-        super().__init__(rate)
-        if session_alpha <= 0.0:
-            raise ValueError(f"session_alpha must be positive, got {session_alpha}")
-        if not 1 <= int(min_session) <= int(max_session):
+    session_alpha: float = 1.5
+    min_session: int = 1
+    max_session: int = 50
+    session_think_time: float = 0.0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.session_alpha <= 0.0:
+            raise ValueError(f"session_alpha must be positive, got {self.session_alpha}")
+        if not 1 <= int(self.min_session) <= int(self.max_session):
             raise ValueError(
                 f"session bounds must satisfy 1 <= min <= max, got "
-                f"[{min_session}, {max_session}]"
+                f"[{self.min_session}, {self.max_session}]"
             )
-        if session_think_time < 0.0:
+        if self.session_think_time < 0.0:
             raise ValueError(
-                f"session_think_time must be non-negative, got {session_think_time}"
+                f"session_think_time must be non-negative, got {self.session_think_time}"
             )
-        self.session_alpha = float(session_alpha)
-        self.min_session = int(min_session)
-        self.max_session = int(max_session)
-        self.session_think_time = float(session_think_time)
+        _store(self, float, "session_alpha", "session_think_time")
+        _store(self, int, "min_session", "max_session")
 
     def session_size(self, streams: "RandomStreams") -> int:
         """Draw a session's transaction count (bounded-Pareto inverse CDF).
@@ -255,10 +197,3 @@ class PartlyOpenArrivals(OpenArrivals):
         # F(x) = (1 - (low/x)^alpha) / (1 - (low/high)^alpha)
         x = low / (1.0 - u * (1.0 - (low / high) ** alpha)) ** (1.0 / alpha)
         return max(self.min_session, min(self.max_session, int(math.floor(x))))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PartlyOpenArrivals(rate={self.rate!r}, alpha={self.session_alpha}, "
-            f"sessions=[{self.min_session}, {self.max_session}], "
-            f"think={self.session_think_time})"
-        )

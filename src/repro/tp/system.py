@@ -63,7 +63,6 @@ class TransactionSystem:
                  cc: Optional[ConcurrencyControl] = None,
                  gate: Optional[AdmissionGate] = None,
                  displacement: Optional[DisplacementPolicy] = None,
-                 resubmit_displaced: bool = True,
                  observers: Optional["ObserverSet"] = None,
                  arrivals: Optional[ArrivalProcess] = None):
         self.params = params
@@ -77,7 +76,6 @@ class TransactionSystem:
         self.cc = cc or TimestampCertification(self.sim)
         self.gate = gate or AdmissionGate(self.sim)
         self.displacement = displacement
-        self.resubmit_displaced = resubmit_displaced
         self.metrics = RunMetrics(self.sim)
         self.cpus = Resource(self.sim, params.n_cpus, name="cpu")
         #: txn_id -> (transaction, lifecycle process) for admitted transactions
@@ -275,11 +273,9 @@ class TransactionSystem:
 
             if outcome == COMMITTED:
                 return
-            if outcome == DISPLACED and self.resubmit_displaced:
-                # the transaction keeps its original submission time so the
-                # displacement penalty shows up in its response time
-                continue
-            return
+            # displaced: resubmit; the transaction keeps its original
+            # submission time so the displacement penalty shows up in its
+            # response time
 
     def _transaction_lifecycle(self, txn: Transaction) -> Generator:
         """Run one admitted transaction to commit, restarting as needed."""
@@ -290,10 +286,15 @@ class TransactionSystem:
         cpu_access = params.cpu_per_access
         disk_access = params.disk_per_access
         observer = self._observer
+        restarting = False
         while True:
-            txn.start_execution(sim.now)
-            self.cc.begin(txn)
             try:
+                if restarting:
+                    # inside the try, so a displacement that arrives while
+                    # the aborted execution waits to restart is handled
+                    yield from self._restart_delay()
+                txn.start_execution(sim.now)
+                self.cc.begin(txn)
                 # initialization phase
                 yield from self._phase(params.cpu_init, disk_access)
                 # k access phases with gradually increasing data set size;
@@ -335,12 +336,12 @@ class TransactionSystem:
 
                 # certification failed: abort this execution and restart
                 self._abort(txn, AbortReason.CERTIFICATION, txn.last_conflicts)
-                yield from self._restart_delay()
+                restarting = True
 
             except TransactionAborted as aborted:
                 # blocking CC made this transaction a deadlock victim
                 self._abort(txn, aborted.reason)
-                yield from self._restart_delay()
+                restarting = True
 
             except Interrupt as interrupt:
                 # displacement by the load controller

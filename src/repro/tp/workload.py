@@ -11,8 +11,11 @@ in either a *jump-like* fashion (abrupt change, Figures 13/14) or a
 *sinusoidal* fashion (smooth, gradual change).  All of these move the height
 and the position of the throughput optimum.
 
-:class:`ParameterSchedule` and its implementations describe one scalar
-parameter as a function of simulated time; :class:`Workload` bundles the
+:class:`ParameterSchedule` and its four implementations describe one
+scalar parameter as a function of simulated time.  Each is a frozen
+dataclass evaluated by calling it, ``schedule(t)``, and answers for itself
+which values it can take (:meth:`~ParameterSchedule.values`) and how high
+it can go (:meth:`~ParameterSchedule.peak`).  :class:`Workload` bundles the
 three schedules, samples concrete transactions at submission time, and
 exposes the *current* :class:`~repro.tp.params.WorkloadParams` so analytic
 reference models can compute the true optimum at any instant.
@@ -34,47 +37,74 @@ from repro.tp.transaction import Transaction, TransactionClass
 class ParameterSchedule(ABC):
     """A scalar workload parameter as a function of simulated time.
 
-    Schedules are pure configuration (every attribute is set once in
-    ``__init__``), so they compare and hash by configuration: a
-    :class:`~repro.runner.specs.RunSpec` carrying a schedule equals its
-    pickled copy after a trip through the dist wire protocol.
+    Every concrete schedule is a frozen dataclass of floats and holds no run
+    state: it compares and hashes by its fields, survives pickling and the
+    JSON codec of :mod:`repro.runner.specs` unchanged, and is evaluated by
+    calling it, ``schedule(t)``.  The class-level ``type`` is its wire tag.
     """
 
+    #: wire tag of the schedule type in an encoded spec
+    type = ""
+
     @abstractmethod
-    def value(self, time: float) -> float:
+    def __call__(self, time: float) -> float:
         """Parameter value in effect at ``time``."""
 
-    def __call__(self, time: float) -> float:
-        return self.value(time)
+    def values(self) -> Tuple[float, ...]:
+        """Every value the schedule can take; empty if it varies continuously.
 
-    def _config(self) -> tuple:
-        return tuple(sorted(
-            (name, tuple(attr) if isinstance(attr, list) else attr)
-            for name, attr in self.__dict__.items()
-        ))
+        Continuously varying schedules (the sinusoid) are range-checked at
+        evaluation time instead (see :meth:`Workload.params_at`).
+        """
+        return ()
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._config() == other._config()
+    def peak(self) -> float:
+        """A static upper bound on the schedule's values.
 
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self._config()))
+        The majorising rate of the arrivals' thinning loop, so it must
+        dominate ``self(t)`` for every ``t``.  A schedule type that cannot
+        bound itself raises: an under-estimated bound would silently distort
+        the arrival process rather than fail.
+        """
+        raise ValueError(
+            f"cannot bound the peak of schedule type {type(self).__name__}; "
+            "thinning needs a static majorising rate"
+        )
 
 
+def _store(instance, convert, *names: str) -> None:
+    """Store ``convert(value)`` in each named field of a frozen dataclass.
+
+    Fields hold exactly the types the constructors always produced (floats
+    stay floats when given ints), so equal schedules encode to equal JSON
+    and equal fingerprints.
+    """
+    for name in names:
+        object.__setattr__(instance, name, convert(getattr(instance, name)))
+
+
+@dataclass(frozen=True)
 class ConstantSchedule(ParameterSchedule):
     """A parameter that never changes."""
 
-    def __init__(self, value: float):
-        self._value = float(value)
+    type = "constant"
 
-    def value(self, time: float) -> float:
-        return self._value
+    value: float
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Constant({self._value})"
+    def __post_init__(self) -> None:
+        _store(self, float, "value")
+
+    def __call__(self, time: float) -> float:
+        return self.value
+
+    def values(self) -> Tuple[float, ...]:
+        return (self.value,)
+
+    def peak(self) -> float:
+        return self.value
 
 
+@dataclass(frozen=True)
 class JumpSchedule(ParameterSchedule):
     """Abrupt change from ``before`` to ``after`` at ``jump_time``.
 
@@ -82,25 +112,40 @@ class JumpSchedule(ParameterSchedule):
     can be expressed with :class:`StepSchedule`.
     """
 
-    def __init__(self, before: float, after: float, jump_time: float):
-        self.before = float(before)
-        self.after = float(after)
-        self.jump_time = float(jump_time)
+    type = "jump"
 
-    def value(self, time: float) -> float:
+    before: float
+    after: float
+    jump_time: float
+
+    def __post_init__(self) -> None:
+        _store(self, float, "before", "after", "jump_time")
+
+    def __call__(self, time: float) -> float:
         return self.after if time >= self.jump_time else self.before
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Jump({self.before}->{self.after} at t={self.jump_time})"
+    def values(self) -> Tuple[float, ...]:
+        return (self.before, self.after)
+
+    def peak(self) -> float:
+        return max(self.before, self.after)
 
 
+@dataclass(frozen=True)
 class StepSchedule(ParameterSchedule):
     """Piecewise-constant schedule given as (time, value) breakpoints."""
 
-    def __init__(self, initial: float, steps: Sequence[Tuple[float, float]]):
-        self.initial = float(initial)
-        self.steps = sorted((float(t), float(v)) for t, v in steps)
-        times = [t for t, _ in self.steps]
+    type = "step"
+
+    initial: float
+    #: (time, value) breakpoints as float pairs, sorted by time
+    steps: Tuple[Tuple[float, float], ...]
+
+    def __post_init__(self) -> None:
+        _store(self, float, "initial")
+        steps = tuple(sorted((float(t), float(v)) for t, v in self.steps))
+        object.__setattr__(self, "steps", steps)
+        times = [t for t, _ in steps]
         if len(set(times)) != len(times):
             duplicates = sorted({t for t in times if times.count(t) > 1})
             raise ValueError(
@@ -109,7 +154,7 @@ class StepSchedule(ParameterSchedule):
                 f"order (duplicated: {duplicates})"
             )
 
-    def value(self, time: float) -> float:
+    def __call__(self, time: float) -> float:
         current = self.initial
         for step_time, step_value in self.steps:
             if time >= step_time:
@@ -118,36 +163,41 @@ class StepSchedule(ParameterSchedule):
                 break
         return current
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Steps(initial={self.initial}, steps={self.steps})"
+    def values(self) -> Tuple[float, ...]:
+        return (self.initial,) + tuple(value for _, value in self.steps)
+
+    def peak(self) -> float:
+        return max(self.values())
 
 
+@dataclass(frozen=True)
 class SinusoidSchedule(ParameterSchedule):
     """Smooth periodic variation around a mean value.
 
-    ``value(t) = mean + amplitude * sin(2*pi*(t - phase)/period)`` -- the
+    ``schedule(t) = mean + amplitude * sin(2*pi*(t - phase)/period)`` -- the
     "sinusoidal variation modelling more smooth and gradual changes" of
     Section 9.
     """
 
-    def __init__(self, mean: float, amplitude: float, period: float, phase: float = 0.0):
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
-        self.mean = float(mean)
-        self.amplitude = float(amplitude)
-        self.period = float(period)
-        self.phase = float(phase)
+    type = "sinusoid"
 
-    def value(self, time: float) -> float:
+    mean: float
+    amplitude: float
+    period: float
+    phase: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.period <= 0:
+            raise ValueError(f"period must be positive, got {self.period}")
+        _store(self, float, "mean", "amplitude", "period", "phase")
+
+    def __call__(self, time: float) -> float:
         return self.mean + self.amplitude * math.sin(
             2.0 * math.pi * (time - self.phase) / self.period
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Sinusoid(mean={self.mean}, amplitude={self.amplitude}, "
-            f"period={self.period})"
-        )
+    def peak(self) -> float:
+        return self.mean + abs(self.amplitude)
 
 
 def _as_schedule(value) -> ParameterSchedule:
@@ -155,21 +205,6 @@ def _as_schedule(value) -> ParameterSchedule:
     if isinstance(value, ParameterSchedule):
         return value
     return ConstantSchedule(float(value))
-
-
-def static_schedule_values(schedule: ParameterSchedule) -> Tuple[float, ...]:
-    """Every value a constant/jump/step schedule can ever take.
-
-    Dynamic schedules (sinusoid) return an empty tuple — their range is
-    checked at evaluation time instead (see :meth:`Workload.params_at`).
-    """
-    if isinstance(schedule, ConstantSchedule):
-        return (schedule._value,)
-    if isinstance(schedule, JumpSchedule):
-        return (schedule.before, schedule.after)
-    if isinstance(schedule, StepSchedule):
-        return (schedule.initial,) + tuple(value for _, value in schedule.steps)
-    return ()
 
 
 class Workload:
@@ -241,7 +276,7 @@ class Workload:
         reach the clamp-and-count path of :meth:`params_at`.
         """
         db_size = self.base.db_size
-        for value in static_schedule_values(self._accesses):
+        for value in self._accesses.values():
             k = int(round(value))
             if not 1 <= k <= db_size:
                 raise ValueError(
@@ -250,7 +285,7 @@ class Workload:
                 )
         for name, schedule in (("query_fraction", self._query_fraction),
                                ("write_fraction", self._write_fraction)):
-            for value in static_schedule_values(schedule):
+            for value in schedule.values():
                 if not 0.0 <= value <= 1.0:
                     raise ValueError(
                         f"{name} schedule value {value} is outside [0, 1]; "
@@ -271,11 +306,11 @@ class Workload:
         Statically out-of-range schedules never get this far — they are
         rejected at construction.
         """
-        raw_k = int(round(self._accesses.value(time)))
+        raw_k = int(round(self._accesses(time)))
         k = max(1, min(raw_k, self.base.db_size))
-        raw_query = self._query_fraction.value(time)
+        raw_query = self._query_fraction(time)
         query_fraction = min(1.0, max(0.0, raw_query))
-        raw_write = self._write_fraction.value(time)
+        raw_write = self._write_fraction(time)
         write_fraction = min(1.0, max(0.0, raw_write))
         if k != raw_k or query_fraction != raw_query or write_fraction != raw_write:
             self.schedule_clamped += 1

@@ -5,13 +5,17 @@ import pickle
 import pytest
 
 from repro.cc import (
+    ISOLATION_LEVELS,
     CCSpec,
+    ConcurrencyControl,
     TimestampCertification,
     TwoPhaseLocking,
+    cc_family,
     cc_kinds,
-    register_cc,
+    cc_level,
     resolve_cc,
 )
+from repro.cc.registry import SCHEMES
 from repro.sim.engine import Simulator
 
 
@@ -52,9 +56,22 @@ class TestRegistry:
         assert "timestamp_cert" in kinds
         assert "two_phase_locking" in kinds
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_cc("timestamp_cert")(lambda sim: TimestampCertification(sim))
+    @pytest.mark.parametrize("kind", sorted(SCHEMES))
+    def test_every_scheme_row_is_valid(self, kind):
+        """The checks a registration decorator used to make at import time,
+        now made over the table's rows."""
+        scheme_class, family, level = SCHEMES[kind]
+        assert family in ("optimistic", "locking", "multiversion")
+        assert level in ISOLATION_LEVELS
+        assert (cc_family(kind), cc_level(kind)) == (family, level)
+        scheme = CCSpec.make(kind).build(Simulator())
+        assert type(scheme) is scheme_class
+        assert isinstance(scheme, ConcurrencyControl)
+
+    def test_unknown_kind_lookups_list_the_kinds(self):
+        for lookup in (cc_family, cc_level):
+            with pytest.raises(KeyError, match="two_phase_locking"):
+                lookup("three_phase_locking")
 
 
 class TestResolveCC:

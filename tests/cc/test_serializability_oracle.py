@@ -6,8 +6,9 @@ recorder observes each scheme through the public
 :class:`~repro.cc.base.ConcurrencyControl` surface while the *real*
 closed transaction system runs seeded randomized schedules, and a
 conflict-graph acyclicity check decides whether the committed
-transactions are serializable.  A scheme added to the registry via
-``register_cc`` is picked up — and certified — automatically.
+transactions are serializable.  A scheme added as a row of
+:data:`repro.cc.registry.SCHEMES` is picked up — and certified —
+automatically.
 
 A deliberately broken scheme (no conflict resolution at all) proves the
 oracle has teeth: the same workload that every real scheme passes

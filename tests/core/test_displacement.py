@@ -1,6 +1,7 @@
 """Tests for the displacement policy (victim selection)."""
 
 import math
+import pickle
 
 import pytest
 
@@ -84,9 +85,15 @@ class TestSelection:
         with pytest.raises(ValueError):
             DisplacementPolicy(hysteresis=-1)
 
-    def test_total_displaced_counter(self):
+    def test_selection_leaves_the_policy_unchanged(self):
+        """The policy counts nothing: the run's measurement process does.
+        Selecting victims leaves it equal to, and pickling like, a fresh one."""
         policy = DisplacementPolicy()
+        before = pickle.dumps(policy)
         active = [make_txn(i, float(i)) for i in range(10)]
-        policy.select_victims(active, new_limit=5)
-        policy.select_victims(active, new_limit=8)
-        assert policy.total_displaced == 7
+        selected = (len(policy.select_victims(active, new_limit=5))
+                    + len(policy.select_victims(active, new_limit=8)))
+        assert selected == 7
+        assert policy == DisplacementPolicy()
+        assert pickle.dumps(policy) == before
+        assert not hasattr(policy, "total_displaced")

@@ -157,3 +157,7 @@ class TestIntervalTunerIntegration:
         # ~10 commits/second and a 10-departure target -> ~1 second interval
         assert 0.5 <= loop.interval <= 2.0
         assert loop.samples_taken >= 3
+        # the run keeps the throughput history; the tuner stays plain config
+        assert loop.throughputs.count == loop.samples_taken
+        assert tuner == MeasurementIntervalTuner(target_departures=10, min_interval=0.5,
+                                                 max_interval=20.0, smoothing=1.0)

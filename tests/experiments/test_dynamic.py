@@ -43,8 +43,8 @@ class TestScenarioHelpers:
         parameter, schedule = jump_scenario("accesses", 4, 16, 100.0)
         assert parameter == "accesses"
         assert isinstance(schedule, JumpSchedule)
-        assert schedule.value(50.0) == 4
-        assert schedule.value(150.0) == 16
+        assert schedule(50.0) == 4
+        assert schedule(150.0) == 16
 
     def test_sinusoid_scenario_builds_schedule(self):
         parameter, schedule = sinusoid_scenario("query_fraction", 0.4, 0.2, 100.0)

@@ -94,7 +94,7 @@ class TestSweepArrivalThreading:
             scale=ExperimentScale.smoke(), label="open", name="open-test",
             arrivals=lambda load: OpenArrivals(0.25 * load))
         loads = [cell.params.n_terminals for cell in sweep.cells]
-        rates = [cell.arrivals.rate.value(0.0) for cell in sweep.cells]
+        rates = [cell.arrivals.rate(0.0) for cell in sweep.cells]
         assert rates == [0.25 * load for load in loads]
 
     def test_shared_arrival_process_is_reused_verbatim(self):

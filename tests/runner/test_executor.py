@@ -24,6 +24,7 @@ from repro.runner.specs import (
     ControllerSpec,
     RunSpec,
     SweepSpec,
+    run_spec_fingerprint,
 )
 
 #: a scale small enough that a whole determinism sweep runs in seconds
@@ -265,9 +266,9 @@ class TestDeterminism:
         assert left_track.trace.throughput == right_track.trace.throughput
 
     def test_stateful_policies_do_not_leak_between_cells(self, cluster):
-        # displacement policies and interval tuners accumulate run state;
-        # replicate expansion shares the spec's instances, so the executor
-        # must isolate them per execution or serial and parallel runs diverge
+        # replicate expansion shares the spec's policy and tuner instances,
+        # so a run that kept state on them would make serial and parallel
+        # runs diverge; the run keeps its state in its measurement process
         from repro.core.displacement import DisplacementPolicy, VictimCriterion
         from repro.core.outer_loop import MeasurementIntervalTuner
 
@@ -296,3 +297,53 @@ class TestDeterminism:
         # different replicates see different variates (independent streams)
         throughputs = [result.metrics["throughput"] for result in first]
         assert len(set(throughputs)) > 1
+
+
+class TestCellsHoldNoRunState:
+    """Running a cell leaves its spec unchanged, so its cache key holds."""
+
+    @staticmethod
+    def _tracking_cell() -> RunSpec:
+        from repro.core.displacement import DisplacementPolicy, VictimCriterion
+        from repro.core.outer_loop import MeasurementIntervalTuner
+
+        return RunSpec(
+            kind=KIND_TRACKING, cell_id="state/tracking",
+            params=default_system_params().with_changes(n_terminals=60),
+            scale=TINY, controller=ControllerSpec.make("parabola"),
+            scenario=jump_scenario("accesses", 4, 16,
+                                   jump_time=TINY.tracking_horizon / 2.0),
+            displacement=DisplacementPolicy(VictimCriterion.YOUNGEST, hysteresis=0),
+            interval_tuner=MeasurementIntervalTuner(target_departures=None,
+                                                    relative_accuracy=0.2),
+        )
+
+    @staticmethod
+    def _open_cell() -> RunSpec:
+        from repro.tp.arrivals import OpenArrivals
+        from repro.tp.workload import SinusoidSchedule
+
+        # the rate dips below zero for a third of every period
+        rate = SinusoidSchedule(mean=20.0, amplitude=40.0, period=0.5)
+        return RunSpec(
+            kind=KIND_STATIONARY, cell_id="state/open",
+            params=default_system_params(), scale=TINY,
+            controller=ControllerSpec.make("incremental_steps"),
+            arrivals=OpenArrivals(rate),
+        )
+
+    @pytest.mark.parametrize("make", ["_tracking_cell", "_open_cell"],
+                             ids=["tracking", "open"])
+    def test_running_a_cell_leaves_its_spec_unchanged(self, make):
+        cell = getattr(self, make)()
+        # replicate expansion shares the cell's values between replicates
+        sweep = SweepSpec(name="state", cells=(cell,)).with_replicates(2)
+
+        def identity():
+            return [(pickle.dumps(spec), hash(spec), run_spec_fingerprint(spec))
+                    for spec in sweep.cells]
+
+        before = identity()
+        results = SerialExecutor().execute(execute_run_spec, sweep.cells)
+        assert all(result.metrics["commits"] > 0 for result in results)
+        assert identity() == before

@@ -8,7 +8,6 @@ from repro.runner import (
     ControllerSpec,
     available_scenarios,
     build_sweep,
-    get_scenario,
     run_sweep,
     stationary_sweeps,
     tracking_results,
@@ -149,7 +148,7 @@ class TestRegistry:
 
     def test_unknown_scenario_raises_with_listing(self):
         with pytest.raises(KeyError, match="fig12_stationary"):
-            get_scenario("does_not_exist")
+            build_sweep("does_not_exist")
 
     def test_fig12_structure(self):
         sweep = build_sweep("fig12_stationary", scale=TINY)

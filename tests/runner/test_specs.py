@@ -10,16 +10,19 @@ from repro.core.displacement import DisplacementPolicy, VictimCriterion
 from repro.core.incremental_steps import IncrementalStepsController
 from repro.core.outer_loop import MeasurementIntervalTuner
 from repro.core.parabola import ParabolaController
+from repro.core.rules import TayRule
 from repro.core.static import FixedLimit, NoControl
 from repro.experiments.config import ExperimentScale, default_system_params
 from repro.experiments.dynamic import jump_scenario
 from repro.runner.specs import (
     KIND_STATIONARY,
+    CONTROLLERS,
     KIND_TRACKING,
     ControllerSpec,
     RunSpec,
     SweepSpec,
     controller_kinds,
+    run_spec_fingerprint,
     run_spec_from_jsonable,
     run_spec_to_jsonable,
 )
@@ -77,6 +80,25 @@ class TestControllerSpec:
                      "incremental_steps", "parabola"):
             assert kind in kinds
 
+    @pytest.mark.parametrize("kind", sorted(CONTROLLERS))
+    def test_every_controller_kind_builds_at_default_params(self, kind):
+        params = default_system_params()
+        controller_class, _defaults = CONTROLLERS[kind]
+        controller = ControllerSpec.make(kind).build(params)
+        assert type(controller) is controller_class
+        assert controller.upper_bound == params.n_terminals
+
+    def test_tay_takes_its_workload_from_the_cell(self):
+        params = default_system_params()
+        workload = params.workload.with_changes(db_size=900, accesses_per_txn=6)
+        params = params.with_changes(workload=workload)
+        default = ControllerSpec.make("tay").build(params)
+        explicit = TayRule(db_size=900, accesses_per_txn=6,
+                           upper_bound=params.n_terminals)
+        assert default.current_limit == explicit.current_limit
+        overridden = ControllerSpec.make("tay", db_size=4000).build(params)
+        assert overridden.current_limit != default.current_limit
+
     def test_static_kinds(self):
         params = default_system_params()
         assert isinstance(ControllerSpec.make("no_control").build(params), NoControl)
@@ -131,7 +153,7 @@ class TestRunSpec:
         restored = pickle.loads(pickle.dumps(spec))
         assert restored.cell_id == spec.cell_id
         assert restored.scenario[0] == "accesses"
-        assert restored.scenario[1].value(20.0) == 8
+        assert restored.scenario[1](20.0) == 8
 
 
 class TestSweepSpec:
@@ -254,6 +276,47 @@ class TestRunSpecJsonRoundTrip:
         encoded["format"] = 999
         with pytest.raises(ValueError, match="format"):
             run_spec_from_jsonable(encoded)
+
+    def test_int_arguments_encode_like_floats(self):
+        """Every value stores its fields with the constructors' types, so
+        an int passed for a float field changes no fingerprint."""
+        from repro.tp.arrivals import PartlyOpenArrivals
+
+        pairs = (
+            (dict(scenario=("accesses", StepSchedule(8, [(5, 16)]))),
+             dict(scenario=("accesses", StepSchedule(8.0, [(5.0, 16.0)])))),
+            (dict(displacement=DisplacementPolicy(hysteresis=1)),
+             dict(displacement=DisplacementPolicy(hysteresis=1.0))),
+            (dict(interval_tuner=MeasurementIntervalTuner(min_interval=1, max_interval=8)),
+             dict(interval_tuner=MeasurementIntervalTuner(min_interval=1.0, max_interval=8.0))),
+        )
+        for ints, floats in pairs:
+            assert (run_spec_fingerprint(self._tracking_spec(**ints))
+                    == run_spec_fingerprint(self._tracking_spec(**floats)))
+        assert (run_spec_fingerprint(_stationary_spec(
+                    arrivals=PartlyOpenArrivals(5, session_alpha=2, min_session=1.0)))
+                == run_spec_fingerprint(_stationary_spec(
+                    arrivals=PartlyOpenArrivals(5.0, session_alpha=2.0, min_session=1))))
+
+    def test_subclasses_outside_the_tag_tables_are_not_encoded(self):
+        """A subclass would decode as its base class, so it is refused."""
+        from dataclasses import dataclass
+
+        from repro.tp.arrivals import OpenArrivals
+
+        @dataclass(frozen=True)
+        class Doubled(ConstantSchedule):
+            def __call__(self, time):
+                return 2.0 * self.value
+
+        @dataclass(frozen=True)
+        class Bursty(OpenArrivals):
+            pass
+
+        with pytest.raises(ValueError, match="Doubled has no JSON encoding"):
+            run_spec_to_jsonable(self._tracking_spec(scenario=("accesses", Doubled(4))))
+        with pytest.raises(ValueError, match="Bursty has no JSON encoding"):
+            run_spec_to_jsonable(_stationary_spec(arrivals=Bursty(5.0)))
 
     def test_unknown_schedule_type_rejected(self):
         encoded = run_spec_to_jsonable(self._tracking_spec())

@@ -445,10 +445,13 @@ class TestHttpControlPlane:
     @pytest.fixture()
     def http_base(self, service):
         server = make_http_server(service)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
         host, port = server.server_address[:2]
         yield f"http://{host}:{port}"
         server.shutdown()
+        server.server_close()
+        thread.join()
 
     def _get(self, url):
         with urllib.request.urlopen(url) as response:
@@ -582,6 +585,49 @@ class TestCli:
         assert svc_main(["shutdown", "--address", control]) == 0
         serve.join(timeout=30)
         assert not serve.is_alive()
+
+    def test_serve_closes_its_http_listener_and_thread(self, capsys, monkeypatch):
+        """``serve --http`` joins its ``svc-http`` thread and closes the
+        listener once a shutdown request ends the service."""
+        servers = []
+
+        def recording_server(service, address):
+            servers.append(make_http_server(service, address))
+            return servers[-1]
+
+        # hold the server, so only an explicit close (not garbage
+        # collection of the serve frame) can release its socket
+        monkeypatch.setattr("repro.svc.http.make_http_server", recording_server)
+        returned = []
+        serve = threading.Thread(
+            target=lambda: returned.append(svc_main(
+                ["--quiet", "serve", "--http", "127.0.0.1:0"])),
+            daemon=True)
+        serve.start()
+        printed = ""
+        deadline = time.monotonic() + 30.0
+        while ("http address:" not in printed and serve.is_alive()
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+            printed += capsys.readouterr().out
+        addresses = dict(line.split(" address: ")
+                         for line in printed.splitlines() if " address: " in line)
+        assert set(addresses) == {"worker", "control", "http"}, printed
+        http = addresses["http"]
+        with urllib.request.urlopen(f"http://{http}/health") as response:
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+
+        ServiceClient(addresses["control"]).shutdown()
+        serve.join(timeout=30)
+        assert not serve.is_alive()
+        assert returned == [0]
+        assert not [thread for thread in threading.enumerate()
+                    if thread.name == "svc-http"]
+        assert servers[0].socket.fileno() == -1
+        host, port = http.rsplit(":", 1)
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection((host, int(port)), timeout=5).close()
 
     def test_submit_wait_exits_nonzero_on_failure(self, tmp_path, capsys):
         # a service with no workers and a tiny stall budget: the job fails

@@ -13,7 +13,6 @@ from repro.tp.arrivals import (
     ClosedArrivals,
     OpenArrivals,
     PartlyOpenArrivals,
-    schedule_upper_bound,
 )
 from repro.tp.params import SystemParams, WorkloadParams
 from repro.tp.system import TransactionSystem
@@ -48,27 +47,29 @@ def small_params(**overrides):
 
 class TestScheduleUpperBound:
     def test_constant(self):
-        assert schedule_upper_bound(ConstantSchedule(12.0)) == 12.0
+        assert ConstantSchedule(12.0).peak() == 12.0
 
     def test_jump_takes_the_larger_side(self):
-        assert schedule_upper_bound(JumpSchedule(3.0, 9.0, jump_time=1.0)) == 9.0
-        assert schedule_upper_bound(JumpSchedule(9.0, 3.0, jump_time=1.0)) == 9.0
+        assert JumpSchedule(3.0, 9.0, jump_time=1.0).peak() == 9.0
+        assert JumpSchedule(9.0, 3.0, jump_time=1.0).peak() == 9.0
 
     def test_step_takes_the_overall_maximum(self):
         schedule = StepSchedule(2.0, [(1.0, 7.0), (2.0, 4.0)])
-        assert schedule_upper_bound(schedule) == 7.0
+        assert schedule.peak() == 7.0
 
     def test_sinusoid_is_mean_plus_abs_amplitude(self):
         schedule = SinusoidSchedule(mean=10.0, amplitude=-6.0, period=4.0)
-        assert schedule_upper_bound(schedule) == 16.0
+        assert schedule.peak() == 16.0
 
     def test_unknown_schedule_types_are_rejected(self):
         class Weird(ParameterSchedule):
-            def value(self, time):
+            def __call__(self, time):
                 return 1.0
 
         with pytest.raises(ValueError, match="majorising rate"):
-            schedule_upper_bound(Weird())
+            Weird().peak()
+        with pytest.raises(ValueError, match="majorising rate"):
+            OpenArrivals(Weird())
 
 
 class TestOpenArrivalsValidation:
@@ -85,8 +86,8 @@ class TestOpenArrivalsValidation:
             OpenArrivals(float("inf"))
 
     def test_dynamic_dip_below_zero_is_allowed(self):
-        """A sinusoid that dips negative is clamped at evaluation time
-        (and counted), not rejected at construction."""
+        """A sinusoid that dips negative is accepted at construction; no
+        arrival is accepted while its rate is negative."""
         OpenArrivals(SinusoidSchedule(mean=5.0, amplitude=8.0, period=4.0))
 
 
@@ -143,24 +144,30 @@ class TestOpenArrivalsDraws:
         assert draws(5) == draws(5)
         assert draws(5) != draws(6)
 
-    def test_clamped_evaluations_counts_negative_rate_instants(self):
-        arrivals = OpenArrivals(SinusoidSchedule(2.0, 10.0, period=4.0))
+    def test_no_arrival_is_accepted_while_the_rate_is_negative(self):
+        """The acceptance draw lies in ``[0, peak)``, so a negative rate
+        accepts nothing, clamped or not."""
+        schedule = SinusoidSchedule(2.0, 10.0, period=4.0)
+        arrivals = OpenArrivals(schedule)
         streams = RandomStreams(13)
         now = 0.0
         for _ in range(200):
             now += arrivals.next_interarrival(streams, now)
-        assert arrivals.clamped_evaluations > 0
+            assert schedule(now) > 0.0
 
-    def test_clamp_counter_does_not_break_config_equality(self):
+    def test_drawing_leaves_the_process_unchanged(self):
+        """A source holds no run state: a used one still equals, hashes and
+        pickles like a fresh one, negative-rate instants included."""
         used = OpenArrivals(SinusoidSchedule(2.0, 10.0, period=4.0))
+        before = pickle.dumps(used)
         streams = RandomStreams(13)
         now = 0.0
         for _ in range(50):
             now += used.next_interarrival(streams, now)
         fresh = OpenArrivals(SinusoidSchedule(2.0, 10.0, period=4.0))
-        assert used.clamped_evaluations > 0
         assert used == fresh
         assert hash(used) == hash(fresh)
+        assert pickle.dumps(used) == before
 
 
 class TestPartlyOpenSessions:

@@ -5,13 +5,17 @@ import math
 import pytest
 
 from repro.cc.base import AbortReason
-from repro.cc.two_phase_locking import TwoPhaseLocking
+from repro.cc.two_phase_locking import TwoPhaseLocking, WaitDieLocking
 from repro.core.admission import AdmissionGate
 from repro.core.displacement import DisplacementPolicy, VictimCriterion
 from repro.core.static import FixedLimit, NoControl
 from repro.core.incremental_steps import IncrementalStepsController
+from repro.experiments.config import contention_bound_params
+from repro.sim.engine import Simulator
+from repro.sim.random_streams import RandomStreams
 from repro.tp.params import SystemParams, WorkloadParams
 from repro.tp.system import TransactionSystem
+from repro.tp.workload import JumpSchedule, Workload
 
 
 def small_params(**overrides):
@@ -220,6 +224,39 @@ class TestDisplacement:
         system = TransactionSystem(small_params())
         system.run(until=1.0)
         assert system.displace_to(1.0) == 0
+
+    def test_displacement_during_a_restart_delay_keeps_the_terminal_alive(self):
+        """Regression: displacing a transaction that waits to restart after
+        a lock-conflict abort killed its terminal.
+
+        The restart delay ran outside the lifecycle's ``try``, so the
+        displacement interrupt escaped it: the lifecycle and then its
+        terminal process failed, and the transaction kept its slot in
+        ``_active`` and in the gate's load for the rest of the run.
+        Wait-die aborts many lock requesters, and zero-hysteresis
+        displacement after a jump of ``k`` hits some of them mid-delay.
+        """
+        base = contention_bound_params(seed=31)
+        params = base.with_changes(
+            n_terminals=150, workload=base.workload.with_changes(db_size=500))
+        sim = Simulator()
+        streams = RandomStreams(params.seed)
+        workload = Workload.with_schedules(
+            params.workload, streams, accesses=JumpSchedule(4, 16, jump_time=20.0))
+        system = TransactionSystem(
+            params, sim=sim, streams=streams, workload=workload,
+            cc=WaitDieLocking(sim),
+            displacement=DisplacementPolicy(VictimCriterion.YOUNGEST, hysteresis=0))
+        controller = IncrementalStepsController(
+            initial_limit=100, beta=0.5, gamma=8, delta=20, min_step=4.0,
+            lower_bound=4, upper_bound=params.n_terminals)
+        loop = system.attach_controller(controller, interval=2.0)
+        system.run(until=40.0)
+        assert loop.total_displaced > 0
+        assert all(process.is_alive for process in system._terminal_processes)
+        live = [process for _txn, process in system._active.values() if process.is_alive]
+        assert len(live) == len(system._active)
+        assert system.gate.current_load == len(live)
 
     def test_resubmission_waiting_time_not_inflated(self):
         """Regression: a resubmitted transaction's wait is per-attempt.

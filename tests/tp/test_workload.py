@@ -24,26 +24,28 @@ from repro.tp.workload import (
 class TestSchedules:
     def test_constant_schedule(self):
         schedule = ConstantSchedule(7.0)
-        assert schedule.value(0.0) == 7.0
-        assert schedule.value(1e6) == 7.0
+        assert schedule(0.0) == 7.0
+        assert schedule(1e6) == 7.0
 
     def test_jump_schedule(self):
         schedule = JumpSchedule(before=4, after=16, jump_time=100.0)
-        assert schedule.value(0.0) == 4
-        assert schedule.value(99.999) == 4
-        assert schedule.value(100.0) == 16
-        assert schedule.value(500.0) == 16
+        assert schedule(0.0) == 4
+        assert schedule(99.999) == 4
+        assert schedule(100.0) == 16
+        assert schedule(500.0) == 16
 
     def test_step_schedule(self):
         schedule = StepSchedule(initial=1.0, steps=[(10.0, 2.0), (20.0, 3.0)])
-        assert schedule.value(5.0) == 1.0
-        assert schedule.value(10.0) == 2.0
-        assert schedule.value(15.0) == 2.0
-        assert schedule.value(25.0) == 3.0
+        assert schedule(5.0) == 1.0
+        assert schedule(10.0) == 2.0
+        assert schedule(15.0) == 2.0
+        assert schedule(25.0) == 3.0
+        assert schedule.values() == (1.0, 2.0, 3.0)
+        assert schedule.steps == ((10.0, 2.0), (20.0, 3.0))
 
     def test_step_schedule_sorts_breakpoints(self):
         schedule = StepSchedule(initial=0.0, steps=[(20.0, 2.0), (10.0, 1.0)])
-        assert schedule.value(15.0) == 1.0
+        assert schedule(15.0) == 1.0
 
     def test_step_schedule_rejects_duplicate_times(self):
         # with two breakpoints at the same time the effective value would
@@ -55,10 +57,12 @@ class TestSchedules:
 
     def test_sinusoid_schedule_range_and_period(self):
         schedule = SinusoidSchedule(mean=10.0, amplitude=3.0, period=40.0)
-        values = [schedule.value(t) for t in range(0, 200)]
+        values = [schedule(t) for t in range(0, 200)]
         assert max(values) == pytest.approx(13.0, abs=0.01)
         assert min(values) == pytest.approx(7.0, abs=0.01)
-        assert schedule.value(0.0) == pytest.approx(schedule.value(40.0))
+        assert schedule(0.0) == pytest.approx(schedule(40.0))
+        # continuously varying: range-checked at evaluation, not statically
+        assert schedule.values() == ()
 
     def test_sinusoid_requires_positive_period(self):
         with pytest.raises(ValueError):
@@ -66,6 +70,15 @@ class TestSchedules:
 
     def test_schedule_is_callable(self):
         assert JumpSchedule(1, 2, 5)(6.0) == 2
+
+    def test_schedules_are_frozen_and_store_floats(self):
+        """Ints become floats, so equal schedules encode to equal JSON."""
+        schedule = JumpSchedule(4, 16, 20)
+        assert (schedule.before, schedule.after, schedule.jump_time) == (4.0, 16.0, 20.0)
+        assert all(type(value) is float for value in schedule.values())
+        assert schedule == JumpSchedule(4.0, 16.0, 20.0)
+        with pytest.raises(AttributeError):
+            schedule.after = 8.0
 
 
 class TestWorkloadParametersOverTime:

@@ -131,6 +131,3 @@ class ConcurrencyControl(ABC):
         exact for them.
         """
         return 0
-
-    def reset(self) -> None:
-        """Forget all state (used between experiment repetitions)."""

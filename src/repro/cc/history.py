@@ -164,15 +164,6 @@ class HistoryRecorder:
         self._reads.pop(txn_id, None)
         self._writes.pop(txn_id, None)
 
-    def clear(self) -> None:
-        """Forget the whole history (a new repetition starts from nothing)."""
-        self.committed.clear()
-        self.executions = 0
-        self._seq = 0
-        self._reads.clear()
-        self._writes.clear()
-        self._current_version.clear()
-
 
 class RecordingConcurrencyControl(ConcurrencyControl):
     """Wrap a scheme and record the history it admits (opt-in observation).
@@ -243,16 +234,6 @@ class RecordingConcurrencyControl(ConcurrencyControl):
     def wait_depth(self) -> int:
         """The wrapped scheme's blocked-transaction count, unchanged."""
         return self.inner.wait_depth()
-
-    def reset(self) -> None:
-        """Reset scheme AND recorder: repetitions must not share a history.
-
-        Run 1's operation times would otherwise interleave with run 2's
-        (the clock restarts) and fabricate cross-run conflict edges —
-        harvest ``recorder.committed`` *before* resetting.
-        """
-        self.inner.reset()
-        self.recorder.clear()
 
 
 # ----------------------------------------------------------------------

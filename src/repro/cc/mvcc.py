@@ -149,14 +149,6 @@ class SnapshotIsolation(ConcurrencyControl):
             return 0.0
         return self.certification_failures / self.certifications
 
-    def reset(self) -> None:
-        """Forget every version, snapshot and statistic."""
-        self._commit_index = 0
-        self._versions.clear()
-        self._snapshots.clear()
-        self.certifications = 0
-        self.certification_failures = 0
-
     # ------------------------------------------------------------------
     def _visible_version(self, item: int, snapshot: int) -> Optional[int]:
         """Writer of the latest version committed at or before ``snapshot``."""

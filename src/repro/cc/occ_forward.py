@@ -116,11 +116,3 @@ class OccForwardValidation(ConcurrencyControl):
         if self.validations == 0:
             return 0.0
         return self.validation_failures / self.validations
-
-    def reset(self) -> None:
-        """Forget all active transactions and statistics."""
-        self._active.clear()
-        self._invalidated.clear()
-        self.validations = 0
-        self.validation_failures = 0
-        self.invalidations = 0

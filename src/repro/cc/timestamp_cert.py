@@ -127,12 +127,3 @@ class TimestampCertification(ConcurrencyControl):
         if self.certifications == 0:
             return 0.0
         return self.certification_failures / self.certifications
-
-    def reset(self) -> None:
-        """Forget all committed timestamps and statistics."""
-        self._write_ts.clear()
-        self._read_ts.clear()
-        self._active.clear()
-        self._commit_counter = 0
-        self.certifications = 0
-        self.certification_failures = 0

@@ -157,15 +157,6 @@ class LockingScheme(ConcurrencyControl):
         """Transactions blocked on a lock (the waits-for structure's size)."""
         return self.blocked_count
 
-    def reset(self) -> None:
-        """Drop the whole lock table (between experiment repetitions)."""
-        self._locks.clear()
-        self._held.clear()
-        self._waiting_for_item.clear()
-        self._start_time.clear()
-        self.lock_requests = 0
-        self.lock_waits = 0
-
     # ------------------------------------------------------------------
     # conflict resolution hook
     # ------------------------------------------------------------------
@@ -345,11 +336,6 @@ class TwoPhaseLocking(LockingScheme):
         self.victim_policy = victim_policy
         self.deadlocks = 0
 
-    def reset(self) -> None:
-        """Drop the whole lock table (between experiment repetitions)."""
-        super().reset()
-        self.deadlocks = 0
-
     # ------------------------------------------------------------------
     # conflict resolution: wait, then hunt for cycles
     # ------------------------------------------------------------------
@@ -467,15 +453,14 @@ class _TimestampPriorityLocking(LockingScheme):
         gate again before it resubmits, so its priority is retired.  The
         resubmitted transaction simply starts over as the youngest, which
         costs it fairness it was not owed: it was never a wound/die victim.
+        A displacement that reaches a transaction while it waits out the
+        restart delay after a conflict abort aborts nothing (that execution
+        has already ended), so the transaction resubmits with the priority
+        its conflict abort left.
         """
         super().abort(txn, reason)
         if reason is AbortReason.DISPLACEMENT:
             self._priority.pop(txn.txn_id, None)
-
-    def reset(self) -> None:
-        super().reset()
-        self._priority.clear()
-        self._next_priority = 0
 
     def priority_of(self, txn_id: int) -> Optional[int]:
         """The transaction's priority (smaller = older), if it has one."""
@@ -521,12 +506,6 @@ class WoundWaitLocking(_TimestampPriorityLocking):
         super().finish(txn)
         self._wounded.discard(txn.txn_id)
 
-    def reset(self) -> None:
-        """Clear pending wounds and the wound counter with the lock table."""
-        super().reset()
-        self._wounded.clear()
-        self.wounds = 0
-
     def _block(self, txn_id: int, item: int, mode: LockMode,
                state: _LockState) -> Optional[Event]:
         priority = self._priority[txn_id]
@@ -566,11 +545,6 @@ class WaitDieLocking(_TimestampPriorityLocking):
 
     def __init__(self, sim: Simulator):
         super().__init__(sim)
-        self.deaths = 0
-
-    def reset(self) -> None:
-        """Clear the death counter with the lock table."""
-        super().reset()
         self.deaths = 0
 
     def _block(self, txn_id: int, item: int, mode: LockMode, state: _LockState) -> Event:

@@ -50,29 +50,24 @@ class AdmissionGate:
     """
 
     def __init__(self, sim: Simulator, initial_limit: float = math.inf,
-                 name: str = "admission-gate",
                  tenant_quotas: Optional[Dict[str, int]] = None,
                  tenant_queue_quotas: Optional[Dict[str, int]] = None):
         if initial_limit < 1:
             raise ValueError(f"initial_limit must be >= 1, got {initial_limit}")
         self.sim = sim
-        self.name = name
         self._limit = float(initial_limit)
         self._admitted: set[int] = set()
         self._waiting: Deque[Tuple["Transaction", Event]] = deque()
-        # time-weighted statistics of the in-system load and the queue
+        #: time-weighted in-system load n(t), the run's one integral of it
         self.load_stats = TimeWeightedStats(sim.now, 0.0)
-        self.queue_stats = TimeWeightedStats(sim.now, 0.0)
         self.total_admitted = 0
         self.total_departed = 0
-        self.total_shed = 0
         self._quotas = dict(tenant_quotas) if tenant_quotas else None
         self._queue_quotas = dict(tenant_queue_quotas) if tenant_queue_quotas else None
         self._tenant_tracking = self._quotas is not None or self._queue_quotas is not None
         # per-tenant occupancy, maintained only when quotas are configured
         self._admitted_by_tenant: Dict[str, int] = {}
         self._waiting_by_tenant: Dict[str, int] = {}
-        self.shed_by_tenant: Dict[str, int] = {}
         # tenant of each admitted transaction, so depart() can decrement
         self._tenant_of: Dict[int, str] = {}
 
@@ -120,7 +115,6 @@ class AdmissionGate:
                 self._admit(txn, event)
             else:
                 self._waiting.append((txn, event))
-                self.queue_stats.update(self.sim.now, len(self._waiting))
             return event
         tenant = txn.tenant
         if (self.current_load < self._limit and not self._waiting
@@ -129,15 +123,12 @@ class AdmissionGate:
             return event
         cap = self._queue_quotas.get(tenant) if self._queue_quotas is not None else None
         if cap is not None and self._waiting_by_tenant.get(tenant, 0) >= cap:
-            self.total_shed += 1
-            self.shed_by_tenant[tenant] = self.shed_by_tenant.get(tenant, 0) + 1
             event.fail(AdmissionShed(
                 f"tenant {tenant!r} queue quota {cap} exhausted"
             ))
             return event
         self._waiting.append((txn, event))
         self._waiting_by_tenant[tenant] = self._waiting_by_tenant.get(tenant, 0) + 1
-        self.queue_stats.update(self.sim.now, len(self._waiting))
         # the queue head may belong to an over-quota tenant while this
         # arrival's tenant has room: give eligible waiters a chance now
         # instead of stalling them until the next departure
@@ -157,22 +148,6 @@ class AdmissionGate:
             self._admitted_by_tenant[tenant] = self._admitted_by_tenant.get(tenant, 1) - 1
         self.load_stats.update(self.sim.now, len(self._admitted))
         self._admit_waiters()
-
-    def cancel(self, txn: "Transaction") -> bool:
-        """Withdraw a waiting transaction (e.g. simulation shutdown).
-
-        Returns True if the transaction was waiting and has been removed.
-        """
-        for index, (waiting_txn, event) in enumerate(self._waiting):
-            if waiting_txn.txn_id == txn.txn_id:
-                del self._waiting[index]
-                if self._tenant_tracking:
-                    self._waiting_by_tenant[waiting_txn.tenant] -= 1
-                self.queue_stats.update(self.sim.now, len(self._waiting))
-                if not event.triggered:
-                    event.fail(SimulationError("admission request cancelled"))
-                return True
-        return False
 
     # ------------------------------------------------------------------
     def admitted_of_tenant(self, tenant: str) -> int:
@@ -204,7 +179,6 @@ class AdmissionGate:
         if not self._tenant_tracking:
             while self._waiting and self.current_load < self._limit:
                 txn, event = self._waiting.popleft()
-                self.queue_stats.update(self.sim.now, len(self._waiting))
                 self._admit(txn, event)
             return
         # FCFS among eligible tenants: scan the queue in order, admitting
@@ -216,7 +190,6 @@ class AdmissionGate:
             if self._below_admission_quota(txn.tenant):
                 del self._waiting[index]
                 self._waiting_by_tenant[txn.tenant] -= 1
-                self.queue_stats.update(self.sim.now, len(self._waiting))
                 self._admit(txn, event)
             else:
                 index += 1
@@ -227,9 +200,8 @@ class AdmissionGate:
         return self.load_stats.mean(until if until is not None else self.sim.now)
 
     def reset_statistics(self) -> None:
-        """Restart the time-weighted averages (end of warm-up or interval)."""
+        """Restart the time-weighted load average (end of warm-up or interval)."""
         self.load_stats.reset(self.sim.now)
-        self.queue_stats.reset(self.sim.now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -72,7 +72,6 @@ class LoadController(ABC):
         self.performance_index = performance_index or throughput_index
         self._initial_limit = self.clamp(float(initial_limit))
         self.current_limit = self._initial_limit
-        self.updates = 0
 
     # ------------------------------------------------------------------
     @property
@@ -95,17 +94,11 @@ class LoadController(ABC):
         """Consume one interval measurement and return the next threshold."""
         proposed = self._propose(measurement)
         self.current_limit = self.clamp(proposed)
-        self.updates += 1
         return self.current_limit
 
     @abstractmethod
     def _propose(self, measurement: IntervalMeasurement) -> float:
         """Controller-specific update rule (before clamping)."""
-
-    def reset(self) -> None:
-        """Return to the initial state (between experiment repetitions)."""
-        self.current_limit = self._initial_limit
-        self.updates = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} limit={self.current_limit:.1f}>"

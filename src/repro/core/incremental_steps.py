@@ -117,9 +117,3 @@ class IncrementalStepsController(LoadController):
         self._previous_performance = performance
         self._previous_limit = limit
         return proposed
-
-    def reset(self) -> None:
-        """Forget the measurement history along with the threshold."""
-        super().reset()
-        self._previous_performance = None
-        self._previous_limit = None

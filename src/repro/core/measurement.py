@@ -125,7 +125,6 @@ class MeasurementProcess:
             aborts=counters.aborts,
             conflicts=counters.conflicts,
             mean_response_time=counters.mean_response_time(),
-            admission_queue_length=self.gate.queue_length,
             mean_accesses_per_txn=mean_accesses,
         )
 

@@ -228,14 +228,3 @@ class ParabolaController(LoadController):
             moved_up = limit >= self._previous_limit
             direction = 1 if improved == moved_up else -1
         return limit + direction * self.recovery_step
-
-    def reset(self) -> None:
-        """Forget the fit, the probe phase and the history."""
-        super().reset()
-        self.estimator.reset()
-        self._probe_sign = 1
-        self._previous_performance = None
-        self._previous_limit = None
-        self._recent_best = 0.0
-        self.upward_parabola_events = 0
-        self.collapse_events = 0

@@ -42,8 +42,6 @@ class IntervalMeasurement:
     conflicts: int = 0
     #: mean submission-to-commit latency of the interval's commits
     mean_response_time: float = 0.0
-    #: transactions waiting in front of the admission gate at the sample
-    admission_queue_length: float = 0.0
     #: mean number of data accesses per transaction observed (for rule-based
     #: controllers that need the current ``k``)
     mean_accesses_per_txn: Optional[float] = None

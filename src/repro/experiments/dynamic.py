@@ -126,11 +126,6 @@ def _build_workload(params: SystemParams, streams, parameter: str,
     return Workload.with_schedules(params.workload, streams, **kwargs)
 
 
-#: how many distinct workload states get an analytic reference optimum per
-#: run; later states reuse the first one computed
-REFERENCE_RESOLUTION = 20
-
-
 def _reference_optimum(params: SystemParams, workload: Workload, time: float) -> Tuple[float, float]:
     """True optimum (position, peak) from the analytic model at ``time``."""
     current = workload.params_at(time)
@@ -153,10 +148,6 @@ def run_tracking_experiment(controller: LoadController,
                             observers: Sequence[str] = ()) -> TrackingResult:
     """Run the full simulation with a time-varying workload and a controller.
 
-    :data:`REFERENCE_RESOLUTION` limits how many times the (comparatively
-    expensive) analytic reference optimum is recomputed; between those
-    instants the reference is held constant, which is exact for jump
-    scenarios and a fine approximation for slow sinusoids.
     ``interval_tuner`` enables the outer control loop of Section 5;
     ``streams`` overrides the run's random streams (the runner passes a
     replicate-derived family here); ``cc`` selects the concurrency control
@@ -193,7 +184,8 @@ def run_tracking_experiment(controller: LoadController,
     )
     system.run(until=scale.tracking_horizon)
 
-    # reference optimum, recomputed at a limited number of instants
+    # reference optimum of the workload state at each sample, one analytic
+    # solve per distinct state
     reference_times = measurement.trace.times
     reference_optima: List[float] = []
     reference_peaks: List[float] = []
@@ -203,11 +195,7 @@ def run_tracking_experiment(controller: LoadController,
         key = (current.accesses_per_txn, round(current.query_fraction, 6),
                round(current.write_fraction, 6))
         if key not in cache:
-            if len(cache) < REFERENCE_RESOLUTION:
-                cache[key] = _reference_optimum(base_params, workload_for_reference, sample_time)
-            else:
-                # fall back to the nearest already computed reference
-                cache[key] = next(iter(cache.values()))
+            cache[key] = _reference_optimum(base_params, workload_for_reference, sample_time)
         optimum, peak = cache[key]
         reference_optima.append(optimum)
         reference_peaks.append(peak)

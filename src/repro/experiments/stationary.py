@@ -53,7 +53,8 @@ class StationaryPoint:
     #: statistics reset: the measured window for an uncontrolled cell, but
     #: only the time since the controller's last sample for a controlled
     #: one, because every measurement sample resets the gate's load
-    #: statistics (``RunMetrics.mean_concurrency()`` covers the window)
+    #: statistics (``AdmissionGate.load_stats``, the run's one integral of
+    #: the load)
     mean_concurrency: float
     #: abandoned executions per commit
     restart_ratio: float

@@ -23,7 +23,7 @@ replicates never perturbs the others.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -89,13 +89,6 @@ class RandomStreams:
             self.seed, _branch=self._branch + (_REPLICATE_TAG, int(replicate))
         )
 
-    def __getitem__(self, name: str) -> np.random.Generator:
-        return self.stream(name)
-
-    def names(self) -> Iterable[str]:
-        """Names of all streams created so far."""
-        return tuple(self._generators)
-
     # ------------------------------------------------------------------
     # convenience sampling helpers (used heavily by the workload model)
     # ------------------------------------------------------------------
@@ -120,11 +113,3 @@ class RandomStreams:
         if probability == 1.0:
             return True
         return bool(self.stream(name).random() < probability)
-
-    def choice_without_replacement(self, name: str, population: int, count: int) -> np.ndarray:
-        """Sample ``count`` distinct integers from ``range(population)``."""
-        if count > population:
-            raise ValueError(
-                f"cannot draw {count} distinct items from a population of {population}"
-            )
-        return self.stream(name).choice(population, size=count, replace=False)

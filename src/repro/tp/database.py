@@ -2,10 +2,8 @@
 
 The paper's logical model is deliberately simple: each transaction accesses
 a constant number ``k`` of data items selected uniformly at random ("no hot
-spots").  The database object exists as its own abstraction so that skewed
-access patterns (hot spots) can be added as an extension without touching
-the rest of the model; a Zipf-like hot-spot sampler is provided for the
-ablation experiments.
+spots").  :class:`Database` draws exactly that: ``k`` distinct granules,
+uniformly and without replacement, from its own ``data-access`` stream.
 """
 
 from __future__ import annotations
@@ -18,39 +16,15 @@ from repro.sim.random_streams import RandomStreams
 class Database:
     """A database of ``size`` granules addressed ``0 .. size-1``."""
 
-    def __init__(self, size: int, streams: RandomStreams,
-                 hot_spot_fraction: float = 0.0,
-                 hot_spot_access_probability: float = 0.0):
-        """Create a database.
-
-        ``hot_spot_fraction`` of the granules form a hot set that receives
-        ``hot_spot_access_probability`` of all accesses (the classic "x% of
-        accesses go to y% of the data" rule).  Both default to zero, which
-        reproduces the paper's uniform, hot-spot-free access pattern.
-        """
+    def __init__(self, size: int, streams: RandomStreams):
         if size < 1:
             raise ValueError(f"database size must be >= 1, got {size}")
-        if not 0.0 <= hot_spot_fraction <= 1.0:
-            raise ValueError("hot_spot_fraction must be in [0, 1]")
-        if not 0.0 <= hot_spot_access_probability <= 1.0:
-            raise ValueError("hot_spot_access_probability must be in [0, 1]")
-        if hot_spot_fraction == 0.0 and hot_spot_access_probability > 0.0:
-            raise ValueError("a hot-spot access probability needs a non-empty hot set")
         self.size = int(size)
         self.streams = streams
-        self.hot_spot_fraction = hot_spot_fraction
-        self.hot_spot_access_probability = hot_spot_access_probability
-        self._hot_count = int(round(self.size * hot_spot_fraction))
 
     # ------------------------------------------------------------------
     def sample_access_set(self, count: int) -> np.ndarray:
-        """Draw ``count`` distinct granule identifiers.
-
-        Uniform without replacement when no hot spot is configured;
-        otherwise the expected share ``hot_spot_access_probability`` of the
-        accesses is drawn from the hot set and the rest from the cold set
-        (still without replacement overall).
-        """
+        """Draw ``count`` distinct granule identifiers, uniformly at random."""
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         if count > self.size:
@@ -60,31 +34,7 @@ class Database:
         if count == 0:
             return np.empty(0, dtype=np.int64)
         rng = self.streams.stream("data-access")
-        if self._hot_count == 0 or self.hot_spot_access_probability == 0.0:
-            return rng.choice(self.size, size=count, replace=False).astype(np.int64)
-        return self._sample_with_hot_spot(rng, count)
-
-    def _sample_with_hot_spot(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        hot_target = int(round(count * self.hot_spot_access_probability))
-        hot_target = min(hot_target, self._hot_count, count)
-        cold_count = self.size - self._hot_count
-        cold_target = count - hot_target
-        if cold_target > cold_count:
-            # not enough cold granules; spill back into the hot set
-            hot_target += cold_target - cold_count
-            cold_target = cold_count
-        hot_items = rng.choice(self._hot_count, size=hot_target, replace=False)
-        cold_items = rng.choice(cold_count, size=cold_target, replace=False) + self._hot_count
-        items = np.concatenate([hot_items, cold_items]).astype(np.int64)
-        rng.shuffle(items)
-        return items
-
-    def is_hot(self, item: int) -> bool:
-        """True if ``item`` belongs to the hot set."""
-        return item < self._hot_count
-
-    def __len__(self) -> int:
-        return self.size
+        return rng.choice(self.size, size=count, replace=False).astype(np.int64)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Database size={self.size} hot={self._hot_count}>"
+        return f"<Database size={self.size}>"

@@ -5,6 +5,11 @@ deltas*: commits, aborts and response times observed since the previous
 sample.  :class:`RunMetrics` therefore keeps monotone counters plus
 per-interval accumulators that the measurement process resets after each
 sample; the run totals remain available for final reports.
+
+Each run fact has one owner.  :class:`RunMetrics` owns the counts, the sheds
+and the response times; the time-averaged load ``n(t)`` belongs to the
+admission gate (``AdmissionGate.load_stats``), and sampled gauges such as
+the admission queue length belong to the probes of :mod:`repro.obs.probes`.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Dict, Iterable
 
 from repro.cc.base import AbortReason
 from repro.sim.engine import Simulator
-from repro.sim.stats import ObservationStats, P2Quantile, TimeWeightedStats
+from repro.sim.stats import ObservationStats, P2Quantile
 
 
 @dataclass(slots=True)
@@ -23,7 +28,6 @@ class IntervalCounters:
 
     commits: int = 0
     aborts: int = 0
-    restarts: int = 0
     conflicts: int = 0
     response_time_sum: float = 0.0
     response_time_count: int = 0
@@ -47,7 +51,6 @@ class RunMetrics:
         self.conflicts = 0
         self.aborts_by_reason: Dict[AbortReason, int] = {reason: 0 for reason in AbortReason}
         self.response_times = ObservationStats()
-        self.waiting_times = ObservationStats()
         # streaming SLO percentiles of the response-time distribution; pure
         # functions of the commit sequence (no RNG), so accumulating them
         # unconditionally leaves every trajectory untouched
@@ -61,8 +64,6 @@ class RunMetrics:
         #: arrivals rejected outright by a tenant queue quota
         self.shed = 0
         self.shed_by_tenant: Dict[str, int] = {}
-        self.concurrency = TimeWeightedStats(sim.now, 0.0)
-        self.admission_queue = TimeWeightedStats(sim.now, 0.0)
         # interval accumulators for the measurement process
         self._interval = IntervalCounters()
         self._measurement_start = sim.now
@@ -79,10 +80,6 @@ class RunMetrics:
     def record_submission(self) -> None:
         """A terminal submitted a new transaction to the gate."""
         self.submitted += 1
-
-    def record_admission(self, waiting_time: float) -> None:
-        """A transaction left the admission queue and entered the system."""
-        self.waiting_times.add(waiting_time)
 
     def record_commit(self, response_time: float, conflicts: int = 0,
                       tenant: str = "") -> None:
@@ -117,17 +114,8 @@ class RunMetrics:
         interval.aborts += 1
         if reason is not AbortReason.DISPLACEMENT:
             self.restarts += 1
-            interval.restarts += 1
         self.conflicts += conflicts
         interval.conflicts += conflicts
-
-    def record_concurrency(self, level: float) -> None:
-        """The number of admitted (in-system) transactions changed."""
-        self.concurrency.update(self.sim.now, level)
-
-    def record_admission_queue(self, length: float) -> None:
-        """The admission queue length changed."""
-        self.admission_queue.update(self.sim.now, length)
 
     # ------------------------------------------------------------------
     # interval handling for the measurement process
@@ -209,19 +197,9 @@ class RunMetrics:
                 _p99(p95, self.tenant_response_p99[name]) if committed else 0.0)
         return out
 
-    def mean_concurrency(self) -> float:
-        """Time-averaged number of admitted transactions."""
-        return self.concurrency.mean(self.sim.now)
-
     def reset(self) -> None:
         """Forget everything recorded so far (end of warm-up)."""
-        current_concurrency = self.concurrency.current
-        current_queue = self.admission_queue.current
         self.__init__(self.sim)
-        self.concurrency.update(self.sim.now, current_concurrency)
-        self.admission_queue.update(self.sim.now, current_queue)
-        self.concurrency.reset(self.sim.now)
-        self.admission_queue.reset(self.sim.now)
 
 
 def _p99(p95: P2Quantile, p99: P2Quantile) -> float:

@@ -241,22 +241,13 @@ class TransactionSystem:
         if observer is not None:
             observer.submit(self.sim.now, txn)
         while True:
-            # per-attempt enqueue timestamp: a displaced-then-resubmitted
-            # transaction re-enters the queue *now*, so its waiting-time
-            # statistic must not include the previous attempt's in-system
-            # residence (response time keeps the original submitted_at)
-            enqueued_at = self.sim.now
             try:
                 yield self.gate.submit(txn)
             except AdmissionShed:
                 self.metrics.record_shed(txn.tenant)
-                self.metrics.record_admission_queue(self.gate.queue_length)
                 if observer is not None:
                     observer.shed(self.sim.now, txn)
                 return
-            self.metrics.record_admission(self.sim.now - enqueued_at)
-            self.metrics.record_concurrency(self.gate.current_load)
-            self.metrics.record_admission_queue(self.gate.queue_length)
             if observer is not None:
                 observer.admit(self.sim.now, txn)
 
@@ -267,7 +258,6 @@ class TransactionSystem:
             outcome = yield lifecycle
             self._active.pop(txn.txn_id, None)
             self.gate.depart(txn)
-            self.metrics.record_concurrency(self.gate.current_load)
             if observer is not None:
                 observer.depart(self.sim.now, txn, outcome)
 
@@ -293,6 +283,7 @@ class TransactionSystem:
                     # inside the try, so a displacement that arrives while
                     # the aborted execution waits to restart is handled
                     yield from self._restart_delay()
+                    restarting = False
                 txn.start_execution(sim.now)
                 self.cc.begin(txn)
                 # initialization phase
@@ -344,12 +335,14 @@ class TransactionSystem:
                 restarting = True
 
             except Interrupt as interrupt:
-                # displacement by the load controller
-                reason = AbortReason.DISPLACEMENT
-                cause = interrupt.cause
-                if isinstance(cause, TransactionAborted):
-                    reason = cause.reason
-                self._abort(txn, reason)
+                # displacement by the load controller; during a restart
+                # delay the conflict abort has already ended the execution
+                if not restarting:
+                    reason = AbortReason.DISPLACEMENT
+                    cause = interrupt.cause
+                    if isinstance(cause, TransactionAborted):
+                        reason = cause.reason
+                    self._abort(txn, reason)
                 return DISPLACED
 
     def _abort(self, txn: Transaction, reason: AbortReason, conflicts: int = 0) -> None:
@@ -358,7 +351,6 @@ class TransactionSystem:
         self.metrics.record_abort(reason, conflicts)
         if self._observer is not None:
             self._observer.abort(self.sim.now, txn, reason)
-        txn.record_restart()
 
     def _phase(self, cpu_mean: float, disk_time: float) -> Generator:
         """One execution phase: CPU burst at the multiprocessor, then disk I/O."""

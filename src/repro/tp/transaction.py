@@ -49,8 +49,6 @@ class Transaction:
     execution_started_at: Optional[float] = None
     #: time the transaction committed (None while in progress)
     committed_at: Optional[float] = None
-    #: number of times the execution was restarted (certification/deadlock)
-    restarts: int = 0
     #: conflicts detected at the most recent certification attempt
     last_conflicts: int = 0
     #: read set of the current execution (maintained by the CC scheme)
@@ -111,12 +109,8 @@ class Transaction:
         self.cc_state = {}
         self.last_conflicts = 0
 
-    def record_restart(self) -> None:
-        """Count one abandoned execution."""
-        self.restarts += 1
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Transaction {self.txn_id} {self.txn_class.value} k={self.size} "
-            f"writes={self.write_count} restarts={self.restarts}>"
+            f"writes={self.write_count}>"
         )

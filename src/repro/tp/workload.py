@@ -213,13 +213,12 @@ class Workload:
     def __init__(self,
                  base: WorkloadParams,
                  streams: RandomStreams,
-                 database: Optional[Database] = None,
                  accesses_schedule: Optional[ParameterSchedule] = None,
                  query_fraction_schedule: Optional[ParameterSchedule] = None,
                  write_fraction_schedule: Optional[ParameterSchedule] = None):
         self.base = base
         self.streams = streams
-        self.database = database or Database(base.db_size, streams)
+        self.database = Database(base.db_size, streams)
         self._accesses = accesses_schedule or ConstantSchedule(base.accesses_per_txn)
         self._query_fraction = query_fraction_schedule or ConstantSchedule(base.query_fraction)
         self._write_fraction = write_fraction_schedule or ConstantSchedule(base.write_fraction)
@@ -479,14 +478,13 @@ class MixedClassWorkload(Workload):
     """
 
     def __init__(self, base: WorkloadParams, streams: RandomStreams,
-                 classes: Sequence[TransactionClassSpec],
-                 database: Optional[Database] = None):
+                 classes: Sequence[TransactionClassSpec]):
         if not classes:
             raise ValueError("at least one transaction class is required")
         classes = tuple(classes)
         total_weight = sum(spec.weight for spec in classes)
         expected = mixed_class_params(base, classes)
-        super().__init__(expected, streams, database=database)
+        super().__init__(expected, streams)
         self.classes = classes
         cumulative = []
         running = 0.0

@@ -163,16 +163,3 @@ class TestLifecycleAndGarbageCollection:
         assert si.try_commit(closer)
         si.finish(closer)
         assert si.version_count(5) == 1
-
-    def test_reset_forgets_versions_snapshots_and_statistics(self, si):
-        txn = txn_record(1, items=[5], writes=[5])
-        si.begin(txn)
-        si.access(txn, 5, is_write=True)
-        assert si.try_commit(txn)
-        si.finish(txn)
-        si.begin(txn_record(2, items=[5]))
-        si.reset()
-        assert si.version_count(5) == 0
-        assert si.active_count() == 0
-        assert si.certifications == 0
-        assert si.failure_fraction == 0.0

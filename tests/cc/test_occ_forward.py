@@ -134,13 +134,3 @@ class TestForwardValidation:
         cc.finish(query)
         assert cc.invalidations == 0
         assert cc.try_commit(other) is True
-
-    def test_reset_forgets_everything(self, cc):
-        txn = make_txn(1, [3], writes=[3])
-        cc.begin(txn)
-        cc.access(txn, 3, is_write=True)
-        cc.try_commit(txn)
-        cc.reset()
-        assert cc.active_count() == 0
-        assert cc.validations == 0
-        assert cc.invalidations == 0

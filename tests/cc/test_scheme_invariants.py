@@ -14,7 +14,10 @@ contract:
   (:class:`repro.analytic.occ.OccModel`) for the optimistic scheme, Tay's
   locking model (:class:`repro.analytic.tay.TayModel`) for 2PL — so the
   test also checks that the simulated optimum sits where the matching
-  first-order theory predicts thrashing territory begins.
+  first-order theory predicts thrashing territory begins;
+* **one end per execution** — every ``finish`` or ``abort`` the system
+  sends a scheme closes an execution that ``begin`` opened and that has
+  not ended yet, also when the load controller displaces transactions.
 """
 
 import pytest
@@ -22,10 +25,16 @@ import pytest
 from repro.analytic.occ import OccModel
 from repro.analytic.tay import TayModel
 from repro.cc import CCSpec, cc_family, cc_kinds
+from repro.cc.base import ConcurrencyControl
+from repro.core.displacement import DisplacementPolicy, VictimCriterion
+from repro.core.incremental_steps import IncrementalStepsController
+from repro.experiments.config import contention_bound_params
 from repro.experiments.stationary import run_stationary_point
 from repro.sim.engine import Simulator
+from repro.sim.random_streams import RandomStreams
 from repro.tp.params import SystemParams, WorkloadParams
 from repro.tp.system import TransactionSystem
+from repro.tp.workload import JumpSchedule, Workload
 
 #: the six built-in schemes; a registration regression must fail loudly,
 #: not silently shrink the parametrized coverage below
@@ -130,3 +139,86 @@ class TestEveryRegisteredScheme:
         # falling flank: far beyond it, contention destroys throughput
         assert throughput[high] < 0.85 * throughput[mid], (
             f"{kind}: no thrashing {throughput} beyond oracle optimum {optimum:.1f}")
+
+
+class _ExecutionChecker(ConcurrencyControl):
+    """Delegate every call to ``inner``; log each end of an execution that
+    is not running.
+
+    An execution runs from ``begin`` until its ``finish`` or ``abort``.  The
+    log is checked after the run, because an assertion raised inside a
+    simulation process would end that process rather than the test.
+    """
+
+    def __init__(self, inner: ConcurrencyControl):
+        self.inner = inner
+        self.name = inner.name
+        self.running = set()
+        self.ended = 0
+        self.violations = []
+
+    def begin(self, txn):
+        if txn.txn_id in self.running:
+            self.violations.append(f"txn {txn.txn_id}: begin while running")
+        self.running.add(txn.txn_id)
+        self.inner.begin(txn)
+
+    def access(self, txn, item, is_write):
+        return self.inner.access(txn, item, is_write)
+
+    def try_commit(self, txn):
+        return self.inner.try_commit(txn)
+
+    def finish(self, txn):
+        self._end(txn, "finish")
+        self.inner.finish(txn)
+
+    def abort(self, txn, reason):
+        self._end(txn, f"abort ({reason.value})")
+        self.inner.abort(txn, reason)
+
+    def wait_depth(self):
+        return self.inner.wait_depth()
+
+    def _end(self, txn, how):
+        if txn.txn_id not in self.running:
+            self.violations.append(f"txn {txn.txn_id}: {how} of no running execution")
+        self.running.discard(txn.txn_id)
+        self.ended += 1
+
+
+class TestOneEndPerExecution:
+    @pytest.mark.parametrize("criterion", list(VictimCriterion), ids=lambda c: c.value)
+    @pytest.mark.parametrize("kind", cc_kinds())
+    def test_displacement_during_a_restart_delay_books_no_second_abort(
+            self, kind, criterion):
+        """Regression: a displacement that reached a transaction while it
+        waited out its restart delay aborted the execution a second time.
+
+        The conflict abort had already ended that execution, so the scheme,
+        the run metrics and the observers each booked one abort too many.
+        A long restart delay and zero-hysteresis displacement after a jump
+        of ``k`` make such hits common under every scheme.
+        """
+        base = contention_bound_params(seed=31)
+        params = base.with_changes(
+            n_terminals=40, restart_delay=1.0,
+            workload=base.workload.with_changes(db_size=150))
+        sim = Simulator()
+        streams = RandomStreams(params.seed)
+        workload = Workload.with_schedules(
+            params.workload, streams, accesses=JumpSchedule(4, 16, jump_time=5.0))
+        checker = _ExecutionChecker(CCSpec.make(kind).build(sim))
+        system = TransactionSystem(
+            params, sim=sim, streams=streams, workload=workload, cc=checker,
+            displacement=DisplacementPolicy(criterion, hysteresis=0))
+        controller = IncrementalStepsController(
+            initial_limit=40, beta=0.5, gamma=8, delta=20, min_step=4.0,
+            lower_bound=4, upper_bound=params.n_terminals)
+        loop = system.attach_controller(controller, interval=2.0)
+        system.run(until=10.0)
+
+        assert loop.total_displaced > 0, "no displacement: test is vacuous"
+        assert system.metrics.total_aborts > loop.total_displaced
+        assert checker.violations == []
+        assert checker.ended == system.metrics.commits + system.metrics.total_aborts

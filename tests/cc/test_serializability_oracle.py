@@ -208,20 +208,6 @@ class TestCheckerOnHandBuiltHistories:
 
 
 class TestRecorderMechanics:
-    def test_reset_clears_the_recorder_with_the_scheme(self):
-        """Repetitions must not share a history: run 1's times would
-        interleave with run 2's restarted clock and fabricate edges."""
-        sim = Simulator()
-        recorder = HistoryRecorder()
-        cc = RecordingConcurrencyControl(
-            CCSpec.make("timestamp_cert").build(sim), recorder)
-        system = TransactionSystem(contended_params(seed=3), sim=sim, cc=cc)
-        system.run(until=1.0)
-        assert recorder.committed
-        cc.reset()
-        assert recorder.committed == []
-        assert recorder.executions == 0
-
     def test_aborted_executions_leave_no_trace(self):
         recorder = HistoryRecorder()
         recorder.start_execution(1)

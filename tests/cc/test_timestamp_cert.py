@@ -157,25 +157,6 @@ class TestCertification:
         cc.abort(txn, AbortReason.DISPLACEMENT)
         assert cc.active_count() == 0
 
-    def test_reset_clears_history(self):
-        sim = Simulator()
-        cc = TimestampCertification(sim)
-        writer = make_txn(1, [5], writes=[5])
-        writer.start_execution(sim.now)
-        cc.begin(writer)
-        run_accesses(cc, writer)
-        sim._now = 1.0
-        cc.try_commit(writer)
-        cc.finish(writer)
-        cc.reset()
-        # a fresh reader of the same item no longer conflicts with anything
-        reader = make_txn(2, [5])
-        reader.start_execution(sim.now)
-        cc.begin(reader)
-        run_accesses(cc, reader)
-        assert cc.try_commit(reader) is True
-        assert cc.certifications == 1
-
     def test_commit_timestamps_strictly_increase_within_an_instant(self):
         sim = Simulator()
         cc = TimestampCertification(sim)

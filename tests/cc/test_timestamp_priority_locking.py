@@ -325,20 +325,6 @@ class TestWoundWaitUpgradeDeadlock:
 
 @pytest.mark.parametrize("scheme_class", [WoundWaitLocking, WaitDieLocking])
 class TestResetAndBookkeeping:
-    def test_reset_clears_priorities_and_stats(self, sim, scheme_class):
-        cc = scheme_class(sim)
-        txn = make_txn(1, [3], writes=[3])
-        cc.begin(txn)
-        assert cc.access(txn, 3, is_write=True) is None
-        cc.reset()
-        assert cc.priority_of(1) is None
-        assert cc.active_count() == 0
-        assert cc.lock_requests == 0
-        fresh = make_txn(9, [3], writes=[3])
-        cc.begin(fresh)
-        assert cc.priority_of(9) == 0
-        assert cc.access(fresh, 3, is_write=True) is None
-
     def test_displacement_retires_the_priority(self, sim, scheme_class):
         """Conflict victims age; displaced transactions leave the table
         (regression: a never-resubmitted displaced txn leaked its entry)."""

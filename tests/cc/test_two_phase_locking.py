@@ -234,15 +234,6 @@ class TestDeadlockHandling:
         assert cc.lock_requests == 2
         assert cc.lock_waits == 1
 
-    def test_reset_clears_lock_table(self, sim, cc):
-        txn = make_txn(1, [1], writes=[1])
-        cc.begin(txn)
-        cc.access(txn, 1, is_write=True)
-        cc.reset()
-        assert cc.holders_of(1) == {}
-        assert cc.active_count() == 0
-        assert cc.lock_requests == 0
-
 
 class TestTwoPhaseLockingInSimulation:
     def test_blocking_execution_with_processes(self, sim, cc):

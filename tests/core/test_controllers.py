@@ -61,15 +61,6 @@ class TestLoadControllerBase:
         controller = _EchoController(float("nan"), initial_limit=10, lower_bound=3, upper_bound=50)
         assert controller.update(measurement()) == 3
 
-    def test_update_counter_and_reset(self):
-        controller = _EchoController(20, initial_limit=10, upper_bound=50)
-        controller.update(measurement())
-        controller.update(measurement())
-        assert controller.updates == 2
-        controller.reset()
-        assert controller.updates == 0
-        assert controller.current_limit == 10
-
 
 class TestNoControl:
     def test_limit_is_effectively_infinite(self):

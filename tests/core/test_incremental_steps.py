@@ -126,14 +126,6 @@ class TestUpdateRule:
                                                   controller.current_limit))
             assert 2 <= limit <= 8
 
-    def test_reset_forgets_history(self):
-        controller = IncrementalStepsController(initial_limit=10)
-        controller.update(measurement(50.0, 10.0, 10.0))
-        controller.update(measurement(60.0, 11.0, 11.0))
-        controller.reset()
-        assert controller.current_limit == 10
-        assert controller._previous_performance is None
-
 
 class TestClosedLoopOnSyntheticPlant:
     def test_climbs_to_static_optimum(self):

@@ -162,14 +162,6 @@ class TestRecoveryPolicies:
         assert controller.current_limit != limit_before
         assert controller.upward_parabola_events > 0
 
-    def test_reset_method_restores_initial_state(self):
-        controller = ParabolaController(initial_limit=10, upper_bound=100)
-        feed_parabola(controller, [5, 15, 25, 35])
-        controller.reset()
-        assert controller.current_limit == 10
-        assert controller.estimator.samples == 0
-        assert controller.upward_parabola_events == 0
-
 
 class TestClosedLoopOnSyntheticPlant:
     def test_converges_to_static_optimum(self):

@@ -6,13 +6,17 @@ import pytest
 
 from repro.core.incremental_steps import IncrementalStepsController
 from repro.core.parabola import ParabolaController
+from repro.core.static import FixedLimit
 from repro.experiments.config import ExperimentScale, default_system_params
 from repro.experiments.dynamic import (
+    _build_workload,
+    _reference_optimum,
     jump_scenario,
     run_synthetic_tracking,
     run_tracking_experiment,
     sinusoid_scenario,
 )
+from repro.sim.random_streams import RandomStreams
 from repro.tp.params import WorkloadParams
 from repro.tp.workload import JumpSchedule, SinusoidSchedule
 
@@ -87,6 +91,36 @@ class TestSimulationTracking:
             controller, sinusoid_scenario("write_fraction", 0.5, 0.3, 20.0),
             base_params=tiny_params(), scale=tiny_scale())
         assert all(2 <= limit <= 30 for limit in result.trace.limits)
+
+    @pytest.mark.parametrize("parameter, mean, amplitude", [
+        ("accesses", 16.0, 14.0),
+        ("query_fraction", 0.5, 0.45),
+        ("write_fraction", 0.5, 0.45),
+    ])
+    def test_every_workload_state_gets_its_own_reference_optimum(
+            self, parameter, mean, amplitude):
+        """Regression: only the first 20 distinct workload states got their
+        own analytic optimum; every later state silently reused the first
+        state's, which corrupted ``reference_optima`` and the tracking error.
+
+        Half a sinusoid period, from its minimum to its maximum, passes
+        more than 20 distinct states in 25 samples.
+        """
+        params = tiny_params().with_changes(n_terminals=20)
+        scenario = (parameter, SinusoidSchedule(mean, amplitude, period=50.0, phase=12.5))
+        scale = ExperimentScale(
+            stationary_horizon=4.0, warmup=1.0, offered_loads=(10,),
+            tracking_horizon=25.0, measurement_interval=1.0, synthetic_steps=10)
+        result = run_tracking_experiment(
+            FixedLimit(10, upper_bound=20), scenario, base_params=params, scale=scale)
+
+        reference = _build_workload(params, RandomStreams(params.seed), *scenario)
+        states = {reference.params_at(t) for t in result.trace.times}
+        assert len(result.trace) == 25
+        assert len(states) > 20, "fewer than 21 workload states: test is vacuous"
+        expected = [_reference_optimum(params, reference, t) for t in result.trace.times]
+        assert result.reference_optima == [optimum for optimum, _peak in expected]
+        assert result.reference_peaks == [peak for _optimum, peak in expected]
 
 
 class TestSyntheticTracking:

@@ -41,16 +41,6 @@ class TestStreamIdentity:
         with pytest.raises(TypeError):
             RandomStreams(seed=1.5)
 
-    def test_getitem_is_stream(self):
-        streams = RandomStreams(seed=0)
-        assert streams["foo"] is streams.stream("foo")
-
-    def test_names_lists_created_streams(self):
-        streams = RandomStreams(seed=0)
-        streams.stream("x")
-        streams.stream("y")
-        assert set(streams.names()) == {"x", "y"}
-
 
 class TestNameKeyCollisionResistance:
     def test_crc32_colliding_names_get_distinct_streams(self):
@@ -147,17 +137,6 @@ class TestSamplingHelpers:
             value = streams.uniform("u", 2.0, 5.0)
             assert 2.0 <= value < 5.0
 
-    def test_choice_without_replacement_distinct(self):
-        streams = RandomStreams(seed=0)
-        draw = streams.choice_without_replacement("items", population=50, count=20)
-        assert len(set(draw.tolist())) == 20
-        assert all(0 <= item < 50 for item in draw)
-
-    def test_choice_without_replacement_too_many_raises(self):
-        streams = RandomStreams(seed=0)
-        with pytest.raises(ValueError):
-            streams.choice_without_replacement("items", population=5, count=10)
-
 
 class TestProperties:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -167,12 +146,3 @@ class TestProperties:
         first = RandomStreams(seed=seed).stream(name).random(3)
         second = RandomStreams(seed=seed).stream(name).random(3)
         np.testing.assert_array_equal(first, second)
-
-    @given(count=st.integers(min_value=0, max_value=30),
-           population=st.integers(min_value=30, max_value=200))
-    @settings(max_examples=50, deadline=None)
-    def test_choice_property(self, count, population):
-        streams = RandomStreams(seed=1)
-        draw = streams.choice_without_replacement("x", population, count)
-        assert len(draw) == count
-        assert len(set(draw.tolist())) == count

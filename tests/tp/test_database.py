@@ -19,9 +19,6 @@ class TestDatabaseBasics:
         with pytest.raises(ValueError):
             Database(0, streams)
 
-    def test_len(self, streams):
-        assert len(Database(123, streams)) == 123
-
     def test_sample_returns_distinct_items(self, streams):
         database = Database(100, streams)
         items = database.sample_access_set(20)
@@ -58,47 +55,6 @@ class TestDatabaseBasics:
         first = Database(1000, RandomStreams(seed=9)).sample_access_set(10)
         second = Database(1000, RandomStreams(seed=9)).sample_access_set(10)
         np.testing.assert_array_equal(first, second)
-
-
-class TestHotSpot:
-    def test_hot_spot_requires_hot_set(self, streams):
-        with pytest.raises(ValueError):
-            Database(100, streams, hot_spot_fraction=0.0, hot_spot_access_probability=0.5)
-
-    def test_invalid_fractions(self, streams):
-        with pytest.raises(ValueError):
-            Database(100, streams, hot_spot_fraction=1.5)
-        with pytest.raises(ValueError):
-            Database(100, streams, hot_spot_fraction=0.1, hot_spot_access_probability=1.5)
-
-    def test_is_hot_classification(self, streams):
-        database = Database(100, streams, hot_spot_fraction=0.1,
-                            hot_spot_access_probability=0.8)
-        assert database.is_hot(0)
-        assert database.is_hot(9)
-        assert not database.is_hot(10)
-
-    def test_hot_spot_receives_most_accesses(self, streams):
-        database = Database(1000, streams, hot_spot_fraction=0.1,
-                            hot_spot_access_probability=0.8)
-        hot_hits = 0
-        total = 0
-        for _ in range(500):
-            items = database.sample_access_set(10)
-            hot_hits += int(np.sum(items < 100))
-            total += len(items)
-        assert hot_hits / total == pytest.approx(0.8, abs=0.05)
-
-    def test_hot_spot_samples_remain_distinct(self, streams):
-        database = Database(200, streams, hot_spot_fraction=0.05,
-                            hot_spot_access_probability=0.9)
-        for _ in range(50):
-            items = database.sample_access_set(30)
-            assert len(set(items.tolist())) == 30
-
-    def test_uniform_database_has_no_hot_items(self, streams):
-        database = Database(100, streams)
-        assert not database.is_hot(0)
 
 
 class TestSamplingProperties:

@@ -70,13 +70,6 @@ class TestRunTotals:
         metrics.record_commit(1.0)
         assert metrics.throughput() == pytest.approx(0.2)
 
-    def test_concurrency_time_average(self, sim, metrics):
-        metrics.record_concurrency(0)
-        sim._now = 5.0
-        metrics.record_concurrency(10)
-        sim._now = 10.0
-        assert metrics.mean_concurrency() == pytest.approx(5.0)
-
     def test_reset_clears_counters(self, sim, metrics):
         metrics.record_commit(1.0)
         metrics.record_abort(AbortReason.CERTIFICATION)
@@ -126,7 +119,7 @@ def _quantile_state(estimator):
             tuple(estimator._desired))
 
 
-def _observable_state(metrics, now):
+def _observable_state(metrics):
     """Every run-level quantity a caller can read off a RunMetrics."""
     return {
         "commits": metrics.commits,
@@ -140,8 +133,6 @@ def _observable_state(metrics, now):
         "response_stats": (metrics.response_times.count,
                            metrics.response_times.total,
                            metrics.response_times.maximum),
-        "waiting_stats": (metrics.waiting_times.count,
-                          metrics.waiting_times.total),
         "p95": _quantile_state(metrics.response_p95),
         "p99": _quantile_state(metrics.response_p99),
         "tenant_p95": {tenant: _quantile_state(estimator)
@@ -151,8 +142,6 @@ def _observable_state(metrics, now):
         "measured_from": metrics.measured_from,
         "throughput": metrics.throughput(),
         "mean_response_time": metrics.mean_response_time(),
-        "mean_concurrency": metrics.mean_concurrency(),
-        "mean_queue": metrics.admission_queue.mean(now),
     }
 
 
@@ -180,9 +169,8 @@ class TestResetEquivalence:
             elif kind == 5:
                 events.append(("shed", t, tenant))
             else:
-                events.append(("gauge", t, float(i % 9), float(i % 4)))
+                events.append(("abort", t, AbortReason.DISPLACEMENT))
             events.append(("submit", t))
-            events.append(("admission", t, 0.01 * (i % 5)))
         return events
 
     def _apply(self, metrics, sim, events):
@@ -194,13 +182,8 @@ class TestResetEquivalence:
                 metrics.record_abort(event[2])
             elif event[0] == "shed":
                 metrics.record_shed(event[2])
-            elif event[0] == "gauge":
-                metrics.record_concurrency(event[2])
-                metrics.record_admission_queue(event[3])
             elif event[0] == "submit":
                 metrics.record_submission()
-            elif event[0] == "admission":
-                metrics.record_admission(event[2])
 
     def test_reset_equals_fresh_metrics_replaying_the_same_events(self):
         warmup = self._event_batch(seed=3, start=0.0)
@@ -210,25 +193,16 @@ class TestResetEquivalence:
         survivor = RunMetrics(sim)
         self._apply(survivor, sim, warmup)
         sim._now = 10.0
-        carried_concurrency = survivor.concurrency.current
-        carried_queue = survivor.admission_queue.current
         survivor.reset()
         self._apply(survivor, sim, measured)
 
         fresh_sim = Simulator()
         fresh_sim._now = 10.0
         fresh = RunMetrics(fresh_sim)
-        # the documented carryover: reset preserves the *current* gauge
-        # levels (transactions in flight do not vanish at the window edge)
-        fresh.record_concurrency(carried_concurrency)
-        fresh.record_admission_queue(carried_queue)
-        fresh.concurrency.reset(10.0)
-        fresh.admission_queue.reset(10.0)
         self._apply(fresh, fresh_sim, measured)
 
-        now = sim.now
-        fresh_sim._now = now
-        assert _observable_state(survivor, now) == _observable_state(fresh, now)
+        fresh_sim._now = sim.now
+        assert _observable_state(survivor) == _observable_state(fresh)
 
     def test_reset_forgets_warmup_quantiles(self):
         """The SLO estimators restart: extreme warm-up latencies must not

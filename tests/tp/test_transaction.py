@@ -65,15 +65,3 @@ class TestLifecycleBookkeeping:
         assert txn.write_set == set()
         assert txn.cc_state == {}
         assert txn.last_conflicts == 0
-
-    def test_record_restart_counts(self):
-        txn = make_updater()
-        txn.record_restart()
-        txn.record_restart()
-        assert txn.restarts == 2
-
-    def test_restarts_survive_start_execution(self):
-        txn = make_updater()
-        txn.record_restart()
-        txn.start_execution(5.0)
-        assert txn.restarts == 1

@@ -17,25 +17,25 @@ Expectations encoded as assertions:
 from conftest import run_once
 
 from repro.experiments.config import default_system_params
-from repro.experiments.dynamic import jump_scenario, run_tracking_suite
+from repro.experiments.dynamic import jump_scenario
 from repro.experiments.report import format_table
-from repro.runner import ControllerSpec, tracking_results
+from repro.runner import ControllerSpec, run_sweep, tracking_results, tracking_sweep_spec
 from repro.tp.params import WorkloadParams
 
 
 def _policies():
-    return {
-        "no control": ControllerSpec.make("no_control"),
-        "fixed limit (tuned for small txns)": ControllerSpec.make("fixed", limit=40),
-        "tay rule": ControllerSpec.make("tay"),
-        "iyer rule": ControllerSpec.make("iyer"),
-        "incremental steps": ControllerSpec.make(
+    return [
+        ("no control", ControllerSpec.make("no_control")),
+        ("fixed limit (tuned for small txns)", ControllerSpec.make("fixed", limit=40)),
+        ("tay rule", ControllerSpec.make("tay")),
+        ("iyer rule", ControllerSpec.make("iyer")),
+        ("incremental steps", ControllerSpec.make(
             "incremental_steps", initial_limit=20, beta=1.0, gamma=5, delta=10,
-            min_step=2.0, lower_bound=2),
-        "parabola approximation": ControllerSpec.make(
+            min_step=2.0, lower_bound=2)),
+        ("parabola approximation", ControllerSpec.make(
             "parabola", initial_limit=20, forgetting=0.9, probe_amplitude=3.0,
-            max_move=30.0, lower_bound=2),
-    }
+            max_move=30.0, lower_bound=2)),
+    ]
 
 
 def test_ablation_controllers_vs_baselines(benchmark, scale, workers, replicates):
@@ -47,9 +47,8 @@ def test_ablation_controllers_vs_baselines(benchmark, scale, workers, replicates
     scenario = jump_scenario("accesses", 6, 12, jump_time=scale.tracking_horizon / 2.0)
 
     def experiment():
-        sweep_result = run_tracking_suite(
-            _policies(), scenario, base_params=params, scale=scale,
-            workers=workers, replicates=replicates, name="ablation_baselines")
+        spec = tracking_sweep_spec("ablation_baselines", scale, params, _policies(), scenario)
+        sweep_result = run_sweep(spec, workers=workers, replicates=replicates)
         return {
             name: {
                 "commits": result.total_commits,

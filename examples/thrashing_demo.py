@@ -17,13 +17,8 @@ Run with:  python examples/thrashing_demo.py [--quick]
 import argparse
 
 from repro.analytic import OccModel, classify_phases, thrashing_onset
-from repro.experiments import (
-    ExperimentScale,
-    default_system_params,
-    format_sweep_table,
-    sweep_offered_load,
-)
-from repro.runner import ControllerSpec
+from repro.experiments import ExperimentScale, default_system_params, format_sweep_table
+from repro.runner import run_sweep, stationary_sweeps
 
 
 def main():
@@ -35,14 +30,11 @@ def main():
     params = default_system_params(seed=13)
 
     print("Measuring the load/throughput curves (this runs full simulations)...\n")
-    without = sweep_offered_load(params, None, scale=scale, label="without control")
-    # the registry defaults: IS steps from a limit of 10 (beta 1, gamma 5,
-    # delta 10), PA probes +-3 around 10 with forgetting 0.9; both keep the
-    # limit in [2, offered load]
-    with_is = sweep_offered_load(params, ControllerSpec.make("incremental_steps"),
-                                 scale=scale, label="IS control")
-    with_pa = sweep_offered_load(params, ControllerSpec.make("parabola"),
-                                 scale=scale, label="PA control")
+    # the Figure 12 grid: uncontrolled, IS with the registry defaults (steps
+    # from a limit of 10, beta 1, gamma 5, delta 10) and PA (probes +-3
+    # around 10 with forgetting 0.9); both keep the limit in [2, offered load]
+    without, with_is, with_pa = stationary_sweeps(
+        run_sweep("fig12_stationary", scale=scale, base_params=params)).values()
 
     print("Figure 12 — system throughput with and without control (stationary case)")
     print(format_sweep_table([without, with_is, with_pa]))

@@ -150,14 +150,6 @@ class AdmissionGate:
         self._admit_waiters()
 
     # ------------------------------------------------------------------
-    def admitted_of_tenant(self, tenant: str) -> int:
-        """Currently admitted transactions of ``tenant`` (quota runs only)."""
-        return self._admitted_by_tenant.get(tenant, 0)
-
-    def waiting_of_tenant(self, tenant: str) -> int:
-        """Currently waiting transactions of ``tenant`` (quota runs only)."""
-        return self._waiting_by_tenant.get(tenant, 0)
-
     def _below_admission_quota(self, tenant: str) -> bool:
         if self._quotas is None:
             return True

@@ -70,15 +70,10 @@ class LoadController(ABC):
         self.lower_bound = float(lower_bound)
         self.upper_bound = float(upper_bound)
         self.performance_index = performance_index or throughput_index
-        self._initial_limit = self.clamp(float(initial_limit))
-        self.current_limit = self._initial_limit
+        #: the threshold in effect (the clamped initial limit until an update)
+        self.current_limit = self.clamp(float(initial_limit))
 
     # ------------------------------------------------------------------
-    @property
-    def initial_limit(self) -> float:
-        """Threshold in effect before the first measurement arrives."""
-        return self._initial_limit
-
     def clamp(self, limit: float) -> float:
         """Force ``limit`` into the static [lower_bound, upper_bound] band."""
         if math.isnan(limit):

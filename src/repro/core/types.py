@@ -62,13 +62,6 @@ class IntervalMeasurement:
         return self.conflicts / self.commits
 
     @property
-    def abort_ratio(self) -> float:
-        """Abandoned executions per commit in the interval."""
-        if self.commits == 0:
-            return float(self.aborts)
-        return self.aborts / self.commits
-
-    @property
     def effective_utilisation_proxy(self) -> float:
         """Commits per started execution -- a cheap useful-work indicator."""
         started = self.commits + self.aborts

@@ -1,11 +1,12 @@
-"""Experiment harness shared by the examples and the benchmarks.
+"""One run of each kind, its result types, tracking metrics and report tables.
 
-Each experiment of the paper's evaluation (Section 9) is represented by a
-function that runs the necessary simulations and returns a plain result
-object carrying the same data series the corresponding figure shows:
+Each experiment of the paper's evaluation (Section 9) is a grid of single
+runs; this package runs one cell and returns a plain result object carrying
+the data series the corresponding figure shows:
 
-* :func:`repro.experiments.stationary.sweep_offered_load` -- the stationary
-  load/throughput curves with and without control (Figures 1 and 12);
+* :func:`repro.experiments.stationary.run_stationary_point` -- one point of
+  the stationary load/throughput curves with and without control (Figures 1
+  and 12), collected into a :class:`StationarySweep` per curve;
 * :func:`repro.experiments.dynamic.run_tracking_experiment` -- the
   trajectory of the load threshold under jump-like or sinusoidal workload
   changes (Figures 13 and 14 and the sinusoidal study);
@@ -13,6 +14,11 @@ object carrying the same data series the corresponding figure shows:
   compare IS and PA quantitatively;
 * :mod:`repro.experiments.report` -- plain-text tables for printing the
   series in benchmark output and examples.
+
+The grids themselves -- which cells a figure runs, over how many workers
+and replicates -- are built and run by :mod:`repro.runner`
+(:func:`repro.runner.run_sweep`), which imports this package, never the
+other way round.
 
 Scale: every experiment takes an :class:`ExperimentScale` so the full,
 paper-sized runs and quick smoke-test runs share one code path.
@@ -28,16 +34,12 @@ from repro.experiments.dynamic import (
     jump_scenario,
     run_synthetic_tracking,
     run_tracking_experiment,
-    run_tracking_suite,
     sinusoid_scenario,
-    tracking_sweep_spec,
 )
 from repro.experiments.stationary import (
     StationaryPoint,
     StationarySweep,
     run_stationary_point,
-    stationary_sweep_spec,
-    sweep_offered_load,
 )
 from repro.experiments.tracking import TrackingMetrics, compute_tracking_metrics
 from repro.experiments.report import (
@@ -55,12 +57,8 @@ __all__ = [
     "StationaryPoint",
     "StationarySweep",
     "run_stationary_point",
-    "stationary_sweep_spec",
-    "sweep_offered_load",
     "TrackingResult",
     "run_tracking_experiment",
-    "run_tracking_suite",
-    "tracking_sweep_spec",
     "run_synthetic_tracking",
     "jump_scenario",
     "sinusoid_scenario",

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analytic.occ import OccModel
 from repro.analytic.synthetic import DynamicOptimumScenario, SyntheticSystem
@@ -48,9 +48,6 @@ from repro.tp.workload import (
     SinusoidSchedule,
     Workload,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.runner.specs import ControllerSpec
 
 
 @dataclass
@@ -212,72 +209,6 @@ def run_tracking_experiment(controller: LoadController,
         trace_events=observer_set.trace,
         displaced=measurement.total_displaced,
     )
-
-
-# ----------------------------------------------------------------------
-# runner delegation: many tracking cells at once
-# ----------------------------------------------------------------------
-def tracking_sweep_spec(controllers: Mapping[str, "ControllerSpec"],
-                        scenario: Tuple[str, ParameterSchedule],
-                        base_params: Optional[SystemParams] = None,
-                        scale: Optional[ExperimentScale] = None,
-                        name: str = "tracking",
-                        displacement: Optional[DisplacementPolicy] = None,
-                        interval_tuner: Optional[MeasurementIntervalTuner] = None,
-                        cc: Optional[CCSpec] = None):
-    """Build a runner sweep with one tracking cell per named controller.
-
-    Each value of ``controllers`` is a
-    :class:`~repro.runner.specs.ControllerSpec`.  ``displacement``,
-    ``interval_tuner`` and ``cc`` apply to every cell of the sweep; like
-    every cell field they are plain data, so each cell has a cache key.
-    """
-    from repro.runner.specs import KIND_TRACKING, RunSpec, SweepSpec
-
-    scale = scale or ExperimentScale.benchmark()
-    base_params = base_params or default_system_params()
-    cells = tuple(
-        RunSpec(
-            kind=KIND_TRACKING,
-            cell_id=f"{name}/{label}",
-            params=base_params,
-            scale=scale,
-            controller=controller,
-            scenario=scenario,
-            label=label,
-            displacement=displacement,
-            interval_tuner=interval_tuner,
-            cc=cc,
-        )
-        for label, controller in controllers.items()
-    )
-    return SweepSpec(name=name, cells=cells)
-
-
-def run_tracking_suite(controllers: Mapping[str, "ControllerSpec"],
-                       scenario: Tuple[str, ParameterSchedule],
-                       base_params: Optional[SystemParams] = None,
-                       scale: Optional[ExperimentScale] = None,
-                       workers: int = 0,
-                       replicates: int = 1,
-                       name: str = "tracking",
-                       displacement: Optional[DisplacementPolicy] = None,
-                       interval_tuner: Optional[MeasurementIntervalTuner] = None,
-                       cc: Optional[CCSpec] = None):
-    """Run one tracking cell per controller through the runner.
-
-    ``displacement``, ``interval_tuner`` and ``cc`` apply to every cell of
-    the suite.  Returns the :class:`~repro.runner.api.SweepResult`; use
-    :func:`repro.runner.tracking_results` for the per-controller
-    trajectories and :attr:`~repro.runner.api.SweepResult.aggregates` for
-    replicate mean ± CI summaries.
-    """
-    from repro.runner.api import run_sweep
-
-    spec = tracking_sweep_spec(controllers, scenario, base_params=base_params,
-                               scale=scale, name=name, displacement=displacement,
-                               interval_tuner=interval_tuner, cc=cc)
-    return run_sweep(spec, workers=workers, replicates=replicates)
 
 
 # ----------------------------------------------------------------------

@@ -10,33 +10,31 @@ Two questions are answered per offered load ``N`` (number of terminals):
   control" curve of Figure 12: throughput stays at the optimum level for
   every offered load.)
 
-:func:`run_stationary_point` runs one (offered load, controller) cell;
-:func:`sweep_offered_load` produces the whole curve.  The sweep builds one
-:class:`~repro.runner.specs.RunSpec` per offered load and delegates
-execution to :mod:`repro.runner`, so ``workers=N`` fans the points out over
-processes and ``replicates=R`` turns each point into a mean with a
-confidence interval — without changing the single-replicate results.
+:func:`run_stationary_point` runs one (offered load, controller) cell and
+returns its :class:`StationaryPoint`; a :class:`StationarySweep` holds one
+curve.  The grid of cells behind a whole curve is built and run by
+:mod:`repro.runner` (``run_sweep("fig12_stationary")``, folded into curves
+by :func:`repro.runner.stationary_sweeps`), where ``workers=N`` fans the
+points out over processes and ``replicates=R`` turns each point into a
+mean with a confidence interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cc.registry import CCSpec, resolve_cc
+from repro.core.admission import AdmissionGate
 from repro.core.controller import LoadController
-from repro.experiments.config import ExperimentScale, default_system_params
 from repro.obs.catalog import ObserverSet
 from repro.sim.engine import Simulator
 from repro.sim.random_streams import RandomStreams
+from repro.sim.trace import TraceEvent
+from repro.tp.arrivals import ArrivalProcess
 from repro.tp.params import SystemParams
 from repro.tp.system import TransactionSystem
 from repro.tp.workload import MixedClassWorkload, TransactionClassSpec
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.runner.specs import ControllerSpec
-    from repro.sim.trace import TraceEvent
-    from repro.tp.arrivals import ArrivalProcess
 
 
 @dataclass(frozen=True)
@@ -72,7 +70,7 @@ class StationaryPoint:
     #: keyed exactly as they appear in the cell metrics; empty unobserved
     observed: Dict[str, float] = field(default_factory=dict)
     #: the ``trace`` observer's lifecycle log; empty when not tracing
-    trace_events: Sequence["TraceEvent"] = ()
+    trace_events: Sequence[TraceEvent] = ()
     #: streaming 95th/99th-percentile submission-to-commit latency over the
     #: measured window (P-squared estimates; 0 when nothing committed)
     p95_response_time: float = 0.0
@@ -99,8 +97,7 @@ class StationarySweep:
     #: analytic (model) throughput at each offered load, for comparison
     model_reference: Dict[int, float] = field(default_factory=dict)
     #: which analytic model produced :attr:`model_reference` ("TayModel"
-    #: for locking-family schemes, "OccModel" for optimistic ones; empty
-    #: when no reference was requested)
+    #: for locking-family schemes, "OccModel" for optimistic ones)
     model_reference_name: str = ""
     #: offered load -> replicate aggregate (mean ± CI per metric); populated
     #: by replicated runs, empty for single-replicate sweeps
@@ -133,7 +130,7 @@ def run_stationary_point(params: SystemParams,
                          workload_classes: Optional[Sequence[TransactionClassSpec]] = None,
                          cc: Optional[CCSpec] = None,
                          observers: Sequence[str] = (),
-                         arrivals: Optional["ArrivalProcess"] = None
+                         arrivals: Optional[ArrivalProcess] = None
                          ) -> StationaryPoint:
     """Run one stationary simulation and summarise it.
 
@@ -172,8 +169,6 @@ def run_stationary_point(params: SystemParams,
     sim = Simulator()
     gate = None
     if arrivals is not None and workload_classes is not None:
-        from repro.core.admission import AdmissionGate
-
         quotas = {cls.name: cls.admission_quota for cls in workload_classes
                   if cls.admission_quota is not None}
         queue_quotas = {cls.name: cls.queue_quota for cls in workload_classes
@@ -219,85 +214,3 @@ def run_stationary_point(params: SystemParams,
         shed=metrics.shed,
         tenant_metrics=tenant_metrics,
     )
-
-
-def stationary_sweep_spec(base_params: Optional[SystemParams] = None,
-                          controller: Optional["ControllerSpec"] = None,
-                          scale: Optional[ExperimentScale] = None,
-                          label: Optional[str] = None,
-                          name: str = "stationary",
-                          workload_classes: Optional[Sequence[TransactionClassSpec]] = None,
-                          cc: Optional[CCSpec] = None,
-                          observers: Sequence[str] = (),
-                          arrivals: Optional[object] = None):
-    """Build the runner :class:`~repro.runner.specs.SweepSpec` of one curve.
-
-    ``controller`` is ``None`` (uncontrolled) or a
-    :class:`~repro.runner.specs.ControllerSpec`.  ``workload_classes`` puts
-    every cell on a mixed-class workload (see :func:`run_stationary_point`);
-    ``cc`` puts every cell on the named concurrency control scheme
-    (``None`` = the default timestamp certification, or a
-    :class:`~repro.cc.registry.CCSpec`).
-    ``observers`` selects the named observers of every cell — see
-    :attr:`~repro.runner.specs.RunSpec.observers`.
-    ``arrivals`` selects the arrival model — an
-    :class:`~repro.tp.arrivals.ArrivalProcess` shared by every cell, or a
-    callable ``offered_load -> ArrivalProcess`` so open sweeps can scale
-    the arrival rate along the offered-load axis the way closed sweeps
-    scale the terminal count.
-    """
-    from repro.runner.specs import KIND_STATIONARY, RunSpec, SweepSpec
-    from repro.tp.arrivals import ArrivalProcess
-
-    def arrivals_for(offered_load: int):
-        if arrivals is None or isinstance(arrivals, ArrivalProcess):
-            return arrivals
-        return arrivals(offered_load)
-
-    scale = scale or ExperimentScale.benchmark()
-    base_params = base_params or default_system_params()
-    if label is None:
-        label = "without control" if controller is None else "with control"
-    classes = tuple(workload_classes) if workload_classes is not None else None
-    cells = tuple(
-        RunSpec(
-            kind=KIND_STATIONARY,
-            cell_id=f"{name}/{label}/N={int(offered_load)}",
-            params=base_params.with_changes(n_terminals=int(offered_load)),
-            scale=scale,
-            controller=controller,
-            label=label,
-            workload_classes=classes,
-            cc=cc,
-            observers=observers,
-            arrivals=arrivals_for(int(offered_load)),
-        )
-        for offered_load in scale.offered_loads
-    )
-    return SweepSpec(name=name, cells=cells)
-
-
-def sweep_offered_load(base_params: Optional[SystemParams] = None,
-                       controller: Optional["ControllerSpec"] = None,
-                       scale: Optional[ExperimentScale] = None,
-                       label: Optional[str] = None,
-                       include_model_reference: bool = True,
-                       workers: int = 0,
-                       replicates: int = 1) -> StationarySweep:
-    """Measure the load/throughput curve over the scale's offered loads.
-
-    Execution is delegated to :mod:`repro.runner`: ``workers=N`` runs the
-    points over ``N`` worker processes (0/1 = serial, same results bitwise),
-    and ``replicates=R`` runs every point ``R`` times with independent
-    replicate seeds, in which case the curve carries the replicate means and
-    :attr:`StationarySweep.aggregates` the per-load mean ± CI summaries.
-    ``controller`` is ``None`` (uncontrolled) or a
-    :class:`~repro.runner.specs.ControllerSpec`.
-    """
-    from repro.runner.api import run_sweep, stationary_sweeps
-
-    spec = stationary_sweep_spec(base_params, controller, scale, label)
-    result = run_sweep(spec, workers=workers, replicates=replicates)
-    sweeps = stationary_sweeps(result, include_model_reference=include_model_reference)
-    (sweep,) = sweeps.values()
-    return sweep

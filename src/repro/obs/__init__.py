@@ -33,7 +33,6 @@ from repro.obs.telemetry import (
     active_sink,
     configure_cli_logging,
     emit,
-    install_sink,
     set_worker_name,
     telemetry_to,
     worker_name,
@@ -50,7 +49,6 @@ __all__ = [
     "calibrated_tay_model",
     "configure_cli_logging",
     "emit",
-    "install_sink",
     "measured_wait_share",
     "metric_schema",
     "set_worker_name",

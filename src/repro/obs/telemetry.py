@@ -53,11 +53,8 @@ from typing import Dict, Iterator, Optional
 #: worker processes, which is how telemetry propagates across a cluster
 TELEMETRY_ENV = "REPRO_TELEMETRY"
 
-#: explicitly installed sink (takes precedence over the environment)
-_installed: Optional["TelemetrySink"] = None
-
-#: sinks opened from the environment variable, cached per path so repeated
-#: active_sink() calls reuse one file descriptor per process
+#: sinks of the paths the environment variable has named, cached per path
+#: so repeated active_sink() calls reuse one file descriptor per process
 _env_sinks: Dict[str, "TelemetrySink"] = {}
 
 #: per-thread worker name override (a dist worker's loop sets its
@@ -110,26 +107,13 @@ class TelemetrySink(object):
         return f"TelemetrySink({self.path!r})"
 
 
-def install_sink(sink: Optional[TelemetrySink]) -> None:
-    """Install (or, with ``None``, remove) the process-wide telemetry sink.
-
-    An installed sink takes precedence over the :data:`TELEMETRY_ENV`
-    environment variable.
-    """
-    global _installed
-    _installed = sink
-
-
 def active_sink() -> Optional[TelemetrySink]:
     """The telemetry sink in effect, or ``None`` when telemetry is off.
 
-    An explicitly installed sink wins; otherwise the environment variable
-    is consulted on every call (cheap — one dict lookup when unset), so a
-    sink appears automatically in any process that inherited the variable,
-    including spawned dist workers.
+    The environment variable is consulted on every call (cheap — one dict
+    lookup when unset), so a sink appears automatically in any process
+    that inherited the variable, including spawned dist workers.
     """
-    if _installed is not None:
-        return _installed
     path = os.environ.get(TELEMETRY_ENV)
     if not path:
         return None
@@ -141,23 +125,29 @@ def active_sink() -> Optional[TelemetrySink]:
 
 @contextlib.contextmanager
 def telemetry_to(path: str) -> Iterator[TelemetrySink]:
-    """Context manager: route this process's telemetry spans to ``path``.
+    """Context manager: route telemetry spans to ``path`` for the block.
 
-    Also exports :data:`TELEMETRY_ENV` for the duration, so worker
-    processes started inside the block inherit the sink.
+    Exports :data:`TELEMETRY_ENV` for the duration, so worker processes
+    started inside the block inherit it, and makes a fresh sink the cached
+    one for ``path``, which every thread of this process then finds.  On
+    exit the variable and the cache entry are restored and the sink closed.
     """
     sink = TelemetrySink(path)
     previous_env = os.environ.get(TELEMETRY_ENV)
+    previous_sink = _env_sinks.get(sink.path)
     os.environ[TELEMETRY_ENV] = sink.path
-    install_sink(sink)
+    _env_sinks[sink.path] = sink
     try:
         yield sink
     finally:
-        install_sink(None)
         if previous_env is None:
             os.environ.pop(TELEMETRY_ENV, None)
         else:
             os.environ[TELEMETRY_ENV] = previous_env
+        if previous_sink is None:
+            _env_sinks.pop(sink.path, None)
+        else:
+            _env_sinks[sink.path] = previous_sink
         sink.close()
 
 

@@ -6,9 +6,9 @@ into data (:mod:`~repro.runner.specs`), executes it serially or over local
 dist workers with deterministic, common-random-numbers seed discipline
 (:mod:`~repro.runner.executor`, :mod:`~repro.runner.cells`),
 folds replicated runs into mean ± confidence-interval summaries
-(:mod:`~repro.runner.replication`), and names the paper's experiments so a
-whole figure is one call (:mod:`~repro.runner.registry`,
-:func:`~repro.runner.api.run_sweep`).
+(:mod:`~repro.runner.replication`), and builds every grid of cells and
+names the paper's experiments so a whole figure is one call
+(:mod:`~repro.runner.registry`, :func:`~repro.runner.api.run_sweep`).
 
 The two invariants everything here is built around:
 
@@ -34,7 +34,12 @@ from repro.runner.errors import (
     run_with_cell_context,
 )
 from repro.runner.executor import SerialExecutor, make_executor
-from repro.runner.registry import available_scenarios, build_sweep
+from repro.runner.registry import (
+    available_scenarios,
+    build_sweep,
+    stationary_sweep_spec,
+    tracking_sweep_spec,
+)
 from repro.runner.replication import (
     CellAggregate,
     MetricAggregate,
@@ -66,6 +71,8 @@ __all__ = [
     "make_executor",
     "available_scenarios",
     "build_sweep",
+    "stationary_sweep_spec",
+    "tracking_sweep_spec",
     "CellAggregate",
     "MetricAggregate",
     "aggregate_cells",

@@ -6,11 +6,10 @@ selects the serial executor or a distributed one with local worker
 processes from ``workers``, runs every cell, and aggregates replicates
 into mean ± confidence-interval summaries.
 
-Converters turn a :class:`SweepResult` back into the result objects the
-figure-level code has always consumed
-(:class:`~repro.experiments.stationary.StationarySweep` curves and
-:class:`~repro.experiments.dynamic.TrackingResult` trajectories), so
-benchmarks keep their assertions while execution is delegated here.
+Converters turn a :class:`SweepResult` back into the result objects of
+the experiment layer (:class:`~repro.experiments.stationary.StationarySweep`
+curves and :class:`~repro.experiments.dynamic.TrackingResult`
+trajectories), which benchmarks and examples assert on and print.
 """
 
 from __future__ import annotations
@@ -18,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
+from repro.analytic.references import reference_model_for
 from repro.experiments.config import ExperimentScale
+from repro.experiments.stationary import StationaryPoint, StationarySweep
 from repro.obs.catalog import metric_schema
 from repro.runner.cells import CellResult, execute_run_spec
 from repro.runner.executor import make_executor
@@ -65,8 +66,7 @@ def run_sweep(sweep: Union[str, SweepSpec], *,
               scale: Optional[ExperimentScale] = None,
               base_params: Optional[SystemParams] = None,
               executor=None,
-              confidence: float = 0.95,
-              **scenario_overrides) -> SweepResult:
+              confidence: float = 0.95) -> SweepResult:
     """Run a sweep (by name or spec) and aggregate its replicates.
 
     ``workers`` selects the executor, which this call makes and closes:
@@ -78,17 +78,15 @@ def run_sweep(sweep: Union[str, SweepSpec], *,
     reused across sweeps, or a
     :class:`~repro.svc.client.ServiceExecutor`.  Results are bit-identical
     between all settings.
-    ``scale``, ``base_params`` and extra keyword arguments are forwarded
-    to the scenario builder and are only valid when ``sweep`` is a
-    scenario name.
+    ``scale`` and ``base_params`` are forwarded to the scenario builder
+    and are only valid when ``sweep`` is a scenario name.
     """
     if isinstance(sweep, str):
-        spec = build_sweep(sweep, scale=scale, base_params=base_params,
-                           **scenario_overrides)
+        spec = build_sweep(sweep, scale=scale, base_params=base_params)
     else:
-        if scale is not None or base_params is not None or scenario_overrides:
+        if scale is not None or base_params is not None:
             raise TypeError(
-                "scale/base_params/overrides apply to named scenarios only; "
+                "scale/base_params apply to named scenarios only; "
                 "build the SweepSpec with them instead"
             )
         spec = sweep
@@ -108,8 +106,7 @@ def run_sweep(sweep: Union[str, SweepSpec], *,
 # ----------------------------------------------------------------------
 # converters back to the figure-level result objects
 # ----------------------------------------------------------------------
-def stationary_sweeps(result: SweepResult,
-                      include_model_reference: bool = True) -> Dict[str, object]:
+def stationary_sweeps(result: SweepResult) -> Dict[str, StationarySweep]:
     """Fold a stationary sweep's cells into one curve per controller label.
 
     Returns ``{label: StationarySweep}`` in first-appearance order.  With a
@@ -125,9 +122,6 @@ def stationary_sweeps(result: SweepResult,
     ``model_reference_name`` records which model filled its
     ``model_reference`` column.
     """
-    from repro.analytic.references import reference_model_for
-    from repro.experiments.stationary import StationaryPoint, StationarySweep
-
     specs_by_id: Dict[str, RunSpec] = {}
     for cell in result.spec.cells:
         specs_by_id.setdefault(cell.cell_id, cell)
@@ -144,26 +138,33 @@ def stationary_sweeps(result: SweepResult,
         if aggregate.count == 1:
             point = aggregate.replicates[0].payload
         else:
-            point = _mean_stationary_point(StationaryPoint, spec, aggregate)
+            point = _mean_stationary_point(spec, aggregate)
             sweep.aggregates[spec.params.n_terminals] = aggregate
         sweep.points.append(point)
-        if include_model_reference:
-            name, model = reference_model_for(spec.params, spec.cc)
-            sweep.model_reference_name = name
-            # the uncontrolled system operates near the offered load, the
-            # controlled one near the model's optimum
-            if spec.controller is None:
-                reference_mpl = float(spec.params.n_terminals)
-            else:
-                reference_mpl = model.optimal_mpl()
-            sweep.model_reference[spec.params.n_terminals] = model.throughput(reference_mpl)
+        name, model = reference_model_for(spec.params, spec.cc)
+        sweep.model_reference_name = name
+        # the uncontrolled system operates near the offered load, the
+        # controlled one near the model's optimum
+        if spec.controller is None:
+            reference_mpl = float(spec.params.n_terminals)
+        else:
+            reference_mpl = model.optimal_mpl()
+        sweep.model_reference[spec.params.n_terminals] = model.throughput(reference_mpl)
     return sweeps
 
 
-def _mean_stationary_point(point_type, spec: RunSpec, aggregate: CellAggregate):
+def _mean_stationary_point(spec: RunSpec, aggregate: CellAggregate) -> StationaryPoint:
     """A synthetic point carrying the replicate means of every metric."""
     mean = {name: summary.mean for name, summary in aggregate.metrics.items()}
-    return point_type(
+    slo = {}
+    if spec.arrivals is not None:
+        # cells with an arrival model report the SLO fields (see cells.py)
+        slo = dict(p95_response_time=mean["p95_response_time"],
+                   p99_response_time=mean["p99_response_time"],
+                   shed=int(round(mean["shed"])),
+                   tenant_metrics={name: value for name, value in mean.items()
+                                   if name.startswith("tenant_")})
+    return StationaryPoint(
         offered_load=spec.params.n_terminals,
         throughput=mean["throughput"],
         mean_response_time=mean["mean_response_time"],
@@ -178,6 +179,7 @@ def _mean_stationary_point(point_type, spec: RunSpec, aggregate: CellAggregate):
                           for name, value in mean.items()
                           if name.startswith("aborts_")},
         observed={name: mean[name] for name in metric_schema(spec.observers)},
+        **slo,
     )
 
 

@@ -5,11 +5,10 @@ the cells of a :class:`~repro.runner.specs.SweepSpec`.  It is a module-level
 function (so the dist wire protocol pickles it by reference and a worker
 imports it by module path), builds all stateful objects locally, and
 returns a :class:`CellResult` whose payload and metrics are plain
-picklable data.
-
-The experiment modules are imported lazily inside the function:
-``repro.experiments`` delegates sweep execution *to* the runner, so a
-module-level import in either direction would be circular.
+picklable data.  The run itself is the experiment layer's
+(:func:`~repro.experiments.stationary.run_stationary_point`,
+:func:`~repro.experiments.dynamic.run_tracking_experiment`); this module
+only maps a spec onto it and summarises the result.
 """
 
 from __future__ import annotations
@@ -18,6 +17,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Sequence
 
+from repro.analytic.references import reference_model_name
+from repro.experiments.dynamic import run_tracking_experiment
+from repro.experiments.stationary import run_stationary_point
+from repro.experiments.tracking import compute_tracking_metrics
+from repro.obs import telemetry
 from repro.obs.catalog import ABORTS_BY_REASON
 from repro.runner.specs import KIND_STATIONARY, KIND_TRACKING, RunSpec
 from repro.sim.random_streams import RandomStreams
@@ -77,8 +81,6 @@ def execute_run_spec(spec: RunSpec) -> CellResult:
     execute time to this worker process; the clock is only read when a sink
     is installed, so untelemetered runs pay a single ``None`` check.
     """
-    from repro.obs import telemetry
-
     sink = telemetry.active_sink()
     if sink is None:
         return _execute_cell(spec)
@@ -103,8 +105,6 @@ def _execute_cell(spec: RunSpec) -> CellResult:
 
 
 def _execute_stationary(spec: RunSpec) -> CellResult:
-    from repro.experiments.stationary import run_stationary_point
-
     point = run_stationary_point(
         spec.params,
         controller=spec.build_controller(),
@@ -140,8 +140,6 @@ def _execute_stationary(spec: RunSpec) -> CellResult:
     metrics.update(point.observed)
     model_reference = ""
     if ABORTS_BY_REASON in spec.observers:
-        from repro.analytic.references import reference_model_name
-
         model_reference = reference_model_name(spec.cc)
     return CellResult(
         cell_id=spec.cell_id,
@@ -156,9 +154,6 @@ def _execute_stationary(spec: RunSpec) -> CellResult:
 
 
 def _execute_tracking(spec: RunSpec) -> CellResult:
-    from repro.experiments.dynamic import run_tracking_experiment
-    from repro.experiments.tracking import compute_tracking_metrics
-
     result = run_tracking_experiment(
         spec.build_controller(),
         spec.scenario,

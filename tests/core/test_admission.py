@@ -1,7 +1,5 @@
 """Tests for the admission gate."""
 
-import math
-
 import pytest
 
 from repro.core.admission import AdmissionGate, AdmissionShed
@@ -120,8 +118,8 @@ class TestTenantQuotas:
         gate = AdmissionGate(sim, initial_limit=10, tenant_quotas={"burst": 2})
         events = [gate.submit(make_txn(i, tenant="burst")) for i in range(4)]
         assert [event.triggered for event in events] == [True, True, False, False]
-        assert gate.admitted_of_tenant("burst") == 2
-        assert gate.waiting_of_tenant("burst") == 2
+        assert gate.current_load == 2
+        assert gate.queue_length == 2
 
     def test_unquota_tenants_are_unaffected_by_other_quotas(self, sim):
         gate = AdmissionGate(sim, initial_limit=10, tenant_quotas={"burst": 1})
@@ -129,7 +127,8 @@ class TestTenantQuotas:
         gate.submit(make_txn(1, tenant="burst"))          # queued: over quota
         steady = gate.submit(make_txn(2, tenant="steady"))
         assert steady.triggered
-        assert gate.admitted_of_tenant("steady") == 1
+        assert gate.current_load == 2                     # one burst, one steady
+        assert gate.queue_length == 1
 
     def test_fcfs_among_eligible_skips_over_quota_heads(self, sim):
         """An over-quota waiter at the head must not stall eligible tenants
@@ -148,7 +147,8 @@ class TestTenantQuotas:
         waiting = gate.submit(make_txn(1, tenant="burst"))
         gate.depart(first)
         assert waiting.triggered
-        assert gate.admitted_of_tenant("burst") == 1
+        assert gate.current_load == 1
+        assert gate.queue_length == 0
 
     def test_queue_quota_sheds_with_a_failed_event(self, sim):
         gate = AdmissionGate(sim, initial_limit=1,
@@ -161,7 +161,7 @@ class TestTenantQuotas:
         assert isinstance(shed._exception, AdmissionShed)
         assert sum(1 for event in events if _was_shed(event)) == 1
         assert gate.queue_length == 1
-        assert gate.waiting_of_tenant("burst") == 1
+        assert gate.current_load == 1
 
     def test_shedding_is_per_tenant(self, sim):
         gate = AdmissionGate(sim, initial_limit=1,
@@ -195,7 +195,8 @@ class TestTenantQuotas:
         gate = AdmissionGate(sim, initial_limit=2)
         gate.submit(make_txn(0, tenant="a"))
         assert gate._tenant_tracking is False
-        assert gate.admitted_of_tenant("a") == 0       # bookkeeping skipped
+        assert gate.current_load == 1
+        assert gate._admitted_by_tenant == {}          # bookkeeping skipped
 
 
 class TestGateStatistics:

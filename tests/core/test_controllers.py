@@ -48,7 +48,6 @@ class TestLoadControllerBase:
 
     def test_initial_limit_clamped(self):
         controller = _EchoController(10, initial_limit=500, lower_bound=1, upper_bound=100)
-        assert controller.initial_limit == 100
         assert controller.current_limit == 100
 
     def test_update_clamps_to_bounds(self):

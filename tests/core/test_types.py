@@ -39,14 +39,6 @@ class TestIntervalMeasurement:
         measurement = make_measurement(commits=0, conflicts=5)
         assert measurement.conflicts_per_commit == 0.0
 
-    def test_abort_ratio(self):
-        measurement = make_measurement(commits=10, aborts=5)
-        assert measurement.abort_ratio == pytest.approx(0.5)
-
-    def test_abort_ratio_without_commits(self):
-        measurement = make_measurement(commits=0, aborts=3)
-        assert measurement.abort_ratio == 3.0
-
     def test_effective_utilisation_proxy(self):
         measurement = make_measurement(commits=80, aborts=20)
         assert measurement.effective_utilisation_proxy == pytest.approx(0.8)

@@ -10,9 +10,9 @@ backlog/tail-percentile signature of sustained overload.
 import pytest
 
 from repro.experiments.config import ExperimentScale, default_system_params
-from repro.experiments.stationary import run_stationary_point, stationary_sweep_spec
+from repro.experiments.stationary import run_stationary_point
 from repro.runner.api import run_sweep
-from repro.runner.registry import build_sweep
+from repro.runner.registry import build_sweep, stationary_sweep_spec
 from repro.tp.arrivals import OpenArrivals
 from repro.tp.workload import TransactionClassSpec
 
@@ -91,7 +91,7 @@ class TestOpenDiurnal:
 class TestSweepArrivalThreading:
     def test_callable_arrivals_scale_with_the_offered_load(self):
         sweep = stationary_sweep_spec(
-            scale=ExperimentScale.smoke(), label="open", name="open-test",
+            "open-test", ExperimentScale.smoke(), default_system_params(), [("open", None)],
             arrivals=lambda load: OpenArrivals(0.25 * load))
         loads = [cell.params.n_terminals for cell in sweep.cells]
         rates = [cell.arrivals.rate(0.0) for cell in sweep.cells]
@@ -100,13 +100,13 @@ class TestSweepArrivalThreading:
     def test_shared_arrival_process_is_reused_verbatim(self):
         arrivals = OpenArrivals(12.0)
         sweep = stationary_sweep_spec(
-            scale=ExperimentScale.smoke(), label="open", name="open-test",
+            "open-test", ExperimentScale.smoke(), default_system_params(), [("open", None)],
             arrivals=arrivals)
         assert all(cell.arrivals == arrivals for cell in sweep.cells)
 
     def test_closed_sweeps_carry_no_arrivals(self):
-        sweep = stationary_sweep_spec(scale=ExperimentScale.smoke(),
-                                      label="closed", name="closed-test")
+        sweep = stationary_sweep_spec("closed-test", ExperimentScale.smoke(),
+                                      default_system_params(), [("closed", None)])
         assert all(cell.arrivals is None for cell in sweep.cells)
 
 

@@ -4,11 +4,8 @@ import pytest
 
 from repro.core.static import FixedLimit
 from repro.experiments.config import ExperimentScale, default_system_params
-from repro.experiments.stationary import (
-    StationarySweep,
-    run_stationary_point,
-    sweep_offered_load,
-)
+from repro.experiments.stationary import StationarySweep, run_stationary_point
+from repro.runner import run_sweep, stationary_sweep_spec, stationary_sweeps
 from repro.runner.specs import ControllerSpec
 from repro.tp.params import WorkloadParams
 
@@ -63,31 +60,31 @@ class TestRunStationaryPoint:
         assert throughput == point.throughput
 
 
+def run_curve(controller=None, label="without control"):
+    spec = stationary_sweep_spec("stationary", tiny_scale(), tiny_params(), [(label, controller)])
+    (sweep,) = stationary_sweeps(run_sweep(spec)).values()
+    return sweep
+
+
 class TestSweep:
     def test_sweep_covers_all_offered_loads(self):
-        sweep = sweep_offered_load(tiny_params(), scale=tiny_scale(),
-                                   include_model_reference=True)
+        sweep = run_curve()
         assert [point.offered_load for point in sweep.points] == [10, 40, 120]
         assert set(sweep.model_reference) == {10, 40, 120}
 
     def test_sweep_labels(self):
-        uncontrolled = sweep_offered_load(tiny_params(), scale=tiny_scale(),
-                                          include_model_reference=False)
-        controlled = sweep_offered_load(
-            tiny_params(), scale=tiny_scale(), include_model_reference=False,
-            controller=ControllerSpec.make("parabola", initial_limit=5))
+        uncontrolled = run_curve()
+        controlled = run_curve(ControllerSpec.make("parabola", initial_limit=5), "with control")
         assert uncontrolled.label == "without control"
         assert controlled.label == "with control"
 
     def test_curve_sorted_by_load(self):
-        sweep = sweep_offered_load(tiny_params(), scale=tiny_scale(),
-                                   include_model_reference=False)
+        sweep = run_curve()
         curve = sweep.curve()
         assert [load for load, _ in curve] == sorted(load for load, _ in curve)
 
     def test_peak_and_throughput_at(self):
-        sweep = sweep_offered_load(tiny_params(), scale=tiny_scale(),
-                                   include_model_reference=False)
+        sweep = run_curve()
         peak = sweep.peak()
         assert peak.throughput == max(point.throughput for point in sweep.points)
         assert sweep.throughput_at(40) == next(
@@ -101,8 +98,7 @@ class TestSweep:
 
     def test_uncontrolled_heavy_load_thrashes(self):
         """The core phenomenon: more offered load, less throughput."""
-        sweep = sweep_offered_load(tiny_params(), scale=tiny_scale(),
-                                   include_model_reference=False)
+        sweep = run_curve()
         moderate = sweep.throughput_at(40)
         heavy = sweep.throughput_at(120)
         assert heavy < moderate

@@ -10,8 +10,8 @@ import pytest
 
 from repro.experiments.config import ExperimentScale, default_system_params
 from repro.experiments.dynamic import jump_scenario
-from repro.experiments.stationary import stationary_sweep_spec
 from repro.obs.probes import PROBE_NAMES
+from repro.runner import stationary_sweep_spec
 from repro.runner.specs import (
     ControllerSpec,
     RunSpec,
@@ -82,8 +82,8 @@ class TestJsonRoundTrip:
 class TestSweepBuilder:
     def test_stationary_sweep_spec_threads_probes_to_every_cell(self):
         sweep = stationary_sweep_spec(
-            default_system_params(seed=47), None, ExperimentScale.smoke(),
-            "probed", name="probe-sweep", observers=("lock_wait", "mpl"),
+            "probe-sweep", ExperimentScale.smoke(), default_system_params(seed=47),
+            [("probed", None)], observers=("lock_wait", "mpl"),
         )
         assert all(cell.observers == ("lock_wait", "mpl") for cell in sweep.cells)
 

@@ -10,13 +10,13 @@ import threading
 import pytest
 
 from repro.experiments.config import ExperimentScale
+from repro.obs import telemetry
 from repro.obs.telemetry import (
     TELEMETRY_ENV,
     TelemetrySink,
     active_sink,
     configure_cli_logging,
     emit,
-    install_sink,
     set_worker_name,
     telemetry_to,
     worker_name,
@@ -33,10 +33,12 @@ def read_jsonl(path):
 def isolated_telemetry(monkeypatch):
     """Keep sink and name state from leaking between tests."""
     monkeypatch.delenv(TELEMETRY_ENV, raising=False)
-    install_sink(None)
+    sinks = {}
+    monkeypatch.setattr(telemetry, "_env_sinks", sinks)
     set_worker_name(None)
     yield
-    install_sink(None)
+    for sink in sinks.values():
+        sink.close()
     set_worker_name(None)
 
 
@@ -65,6 +67,17 @@ class TestSinkPlumbing:
         emit("probe")
         sink.close()
         assert [r["span"] for r in read_jsonl(path)] == ["probe"]
+
+    def test_a_block_on_the_exported_path_restores_the_cached_sink(self, tmp_path, monkeypatch):
+        path = tmp_path / "shared.jsonl"
+        monkeypatch.setenv(TELEMETRY_ENV, str(path))
+        cached = active_sink()
+        with telemetry_to(str(path)) as sink:
+            assert active_sink() is sink
+            emit("inside")
+        assert active_sink() is cached
+        emit("after")
+        assert [r["span"] for r in read_jsonl(path)] == ["inside", "after"]
 
     def test_lines_are_canonical_json(self, tmp_path):
         path = tmp_path / "canon.jsonl"

@@ -1,16 +1,20 @@
 """Tests for the scenario registry and the top-level run_sweep API."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.experiments.config import ExperimentScale
-from repro.experiments.stationary import StationarySweep, sweep_offered_load
+from repro.experiments.config import ExperimentScale, default_system_params
+from repro.experiments.stationary import StationarySweep
 from repro.runner import (
     ControllerSpec,
     available_scenarios,
     build_sweep,
     run_sweep,
+    stationary_sweep_spec,
     stationary_sweeps,
     tracking_results,
+    tracking_sweep_spec,
 )
 from repro.runner.specs import KIND_STATIONARY, KIND_TRACKING
 
@@ -60,13 +64,6 @@ class TestRegistry:
         tpl = [r for r in result.results if r.label == "2PL without control"]
         assert sum(r.metrics["restart_ratio"] for r in tpl) <= \
             sum(r.metrics["restart_ratio"] for r in occ)
-
-    def test_cc_compare_victim_policy_override(self):
-        sweep = build_sweep("cc_compare", scale=TINY, victim_policy="oldest")
-        tpl_cells = [cell for cell in sweep.cells if cell.label.startswith("2PL")]
-        assert tpl_cells
-        for cell in tpl_cells:
-            assert dict(cell.cc.options)["victim_policy"] == "oldest"
 
     def test_deadlock_resolution_structure(self):
         from repro.cc import CCSpec
@@ -142,10 +139,6 @@ class TestRegistry:
         assert len(result.results) == 3 * len(TINY.offered_loads)
         assert all(r.metrics["throughput"] > 0 for r in result.results)
 
-    def test_mixed_classes_weight_validated(self):
-        with pytest.raises(ValueError, match="oltp_weight"):
-            build_sweep("mixed_classes", scale=TINY, oltp_weight=1.0)
-
     def test_unknown_scenario_raises_with_listing(self):
         with pytest.raises(KeyError, match="fig12_stationary"):
             build_sweep("does_not_exist")
@@ -174,17 +167,65 @@ class TestRegistry:
         assert schedule.before == 4
         assert schedule.after == 16
 
+    def test_base_params_reach_every_cell(self):
+        # a scenario varies only the load axis and its own workload
+        # tightening on top of the base it is given
+        base = default_system_params(seed=5)
+        for name in available_scenarios():
+            sweep = build_sweep(name, scale=TINY, base_params=base)
+            assert len({cell.cell_id for cell in sweep.cells}) == len(sweep), name
+            for cell in sweep.cells:
+                assert replace(cell.params, n_terminals=base.n_terminals,
+                               workload=base.workload) == base, cell.cell_id
+
+    def test_scheme_comparisons_structure(self):
+        isolation = build_sweep("isolation_tradeoff", scale=TINY)
+        assert len(isolation) == 6 * len(TINY.offered_loads)
+        assert {cell.label for cell in isolation.cells} == {
+            f"{scheme} {suffix}" for scheme in ("2PL", "OCC", "SI")
+            for suffix in ("without control", "IS control")}
+        for cell in isolation.cells:
+            assert cell.observers == ("aborts_by_reason", "isolation")
+            assert cell.params.workload.db_size == 800
+            assert cell.params.workload.write_fraction == 0.6
+        # a single scheme with an empty label leaves the series unprefixed
+        probes = build_sweep("probe_calibration", scale=TINY)
+        assert {cell.label for cell in probes.cells} == {"without control", "IS control"}
+        for cell in probes.cells:
+            assert cell.cc.kind == "two_phase_locking"
+            assert cell.observers[-1] == "aborts_by_reason"
+            assert cell.params.workload.db_size == 1500
+
+    def test_open_arrival_rate_follows_the_load_axis(self):
+        from repro.tp.arrivals import OpenArrivals
+
+        sweep = build_sweep("open_diurnal", scale=TINY)
+        assert len(sweep) == 2 * len(TINY.offered_loads)
+        for cell in sweep.cells:
+            assert isinstance(cell.arrivals, OpenArrivals)
+            assert cell.arrivals.rate.mean == 0.25 * cell.params.n_terminals
+            assert cell.arrivals.rate.period == TINY.stationary_horizon / 2.0
+
+    def test_stationary_sweep_spec_shares_one_arrival_process(self):
+        from repro.tp.arrivals import OpenArrivals
+
+        arrivals = OpenArrivals(5.0)
+        spec = stationary_sweep_spec("open", TINY, default_system_params(),
+                                     [("without control", None)], arrivals=arrivals)
+        assert [cell.cell_id for cell in spec.cells] == \
+            ["open/without control/N=10", "open/without control/N=30"]
+        assert all(cell.arrivals is arrivals for cell in spec.cells)
+
 
 class TestRunSweep:
     def test_registry_run_matches_sweep_offered_load(self):
-        """Acceptance: the registry path equals the classic serial sweep."""
+        """A named scenario over 4 workers equals its grid built and run serially."""
         result = run_sweep("thrashing", scale=TINY, workers=4)
         (registry_sweep,) = stationary_sweeps(result).values()
 
-        from repro.experiments.config import default_system_params
-
-        classic = sweep_offered_load(default_system_params(), None, scale=TINY,
-                                     label="without control")
+        spec = stationary_sweep_spec("stationary", TINY, default_system_params(),
+                                     [("without control", None)])
+        (classic,) = stationary_sweeps(run_sweep(spec)).values()
         assert [p.offered_load for p in registry_sweep.points] == \
             [p.offered_load for p in classic.points]
         for ours, theirs in zip(registry_sweep.points, classic.points):
@@ -205,6 +246,24 @@ class TestRunSweep:
         assert isinstance(sweep, StationarySweep)
         assert set(sweep.aggregates) == {10, 30}
 
+    def test_replicated_open_points_keep_the_slo_fields(self):
+        """Replicate-mean points of open cells carry the SLO means, not the
+        field defaults (regression: p95/p99 read 0.0 and tenant_metrics {})."""
+        scale = replace(TINY, offered_loads=(25,))
+        result = run_sweep("flash_crowd", scale=scale, replicates=2)
+        for sweep in stationary_sweeps(result).values():
+            (point,) = sweep.points
+            mean = {name: summary.mean
+                    for name, summary in sweep.aggregates[25].metrics.items()}
+            assert mean["p95_response_time"] > 0.0
+            assert point.p95_response_time == mean["p95_response_time"]
+            assert point.p99_response_time == mean["p99_response_time"]
+            assert point.shed == round(mean["shed"])
+            tenants = {name: value for name, value in mean.items()
+                       if name.startswith("tenant_")}
+            assert len(tenants) == 8
+            assert point.tenant_metrics == tenants
+
     def test_tracking_results_conversion(self):
         result = run_sweep("fig13_is_jump", scale=TINY)
         trajectories = tracking_results(result)
@@ -213,25 +272,18 @@ class TestRunSweep:
 
     def test_tracking_results_label_collision_keeps_every_cell(self):
         from repro.experiments.config import contention_bound_params
-        from repro.experiments.dynamic import jump_scenario, tracking_sweep_spec
+        from repro.experiments.dynamic import jump_scenario
         from repro.runner.specs import SweepSpec
 
         scenario = jump_scenario("accesses", 4, 8, jump_time=TINY.tracking_horizon / 2)
         params = contention_bound_params(seed=17)
-        first = tracking_sweep_spec({"IS": ControllerSpec.make("incremental_steps")},
-                                    scenario, base_params=params, scale=TINY, name="a")
-        second = tracking_sweep_spec({"IS": ControllerSpec.make("incremental_steps")},
-                                     scenario, base_params=params, scale=TINY, name="b")
+        variants = [("IS", ControllerSpec.make("incremental_steps"))]
+        first = tracking_sweep_spec("a", TINY, params, variants, scenario)
+        second = tracking_sweep_spec("b", TINY, params, variants, scenario)
         merged = SweepSpec(name="merged", cells=first.cells + second.cells)
         trajectories = tracking_results(run_sweep(merged))
         # an ambiguous label keys every affected cell by its unique cell id
         assert set(trajectories) == {"a/IS", "b/IS"}
-
-    def test_overrides_reach_the_builder(self):
-        sweep = build_sweep("fig13_is_jump", scale=TINY, jump_before=2, jump_after=20)
-        _parameter, schedule = sweep.cells[0].scenario
-        assert schedule.before == 2
-        assert schedule.after == 20
 
     def test_unknown_override_rejected(self):
         # a typoed or unsupported override must not silently run the
@@ -247,12 +299,10 @@ class TestRunSweep:
             run_sweep(spec, scale=TINY)
 
     def test_sweep_offered_load_controller_spec_parallel(self):
-        sweep = sweep_offered_load(
-            controller=ControllerSpec.make("parabola"),
-            scale=TINY, label="PA", workers=2)
+        spec = stationary_sweep_spec("stationary", TINY, default_system_params(),
+                                     [("PA", ControllerSpec.make("parabola"))])
+        (sweep,) = stationary_sweeps(run_sweep(spec, workers=2)).values()
         assert [point.offered_load for point in sweep.points] == [10, 30]
-        serial = sweep_offered_load(
-            controller=ControllerSpec.make("parabola"),
-            scale=TINY, label="PA", workers=0)
+        (serial,) = stationary_sweeps(run_sweep(spec, workers=0)).values()
         assert [p.throughput for p in sweep.points] == \
             [p.throughput for p in serial.points]

@@ -90,14 +90,13 @@ class TestReplicatedDiagnostics:
     def test_replicated_sweeps_keep_per_reason_aborts(self):
         """The synthetic mean point folds the aborts_<reason> means back
         (regression: replicates > 1 used to reset aborts_by_reason to {})."""
-        from repro.experiments.stationary import stationary_sweep_spec
-        from repro.runner import run_sweep, stationary_sweeps
+        from repro.runner import run_sweep, stationary_sweep_spec, stationary_sweeps
 
         tiny = ExperimentScale(
             stationary_horizon=3.0, warmup=0.5, offered_loads=(40,),
             tracking_horizon=12.0, measurement_interval=2.0, synthetic_steps=30)
-        spec = stationary_sweep_spec(contended_params(), scale=tiny,
-                                     label="wound-wait", name="diag_replicated",
+        spec = stationary_sweep_spec("diag_replicated", tiny, contended_params(),
+                                     [("wound-wait", None)],
                                      cc=CCSpec.make("wound_wait"),
                                      observers=("aborts_by_reason",))
         result = run_sweep(spec, replicates=2)
@@ -128,8 +127,7 @@ class TestIsolationDiagnostics:
 
     def test_replicated_sweeps_keep_per_kind_anomalies(self):
         """The synthetic mean point folds the anomalies_<kind> means back."""
-        from repro.experiments.stationary import stationary_sweep_spec
-        from repro.runner import run_sweep, stationary_sweeps
+        from repro.runner import run_sweep, stationary_sweep_spec, stationary_sweeps
 
         tiny = ExperimentScale(
             stationary_horizon=3.0, warmup=0.5, offered_loads=(40,),
@@ -139,8 +137,7 @@ class TestIsolationDiagnostics:
         base = contended_params()
         base = base.with_changes(
             workload=base.workload.with_changes(db_size=40))
-        spec = stationary_sweep_spec(base, scale=tiny,
-                                     label="SI", name="diag_isolation",
+        spec = stationary_sweep_spec("diag_isolation", tiny, base, [("SI", None)],
                                      cc=CCSpec.make("snapshot_isolation"),
                                      observers=("isolation",))
         result = run_sweep(spec, replicates=2)

@@ -60,7 +60,7 @@ class TestControllerSpec:
         spec = ControllerSpec.make("parabola", initial_limit=15)
         controller = spec.build(params)
         assert isinstance(controller, ParabolaController)
-        assert controller.initial_limit == 15
+        assert controller.current_limit == 15
         # bounds default to the cell's offered load
         assert controller.upper_bound == 123
 

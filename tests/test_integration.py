@@ -17,10 +17,11 @@ import pytest
 
 from repro.core.incremental_steps import IncrementalStepsController
 from repro.core.parabola import ParabolaController
-from repro.core.static import FixedLimit, NoControl
+from repro.core.static import FixedLimit
 from repro.experiments.config import ExperimentScale, default_system_params
 from repro.experiments.dynamic import jump_scenario, run_tracking_experiment
-from repro.experiments.stationary import run_stationary_point, sweep_offered_load
+from repro.experiments.stationary import run_stationary_point
+from repro.runner import run_sweep, stationary_sweep_spec, stationary_sweeps
 from repro.tp.params import WorkloadParams
 
 
@@ -48,7 +49,9 @@ def scale():
 
 @pytest.fixture(scope="module")
 def uncontrolled_sweep(params, scale):
-    return sweep_offered_load(params, scale=scale, include_model_reference=False)
+    spec = stationary_sweep_spec("stationary", scale, params, [("without control", None)])
+    (sweep,) = stationary_sweeps(run_sweep(spec)).values()
+    return sweep
 
 
 class TestThrashingWithoutControl(object):

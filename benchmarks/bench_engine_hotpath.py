@@ -7,8 +7,8 @@ times the four code paths every experiment cell bottoms out in:
   frequent event kind in the transaction model;
 * **process completion** — spawning short-lived processes and waiting on
   their completion events (one per transaction execution);
-* **resource cycling** — FCFS ``request``/``release`` on a multi-server
-  :class:`~repro.sim.resources.Resource` (the CPU station);
+* **resource cycling** — FCFS station visits (queue, hold, release) on a
+  multi-server :class:`~repro.sim.resources.Resource` (the CPU station);
 * **closed transaction system** — end-to-end transactions per wall second
   through a small :class:`~repro.tp.system.TransactionSystem`.
 
@@ -114,7 +114,7 @@ def bench_process_completion(n_processes: int) -> float:
 
 
 def bench_resource_cycles(n_cycles: int) -> float:
-    """FCFS request/hold/release cycles per second (8 workers, 4 servers)."""
+    """FCFS visit (queue/hold/release) cycles per second (8 workers, 4 servers)."""
     n_workers = 8
     per_worker = n_cycles // n_workers
 
@@ -125,10 +125,7 @@ def bench_resource_cycles(n_cycles: int) -> float:
 
         def worker():
             for _ in range(per_worker):
-                request = resource.request()
-                yield request
-                yield sim.timeout(0.01)
-                resource.release(request)
+                yield resource.visit(0.01, 0.0)
             completed.append(per_worker)
 
         for _ in range(n_workers):

@@ -40,10 +40,7 @@ def test_resource_contention_throughput(benchmark):
 
         def worker():
             for _ in range(50):
-                request = resource.request()
-                yield request
-                yield sim.timeout(0.01)
-                resource.release(request)
+                yield resource.visit(0.01, 0.0)
             completed.append(True)
 
         for _ in range(100):

@@ -379,29 +379,31 @@ class TwoPhaseLocking(LockingScheme):
 
     def _detect_deadlock(self, start: int) -> Optional[int]:
         """DFS from ``start`` in the waits-for graph; return a victim or None."""
-        path: list[int] = []
-        on_path: Set[int] = set()
-        visited: Set[int] = set()
-
-        def dfs(node: int) -> Optional[list[int]]:
-            path.append(node)
-            on_path.add(node)
-            for successor in self._waits_for(node):
-                if successor in on_path:
-                    return path[path.index(successor):]
-                if successor not in visited:
-                    cycle = dfs(successor)
-                    if cycle is not None:
-                        return cycle
-            on_path.discard(node)
-            visited.add(node)
-            path.pop()
-            return None
-
-        cycle = dfs(start)
+        cycle = self._find_cycle(start, [], set(), set())
         if cycle is None:
             return None
         return self._select_victim(cycle)
+
+    def _find_cycle(self, node: int, path: list[int], on_path: Set[int],
+                    visited: Set[int]) -> Optional[list[int]]:
+        """The waits-for cycle the DFS from ``node`` closes first, or None.
+
+        A method rather than a closure: a recursive closure refers to
+        itself, so every detection would leave cyclic garbage behind.
+        """
+        path.append(node)
+        on_path.add(node)
+        for successor in self._waits_for(node):
+            if successor in on_path:
+                return path[path.index(successor):]
+            if successor not in visited:
+                cycle = self._find_cycle(successor, path, on_path, visited)
+                if cycle is not None:
+                    return cycle
+        on_path.discard(node)
+        visited.add(node)
+        path.pop()
+        return None
 
     def _select_victim(self, cycle: list[int]) -> int:
         if self.victim_policy == "youngest":

@@ -35,7 +35,7 @@ from repro.core.admission import AdmissionGate
 from repro.core.controller import LoadController
 from repro.core.outer_loop import MeasurementIntervalTuner
 from repro.core.types import ControlTrace, IntervalMeasurement
-from repro.sim.engine import Simulator
+from repro.sim.engine import Process, Simulator
 from repro.sim.stats import ObservationStats
 from repro.tp.metrics import RunMetrics
 
@@ -81,13 +81,12 @@ class MeasurementProcess:
         self.total_displaced = 0
         #: per-interval throughputs, the outer loop's variability estimate
         self.throughputs = ObservationStats()
-        self._process = None
 
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Install the initial threshold and start the periodic sampling."""
+    def start(self) -> Process:
+        """Install the initial threshold and start the periodic sampling process."""
         self.gate.set_limit(self.controller.current_limit)
-        self._process = self.sim.process(self._run(), name="measurement-process")
+        return self.sim.process(self._run(), name="measurement-process")
 
     def _run(self):
         if self.warmup > 0:

@@ -179,7 +179,11 @@ def run_tracking_experiment(controller: LoadController,
         warmup=0.0,
         interval_tuner=interval_tuner,
     )
-    system.run(until=scale.tracking_horizon)
+    try:
+        system.run(until=scale.tracking_horizon)
+    finally:
+        # the run frees itself by reference counting (see TransactionSystem.close)
+        system.close()
 
     # reference optimum of the workload state at each sample, one analytic
     # solve per distinct state

@@ -182,15 +182,20 @@ def run_stationary_point(params: SystemParams,
                                arrivals=arrivals)
     if controller is not None:
         system.attach_controller(controller, interval=measurement_interval, warmup=min(warmup, 1.0))
-    system.start()
-    system.run(until=warmup)
-    # discard the warm-up transient; the resets bind the measured windows of
-    # the rate metrics (metrics.measured_from, the resource integrals) to now
-    system.metrics.reset()
-    system.cpus.reset_statistics()
-    system.gate.reset_statistics()
-    observer_set.reset(system.sim.now)
-    system.run(until=warmup + horizon)
+    try:
+        system.start()
+        system.run(until=warmup)
+        # discard the warm-up transient; the resets bind the measured windows
+        # of the rate metrics (metrics.measured_from, the resource integrals)
+        # to now
+        system.metrics.reset()
+        system.cpus.reset_statistics()
+        system.gate.reset_statistics()
+        observer_set.reset(system.sim.now)
+        system.run(until=warmup + horizon)
+    finally:
+        # the run frees itself by reference counting (see TransactionSystem.close)
+        system.close()
 
     metrics = system.metrics
     tenant_metrics: Dict[str, float] = {}

@@ -11,8 +11,9 @@ needs: timeouts, processes, interrupts and an FCFS multiprocessor.
 * :class:`~repro.sim.engine.Event`, :class:`~repro.sim.engine.Process` --
   the event primitives; :meth:`~repro.sim.engine.Process.interrupt` raises
   :class:`~repro.sim.engine.Interrupt` inside a process.
-* :class:`~repro.sim.resources.Resource` -- an FCFS multi-server queue
-  (used for the multiprocessor of the transaction processing model).
+* :class:`~repro.sim.resources.Resource` -- an FCFS multi-server station
+  (the multiprocessor of the transaction processing model), used through
+  one :meth:`~repro.sim.resources.Resource.visit` per CPU phase.
 * :class:`~repro.sim.random_streams.RandomStreams` -- named, independently
   seeded random number streams so experiments are reproducible and
   variance-reduction via common random numbers is possible.

@@ -18,7 +18,8 @@ The engine follows the classic event/process design used by SimPy:
 
 The engine provides exactly what the closed transaction processing model of
 the paper needs: timeouts, processes, interrupts and (in
-:mod:`repro.sim.resources`) an FCFS multiprocessor.
+:mod:`repro.sim.resources`) an FCFS multiprocessor that serves station
+visits.
 
 Scheduling contract.  ``tests/sim/reference_kernel.py`` states these rules
 as plain code, and ``tests/sim/test_kernel_differential.py`` requires this
@@ -38,7 +39,10 @@ engine to produce the same event log as that reference on random scripts:
    it is detached from that target too.  A wake-up for a finished process
    is dropped.
 6. A returning process schedules its completion event for now.
-7. A resource grants FCFS (see :mod:`repro.sim.resources`).
+7. A resource grants visits FCFS, and a visit schedules each of its stages
+   when the one before it ends: the grant, the service completion and the
+   end of the delay after the release.  A stage that comes due while
+   nothing waits on the visit does nothing (see :mod:`repro.sim.resources`).
 
 An exception other than :class:`Interrupt` escaping a process fails the
 process's completion event and then propagates out of :meth:`Simulator.run`.
@@ -54,7 +58,15 @@ common paths are aggressively slimmed; the golden-trajectory harness under
   directly when the event is processed — no callback list is allocated, no
   indirection through bound methods.  The slot is used only by a consumer
   that registers first, so the waiter followed by the callback list is
-  registration order.
+  registration order.  The run loop calls ``waiter._resume(entry)`` on
+  whatever a heap entry names as its waiter: a process, or a station visit
+  whose grant or service completion came due (:mod:`repro.sim.resources`).
+* **No object refers to itself.**  A process registers as a callback with
+  a bound method made when needed, not one stored on itself, and no event
+  carries itself as its value.  So a finished run's objects are freed by
+  reference counting alone once its processes are closed
+  (:meth:`Process.close`) and its queue is cleared
+  (:meth:`Simulator.clear`), without waiting for the cycle collector.
 * **Lazy callback lists.**  ``Event.callbacks`` is ``None`` until the first
   callback is registered (and ``None`` again once processed), so the two
   dominant event kinds — timeouts and process completions — never allocate
@@ -215,7 +227,7 @@ class Process(Event):
     can therefore be waited on by other processes (``yield some_process``).
     """
 
-    __slots__ = ("generator", "name", "_target", "_resume_callback")
+    __slots__ = ("generator", "name", "_target")
 
     def __init__(self, sim: "Simulator", generator: Generator[Event, Any, Any],
                  name: Optional[str] = None):
@@ -236,7 +248,6 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Optional[Event] = None
-        self._resume_callback = self._resume
         # Kick the process off at the current time with a pre-triggered
         # internal event carrying this process as its direct waiter.
         sim._schedule_wakeup(self, None)
@@ -260,6 +271,17 @@ class Process(Event):
         self._detach()
         self.sim._schedule_wakeup(self, Interrupt(cause))
 
+    def close(self) -> None:
+        """Stop the process for good: detach it from its target, close its generator.
+
+        For the end of a run: the generator's frame is released, so the
+        objects it referred to no longer form a cycle through the process.
+        Closing runs the generator's ``finally`` blocks, which may schedule
+        events; clear the queue afterwards (:meth:`Simulator.clear`).
+        """
+        self._detach()
+        self.generator.close()
+
     def _detach(self) -> None:
         """Stop waiting on the current target, if any."""
         target = self._target
@@ -267,7 +289,7 @@ class Process(Event):
             if target._waiter is self:
                 target._waiter = None
             else:
-                target.remove_callback(self._resume_callback)
+                target.remove_callback(self._resume)
             self._target = None
 
     # ------------------------------------------------------------------
@@ -310,9 +332,9 @@ class Process(Event):
                 # common case: sole consumer -- direct resume, no list
                 next_target._waiter = self
             elif next_target.callbacks is None:
-                next_target.callbacks = [self._resume_callback]
+                next_target.callbacks = [self._resume]
             else:
-                next_target.callbacks.append(self._resume_callback)
+                next_target.callbacks.append(self._resume)
             return
 
         if isinstance(next_target, Event):
@@ -391,6 +413,32 @@ class Simulator:
     # ------------------------------------------------------------------
     # scheduling / running
     # ------------------------------------------------------------------
+    def clear(self) -> None:
+        """Drop every pending event: the run is over.
+
+        Pending events hold their waiting processes; clearing the queue
+        after the processes are closed (:meth:`Process.close`) leaves the
+        run nothing that refers back to itself.
+        """
+        self._queue.clear()
+
+    def _process_now(self, event: Event) -> None:
+        """Process a triggered ``event`` at once, with no heap entry.
+
+        The body of the run loop for one event; a station visit whose delay
+        is zero ends this way, in the resume that released its server.
+        """
+        event._processed = True
+        waiter = event._waiter
+        if waiter is not None:
+            event._waiter = None
+            waiter._resume(event)
+        callbacks = event.callbacks
+        if callbacks is not None:
+            for callback in callbacks:
+                callback(event)
+            event.callbacks = None
+
     def _schedule_wakeup(self, process: Process, exception: Optional[BaseException]) -> None:
         """Schedule an internal pre-triggered event that resumes ``process`` now.
 

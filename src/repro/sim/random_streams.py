@@ -90,7 +90,7 @@ class RandomStreams:
         )
 
     # ------------------------------------------------------------------
-    # convenience sampling helpers (used heavily by the workload model)
+    # convenience sampling helpers (the arrival model's draws)
     # ------------------------------------------------------------------
     def exponential(self, name: str, mean: float) -> float:
         """One exponential variate with the given mean from stream ``name``."""
@@ -103,13 +103,3 @@ class RandomStreams:
     def uniform(self, name: str, low: float, high: float) -> float:
         """One uniform variate on [low, high) from stream ``name``."""
         return float(self.stream(name).uniform(low, high))
-
-    def bernoulli(self, name: str, probability: float) -> bool:
-        """One Bernoulli trial with the given success probability."""
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {probability}")
-        if probability == 0.0:
-            return False
-        if probability == 1.0:
-            return True
-        return bool(self.stream(name).random() < probability)

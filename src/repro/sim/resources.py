@@ -4,74 +4,116 @@
 processing model uses one instance with capacity ``m`` for the homogeneous
 multiprocessor ("m CPUs serving a shared queue").
 
-It follows the request/release protocol: ``request()`` returns an event that
-succeeds once a server is granted; the holder must later call
-``release(request)``.  Requests may be cancelled before they are granted,
-which is how interrupted transactions withdraw from queues without leaking
+A process uses the station through one :class:`Visit`:
+``yield resource.visit(demand, delay)`` queues for a server, holds it for
+the service time, releases it and then waits out ``delay`` (the model's
+constant disk time).  The process resumes once, when the delay ends; the
+station runs the grant and the service completion itself.  The service
+time is ``draw(demand)`` when a ``draw`` is given, drawn when the server
+is granted, else ``demand``.  ``resource.cancel(visit)`` withdraws a visit,
+which is how an interrupted transaction leaves the station without leaking
 capacity.
 
-Grant contract (rule 7 of :mod:`repro.sim.engine`): a request is granted
-when made if a server is free, and its grant is scheduled then; otherwise
-it queues.  A release grants queued requests in order while servers are
-free, and schedules each grant at the release.  Cancelling a queued request
-removes it; cancelling a held one releases it.
+Grant contract (rule 7 of :mod:`repro.sim.engine`): a visit is granted when
+made if a server is free, and its grant is scheduled then; otherwise it
+queues.  A release grants queued visits in order while servers are free,
+and schedules each grant at the release.  A grant that comes due draws the
+service time and schedules the completion for now + that time; a zero
+service time completes at once.  A completion releases the server, and
+then schedules the visit itself for now + ``delay``; a zero delay ends the
+visit at once.  A grant or completion that comes due while nothing waits
+on the visit does nothing: its visitor was interrupted, and cancels.
+Cancelling a queued visit removes it; cancelling a granted or served one
+releases its server, and its pending grant or completion then does
+nothing.  Cancelling during the delay, or after, changes nothing.  So a
+visitor yields its visit as soon as it makes it, and cancels it when an
+interrupt takes it away.
+
+These are the three heap entries, the draw order and the release times of
+a process that requests a server, holds it for a drawn time, releases it
+and sleeps, and withdraws its request when interrupted, so a visit
+replays that sequence with one generator resume instead of three.
 
 Hot-path design: every grant and release is O(1).  Held slots are a plain
-counter (a request knows whether it holds the resource via its ``granted``
-flag), and cancelling a waiting request marks it and adjusts the live queue
+counter, and cancelling a waiting visit marks it and adjusts the live queue
 count instead of scanning the deque -- cancelled entries are skipped lazily
 when they reach the head.  Grant order is unchanged by this: strict FCFS
-among non-cancelled requests.
+among non-cancelled visits.  The grant and the completion share one
+:class:`_StationEntry` per visit, which the run loop hands to the visit
+like an event to its waiting process.  A visit does not refer to its
+station (the entry does), so the visits left queued at the end of a run
+form no cycle with the station.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque
+from heapq import heappush
+from typing import Callable, Deque, Optional
 
-from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.engine import Event, Simulator
+
+# the stages of a visit; _LEFT: released its server, or cancelled
+_WAITING, _GRANTED, _SERVED, _LEFT = range(4)
 
 
-class Request(Event):
-    """A pending or granted claim on a :class:`Resource` slot."""
+class _StationEntry:
+    """The heap entry of a visit's grant, and then of its service completion.
 
-    __slots__ = ("resource", "granted", "cancelled")
+    It has the three fields the run loop touches on an event, and the
+    station that granted the visit.  Its waiter is the visit, whose
+    ``_resume`` runs the stage that came due.
+    """
 
-    def __init__(self, resource: "Resource"):
-        # inline Event.__init__ -- requests are created once per CPU phase
-        self.sim = resource.sim
-        self.callbacks = None
-        self._value = None
-        self._exception = None
-        self._triggered = False
-        self._processed = False
-        self._waiter = None
-        self.resource = resource
-        self.granted = False
-        self.cancelled = False
+    __slots__ = ("_processed", "_waiter", "callbacks", "station")
 
-    def cancel(self) -> None:
-        """Withdraw the request.
 
-        If it was already granted the slot is released; if it is still
-        waiting it is marked cancelled and skipped when it reaches the head
-        of the queue.  Cancelling twice is a no-op.
-        """
-        if self.cancelled:
+class Visit(Event):
+    """One pass of a process through a :class:`Resource`.
+
+    The event is triggered when the delay after the release is scheduled
+    and processed when it ends; a process that yields the visit resumes
+    then, with ``None``.
+    """
+
+    __slots__ = ("demand", "delay", "draw", "stage")
+
+    def _resume(self, entry: _StationEntry) -> None:
+        """Run the stage whose heap ``entry`` came due: the grant or the completion."""
+        if self._waiter is None and not self.callbacks:
+            # nothing waits: the visitor was interrupted, and its cancel
+            # releases the server
             return
-        self.cancelled = True
-        if self.granted:
-            self.resource.release(self)
-        elif not self._triggered:
-            # still waiting (a granted-then-released request is triggered and
-            # needs no queue accounting)
-            self.resource._drop_waiting(self)
+        stage = self.stage
+        sim = self.sim
+        if stage is _GRANTED:
+            draw = self.draw
+            demand = self.demand if draw is None else draw(self.demand)
+            if demand > 0:
+                self.stage = _SERVED
+                entry._waiter = self
+                seq = sim._sequence
+                sim._sequence = seq + 1
+                heappush(sim._queue, (sim._now + demand, seq, entry))
+                return
+        elif stage is not _SERVED:
+            return  # cancelled before this stage came due
+        self.stage = _LEFT
+        entry.station._release()
+        self._triggered = True
+        delay = self.delay
+        if delay > 0:
+            seq = sim._sequence
+            sim._sequence = seq + 1
+            heappush(sim._queue, (sim._now + delay, seq, self))
+        else:
+            sim._process_now(self)
 
 
 class Resource:
-    """First-come-first-served multi-server resource.
+    """First-come-first-served multi-server station.
 
-    ``capacity`` servers are available; requests beyond the capacity wait in
+    ``capacity`` servers are available; visits beyond the capacity wait in
     an FCFS queue.  The resource keeps the busy-time integral behind
     :meth:`utilisation`, which the measurement layer reports.
     """
@@ -83,9 +125,9 @@ class Resource:
         self.capacity = int(capacity)
         self.name = name
         self._in_use = 0
-        # the deque may contain already-cancelled requests (lazily skipped);
+        # the deque may contain already-cancelled visits (lazily skipped);
         # _waiting_count is the live number of non-cancelled waiters
-        self._waiting: Deque[Request] = deque()
+        self._waiting: Deque[Visit] = deque()
         self._waiting_count = 0
         # statistics: time integral of busy servers
         self._last_change = sim.now
@@ -103,63 +145,95 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        """Number of (non-cancelled) requests waiting for a server."""
+        """Number of (non-cancelled) visits waiting for a server."""
         return self._waiting_count
 
     # ------------------------------------------------------------------
-    def request(self) -> Request:
-        """Claim a server; the returned event succeeds once granted."""
-        self._accumulate()
-        req = Request(self)
-        if self._in_use < self.capacity:
-            self._grant(req)
-        else:
-            self._waiting.append(req)
-            self._waiting_count += 1
-        return req
+    def visit(self, demand: float, delay: float,
+              draw: Optional[Callable[[float], float]] = None) -> Visit:
+        """Queue for a server, hold it, release it, then wait out ``delay``.
 
-    def release(self, req: Request) -> None:
-        """Return the server held by ``req`` and grant the next waiter."""
-        if req.resource is not self or not req.granted:
-            raise SimulationError(
-                f"release of a request that does not hold {self.name!r} "
-                "(double release or foreign request)"
-            )
-        self._accumulate()
-        req.granted = False
-        self._in_use -= 1
-        self._grant_waiters()
-
-    def _drop_waiting(self, req: Request) -> None:
-        """Account for a cancelled waiting request (removed lazily).
-
-        A waiter leaving does not change the busy-time integral, but the
-        ``_accumulate`` call stays: it splits that floating-point sum at
-        this instant, and the goldens pin ``utilisation`` to the bit.
+        The service time is ``draw(demand)``, a float drawn when the server
+        is granted, or ``demand`` itself without a ``draw``.  Yield the
+        returned visit at once; the visitor resumes when the delay ends.
         """
+        if demand < 0 or delay < 0:
+            raise ValueError(f"visit demand and delay must be non-negative, got {demand}, {delay}")
         self._accumulate()
-        self._waiting_count -= 1
+        # inline Event.__init__ -- one visit is made per CPU phase
+        visit = Visit.__new__(Visit)
+        visit.sim = self.sim
+        visit.callbacks = None
+        visit._value = None
+        visit._exception = None
+        visit._triggered = False
+        visit._processed = False
+        visit._waiter = None
+        visit.demand = float(demand)
+        visit.delay = float(delay)
+        visit.draw = draw
+        if self._in_use < self.capacity:
+            self._grant(visit)
+        else:
+            visit.stage = _WAITING
+            self._waiting.append(visit)
+            self._waiting_count += 1
+        return visit
+
+    def cancel(self, visit: Visit) -> None:
+        """Withdraw ``visit``: leave the queue, or release the server if held.
+
+        A visit that already released its server (it is in its delay, or
+        over) is left alone, so cancelling twice is a no-op.
+        """
+        stage = visit.stage
+        if stage is _WAITING:
+            # removed lazily; a waiter leaving does not change the busy-time
+            # integral, but the _accumulate call stays: it splits that
+            # floating-point sum at this instant, and the goldens pin
+            # utilisation to the bit
+            visit.stage = _LEFT
+            self._accumulate()
+            self._waiting_count -= 1
+        elif stage is _GRANTED or stage is _SERVED:
+            visit.stage = _LEFT
+            self._release()
+
+    def _release(self) -> None:
+        """Free one server and grant the next waiters."""
+        self._accumulate()
+        self._in_use -= 1
+        if self._waiting:
+            self._grant_waiters()
 
     # ------------------------------------------------------------------
-    def _grant(self, req: Request) -> None:
-        req.granted = True
+    def _grant(self, visit: Visit) -> None:
+        visit.stage = _GRANTED
         self._in_use += 1
-        req.succeed(req)
+        entry = _StationEntry()
+        entry._processed = False
+        entry._waiter = visit
+        entry.callbacks = None
+        entry.station = self
+        sim = self.sim
+        seq = sim._sequence
+        sim._sequence = seq + 1
+        heappush(sim._queue, (sim._now, seq, entry))
 
     def _grant_waiters(self) -> None:
         waiting = self._waiting
         while waiting and self._in_use < self.capacity:
-            req = waiting.popleft()
-            if req.cancelled:
-                continue
+            visit = waiting.popleft()
+            if visit.stage is _LEFT:
+                continue  # cancelled while waiting
             self._waiting_count -= 1
-            self._grant(req)
+            self._grant(visit)
 
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
     def _accumulate(self) -> None:
-        now = self.sim.now
+        now = self.sim._now
         elapsed = now - self._last_change
         if elapsed > 0:
             self._busy_time_integral += elapsed * self._in_use
@@ -191,4 +265,3 @@ class Resource:
             f"<Resource {self.name!r} capacity={self.capacity} "
             f"in_use={self.in_use} queued={self.queue_length}>"
         )
-

@@ -56,8 +56,9 @@ class RunMetrics:
         # unconditionally leaves every trajectory untouched
         self.response_p95 = P2Quantile(0.95)
         self.response_p99 = P2Quantile(0.99)
-        #: per-tenant commit counts and SLO percentiles (tenant = class name;
-        #: the single-class workload books everything under "")
+        #: per-tenant commit counts and SLO percentiles (tenant = class name
+        #: of a mixed-class workload; the single-class workload's unnamed
+        #: commits book none)
         self.commits_by_tenant: Dict[str, int] = {}
         self.tenant_response_p95: Dict[str, P2Quantile] = {}
         self.tenant_response_p99: Dict[str, P2Quantile] = {}
@@ -88,13 +89,15 @@ class RunMetrics:
         self.response_times.add(response_time)
         self.response_p95.add(response_time)
         self.response_p99.add(response_time)
-        self.commits_by_tenant[tenant] = self.commits_by_tenant.get(tenant, 0) + 1
-        p95 = self.tenant_response_p95.get(tenant)
-        if p95 is None:
-            p95 = self.tenant_response_p95[tenant] = P2Quantile(0.95)
-            self.tenant_response_p99[tenant] = P2Quantile(0.99)
-        p95.add(response_time)
-        self.tenant_response_p99[tenant].add(response_time)
+        if tenant:
+            # only named tenants: tenant_slo is asked for class names only
+            self.commits_by_tenant[tenant] = self.commits_by_tenant.get(tenant, 0) + 1
+            p95 = self.tenant_response_p95.get(tenant)
+            if p95 is None:
+                p95 = self.tenant_response_p95[tenant] = P2Quantile(0.95)
+                self.tenant_response_p99[tenant] = P2Quantile(0.99)
+            p95.add(response_time)
+            self.tenant_response_p99[tenant].add(response_time)
         interval = self._interval
         interval.commits += 1
         interval.response_time_sum += response_time

@@ -41,7 +41,7 @@ from repro.tp.arrivals import SESSION_THINK_STREAM, ArrivalProcess, ClosedArriva
 from repro.tp.metrics import RunMetrics
 from repro.tp.params import SystemParams
 from repro.tp.transaction import Transaction
-from repro.tp.workload import Workload
+from repro.tp.workload import ExponentialDraws, Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.obs.catalog import ObserverSet
@@ -81,6 +81,11 @@ class TransactionSystem:
         #: txn_id -> (transaction, lifecycle process) for admitted transactions
         self._active: Dict[int, Tuple[Transaction, Process]] = {}
         self._terminal_processes: List[Process] = []
+        #: the other endless processes start() made: the measurement loop,
+        #: the observers' sampler and the arrival source
+        self._loops: List[Process] = []
+        #: session_id -> process of each open or partly-open session still running
+        self._sessions: Dict[int, Process] = {}
         self._started = False
         self.measurement: Optional[MeasurementProcess] = None
         #: the run's observers (see repro.obs.catalog), or None: the one slot
@@ -88,12 +93,14 @@ class TransactionSystem:
         self._observer = observers or None
         if self._observer is not None:
             self._observer.bind(self)
-        # lazily bound per-name RNG generators: the think/cpu/restart draws
-        # are per-phase hot-path calls, so the stream-registry lookup is paid
-        # once per run instead of once per draw (draw order is unchanged)
-        self._think_rng = None
-        self._cpu_rng = None
-        self._restart_rng = None
+        # the think, CPU and restart draws are per-phase hot-path calls on
+        # streams nothing else reads, so they come from numpy in blocks
+        self._think_draw = ExponentialDraws(self.streams, "think-time").draw
+        self._restart_draw = ExponentialDraws(self.streams, "restart-delay").draw
+        #: the CPU demand of a phase, drawn when the CPU is granted; None
+        #: serves the phase's mean
+        self._cpu_draw = (ExponentialDraws(self.streams, "cpu-demand").draw
+                          if params.stochastic_cpu else None)
 
     # ------------------------------------------------------------------
     # wiring and execution
@@ -136,11 +143,12 @@ class TransactionSystem:
             raise RuntimeError("the system has already been started")
         self._started = True
         if self.measurement is not None:
-            self.measurement.start()
+            self._loops.append(self.measurement.start())
         if self._observer is not None and self._observer.samples:
             # the sampler draws no RNG and mutates no model state, so its
             # extra heap events leave the model trajectory untouched
-            self.sim.process(self._observer.sampler(self.sim), name="observer-sampler")
+            self._loops.append(self.sim.process(self._observer.sampler(self.sim),
+                                                name="observer-sampler"))
         if self.arrivals is None or isinstance(self.arrivals, ClosedArrivals):
             for terminal_id in range(self.params.n_terminals):
                 process = self.sim.process(
@@ -148,13 +156,34 @@ class TransactionSystem:
                 )
                 self._terminal_processes.append(process)
         else:
-            self.sim.process(self._arrival_source(), name="arrival-source")
+            self._loops.append(self.sim.process(self._arrival_source(), name="arrival-source"))
 
     def run(self, until: float) -> float:
         """Start (if necessary) and run the simulation until ``until``."""
         if not self._started:
             self.start()
         return self.sim.run(until=until)
+
+    def close(self) -> None:
+        """End the run: close every process the system started, then clear the queue.
+
+        Each running process is detached from the event it waits on and its
+        generator closed; closing can schedule events (a generator's
+        ``finally`` blocks run), so the pending queue is cleared last.  The
+        system then lets go of its observers and its measurement loop, which
+        refer back to it.  What is left refers to nothing that refers back,
+        so reference counting frees the finished run without the cycle
+        collector.  Read results before or after, through the observer set
+        and the measurement loop the caller holds; do not run the system
+        again.
+        """
+        lifecycles = [process for _txn, process in self._active.values()]
+        for process in (self._loops + self._terminal_processes
+                        + list(self._sessions.values()) + lifecycles):
+            process.close()
+        self.sim.clear()
+        self._observer = None
+        self.measurement = None
 
     # ------------------------------------------------------------------
     # displacement support (invoked by the measurement process)
@@ -186,12 +215,10 @@ class TransactionSystem:
         """One terminal: think, submit, wait for admission, run, repeat."""
         params = self.params
         think_mean = params.think_time
+        think_draw = self._think_draw
         while True:
             if think_mean > 0:
-                rng = self._think_rng
-                if rng is None:
-                    rng = self._think_rng = self.streams.stream("think-time")
-                think = float(rng.exponential(think_mean))
+                think = think_draw(think_mean)
                 if think > 0:
                     yield self.sim.timeout(think)
             yield from self._submit_and_process(terminal_id)
@@ -212,7 +239,7 @@ class TransactionSystem:
             if gap > 0:
                 yield self.sim.timeout(gap)
             size = arrivals.session_size(streams)
-            self.sim.process(
+            self._sessions[session_id] = self.sim.process(
                 self._session(session_id, size), name=f"session-{session_id}"
             )
             session_id += 1
@@ -226,6 +253,7 @@ class TransactionSystem:
                 if think > 0:
                     yield self.sim.timeout(think)
             yield from self._submit_and_process(session_id)
+        del self._sessions[session_id]
 
     def _submit_and_process(self, source_id: int) -> Generator:
         """Submit a new transaction of ``source_id`` and run it until commit (or final abort).
@@ -268,29 +296,44 @@ class TransactionSystem:
             # response time
 
     def _transaction_lifecycle(self, txn: Transaction) -> Generator:
-        """Run one admitted transaction to commit, restarting as needed."""
+        """Run one admitted transaction to commit, restarting as needed.
+
+        Each phase with CPU work is one visit to the multiprocessor: the
+        CPU burst, drawn when a CPU is granted, then the disk delay.  A
+        phase without CPU work is the disk delay alone.
+        """
         params = self.params
         sim = self.sim
-        cpus = self.cpus
+        cpu_visit = self.cpus.visit
+        cpu_draw = self._cpu_draw
         cc_access = self.cc.access
+        cpu_init = params.cpu_init
         cpu_access = params.cpu_per_access
+        cpu_commit = params.cpu_commit
         disk_access = params.disk_per_access
+        disk_commit = params.disk_commit
+        restart_delay = params.restart_delay
         observer = self._observer
         restarting = False
+        # the latest CPU visit, withdrawn if a displacement interrupts it
+        visit = None
         while True:
             try:
                 if restarting:
                     # inside the try, so a displacement that arrives while
                     # the aborted execution waits to restart is handled
-                    yield from self._restart_delay()
+                    if restart_delay > 0:
+                        yield sim.timeout(self._restart_draw(restart_delay))
                     restarting = False
                 txn.start_execution(sim.now)
                 self.cc.begin(txn)
                 # initialization phase
-                yield from self._phase(params.cpu_init, disk_access)
-                # k access phases with gradually increasing data set size;
-                # the phase body is inlined (see _phase) -- this loop runs
-                # k times per execution and dominates the transaction path
+                if cpu_init > 0:
+                    visit = cpu_visit(cpu_init, disk_access, cpu_draw)
+                    yield visit
+                elif disk_access > 0:
+                    yield sim.timeout(disk_access)
+                # k access phases with gradually increasing data set size
                 for item, is_write in zip(txn.items, txn.write_flags):
                     grant = cc_access(txn, item, is_write)
                     if grant is not None:
@@ -301,18 +344,16 @@ class TransactionSystem:
                             yield grant
                             observer.lock_wait(sim.now, txn, sim.now - waited_from)
                     if cpu_access > 0:
-                        request = cpus.request()
-                        try:
-                            yield request
-                            demand = self._cpu_demand(cpu_access)
-                            if demand > 0:
-                                yield sim.timeout(demand)
-                        finally:
-                            request.cancel()
-                    if disk_access > 0:
+                        visit = cpu_visit(cpu_access, disk_access, cpu_draw)
+                        yield visit
+                    elif disk_access > 0:
                         yield sim.timeout(disk_access)
                 # commit processing phase
-                yield from self._phase(params.cpu_commit, params.disk_commit)
+                if cpu_commit > 0:
+                    visit = cpu_visit(cpu_commit, disk_commit, cpu_draw)
+                    yield visit
+                elif disk_commit > 0:
+                    yield sim.timeout(disk_commit)
 
                 if self.cc.try_commit(txn):
                     self.cc.finish(txn)
@@ -330,13 +371,21 @@ class TransactionSystem:
                 restarting = True
 
             except TransactionAborted as aborted:
-                # blocking CC made this transaction a deadlock victim
+                # blocking CC made this transaction a deadlock victim.  Its
+                # failed grant keeps the exception (the lock table drops a
+                # cancelled request only when it reaches the queue head), so
+                # drop the traceback, which holds this frame
+                aborted.__traceback__ = None
                 self._abort(txn, aborted.reason)
                 restarting = True
 
             except Interrupt as interrupt:
-                # displacement by the load controller; during a restart
-                # delay the conflict abort has already ended the execution
+                # displacement by the load controller: first leave the CPU
+                # (a visit already in its disk delay is left alone); during a
+                # restart delay the conflict abort has already ended the
+                # execution
+                if visit is not None:
+                    self.cpus.cancel(visit)
                 if not restarting:
                     reason = AbortReason.DISPLACEMENT
                     cause = interrupt.cause
@@ -351,36 +400,6 @@ class TransactionSystem:
         self.metrics.record_abort(reason, conflicts)
         if self._observer is not None:
             self._observer.abort(self.sim.now, txn, reason)
-
-    def _phase(self, cpu_mean: float, disk_time: float) -> Generator:
-        """One execution phase: CPU burst at the multiprocessor, then disk I/O."""
-        if cpu_mean > 0:
-            request = self.cpus.request()
-            try:
-                yield request
-                demand = self._cpu_demand(cpu_mean)
-                if demand > 0:
-                    yield self.sim.timeout(demand)
-            finally:
-                request.cancel()
-        if disk_time > 0:
-            yield self.sim.timeout(disk_time)
-
-    def _cpu_demand(self, mean: float) -> float:
-        if self.params.stochastic_cpu:
-            rng = self._cpu_rng
-            if rng is None:
-                rng = self._cpu_rng = self.streams.stream("cpu-demand")
-            return float(rng.exponential(mean))
-        return mean
-
-    def _restart_delay(self) -> Generator:
-        delay_mean = self.params.restart_delay
-        if delay_mean > 0:
-            rng = self._restart_rng
-            if rng is None:
-                rng = self._restart_rng = self.streams.stream("restart-delay")
-            yield self.sim.timeout(float(rng.exponential(delay_mean)))
 
     # ------------------------------------------------------------------
     # reporting helpers

@@ -19,6 +19,11 @@ it can go (:meth:`~ParameterSchedule.peak`).  :class:`Workload` bundles the
 three schedules, samples concrete transactions at submission time, and
 exposes the *current* :class:`~repro.tp.params.WorkloadParams` so analytic
 reference models can compute the true optimum at any instant.
+
+:class:`ExponentialDraws` and :class:`UniformDraws` read a stream with one
+reader from numpy blocks instead of one scalar call per draw: the
+transaction-class draws here, and the think, CPU and restart draws of
+:mod:`repro.tp.system`.
 """
 
 from __future__ import annotations
@@ -32,6 +37,79 @@ from repro.sim.random_streams import RandomStreams
 from repro.tp.database import Database
 from repro.tp.params import WorkloadParams
 from repro.tp.transaction import Transaction, TransactionClass
+
+#: variates a buffered stream takes from numpy per refill
+DRAW_BLOCK = 256
+
+
+class _BlockDraws:
+    """One single-consumer random stream, read from blocks of ``DRAW_BLOCK`` variates.
+
+    numpy fills a block with the variates, in the order, that as many scalar
+    calls would return (``tests/sim/test_random_streams.py`` pins this), so
+    buffering moves no draw.  Only one reader may draw from the stream: a
+    second one would take whole blocks instead of alternating draws.  The
+    generator comes from :meth:`RandomStreams.stream` at the first refill,
+    so a reader that never draws leaves its stream uncreated.
+    """
+
+    __slots__ = ("_streams", "_name", "_values")
+
+    #: the ``Generator`` method that fills a block
+    _fill = ""
+
+    def __init__(self, streams: RandomStreams, name: str):
+        self._streams = streams
+        self._name = name
+        #: the rest of the current block, next variate last
+        self._values: list = []
+
+    def _refill(self) -> list:
+        generator = self._streams.stream(self._name)
+        values = getattr(generator, self._fill)(DRAW_BLOCK).tolist()
+        values.reverse()
+        self._values = values
+        return values
+
+
+class ExponentialDraws(_BlockDraws):
+    """Exponential variates ``mean * x``, ``x`` read from ``standard_exponential`` blocks.
+
+    ``Generator.exponential(mean)`` computes the same product, so every
+    draw equals the scalar call's bit for bit.  A zero mean draws nothing.
+    """
+
+    __slots__ = ()
+    _fill = "standard_exponential"
+
+    def draw(self, mean: float) -> float:
+        """One exponential variate with the given mean."""
+        if mean == 0:
+            return 0.0
+        values = self._values or self._refill()
+        return mean * values.pop()
+
+
+class UniformDraws(_BlockDraws):
+    """Uniform variates on [0, 1) read from ``random`` blocks, as ``Generator.random()`` draws them."""
+
+    __slots__ = ()
+    _fill = "random"
+
+    def draw(self) -> float:
+        """One uniform variate."""
+        values = self._values or self._refill()
+        return values.pop()
+
+    def bernoulli(self, probability: float) -> bool:
+        """One Bernoulli trial; a probability of 0 or 1 draws nothing."""
+        if not 0.0 <= probability <= 1.0:
+            raise ValueError(f"probability must be in [0, 1], got {probability}")
+        if probability == 0.0:
+            return False
+        if probability == 1.0:
+            return True
+        return self.draw() < probability
 
 
 class ParameterSchedule(ABC):
@@ -219,6 +297,7 @@ class Workload:
         self.base = base
         self.streams = streams
         self.database = Database(base.db_size, streams)
+        self._txn_class = UniformDraws(streams, "txn-class")
         self._accesses = accesses_schedule or ConstantSchedule(base.accesses_per_txn)
         self._query_fraction = query_fraction_schedule or ConstantSchedule(base.query_fraction)
         self._write_fraction = write_fraction_schedule or ConstantSchedule(base.write_fraction)
@@ -331,7 +410,7 @@ class Workload:
     def next_transaction(self, time: float, terminal_id: int) -> Transaction:
         """Sample the next transaction submitted by ``terminal_id`` at ``time``."""
         params = self.params_at(time)
-        is_query = self.streams.bernoulli("txn-class", params.query_fraction)
+        is_query = self._txn_class.bernoulli(params.query_fraction)
         k = params.accesses_per_txn
         items = tuple(self.database.sample_access_set(k).tolist())
         if is_query:
@@ -493,10 +572,11 @@ class MixedClassWorkload(Workload):
             cumulative.append(running)
         cumulative[-1] = 1.0  # guard against float round-off at the top end
         self._cumulative = tuple(cumulative)
+        self._class_mix = UniformDraws(streams, "class-mix")
 
     def next_transaction(self, time: float, terminal_id: int) -> Transaction:
         """Draw a class from the mix, then sample per the class's profile."""
-        draw = float(self.streams.stream("class-mix").random())
+        draw = self._class_mix.draw()
         index = 0
         while draw >= self._cumulative[index]:
             index += 1

@@ -2,12 +2,14 @@
 
 ``repro.sim.engine`` and ``repro.sim.resources`` trade clarity for speed: a
 waiter slot next to a lazily allocated callback list, pre-built wake-up
-events, and cancelled requests skipped lazily at the queue head.  This
-module implements the same contract with none of that, in the style of a
-textbook heapq simulator: one heap of ``(time, sequence, callback)``
-entries, one consumer list per event, plain ``users`` and ``queue`` lists
-per resource.  ``test_kernel_differential.py`` runs random scripts on both
-kernels and requires the same event log.
+events, a station visit that runs its own stages, and cancelled visits
+skipped lazily at the queue head.  This module implements the same
+contract with none of that, in the style of a textbook heapq simulator: one
+heap of ``(time, sequence, callback)`` entries, one consumer list per
+event, plain ``users`` and ``queue`` lists per resource, and a visit built
+from the kernel's own request, timeout and release.
+``test_kernel_differential.py`` runs random scripts on both kernels and
+requires the same event log.
 
 The rules, numbered as in the engine's module docstring:
 
@@ -25,11 +27,17 @@ The rules, numbered as in the engine's module docstring:
    detached from that target too.  A wake-up for a finished process is
    dropped.
 6. A returning process schedules its completion event for now.
-7. A resource grants FCFS.  A request is granted when made if a server is
-   free, and its grant is scheduled then; otherwise it queues.  A release
-   grants queued requests in order while servers are free, and schedules
-   each grant at the release.  Cancelling a queued request removes it;
-   cancelling a held one releases it.
+7. A resource grants visits FCFS.  A visit's request is granted when made
+   if a server is free, and its grant is scheduled then; otherwise it
+   queues.  A release grants queued requests in order while servers are
+   free, and schedules each grant at the release.  A grant draws the
+   service time and schedules a timeout for it; a zero service time
+   completes at once.  The completion releases the server and schedules
+   the visit for now + its delay; a zero delay ends the visit at once.  A
+   grant or completion that comes due while nothing waits on the visit
+   does nothing.  Cancelling a queued visit removes its request;
+   cancelling a granted or served one releases the server and abandons
+   its grant or timeout.
 """
 
 import heapq
@@ -191,7 +199,7 @@ class Process(Event):
 
 
 class Request(Event):
-    """A claim on one server of a :class:`Resource`."""
+    """A claim on one server of a :class:`Resource`, made by a :class:`Visit`."""
 
     def __init__(self, resource):
         super().__init__(resource.sim)
@@ -204,6 +212,55 @@ class Request(Event):
             resource.queue.remove(self)
         elif self in resource.users:
             resource.release(self)
+
+
+class Visit(Event):
+    """A pass through a :class:`Resource`: request, timeout, release, delay (rule 7)."""
+
+    def __init__(self, resource, demand, delay, draw):
+        super().__init__(resource.sim)
+        self.resource = resource
+        self.demand = demand
+        self.delay = delay
+        self.draw = draw
+        self.hold = None
+        self.request = resource.request()
+        self.request.add_callback(self._granted)
+
+    def _granted(self, _request):
+        if not self.consumers:
+            return  # the visitor was interrupted: its cancel releases the server
+        demand = self.demand if self.draw is None else self.draw(self.demand)
+        if demand > 0:
+            self.hold = self.sim.timeout(demand)
+            self.hold.add_callback(self._served)
+        else:
+            self._served(None)
+
+    def _served(self, _hold):
+        if not self.consumers:
+            return  # the visitor was interrupted: its cancel releases the server
+        self.hold = None
+        self.resource.release(self.request)
+        self.request = None
+        if self.delay > 0:
+            self._trigger(None, None, self.delay)
+        else:
+            # a zero delay ends the visit in the resume that released it
+            self.triggered = True
+            self.ok = True
+            self._process()
+
+    def cancel(self):
+        """Leave the queue, or release the server if held (rule 7)."""
+        if self.request is None:
+            return  # released already: in the delay, or over
+        if self.hold is not None:
+            self.hold.remove_callback(self._served)
+            self.hold = None
+        self.request.remove_callback(self._granted)
+        self.request.cancel()
+        self.request = None
 
 
 class Resource:
@@ -224,6 +281,16 @@ class Resource:
     def queue_length(self):
         """Requests waiting."""
         return len(self.queue)
+
+    def visit(self, demand, delay, draw=None):
+        """A visit: hold a server for ``draw(demand)`` (or ``demand``), then wait ``delay``."""
+        if demand < 0 or delay < 0:
+            raise ValueError(f"negative demand or delay {demand}, {delay}")
+        return Visit(self, demand, delay, draw)
+
+    def cancel(self, visit):
+        """Withdraw ``visit`` (rule 7)."""
+        visit.cancel()
 
     def request(self):
         """Grant now if a server is free, else queue."""

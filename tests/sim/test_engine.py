@@ -221,6 +221,31 @@ class TestProcess:
         assert caught == ["failed event"]
 
 
+class TestClose:
+    def test_close_detaches_closes_the_generator_and_clear_drops_the_queue(self):
+        sim = Simulator()
+        log = []
+
+        def sleeper():
+            try:
+                yield sim.timeout(5.0)
+                log.append("resumed")
+            finally:
+                log.append("closed")
+
+        process = sim.process(sleeper())
+        sim.run(until=1.0)
+        target = process._target
+        process.close()
+        assert log == ["closed"]
+        assert process._target is None and target._waiter is None
+        assert process.generator.gi_frame is None
+        sim.clear()
+        sim.run(until=10.0)
+        assert log == ["closed"]
+        assert sim._queue == []
+
+
 class TestInterrupt:
     def test_interrupt_wakes_process_with_cause(self):
         sim = Simulator()

@@ -215,28 +215,34 @@ def test_resource_conservation_under_random_workload(seed, capacity):
     rng = random.Random(seed * 1000 + capacity)
     sim = Simulator()
     resource = Resource(sim, capacity=capacity)
-    all_requests = []
+    all_visits = []
+    cancelled = []
     finished = []
+
+    def checked(demand):
+        # drawn at the grant: the server is already counted as held
+        assert resource.in_use <= resource.capacity, "over-granted"
+        return demand
 
     def worker(index):
         cycles = rng.randint(1, 5)
         completed = 0
         while completed < cycles:
-            request = None
+            visit = None
             try:
                 yield sim.timeout(rng.random())
-                request = resource.request()
-                all_requests.append(request)
-                yield request
-                assert resource.in_use <= resource.capacity, "over-granted"
-                yield sim.timeout(rng.random())
-                resource.release(request)
+                visit = resource.visit(rng.random(), rng.random() / 4, checked)
+                all_visits.append(visit)
+                yield visit
                 completed += 1
             except Interrupt:
-                # the interrupt may land while thinking, waiting or holding;
-                # cancel() handles all three without leaking a slot
-                if request is not None:
-                    request.cancel()
+                # the interrupt may land while thinking, waiting, being
+                # served or in the delay; cancel handles all of them without
+                # leaking a slot
+                if visit is not None:
+                    if not visit.triggered:
+                        cancelled.append(visit)
+                    resource.cancel(visit)
         finished.append(index)
 
     workers = [sim.process(worker(index)) for index in range(30)]
@@ -249,20 +255,18 @@ def test_resource_conservation_under_random_workload(seed, capacity):
 
     assert len(finished) == 30, "every worker must run to completion"
     # conservation: nothing may remain held or queued at the end, and every
-    # request was either granted at some point or cancelled while waiting
-    assert resource.in_use == 0
+    # visit either released its server (which triggers it) or was cancelled
+    # before it did
+    assert resource.in_use == 0, "leaked slot"
     assert resource.queue_length == 0
-    # only a grant triggers a request
-    granted = sum(1 for request in all_requests if request.triggered)
-    cancelled_waiting = sum(1 for request in all_requests
-                            if request.cancelled and not request.triggered)
-    assert granted + cancelled_waiting == len(all_requests)
-    assert not any(request.granted for request in all_requests), "leaked slot"
+    released = sum(1 for visit in all_visits if visit.triggered)
+    assert released + len(cancelled) == len(all_visits)
+    assert not any(visit.triggered for visit in cancelled)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_resource_fcfs_order_among_uncancelled_waiters(seed):
-    """Waiters that are not cancelled are served strictly in request order."""
+    """Waiters that are not cancelled are served strictly in arrival order."""
     rng = random.Random(seed)
     sim = Simulator()
     resource = Resource(sim, capacity=1)
@@ -273,19 +277,17 @@ def test_resource_fcfs_order_among_uncancelled_waiters(seed):
 
     def worker(index, cancel_after):
         yield sim.timeout(index * 1e-3)  # deterministic staggered arrival
-        request = resource.request()
+        # the demand is drawn when the server is granted: the service order
+        visit = resource.visit(0.5, 0.0, lambda demand: service_order.append(index) or demand)
         request_order.append(index)  # true FCFS arrival order
         if cancel_after is not None:
             # withdraw while waiting (the holder occupies the server longer)
             yield sim.timeout(cancel_after)
-            if not request.granted:
-                request.cancel()
+            if index not in service_order:
+                resource.cancel(visit)
                 cancelled.add(index)
                 return
-        yield request
-        service_order.append(index)
-        yield sim.timeout(0.5)
-        resource.release(request)
+        yield visit
 
     for index in range(20):
         cancel_after = rng.choice([None, None, None, 0.01])

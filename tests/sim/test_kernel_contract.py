@@ -226,45 +226,159 @@ def test_rule_6_a_returning_process_schedules_its_completion_for_now(kernel):
 
 
 @KERNELS
-def test_rule_7_a_free_server_grants_the_request_when_made(kernel):
+def test_rule_7_a_free_server_grants_the_visit_when_made(kernel):
     sim = kernel.Simulator()
     resource = kernel.Resource(sim, 1)
     before = sim._sequence
-    granted = resource.request()
-    assert granted.triggered
-    assert sim._sequence == before + 1
-    waiting = resource.request()
-    assert not waiting.triggered
-    assert sim._sequence == before + 1
+    resource.visit(1.0, 1.0)
+    assert sim._sequence == before + 1  # the grant
+    resource.visit(1.0, 1.0)
+    assert sim._sequence == before + 1  # queued: nothing scheduled
     assert (resource.in_use, resource.queue_length) == (1, 1)
 
 
 @KERNELS
-def test_rule_7_a_release_grants_queued_requests_in_order_while_servers_are_free(kernel):
+def test_rule_7_a_release_grants_queued_visits_in_order_while_servers_are_free(kernel):
     sim = kernel.Simulator()
     resource = kernel.Resource(sim, 2)
-    held = [resource.request() for _ in range(2)]
-    queued = [resource.request() for _ in range(3)]
     log = []
-    for index, request in enumerate(queued):
-        request.add_callback(lambda _e, index=index: log.append((sim.now, index)))
-    sim.run(until=1.0)
-    resource.release(held[1])
-    resource.release(held[0])
-    assert [request.triggered for request in queued] == [True, True, False]
+
+    def visitor(name):
+        # both holders complete and release at t=1; each release grants one
+        yield resource.visit(1.0, 5.0, lambda demand: log.append((sim.now, name)) or demand)
+
+    for name in ("held 0", "held 1", "queued 0", "queued 1", "queued 2"):
+        sim.process(visitor(name))
+    sim.run(until=0.75)
+    assert (resource.in_use, resource.queue_length) == (2, 3)
+    sim.run(until=1.25)
     assert (resource.in_use, resource.queue_length) == (2, 1)
-    sim.run(until=2.0)
-    assert log == [(1.0, 0), (1.0, 1)]
+    assert log == [(0.0, "held 0"), (0.0, "held 1"), (1.0, "queued 0"), (1.0, "queued 1")]
 
 
 @KERNELS
-def test_rule_7_cancel_removes_a_queued_request_and_releases_a_held_one(kernel):
+def test_rule_7_a_visit_draws_at_the_grant_releases_after_the_demand_then_waits_the_delay(kernel):
     sim = kernel.Simulator()
     resource = kernel.Resource(sim, 1)
-    held, cancelled, last = (resource.request() for _ in range(3))
-    cancelled.cancel()
+    log = []
+
+    def draw(demand):
+        log.append(("drawn", sim.now, demand))
+        return 2 * demand
+
+    def visitor():
+        before = sim._sequence
+        value = yield resource.visit(1.0, 3.0, draw)
+        log.append(("resumed", sim.now, value, resource.in_use))
+        # three entries: the grant, the completion, the end of the delay
+        log.append(("scheduled", sim._sequence - before))
+
+    sim.process(visitor())
+    sim.timeout(1.5).add_callback(lambda _e: log.append(("holding", sim.now, resource.in_use)))
+    sim.timeout(2.5).add_callback(lambda _e: log.append(("delayed", sim.now, resource.in_use)))
+    sim.run(until=10.0)
+    assert log == [("drawn", 0.0, 1.0), ("holding", 1.5, 1), ("delayed", 2.5, 0),
+                   ("resumed", 5.0, None, 0), ("scheduled", 3)]
+
+
+@KERNELS
+def test_rule_7_a_zero_demand_and_delay_end_the_visit_in_the_resume_that_granted_it(kernel):
+    sim = kernel.Simulator()
+    resource = kernel.Resource(sim, 1)
+    log = []
+
+    def visitor():
+        before = sim._sequence
+        visit = resource.visit(0.0, 0.0)
+        # scheduled right after the grant, for the same time
+        sim.timeout(0.0).add_callback(lambda _e: log.append(("after the grant", sim.now)))
+        yield visit
+        # the grant and the marker: no completion, no end of a delay
+        log.append(("resumed", sim.now, sim._sequence - before))
+
+    sim.process(visitor())
+    sim.run(until=1.0)
+    assert log == [("resumed", 0.0, 2), ("after the grant", 0.0)]
+
+
+@KERNELS
+def test_rule_7_cancel_removes_a_queued_visit_and_releases_a_held_one(kernel):
+    sim = kernel.Simulator()
+    resource = kernel.Resource(sim, 1)
+    visits = {}
+    ended = []
+
+    def visitor(name):
+        visits[name] = resource.visit(1.0, 1.0)
+        yield visits[name]
+        ended.append((name, sim.now))
+
+    for name in ("held", "cancelled", "last"):
+        sim.process(visitor(name))
+    sim.run(until=0.5)
+    assert (resource.in_use, resource.queue_length) == (1, 2)
+    resource.cancel(visits["cancelled"])
     assert (resource.in_use, resource.queue_length) == (1, 1)
-    held.cancel()
-    assert last.triggered
-    assert not cancelled.triggered
+    sequence = sim._sequence
+    resource.cancel(visits["held"])
+    assert sim._sequence == sequence + 1  # the grant of the last visit
     assert (resource.in_use, resource.queue_length) == (1, 0)
+    resource.cancel(visits["held"])  # a second cancel changes nothing
+    assert (resource.in_use, resource.queue_length) == (1, 0)
+    sim.run(until=10.0)
+    assert ended == [("last", 2.5)]
+
+
+#: the victim's stage -> (when it is interrupted, the visitors ahead of it,
+#: the log)
+INTERRUPTED = {
+    # another visit holds the server until t=2, so the victim queues
+    "queued": (1.0, ["next"], [
+        ("drawn", "next", 0.0), ("interrupted", 1.0, 1, 0, False),
+        ("ended", "next", 2.0)]),
+    # interrupted at t=0 while it waits for its scheduled grant: the grant
+    # comes due first and draws nothing, and the cancel frees the server
+    "granted": (0.0, [], [("interrupted", 0.0, 0, 0, False)]),
+    "served": (0.5, [], [("drawn", "victim", 0.0), ("interrupted", 0.5, 0, 0, False)]),
+    # interrupted at t=1 just before its completion comes due: the
+    # completion does nothing, and the cancel frees the server
+    "completing": (1.0, [], [("drawn", "victim", 0.0), ("interrupted", 1.0, 0, 0, False)]),
+    "delayed": (2.0, [], [("drawn", "victim", 0.0), ("interrupted", 2.0, 0, 0, True)]),
+}
+
+
+@KERNELS
+@pytest.mark.parametrize("stage", INTERRUPTED)
+def test_rule_7_an_interrupted_visitor_cancels_and_its_pending_stages_do_nothing(kernel, stage):
+    sim = kernel.Simulator()
+    resource = kernel.Resource(sim, 1)
+    at, others, expected = INTERRUPTED[stage]
+    log = []
+
+    def draw(name):
+        return lambda demand: log.append(("drawn", name, sim.now)) or demand
+
+    def other(name):
+        yield resource.visit(2.0, 0.0, draw(name))
+        log.append(("ended", name, sim.now))
+
+    def victim():
+        visit = resource.visit(1.0, 2.0, draw("victim"))
+        try:
+            yield visit
+            log.append(("ended", "victim", sim.now))
+        except kernel.Interrupt:
+            resource.cancel(visit)
+            log.append(("interrupted", sim.now, resource.in_use, resource.queue_length,
+                        visit.triggered))
+
+    for name in others:
+        sim.process(other(name))
+    process = sim.process(victim())
+    # scheduled after the victim's start-up but before its grant and its
+    # completion: at t=0 and t=1 the interrupt comes between the victim's
+    # wait and those stages
+    sim.timeout(at).add_callback(lambda _e: process.interrupt("displaced"))
+    sim.run(until=10.0)
+    assert log == expected
+    assert (resource.in_use, resource.queue_length) == (0, 0)

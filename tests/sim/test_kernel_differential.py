@@ -9,15 +9,18 @@ entries in the same order, and schedule the same number of events.
 
 Each step follows a pattern of the transaction model: catch ``Interrupt``
 (displacement) and the failure of a fired event (a lock-table abort), and
-cancel the resource request in ``finally``, as ``_transaction_lifecycle``
-does.  The step kinds:
+withdraw the station visit afterwards, as ``_transaction_lifecycle`` does
+when a displacement interrupts one.  The step kinds:
 
 * ``sleep`` -- wait on a timeout;
-* ``hold`` -- request, wait for the grant, hold, release; with ``watch``, a
-  callback is registered on the request before the wait, as
-  ``cc/history.py`` does on lock grants;
-* ``cancel`` -- request now, nap, then cancel if not yet granted, or else
-  wait on the grant, which may already be processed;
+* ``visit`` -- visit a resource with a demand and a delay, each zero or
+  positive, and wait for the visit to end; with ``drawn``, the demand is
+  drawn (and logged) when the server is granted, as the CPU demand is;
+  with ``watch``, a callback is registered on the visit before the wait,
+  as ``cc/history.py`` does on lock grants;
+* ``cancel`` -- visit now, nap, then cancel the visit; nothing waits on
+  it during the nap, so it is still queued, or granted with its grant
+  come due unwaited;
 * ``child`` -- start a child process, nap, then wait on the child;
 * ``wait`` -- wait on a shared plain event, with ``watch`` as above;
 * ``fire`` -- succeed or fail a shared plain event, renewing it first if it
@@ -59,8 +62,8 @@ def scripts(draw):
     shared = st.integers(0, N_SHARED - 1)
     step = st.one_of(
         st.tuples(st.just("sleep"), DELAYS),
-        st.tuples(st.just("hold"), resource, DELAYS, st.booleans()),
-        st.tuples(st.just("cancel"), resource, DELAYS),
+        st.tuples(st.just("visit"), resource, DELAYS, DELAYS, st.booleans(), st.booleans()),
+        st.tuples(st.just("cancel"), resource, DELAYS, DELAYS, DELAYS),
         st.tuples(st.just("child"), DELAYS, DELAYS),
         st.tuples(st.just("wait"), shared, st.booleans()),
         st.tuples(st.just("fire"), shared, st.booleans()),
@@ -87,6 +90,12 @@ def run_script(kernel, script):
     def watcher(actor, step, what):
         return lambda event: record(actor, step, (what, event.ok))
 
+    def drawer(actor, step):
+        def draw(mean):
+            record(actor, step, ("drawn", mean))
+            return mean
+        return draw
+
     def child(delay, tag):
         yield sim.timeout(delay)
         return tag
@@ -94,31 +103,26 @@ def run_script(kernel, script):
     def actor(index, steps):
         for step, (kind, *args) in enumerate(steps):
             tag = f"{index}.{step}"
-            request = None
+            station = visit = None
             try:
                 if kind == "sleep":
                     yield sim.timeout(args[0])
                     record(index, step, "slept")
-                elif kind == "hold":
-                    resource, delay, watch = args
-                    request = pool[resource].request()
+                elif kind == "visit":
+                    resource, demand, delay, drawn, watch = args
+                    station = pool[resource]
+                    visit = station.visit(demand, delay, drawer(index, step) if drawn else None)
                     if watch:
-                        request.add_callback(watcher(index, step, "grant seen"))
-                    yield request
-                    record(index, step, "granted")
-                    yield sim.timeout(delay)
-                    pool[resource].release(request)
-                    record(index, step, "released")
+                        visit.add_callback(watcher(index, step, "end seen"))
+                    yield visit
+                    record(index, step, "visited")
                 elif kind == "cancel":
-                    resource, nap = args
-                    request = pool[resource].request()
+                    resource, demand, delay, nap = args
+                    station = pool[resource]
+                    visit = station.visit(demand, delay, drawer(index, step))
                     yield sim.timeout(nap)
-                    if request.triggered:
-                        yield request
-                        record(index, step, "granted before the cancel")
-                    else:
-                        request.cancel()
-                        record(index, step, "cancelled")
+                    station.cancel(visit)
+                    record(index, step, "cancelled")
                 elif kind == "child":
                     delay, nap = args
                     process = sim.process(child(delay, tag))
@@ -151,8 +155,8 @@ def run_script(kernel, script):
             except Fired as failure:
                 record(index, step, ("failed", str(failure)))
             finally:
-                if request is not None:
-                    request.cancel()
+                if visit is not None:
+                    station.cancel(visit)
 
     for index, steps in enumerate(actors):
         process = sim.process(actor(index, steps))

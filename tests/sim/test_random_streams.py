@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.random_streams import RandomStreams
+from repro.tp.params import SystemParams, WorkloadParams
+from repro.tp.system import TransactionSystem
+from repro.tp.workload import DRAW_BLOCK, ExponentialDraws, UniformDraws
 
 
 class TestStreamIdentity:
@@ -117,18 +120,20 @@ class TestSamplingHelpers:
         assert np.mean(samples) == pytest.approx(2.0, rel=0.05)
 
     def test_bernoulli_extremes(self):
+        # a certain outcome draws nothing, so the stream stays uncreated
         streams = RandomStreams(seed=0)
-        assert streams.bernoulli("b", 0.0) is False
-        assert streams.bernoulli("b", 1.0) is True
+        draws = UniformDraws(streams, "b")
+        assert draws.bernoulli(0.0) is False
+        assert draws.bernoulli(1.0) is True
+        assert "b" not in streams._generators
 
     def test_bernoulli_invalid_probability(self):
-        streams = RandomStreams(seed=0)
         with pytest.raises(ValueError):
-            streams.bernoulli("b", 1.5)
+            UniformDraws(RandomStreams(seed=0), "b").bernoulli(1.5)
 
     def test_bernoulli_frequency(self):
-        streams = RandomStreams(seed=0)
-        hits = sum(streams.bernoulli("b", 0.3) for _ in range(20000))
+        draws = UniformDraws(RandomStreams(seed=0), "b")
+        hits = sum(draws.bernoulli(0.3) for _ in range(20000))
         assert hits / 20000 == pytest.approx(0.3, abs=0.02)
 
     def test_uniform_range(self):
@@ -146,3 +151,72 @@ class TestProperties:
         first = RandomStreams(seed=seed).stream(name).random(3)
         second = RandomStreams(seed=seed).stream(name).random(3)
         np.testing.assert_array_equal(first, second)
+
+class TestBlockDrawIdentity:
+    """numpy draws a block as it draws that many scalars, which buffering relies on.
+
+    The single-consumer streams of the model (``cpu-demand``,
+    ``think-time``, ``restart-delay``, ``txn-class``, ``class-mix``) read
+    their variates from blocks (``repro.tp.workload.ExponentialDraws`` and
+    ``UniformDraws``).  The goldens were pinned on numpy 2.4.6, while the
+    package allows any numpy from 1.22; a numpy release that breaks one of
+    these identities fails here by name instead of as a golden diff.
+    """
+
+    BLOCK = 16
+
+    @pytest.mark.parametrize("mean", [0.001, 0.005, 0.02, 1.0, 3.7])
+    def test_exponential_is_the_mean_times_a_standard_exponential_from_blocks(self, mean):
+        scalar = RandomStreams(seed=5).stream("s")
+        blocks = RandomStreams(seed=5).stream("s")
+        # three blocks: the draws cross two block boundaries
+        block_values = [x for _ in range(3) for x in blocks.standard_exponential(self.BLOCK).tolist()]
+        scalar_values = [float(scalar.exponential(mean)) for _ in range(3 * self.BLOCK)]
+        assert scalar_values == [mean * x for x in block_values]
+
+    def test_random_equals_random_blocks(self):
+        scalar = RandomStreams(seed=5).stream("s")
+        blocks = RandomStreams(seed=5).stream("s")
+        block_values = [x for _ in range(3) for x in blocks.random(self.BLOCK).tolist()]
+        assert [float(scalar.random()) for _ in range(3 * self.BLOCK)] == block_values
+
+    def test_buffered_exponential_draws_equal_scalar_draws_across_a_refill(self):
+        means = [0.005, 0.04, 1.0]  # the mean may change from draw to draw
+        scalar = RandomStreams(seed=9).stream("cpu-demand")
+        draws = ExponentialDraws(RandomStreams(seed=9), "cpu-demand")
+        count = DRAW_BLOCK + 10
+        expected = [float(scalar.exponential(means[i % 3])) for i in range(count)]
+        assert [draws.draw(means[i % 3]) for i in range(count)] == expected
+
+    def test_buffered_uniform_draws_equal_scalar_draws_across_a_refill(self):
+        scalar = RandomStreams(seed=9).stream("txn-class")
+        draws = UniformDraws(RandomStreams(seed=9), "txn-class")
+        count = DRAW_BLOCK + 10
+        expected = [float(scalar.random()) < 0.3 for _ in range(count)]
+        assert [draws.bernoulli(0.3) for _ in range(count)] == expected
+        assert draws.draw() == float(scalar.random())
+
+
+class TestBufferedPathsDrawNothing:
+    """A zero mean, or a probability of 0 or 1, leaves its stream uncreated."""
+
+    def test_a_zero_mean_draws_nothing(self):
+        streams = RandomStreams(seed=3)
+        assert ExponentialDraws(streams, "think-time").draw(0.0) == 0.0
+        assert "think-time" not in streams._generators
+
+    @pytest.mark.parametrize("query_fraction", [0.0, 1.0])
+    def test_the_model_creates_no_stream_it_does_not_draw_from(self, query_fraction):
+        params = SystemParams(
+            n_terminals=20, think_time=0.0, restart_delay=0.0, stochastic_cpu=False,
+            workload=WorkloadParams(db_size=50, accesses_per_txn=4,
+                                    query_fraction=query_fraction))
+        streams = RandomStreams(seed=3)
+        system = TransactionSystem(params, streams=streams)
+        system.run(until=2.0)
+        assert system.metrics.commits > 0
+        if query_fraction == 0.0:
+            assert system.metrics.restarts > 0  # the restart path ran
+        for name in ("think-time", "restart-delay", "cpu-demand", "txn-class"):
+            assert name not in streams._generators
+        system.close()

@@ -1,10 +1,10 @@
-"""Tests for FCFS resources."""
+"""Tests for FCFS resources and their station visits."""
 
 import pytest
 
 from timed_call import call_at
 
-from repro.sim.engine import Interrupt, SimulationError, Simulator
+from repro.sim.engine import Interrupt, Simulator
 from repro.sim.resources import Resource
 
 
@@ -14,71 +14,103 @@ class TestResourceBasics:
         with pytest.raises(ValueError):
             Resource(sim, 0)
 
+    def test_negative_demand_or_delay_is_rejected(self):
+        resource = Resource(Simulator(), capacity=1)
+        with pytest.raises(ValueError):
+            resource.visit(-1.0, 0.0)
+        with pytest.raises(ValueError):
+            resource.visit(0.0, -1.0)
+        assert (resource.in_use, resource.queue_length) == (0, 0)
+
     def test_grant_immediately_when_capacity_available(self):
         sim = Simulator()
         resource = Resource(sim, capacity=2)
-        first = resource.request()
-        second = resource.request()
-        assert first.granted and second.granted
+        resource.visit(1.0, 0.0)
+        resource.visit(1.0, 0.0)
         assert resource.in_use == 2
         assert resource.queue_length == 0
 
-    def test_requests_beyond_capacity_wait(self):
+    def test_visits_beyond_capacity_wait(self):
         sim = Simulator()
         resource = Resource(sim, capacity=1)
-        first = resource.request()
-        second = resource.request()
-        assert first.granted
-        assert not second.granted
+        resource.visit(1.0, 0.0)
+        resource.visit(1.0, 0.0)
+        assert resource.in_use == 1
         assert resource.queue_length == 1
 
     def test_release_grants_next_waiter_fcfs(self):
         sim = Simulator()
         resource = Resource(sim, capacity=1)
-        first = resource.request()
-        second = resource.request()
-        third = resource.request()
-        resource.release(first)
-        assert second.granted
-        assert not third.granted
-        resource.release(second)
-        assert third.granted
+        drawn = []
 
-    def test_double_release_raises(self):
+        def visitor(name):
+            yield resource.visit(1.0, 0.0, lambda demand: drawn.append((name, sim.now)) or demand)
+
+        for name in "abc":
+            sim.process(visitor(name))
+        sim.run(until=1.5)
+        assert drawn == [("a", 0.0), ("b", 1.0)]
+        assert resource.queue_length == 1
+        sim.run(until=2.5)
+        assert drawn == [("a", 0.0), ("b", 1.0), ("c", 2.0)]
+
+    def test_cancel_waiting_visit_is_skipped(self):
         sim = Simulator()
         resource = Resource(sim, capacity=1)
-        request = resource.request()
-        resource.release(request)
-        with pytest.raises(SimulationError):
-            resource.release(request)
+        visits = {}
+        ended = []
 
-    def test_cancel_waiting_request_is_skipped(self):
+        def visitor(name):
+            visits[name] = resource.visit(1.0, 0.0)
+            yield visits[name]
+            ended.append(name)
+
+        for name in ("holder", "waiting a", "waiting b"):
+            sim.process(visitor(name))
+        sim.run(until=0.5)
+        resource.cancel(visits["waiting a"])
+        assert resource.queue_length == 1
+        sim.run(until=5.0)
+        assert ended == ["holder", "waiting b"]
+        assert resource.queue_length == 0
+
+    def test_cancel_granted_visit_releases(self):
         sim = Simulator()
         resource = Resource(sim, capacity=1)
-        holder = resource.request()
-        waiting_a = resource.request()
-        waiting_b = resource.request()
-        waiting_a.cancel()
-        resource.release(holder)
-        assert not waiting_a.granted
-        assert waiting_b.granted
-
-    def test_cancel_granted_request_releases(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=1)
-        holder = resource.request()
-        waiter = resource.request()
-        holder.cancel()
-        assert waiter.granted
+        holder = resource.visit(1.0, 0.0)
+        resource.visit(1.0, 0.0)
+        resource.cancel(holder)
         assert resource.in_use == 1
+        assert resource.queue_length == 0
 
     def test_cancel_twice_is_noop(self):
         sim = Simulator()
         resource = Resource(sim, capacity=1)
-        holder = resource.request()
-        holder.cancel()
-        holder.cancel()
+        holder = resource.visit(1.0, 0.0)
+        resource.cancel(holder)
+        resource.cancel(holder)
         assert resource.in_use == 0
+
+    def test_cancel_after_the_release_is_noop(self):
+        sim = Simulator()
+        resource = Resource(sim, capacity=1)
+        visits = {}
+        ended = []
+
+        def visitor(name, start, delay):
+            yield sim.timeout(start)
+            visits[name] = resource.visit(1.0, delay)
+            yield visits[name]
+            ended.append((name, sim.now))
+
+        sim.process(visitor("first", 0.0, 5.0))
+        sim.process(visitor("second", 2.0, 0.0))
+        sim.run(until=2.5)  # the first released at t=1 and is in its delay
+        assert resource.in_use == 1  # held by the second
+        resource.cancel(visits["first"])
+        assert resource.in_use == 1
+        sim.run(until=10.0)
+        assert ended == [("second", 3.0), ("first", 6.0)]
 
 
 class TestResourceInProcesses:
@@ -88,10 +120,7 @@ class TestResourceInProcesses:
         completions = []
 
         def worker(name):
-            request = resource.request()
-            yield request
-            yield sim.timeout(2.0)
-            resource.release(request)
+            yield resource.visit(2.0, 0.0)
             completions.append((name, sim.now))
 
         sim.process(worker("a"))
@@ -100,16 +129,28 @@ class TestResourceInProcesses:
         sim.run(until=10.0)
         assert completions == [("a", 2.0), ("b", 4.0), ("c", 6.0)]
 
+    def test_the_delay_follows_the_release(self):
+        sim = Simulator()
+        resource = Resource(sim, capacity=1)
+        completions = []
+
+        def worker(name):
+            yield resource.visit(2.0, 3.0)
+            completions.append((name, sim.now))
+
+        sim.process(worker("a"))
+        sim.process(worker("b"))
+        sim.run(until=10.0)
+        # b is served from t=2, while a waits out its delay
+        assert completions == [("a", 5.0), ("b", 7.0)]
+
     def test_parallel_use_with_multiple_servers(self):
         sim = Simulator()
         resource = Resource(sim, capacity=3)
         completions = []
 
         def worker(name):
-            request = resource.request()
-            yield request
-            yield sim.timeout(2.0)
-            resource.release(request)
+            yield resource.visit(2.0, 0.0)
             completions.append((name, sim.now))
 
         for name in "abc":
@@ -123,20 +164,16 @@ class TestResourceInProcesses:
         outcomes = []
 
         def holder():
-            request = resource.request()
-            yield request
-            yield sim.timeout(10.0)
-            resource.release(request)
+            yield resource.visit(10.0, 0.0)
 
         def impatient():
-            request = resource.request()
+            visit = resource.visit(1.0, 0.0)
             try:
-                yield request
+                yield visit
             except Interrupt:
-                request.cancel()
+                resource.cancel(visit)
                 outcomes.append("gave up")
                 return
-            resource.release(request)
             outcomes.append("served")
 
         sim.process(holder())
@@ -148,29 +185,57 @@ class TestResourceInProcesses:
         # the resource must still be usable afterwards
         assert resource.in_use == 0
 
+    def test_interrupted_holder_releases_at_the_interrupt(self):
+        sim = Simulator()
+        resource = Resource(sim, capacity=1)
+        served = []
+
+        def holder():
+            visit = resource.visit(10.0, 0.0)
+            try:
+                yield visit
+            except Interrupt:
+                resource.cancel(visit)
+
+        def next_in_line():
+            yield resource.visit(1.0, 0.0)
+            served.append(sim.now)
+
+        holder_process = sim.process(holder())
+        sim.process(next_in_line())
+        call_at(sim, 2.0, lambda: holder_process.interrupt())
+        sim.run(until=20.0)
+        assert served == [3.0]
+        assert resource.in_use == 0
+
     def test_utilisation_of_single_server(self):
         sim = Simulator()
         resource = Resource(sim, capacity=1)
 
         def worker():
-            request = resource.request()
-            yield request
-            yield sim.timeout(4.0)
-            resource.release(request)
+            yield resource.visit(4.0, 0.0)
 
         sim.process(worker())
         sim.run(until=8.0)
         assert resource.utilisation() == pytest.approx(0.5)
+
+    def test_the_delay_is_not_busy_time(self):
+        sim = Simulator()
+        resource = Resource(sim, capacity=1)
+
+        def worker():
+            yield resource.visit(2.0, 4.0)
+
+        sim.process(worker())
+        sim.run(until=8.0)
+        assert resource.utilisation() == pytest.approx(0.25)
 
     def test_reset_statistics(self):
         sim = Simulator()
         resource = Resource(sim, capacity=1)
 
         def worker():
-            request = resource.request()
-            yield request
-            yield sim.timeout(4.0)
-            resource.release(request)
+            yield resource.visit(4.0, 0.0)
 
         sim.process(worker())
         sim.run(until=4.0)
@@ -192,10 +257,7 @@ class TestResourceInProcesses:
 
         def worker():
             yield sim.timeout(4.0)
-            request = resource.request()
-            yield request
-            yield sim.timeout(4.0)
-            resource.release(request)
+            yield resource.visit(4.0, 0.0)
 
         sim.process(worker())
         sim.run(until=4.0)

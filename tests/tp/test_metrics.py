@@ -216,4 +216,5 @@ class TestResetEquivalence:
             metrics.record_commit(0.2)
         assert metrics.p95_response_time < 1.0
         assert metrics.p99_response_time < 1.0
-        assert metrics.commits_by_tenant == {"": 50}
+        # unnamed (single-class) commits book no tenant
+        assert metrics.commits_by_tenant == {}

@@ -46,6 +46,19 @@ class TestBasicOperation:
         assert system.metrics.commits > 0
         assert system.metrics.throughput() > 0
 
+    def test_close_ends_every_process_and_keeps_the_results(self):
+        system = TransactionSystem(small_params())
+        system.attach_controller(FixedLimit(5), interval=1.0)
+        system.run(until=5.0)
+        commits = system.metrics.commits
+        processes = system._loops + system._terminal_processes + [
+            process for _txn, process in system._active.values()]
+        assert system._active and len(system._loops) == 1
+        system.close()
+        assert all(process.generator.gi_frame is None for process in processes)
+        assert system.sim._queue == []
+        assert system.metrics.commits == commits > 0
+
     def test_conservation_admitted_equals_departed_plus_active(self):
         system = TransactionSystem(small_params())
         system.run(until=10.0)

@@ -61,7 +61,6 @@ from repro.cc.registry import (
     cc_family,
     cc_kinds,
     cc_level,
-    declared_level,
     resolve_cc,
 )
 from repro.cc.timestamp_cert import TimestampCertification
@@ -89,7 +88,6 @@ __all__ = [
     "cc_family",
     "cc_kinds",
     "cc_level",
-    "declared_level",
     "resolve_cc",
     "HistoryRecorder",
     "RecordingConcurrencyControl",

@@ -84,13 +84,15 @@ class ConcurrencyControl(ABC):
     multiversion: bool = False
 
     def observed_version(self, txn: "Transaction", item: int) -> Optional[int]:
-        """The writer txn_id of the version ``txn`` last read of ``item``.
+        """The writer txn_id of the version ``txn`` read of ``item``.
 
         Only meaningful for schemes with :attr:`multiversion` set, which
         must override it; ``None`` denotes the initial (never-written)
         version of the granule.  The history recorder calls this right
-        after a non-blocking ``access`` returns, so the scheme only needs
-        to remember the versions of the *current* execution.
+        after a non-blocking ``access`` returns, before any other event, so
+        a scheme may compute the answer from its decision state at call
+        time (a snapshot scheme: from the execution's snapshot) instead of
+        storing what every access read.
         """
         raise NotImplementedError(
             f"{type(self).__name__} is not a multiversion scheme")
@@ -117,10 +119,6 @@ class ConcurrencyControl(ABC):
     @abstractmethod
     def abort(self, txn: "Transaction", reason: AbortReason) -> None:
         """Clean up an abandoned execution of ``txn``."""
-
-    def active_count(self) -> int:
-        """Number of executions currently registered (begin without end)."""
-        return 0
 
     def wait_depth(self) -> int:
         """Number of transactions currently blocked inside the scheme.

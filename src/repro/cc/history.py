@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.cc.base import AbortReason, ConcurrencyControl
 from repro.sim.engine import Event
@@ -227,10 +227,6 @@ class RecordingConcurrencyControl(ConcurrencyControl):
         self.inner.abort(txn, reason)
         self.recorder.record_abort(txn.txn_id)
 
-    def active_count(self) -> int:
-        """The wrapped scheme's registration count, unchanged."""
-        return self.inner.active_count()
-
     def wait_depth(self) -> int:
         """The wrapped scheme's blocked-transaction count, unchanged."""
         return self.inner.wait_depth()
@@ -349,15 +345,16 @@ def check_serializability(
         if colour[root] != WHITE:
             continue
         parent[root] = None
-        stack: List[Tuple[int, List[int]]] = [(root, sorted(graph[root]))]
+        stack: List[Tuple[int, Iterator[int]]] = [
+            (root, iter(sorted(graph[root])))]
         colour[root] = GREY
         while stack:
             node, successors = stack[-1]
-            if not successors:
+            successor = next(successors, None)
+            if successor is None:
                 colour[node] = BLACK
                 stack.pop()
                 continue
-            successor = successors.pop(0)
             if colour[successor] == GREY:
                 return SerializabilityVerdict(
                     serializable=False,
@@ -368,7 +365,7 @@ def check_serializability(
             if colour[successor] == WHITE:
                 parent[successor] = node
                 colour[successor] = GREY
-                stack.append((successor, sorted(graph[successor])))
+                stack.append((successor, iter(sorted(graph[successor]))))
     return SerializabilityVerdict(
         serializable=True, transactions=len(graph), edges=edge_count)
 
@@ -418,8 +415,10 @@ def classify_anomalies(
     """
     order = _commit_order(history)
     position = {e.txn_id: index + 1 for index, e in enumerate(order)}
-    chains = _version_chains(history)
-    successor = _successors(chains)
+    successor = _successors(_version_chains(history))
+    #: (granule, writer) -> the writer of the version it superseded
+    predecessor = {(item, writer): previous
+                   for (item, previous), writer in successor.items()}
 
     def version_position(item: int, version: Optional[int]) -> Optional[int]:
         """Commit position at which ``version`` of ``item`` became visible."""
@@ -432,16 +431,16 @@ def classify_anomalies(
     for execution in history:
         reader = execution.txn_id
         #: granule -> distinct versions read (ignoring own writes)
-        versions_read: Dict[int, List[Optional[int]]] = {}
+        read_versions: Dict[int, List[Optional[int]]] = {}
         for item, _time, _seq, version in execution.reads:
             if version == reader:
                 continue
-            seen = versions_read.setdefault(item, [])
+            seen = read_versions.setdefault(item, [])
             if version not in seen:
                 seen.append(version)
 
         # -- non-repeatable reads: two versions of one granule ----------
-        unrepeatable = {item for item, seen in versions_read.items()
+        unrepeatable = {item for item, seen in read_versions.items()
                         if len(seen) > 1}
         for item in sorted(unrepeatable):
             anomalies.append(Anomaly(
@@ -449,14 +448,14 @@ def classify_anomalies(
                 transactions=(reader,),
                 items=(item,),
                 detail=f"txn {reader} read versions "
-                       f"{versions_read[item]} of granule {item}",
+                       f"{read_versions[item]} of granule {item}",
             ))
 
         # -- long fork: per-granule snapshot windows with empty overlap --
         # each read of version v on granule g is visible exactly in the
         # commit-position window [pos(v), pos(successor of v) - 1]
         windows: Dict[int, Tuple[float, float]] = {}
-        for item, seen in versions_read.items():
+        for item, seen in read_versions.items():
             if item in unrepeatable:
                 continue  # already reported; its window is empty by itself
             (version,) = seen
@@ -484,22 +483,20 @@ def classify_anomalies(
 
         # -- lost update: wrote over a version it never read ------------
         for item in execution.writes:
-            seen = versions_read.get(item)
+            seen = read_versions.get(item)
             if not seen:
                 continue  # blind write: nothing was read, nothing lost
-            chain = chains[item]
-            index = chain.index(reader)
-            predecessor = chain[index - 1] if index > 0 else None
-            if all(version != predecessor for version in seen):
-                involved = (reader,) if predecessor is None else tuple(
-                    sorted((reader, predecessor)))
+            overwritten = predecessor[(item, reader)]
+            if all(version != overwritten for version in seen):
+                involved = (reader,) if overwritten is None else tuple(
+                    sorted((reader, overwritten)))
                 anomalies.append(Anomaly(
                     kind="lost_update",
                     transactions=involved,
                     items=(item,),
                     detail=f"txn {reader} overwrote granule {item} having "
                            f"read version {seen[0]}, not its predecessor "
-                           f"{predecessor}",
+                           f"{overwritten}",
                 ))
 
     # -- write skew: mutual anti-dependencies between two transactions --

@@ -22,7 +22,11 @@ that sixth point of comparison through the same
 The versioned store keys versions by the writer's commit index and keeps,
 per granule, only the versions some active snapshot can still see (older
 versions are garbage-collected against the oldest active snapshot), so
-memory stays bounded regardless of run length.
+memory stays bounded regardless of run length.  The scheme keeps each
+execution's snapshot in one place, its ``_snapshots`` table, and stores
+nothing per access: the version a read returned is recomputed from that
+snapshot when the history recorder asks for it
+(:meth:`SnapshotIsolation.observed_version`).
 
 First-committer-wins makes lost updates impossible (two concurrent writers
 of one granule cannot both commit) and snapshot reads make long forks and
@@ -47,7 +51,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 
 class SnapshotIsolation(ConcurrencyControl):
-    """Multiversion CC: snapshot reads, first-committer-wins writes."""
+    """Multiversion CC: snapshot reads, first-committer-wins writes.
+
+    Decision state only: the version store and each active execution's
+    snapshot.  Certification outcomes are the run's to count (the abort
+    reasons reach ``RunMetrics``), not the scheme's.
+    """
 
     name = "snapshot-isolation"
     multiversion = True
@@ -61,34 +70,19 @@ class SnapshotIsolation(ConcurrencyControl):
         self._versions: Dict[int, List[Tuple[int, int]]] = {}
         #: txn_id -> snapshot commit index of every active execution
         self._snapshots: Dict[int, int] = {}
-        # statistics
-        self.certifications = 0
-        self.certification_failures = 0
 
     # ------------------------------------------------------------------
     def begin(self, txn: "Transaction") -> None:
         """Take the execution's snapshot: the current commit index."""
-        snapshot = self._commit_index
-        txn.cc_state["snapshot"] = snapshot
-        txn.cc_state["versions_read"] = {}
-        self._snapshots[txn.txn_id] = snapshot
+        self._snapshots[txn.txn_id] = self._commit_index
 
     def access(self, txn: "Transaction", item: int, is_write: bool) -> Optional[Event]:
         """Serve the access from the snapshot; never blocks.
 
-        The version read (the writer's txn_id, ``None`` for the initial
-        version) is remembered in ``cc_state["versions_read"]`` so the
-        history recorder can ask for it via :meth:`observed_version`.
         A write implies a read of the granule in this model, exactly as
         under timestamp certification.
         """
-        if is_write:
-            txn.write_set.add(item)
-            txn.read_set.add(item)
-        else:
-            txn.read_set.add(item)
-        txn.cc_state["versions_read"][item] = self._visible_version(
-            item, txn.cc_state["snapshot"])
+        txn.record_access(item, is_write)
         return None
 
     def try_commit(self, txn: "Transaction") -> bool:
@@ -98,8 +92,7 @@ class SnapshotIsolation(ConcurrencyControl):
         transaction's snapshot means a concurrent transaction committed a
         write first; committing over it would lose that update.
         """
-        self.certifications += 1
-        snapshot = txn.cc_state.get("snapshot")
+        snapshot = self._snapshots.get(txn.txn_id)
         if snapshot is None:
             raise RuntimeError(
                 f"transaction {txn.txn_id} certified without begin() being called"
@@ -110,10 +103,7 @@ class SnapshotIsolation(ConcurrencyControl):
             if versions and versions[-1][0] > snapshot:
                 conflicts += 1
         txn.last_conflicts = conflicts
-        if conflicts:
-            self.certification_failures += 1
-            return False
-        return True
+        return not conflicts
 
     def finish(self, txn: "Transaction") -> None:
         """Install the write set as new versions at a fresh commit index."""
@@ -129,25 +119,19 @@ class SnapshotIsolation(ConcurrencyControl):
         """Drop the execution's snapshot; buffered writes never existed."""
         self._snapshots.pop(txn.txn_id, None)
 
-    def active_count(self) -> int:
-        """Number of executions between begin() and finish()/abort()."""
-        return len(self._snapshots)
-
     # ------------------------------------------------------------------
     def observed_version(self, txn: "Transaction", item: int) -> Optional[int]:
-        """The writer txn_id of the snapshot version ``txn`` read of ``item``."""
-        return txn.cc_state["versions_read"].get(item)
+        """The writer txn_id of the version ``txn``'s snapshot shows of ``item``.
+
+        Computed from the snapshot when asked: the recorder asks right
+        after the access, and garbage collection keeps every version an
+        active snapshot can see, so this is the version the read returned.
+        """
+        return self._visible_version(item, self._snapshots[txn.txn_id])
 
     def version_count(self, item: int) -> int:
         """Number of versions currently retained for ``item`` (GC probe)."""
         return len(self._versions.get(item, ()))
-
-    @property
-    def failure_fraction(self) -> float:
-        """Fraction of certifications that failed so far."""
-        if self.certifications == 0:
-            return 0.0
-        return self.certification_failures / self.certifications
 
     # ------------------------------------------------------------------
     def _visible_version(self, item: int, snapshot: int) -> Optional[int]:

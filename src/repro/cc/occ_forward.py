@@ -54,10 +54,6 @@ class OccForwardValidation(ConcurrencyControl):
         self._active: Dict[int, "Transaction"] = {}
         #: txn_id -> conflicts charged by committers that invalidated it
         self._invalidated: Dict[int, int] = {}
-        # statistics
-        self.validations = 0
-        self.validation_failures = 0
-        self.invalidations = 0
 
     # ------------------------------------------------------------------
     def begin(self, txn: "Transaction") -> None:
@@ -67,22 +63,14 @@ class OccForwardValidation(ConcurrencyControl):
 
     def access(self, txn: "Transaction", item: int, is_write: bool) -> Optional[Event]:
         """Record the access; optimistic schemes never block."""
-        if is_write:
-            txn.write_set.add(item)
-            # every write implies a read of the granule in this model, so
-            # write/write conflicts are caught through the read sets too
-            txn.read_set.add(item)
-        else:
-            txn.read_set.add(item)
+        txn.record_access(item, is_write)
         return None
 
     def try_commit(self, txn: "Transaction") -> bool:
         """Commit unless invalidated; invalidate overlapping readers."""
-        self.validations += 1
         charged = self._invalidated.pop(txn.txn_id, None)
         if charged is not None:
             txn.last_conflicts = charged
-            self.validation_failures += 1
             return False
         txn.last_conflicts = 0
         if txn.write_set:
@@ -91,7 +79,6 @@ class OccForwardValidation(ConcurrencyControl):
                     continue
                 overlap = len(txn.write_set & other.read_set)
                 if overlap:
-                    self.invalidations += 1
                     self._invalidated[other_id] = (
                         self._invalidated.get(other_id, 0) + overlap)
         return True
@@ -105,14 +92,3 @@ class OccForwardValidation(ConcurrencyControl):
         """Abandoned executions leave no shared state behind."""
         self._active.pop(txn.txn_id, None)
         self._invalidated.pop(txn.txn_id, None)
-
-    def active_count(self) -> int:
-        """Number of executions between begin() and finish()/abort()."""
-        return len(self._active)
-
-    @property
-    def failure_fraction(self) -> float:
-        """Fraction of validations that failed so far."""
-        if self.validations == 0:
-            return 0.0
-        return self.validation_failures / self.validations

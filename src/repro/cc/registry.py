@@ -107,15 +107,6 @@ def cc_level(kind: str) -> str:
     return _scheme(kind)[2]
 
 
-def declared_level(cc: Optional["CCSpec"]) -> str:
-    """The isolation level a run's ``cc`` field declares.
-
-    ``None`` is the system default, timestamp certification, which is
-    serializable.
-    """
-    return "serializable" if cc is None else cc.level
-
-
 @dataclass(frozen=True)
 class CCSpec:
     """A picklable description of a CC scheme: a :data:`SCHEMES` kind + options.

@@ -53,30 +53,19 @@ class TimestampCertification(ConcurrencyControl):
         self._read_ts: Dict[int, float] = {}
         #: logical commit counter used to break timestamp ties deterministically
         self._commit_counter = 0
-        self._active: set[int] = set()
-        # statistics
-        self.certifications = 0
-        self.certification_failures = 0
 
     # ------------------------------------------------------------------
     def begin(self, txn: "Transaction") -> None:
         """Stamp the execution with the current time as its start timestamp."""
         txn.cc_state["start_ts"] = self.sim.now
-        self._active.add(txn.txn_id)
 
     def access(self, txn: "Transaction", item: int, is_write: bool) -> Optional[Event]:
         """Record the access; optimistic schemes never block."""
-        if is_write:
-            txn.write_set.add(item)
-            # every write implies a read of the granule in this model
-            txn.read_set.add(item)
-        else:
-            txn.read_set.add(item)
+        txn.record_access(item, is_write)
         return None
 
     def try_commit(self, txn: "Transaction") -> bool:
         """Backward certification against transactions committed meanwhile."""
-        self.certifications += 1
         start_ts = txn.cc_state.get("start_ts")
         if start_ts is None:
             raise RuntimeError(
@@ -92,10 +81,7 @@ class TimestampCertification(ConcurrencyControl):
             if committed_read is not None and committed_read > start_ts:
                 conflicts += 1
         txn.last_conflicts = conflicts
-        if conflicts:
-            self.certification_failures += 1
-            return False
-        return True
+        return not conflicts
 
     def finish(self, txn: "Transaction") -> None:
         """Install the transaction's writes at the commit timestamp."""
@@ -111,19 +97,6 @@ class TimestampCertification(ConcurrencyControl):
             existing = self._read_ts.get(item, float("-inf"))
             if commit_ts > existing:
                 self._read_ts[item] = commit_ts
-        self._active.discard(txn.txn_id)
 
     def abort(self, txn: "Transaction", reason: AbortReason) -> None:
         """Nothing to undo: optimistic executions leave no shared state."""
-        self._active.discard(txn.txn_id)
-
-    def active_count(self) -> int:
-        """Number of executions between begin() and finish()/abort()."""
-        return len(self._active)
-
-    @property
-    def failure_fraction(self) -> float:
-        """Fraction of certifications that failed so far."""
-        if self.certifications == 0:
-            return 0.0
-        return self.certification_failures / self.certifications

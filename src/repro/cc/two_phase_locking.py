@@ -34,7 +34,11 @@ Shared machinery:
   over waiting requests from other transactions;
 * waiting requests are represented as simulation events so a blocked
   transaction simply ``yield``s on the grant (or has
-  :class:`~repro.cc.base.TransactionAborted` thrown into it).
+  :class:`~repro.cc.base.TransactionAborted` thrown into it);
+* a queue holds live requests only: a request whose transaction aborts,
+  or whose grant fails (a deadlock or wound victim), leaves its queue at
+  once, so every queue walk — grants, blockers, the waits-for graph — sees
+  exactly the transactions that still wait.
 
 The timestamp-priority variants order transactions by their *first* start:
 a restarted execution keeps its original priority, so a victim ages into
@@ -75,7 +79,6 @@ class _LockRequest:
     txn_id: int
     mode: LockMode
     event: Event
-    cancelled: bool = False
 
 
 @dataclass
@@ -91,9 +94,16 @@ class LockingScheme(ConcurrencyControl):
 
     Subclasses implement exactly one decision — :meth:`_block`, called when
     a request is incompatible with the current holders/queue — and inherit
-    the grant, upgrade, release and cancellation mechanics unchanged, so
+    the grant, upgrade, release and withdrawal mechanics unchanged, so
     the variants differ only in conflict resolution, never in lock
     semantics.
+
+    The scheme keeps decision state only: holders, live waiters, each
+    waiting transaction's granule and each execution's start time.  How
+    many requests waited, deadlocked or died is the run's to count — the
+    abort reason of every failed grant reaches ``RunMetrics`` — and the
+    read-only views :meth:`holders_of` and :meth:`wait_depth` serve tests
+    and probes.
     """
 
     name = "locking"
@@ -107,9 +117,6 @@ class LockingScheme(ConcurrencyControl):
         self._waiting_for_item: Dict[int, int] = {}
         #: txn_id -> start time of the current execution
         self._start_time: Dict[int, float] = {}
-        # statistics
-        self.lock_requests = 0
-        self.lock_waits = 0
 
     # ------------------------------------------------------------------
     # ConcurrencyControl interface
@@ -122,12 +129,9 @@ class LockingScheme(ConcurrencyControl):
     def access(self, txn: "Transaction", item: int, is_write: bool) -> Optional[Event]:
         """Acquire an S or X lock on ``item``; may return a wait event."""
         mode = LockMode.EXCLUSIVE if is_write else LockMode.SHARED
-        if is_write:
-            txn.write_set.add(item)
-            txn.read_set.add(item)
-        else:
-            txn.read_set.add(item)
-        return self._acquire(txn.txn_id, item, mode)
+        txn.record_access(item, is_write)
+        state = self._locks.setdefault(item, _LockState())
+        return self._grant_or(txn.txn_id, item, mode, state, self._block)
 
     def try_commit(self, txn: "Transaction") -> bool:
         """2PL serializes by blocking: a transaction reaching commit always commits."""
@@ -139,23 +143,12 @@ class LockingScheme(ConcurrencyControl):
 
     def abort(self, txn: "Transaction", reason: AbortReason) -> None:
         """Release all locks and withdraw any pending request."""
-        self._cancel_waiting(txn.txn_id)
+        self._withdraw(txn.txn_id)
         self._release_all(txn.txn_id)
-
-    def active_count(self) -> int:
-        """Transactions currently holding or waiting for locks.
-
-        A transaction that holds locks while waiting for another counts
-        once (the sets overlap for every blocked-but-not-empty-handed
-        transaction, which is the common case under contention).
-        """
-        active = {txn for txn, items in self._held.items() if items}
-        active.update(self._waiting_for_item)
-        return len(active)
 
     def wait_depth(self) -> int:
         """Transactions blocked on a lock (the waits-for structure's size)."""
-        return self.blocked_count
+        return len(self._waiting_for_item)
 
     # ------------------------------------------------------------------
     # conflict resolution hook
@@ -175,27 +168,17 @@ class LockingScheme(ConcurrencyControl):
     # ------------------------------------------------------------------
     # lock table mechanics (shared by every variant)
     # ------------------------------------------------------------------
-    @property
-    def blocked_count(self) -> int:
-        """Number of transactions currently blocked on a lock."""
-        return len(self._waiting_for_item)
-
     def holders_of(self, item: int) -> Dict[int, LockMode]:
         """Current holders of ``item`` (copy)."""
         state = self._locks.get(item)
         return dict(state.holders) if state else {}
 
-    def _acquire(self, txn_id: int, item: int, mode: LockMode) -> Optional[Event]:
-        self.lock_requests += 1
-        state = self._locks.setdefault(item, _LockState())
-        return self._grant_or(txn_id, item, mode, state, self._block)
-
     def _try_grant(self, txn_id: int, item: int, mode: LockMode,
                    state: _LockState) -> Optional[Event]:
-        """Re-run the grant decision (no request counting) or enqueue.
+        """Re-run the grant decision or enqueue.
 
         Used by conflict resolutions that may have *changed* the lock state
-        (wound-wait cancelling queued victims) and must re-check whether
+        (wound-wait withdrawing queued victims) and must re-check whether
         the request became grantable before committing to a wait.  Falls
         back to a plain enqueue — re-entering the conflict resolution here
         could recurse forever.
@@ -238,7 +221,6 @@ class LockingScheme(ConcurrencyControl):
 
     def _enqueue(self, txn_id: int, item: int, mode: LockMode, state: _LockState) -> Event:
         """Append a waiting request and return its grant event."""
-        self.lock_waits += 1
         event = Event(self.sim)
         state.waiters.append(_LockRequest(txn_id, mode, event))
         self._waiting_for_item[txn_id] = item
@@ -259,9 +241,6 @@ class LockingScheme(ConcurrencyControl):
     def _grant_waiters(self, item: int, state: _LockState) -> None:
         while state.waiters:
             head = state.waiters[0]
-            if head.cancelled:
-                state.waiters.popleft()
-                continue
             if head.mode == LockMode.EXCLUSIVE:
                 other_holders = [t for t in state.holders if t != head.txn_id]
                 if other_holders:
@@ -275,44 +254,40 @@ class LockingScheme(ConcurrencyControl):
             self._waiting_for_item.pop(head.txn_id, None)
             head.event.succeed(head.mode)
 
-    def _cancel_waiting(self, txn_id: int) -> None:
+    def _withdraw(self, txn_id: int,
+                  error: Optional[TransactionAborted] = None) -> None:
+        """Take ``txn_id``'s pending request, if any, out of its queue.
+
+        With ``error`` the request's grant fails with it, so a victim's
+        process aborts itself; either way the requests behind it are
+        granted if they now can be.  A transaction waits for at most one
+        granule, and its request is the only one of its id in that queue.
+        """
         item = self._waiting_for_item.pop(txn_id, None)
         if item is None:
             return
-        state = self._locks.get(item)
-        if state is None:
-            return
-        for request in state.waiters:
-            if request.txn_id == txn_id and not request.cancelled:
-                request.cancelled = True
+        state = self._locks[item]
+        waiters = state.waiters
+        for index, request in enumerate(waiters):
+            if request.txn_id == txn_id:
+                del waiters[index]
+                if error is not None:
+                    request.event.fail(error)
+                break
         self._grant_waiters(item, state)
-
-    def _fail_waiter(self, txn_id: int, item: int, error: TransactionAborted) -> bool:
-        """Fail a victim's pending request so its process aborts itself."""
-        state = self._locks.get(item)
-        if state is None:
-            return False
-        for request in state.waiters:
-            if request.txn_id == txn_id and not request.cancelled:
-                request.cancelled = True
-                self._waiting_for_item.pop(txn_id, None)
-                request.event.fail(error)
-                self._grant_waiters(item, state)
-                return True
-        return False
 
     def _blockers_of(self, txn_id: int, state: _LockState) -> list:
         """The transactions a fresh request on ``state`` would wait for.
 
-        Holders other than the requester plus every queued (non-cancelled)
-        waiter: FCFS means a new request also waits for everything already
-        in the queue.  Deduplicated (order-preserving): a transaction that
-        both holds the granule and queues for an upgrade is one blocker,
-        so wound-wait sacrifices — and counts — it exactly once.
+        Holders other than the requester plus every queued waiter: FCFS
+        means a new request also waits for everything already in the
+        queue.  Deduplicated (order-preserving): a transaction that both
+        holds the granule and queues for an upgrade is one blocker, so
+        wound-wait sacrifices it exactly once.
         """
         blockers = dict.fromkeys(t for t in state.holders if t != txn_id)
         for request in state.waiters:
-            if not request.cancelled and request.txn_id != txn_id:
+            if request.txn_id != txn_id:
                 blockers[request.txn_id] = None
         return list(blockers)
 
@@ -334,7 +309,6 @@ class TwoPhaseLocking(LockingScheme):
             raise ValueError(f"unknown victim policy {victim_policy!r}")
         super().__init__(sim)
         self.victim_policy = victim_policy
-        self.deadlocks = 0
 
     # ------------------------------------------------------------------
     # conflict resolution: wait, then hunt for cycles
@@ -352,8 +326,9 @@ class TwoPhaseLocking(LockingScheme):
         # waits and the loop ends naturally.
         victim = self._detect_deadlock(txn_id)
         while victim is not None:
-            self.deadlocks += 1
-            self._abort_waiter(victim, item_hint=item)
+            self._withdraw(victim, TransactionAborted(
+                AbortReason.DEADLOCK,
+                f"victim of deadlock on granule {self._waiting_for_item[victim]}"))
             victim = self._detect_deadlock(txn_id)
         return event
 
@@ -373,8 +348,7 @@ class TwoPhaseLocking(LockingScheme):
         for request in state.waiters:
             if request.txn_id == txn_id:
                 break
-            if not request.cancelled:
-                blockers.add(request.txn_id)
+            blockers.add(request.txn_id)
         return blockers
 
     def _detect_deadlock(self, start: int) -> Optional[int]:
@@ -411,12 +385,6 @@ class TwoPhaseLocking(LockingScheme):
         if self.victim_policy == "oldest":
             return min(cycle, key=lambda t: self._start_time.get(t, 0.0))
         return min(cycle, key=lambda t: len(self._held.get(t, ())))
-
-    def _abort_waiter(self, txn_id: int, item_hint: int) -> None:
-        """Fail the victim's pending request so its process aborts itself."""
-        item = self._waiting_for_item.get(txn_id, item_hint)
-        self._fail_waiter(txn_id, item, TransactionAborted(
-            AbortReason.DEADLOCK, f"victim of deadlock on granule {item}"))
 
 
 class _TimestampPriorityLocking(LockingScheme):
@@ -488,7 +456,6 @@ class WoundWaitLocking(_TimestampPriorityLocking):
         super().__init__(sim)
         #: running transactions with a pending wound (die at next access)
         self._wounded: Set[int] = set()
-        self.wounds = 0
 
     def access(self, txn: "Transaction", item: int, is_write: bool) -> Optional[Event]:
         """Deliver a pending wound before the access happens."""
@@ -515,7 +482,7 @@ class WoundWaitLocking(_TimestampPriorityLocking):
             other_priority = self._priority.get(other)
             if other_priority is not None and other_priority > priority:
                 self._wound(other)
-        # wounded waiters were cancelled (and grants may have cascaded), so
+        # wounded waiters left the queue (and grants may have cascaded), so
         # the request may have become grantable — never wait on a clear queue
         return self._try_grant(txn_id, item, mode, state)
 
@@ -523,12 +490,10 @@ class WoundWaitLocking(_TimestampPriorityLocking):
         """Abort ``victim`` now if blocked, at its next access otherwise."""
         item = self._waiting_for_item.get(victim)
         if item is not None:
-            self.wounds += 1
-            self._fail_waiter(victim, item, TransactionAborted(
+            self._withdraw(victim, TransactionAborted(
                 AbortReason.WOUND,
                 f"wounded by an older transaction while waiting on granule {item}"))
-        elif victim not in self._wounded:
-            self.wounds += 1
+        else:
             self._wounded.add(victim)
 
 
@@ -545,16 +510,11 @@ class WaitDieLocking(_TimestampPriorityLocking):
 
     name = "wait-die"
 
-    def __init__(self, sim: Simulator):
-        super().__init__(sim)
-        self.deaths = 0
-
     def _block(self, txn_id: int, item: int, mode: LockMode, state: _LockState) -> Event:
         priority = self._priority[txn_id]
         for other in self._blockers_of(txn_id, state):
             other_priority = self._priority.get(other)
             if other_priority is not None and other_priority < priority:
-                self.deaths += 1
                 raise TransactionAborted(
                     AbortReason.DIE,
                     f"wait-die: younger than a conflicting transaction "

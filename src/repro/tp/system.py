@@ -371,10 +371,10 @@ class TransactionSystem:
                 restarting = True
 
             except TransactionAborted as aborted:
-                # blocking CC made this transaction a deadlock victim.  Its
-                # failed grant keeps the exception (the lock table drops a
-                # cancelled request only when it reaches the queue head), so
-                # drop the traceback, which holds this frame
+                # blocking CC made this transaction a deadlock victim.  This
+                # frame's own ``grant`` local holds the failed grant event,
+                # whose value is this exception, whose traceback holds this
+                # frame: drop the traceback to break that cycle
                 aborted.__traceback__ = None
                 self._abort(txn, aborted.reason)
                 restarting = True

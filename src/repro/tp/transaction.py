@@ -101,6 +101,16 @@ class Transaction:
         return self.admitted_at - self.submitted_at
 
     # ------------------------------------------------------------------
+    def record_access(self, item: int, is_write: bool) -> None:
+        """Add an access to the read set and, for a write, the write set.
+
+        Every write also reads its granule in this model, so write/write
+        conflicts surface through the read sets too.
+        """
+        self.read_set.add(item)
+        if is_write:
+            self.write_set.add(item)
+
     def start_execution(self, now: float) -> None:
         """Mark the beginning of a (re-)execution and clear per-run state."""
         self.execution_started_at = now

@@ -100,30 +100,22 @@ class BrokenNoConcurrencyControl(ConcurrencyControl):
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self._active = set()
 
     def begin(self, txn) -> None:
-        self._active.add(txn.txn_id)
+        pass
 
     def access(self, txn, item: int, is_write: bool):
-        if is_write:
-            txn.write_set.add(item)
-            txn.read_set.add(item)
-        else:
-            txn.read_set.add(item)
+        txn.record_access(item, is_write)
         return None
 
     def try_commit(self, txn) -> bool:
         return True
 
     def finish(self, txn) -> None:
-        self._active.discard(txn.txn_id)
+        pass
 
     def abort(self, txn, reason: AbortReason) -> None:
-        self._active.discard(txn.txn_id)
-
-    def active_count(self) -> int:
-        return len(self._active)
+        pass
 
 
 class TestOracleCanFail:

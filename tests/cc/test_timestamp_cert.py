@@ -42,7 +42,7 @@ class TestCertification:
         cc.finish(first)
         assert cc.try_commit(second) is True
         cc.finish(second)
-        assert cc.certification_failures == 0
+        assert first.last_conflicts == second.last_conflicts == 0
 
     def test_read_write_conflict_aborts_the_later_committer(self):
         sim = Simulator()
@@ -60,7 +60,6 @@ class TestCertification:
         assert cc.try_commit(reader) is False
         assert reader.last_conflicts == 1
         cc.abort(reader, AbortReason.CERTIFICATION)
-        assert cc.certification_failures == 1
 
     def test_restarted_execution_can_commit_after_conflict(self):
         sim = Simulator()
@@ -126,7 +125,7 @@ class TestCertification:
         for txn in transactions:
             assert cc.try_commit(txn) is True
             cc.finish(txn)
-        assert cc.failure_fraction == 0.0
+            assert txn.last_conflicts == 0
 
     def test_commit_without_begin_raises(self):
         sim = Simulator()
@@ -135,27 +134,6 @@ class TestCertification:
         orphan.start_execution(sim.now)
         with pytest.raises(RuntimeError):
             cc.try_commit(orphan)
-
-    def test_active_count_tracks_begin_and_end(self):
-        sim = Simulator()
-        cc = TimestampCertification(sim)
-        txn = make_txn(1, [1], writes=[1])
-        txn.start_execution(sim.now)
-        cc.begin(txn)
-        assert cc.active_count() == 1
-        run_accesses(cc, txn)
-        assert cc.try_commit(txn)
-        cc.finish(txn)
-        assert cc.active_count() == 0
-
-    def test_abort_clears_active_registration(self):
-        sim = Simulator()
-        cc = TimestampCertification(sim)
-        txn = make_txn(1, [1], writes=[1])
-        txn.start_execution(sim.now)
-        cc.begin(txn)
-        cc.abort(txn, AbortReason.DISPLACEMENT)
-        assert cc.active_count() == 0
 
     def test_commit_timestamps_strictly_increase_within_an_instant(self):
         sim = Simulator()
@@ -173,19 +151,3 @@ class TestCertification:
         cc.begin(second)
         run_accesses(cc, second)
         assert cc.try_commit(second) is False
-
-    def test_failure_fraction_reporting(self):
-        sim = Simulator()
-        cc = TimestampCertification(sim)
-        assert cc.failure_fraction == 0.0
-        writer = make_txn(1, [2], writes=[2])
-        loser = make_txn(2, [2])
-        for txn in (writer, loser):
-            txn.start_execution(sim.now)
-            cc.begin(txn)
-            run_accesses(cc, txn)
-        sim._now = 1.0
-        cc.try_commit(writer)
-        cc.finish(writer)
-        cc.try_commit(loser)
-        assert cc.failure_fraction == pytest.approx(0.5)

@@ -57,8 +57,7 @@ class TestSharedMachinery:
         assert cc.access(first, 10, is_write=False) is None
         assert cc.access(second, 10, is_write=False) is None
         assert set(cc.holders_of(10)) == {1, 2}
-        assert cc.lock_requests == 2
-        assert cc.lock_waits == 0
+        assert cc.wait_depth() == 0
 
     def test_base_class_has_no_conflict_resolution(self, sim):
         cc = LockingScheme(sim)
@@ -81,7 +80,8 @@ class TestWoundWait:
         assert cc.access(older, 7, is_write=True) is None
         wait = cc.access(younger, 7, is_write=True)
         assert wait is not None and not wait.triggered
-        assert cc.wounds == 0
+        # nobody was wounded: the holder's next access goes ahead
+        assert cc.access(older, 8, is_write=False) is None
 
     def test_youngest_requester_waits_behind_queue_without_wounding(self, sim):
         """Age is first-begin order; the youngest wounds nobody, it queues."""
@@ -95,8 +95,8 @@ class TestWoundWait:
         assert cc.access(middle, 7, is_write=True) is not None
         wait = cc.access(youngest, 7, is_write=True)
         assert wait is not None and not wait.triggered
-        assert cc.wounds == 0
-        assert cc.blocked_count == 2
+        assert cc.access(holder, 8, is_write=False) is None  # not wounded
+        assert cc.wait_depth() == 2
 
     def test_wound_fails_the_blocked_victims_wait_event(self, sim):
         cc = WoundWaitLocking(sim)
@@ -120,7 +120,7 @@ class TestWoundWait:
         with pytest.raises(TransactionAborted) as aborted:
             _ = victim_wait.value
         assert aborted.value.reason is AbortReason.WOUND
-        assert cc.wounds == 1
+        assert cc.wait_depth() == 1  # only the wounder waits now
 
     def test_wound_of_running_victim_is_delivered_at_next_access(self, sim):
         cc = WoundWaitLocking(sim)
@@ -132,7 +132,8 @@ class TestWoundWait:
         assert cc.access(younger, 5, is_write=True) is None
         wait = cc.access(older, 5, is_write=True)
         assert wait is not None
-        assert cc.wounds == 1  # running victim: marked, not yet delivered
+        # running victim: marked, not yet delivered — it still holds 5
+        assert set(cc.holders_of(5)) == {2}
         with pytest.raises(TransactionAborted) as aborted:
             cc.access(younger, 6, is_write=False)
         assert aborted.value.reason is AbortReason.WOUND
@@ -148,7 +149,7 @@ class TestWoundWait:
         cc.begin(younger)
         assert cc.access(younger, 5, is_write=True) is None
         wait = cc.access(older, 5, is_write=True)
-        assert cc.wounds == 1
+        assert wait is not None and not wait.triggered
         # commit immunity: no further access, so the wound is never delivered
         assert cc.try_commit(younger) is True
         cc.finish(younger)
@@ -191,13 +192,17 @@ class TestWoundWait:
         # the youngest queues for an S->X upgrade behind the older peer
         upgrade_wait = cc.access(upgrader, 4, is_write=True)
         assert upgrade_wait is not None
-        assert cc.wounds == 0
         # the oldest wants X: wounds the peer (running -> marked) and the
         # upgrader (blocked -> failed) — exactly one wound each
         wait = cc.access(old, 4, is_write=True)
         assert wait is not None
-        assert cc.wounds == 2
         assert upgrade_wait.triggered and not upgrade_wait.ok
+        assert upgrade_wait.exception.reason is AbortReason.WOUND
+        with pytest.raises(TransactionAborted) as aborted:
+            cc.access(peer, 5, is_write=False)
+        assert aborted.value.reason is AbortReason.WOUND
+        # a second wound of the upgrader would have marked it as well
+        assert cc.access(upgrader, 5, is_write=False) is None
 
     def test_wounding_queued_victim_regrants_cleared_queue(self, sim):
         """An older requester never waits behind wounded younger waiters."""
@@ -231,7 +236,7 @@ class TestWaitDie:
         assert cc.access(younger, 7, is_write=True) is None
         wait = cc.access(older, 7, is_write=True)
         assert wait is not None and not wait.triggered
-        assert cc.deaths == 0
+        assert cc.wait_depth() == 1
 
     def test_younger_requester_dies_immediately(self, sim):
         cc = WaitDieLocking(sim)
@@ -243,11 +248,12 @@ class TestWaitDie:
         with pytest.raises(TransactionAborted) as aborted:
             cc.access(younger, 7, is_write=True)
         assert aborted.value.reason is AbortReason.DIE
-        assert cc.deaths == 1
+        assert cc.wait_depth() == 0
         # nothing was enqueued: the holder's release grants nobody
         cc.abort(younger, AbortReason.DIE)
         cc.finish(older)
-        assert cc.blocked_count == 0
+        assert cc.wait_depth() == 0
+        assert cc.holders_of(7) == {}
 
     def test_death_considers_queued_waiters_too(self, sim):
         """FCFS: a requester younger than an already-queued waiter dies."""
@@ -314,8 +320,7 @@ class TestWoundWaitUpgradeDeadlock:
         assert cc.access(older, 4, is_write=False) is None
         assert cc.access(younger, 4, is_write=False) is None
         wait = cc.access(older, 4, is_write=True)  # upgrade: wounds + waits
-        assert wait is not None
-        assert cc.wounds == 1
+        assert wait is not None and not wait.triggered
         with pytest.raises(TransactionAborted) as aborted:
             cc.access(younger, 4, is_write=True)   # the wound is delivered
         assert aborted.value.reason is AbortReason.WOUND
@@ -339,17 +344,3 @@ class TestResetAndBookkeeping:
                   else AbortReason.DIE)
         cc.abort(victim, reason)
         assert cc.priority_of(2) == 1  # the conflict victim keeps aging
-
-    def test_active_count_tracks_holders_and_waiters(self, sim, scheme_class):
-        cc = scheme_class(sim)
-        holder = make_txn(1, [3], writes=[3])
-        waiter = make_txn(2, [3], writes=[3])
-        cc.begin(holder)
-        cc.begin(waiter)
-        assert cc.access(holder, 3, is_write=True) is None
-        assert cc.active_count() == 1
-        # the younger waits under wound-wait; under wait-die it would die,
-        # so only assert the blocking case where it exists
-        if scheme_class is WoundWaitLocking:
-            assert cc.access(waiter, 3, is_write=True) is not None
-            assert cc.active_count() == 2

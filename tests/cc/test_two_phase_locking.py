@@ -49,7 +49,7 @@ class TestLockGranting:
         wait = cc.access(second, 10, is_write=True)
         assert wait is not None
         assert not wait.triggered
-        assert cc.blocked_count == 1
+        assert cc.wait_depth() == 1
 
     def test_exclusive_lock_blocks_reader(self, sim, cc):
         writer = make_txn(1, [3], writes=[3])
@@ -131,7 +131,7 @@ class TestLockGranting:
             cc.finish(txn)
         for item in (1, 2, 3, 4):
             assert cc.holders_of(item) == {}
-        assert cc.active_count() == 0
+        assert cc.wait_depth() == 0
 
 
 class TestDeadlockHandling:
@@ -147,8 +147,8 @@ class TestDeadlockHandling:
         wait_first = cc.access(first, 2, is_write=True)
         assert wait_first is not None and not wait_first.triggered
         wait_second = cc.access(second, 1, is_write=True)
-        # the younger transaction (second) is chosen as the victim
-        assert cc.deadlocks == 1
+        # the younger transaction (second) is chosen as the only victim
+        assert not wait_first.triggered
         assert wait_second.triggered and not wait_second.ok
         assert isinstance(wait_second.exception, TransactionAborted)
         assert wait_second.exception.reason is AbortReason.DEADLOCK
@@ -199,9 +199,9 @@ class TestDeadlockHandling:
         waits = []
         for txn in transactions:
             waits.append(cc.access(txn, txn.txn_id % 3 + 1, is_write=True))
-        assert cc.deadlocks >= 1
         failed = [wait for wait in waits if wait is not None and wait.triggered and not wait.ok]
         assert len(failed) == 1
+        assert failed[0].exception.reason is AbortReason.DEADLOCK
 
     def test_no_false_deadlock_for_simple_waiting(self, sim, cc):
         holder = make_txn(1, [1], writes=[1])
@@ -209,30 +209,81 @@ class TestDeadlockHandling:
         cc.begin(holder)
         cc.begin(waiter)
         cc.access(holder, 1, is_write=True)
-        cc.access(waiter, 1, is_write=True)
-        assert cc.deadlocks == 0
+        wait = cc.access(waiter, 1, is_write=True)
+        assert wait is not None and not wait.triggered
+        assert cc.wait_depth() == 1
 
     def test_abort_of_waiter_cleans_up_queue(self, sim, cc):
         holder = make_txn(1, [1], writes=[1])
         waiter = make_txn(2, [1], writes=[1])
-        cc.begin(holder)
-        cc.begin(waiter)
+        behind = make_txn(3, [1], writes=[1])
+        for txn in (holder, waiter, behind):
+            cc.begin(txn)
         cc.access(holder, 1, is_write=True)
-        cc.access(waiter, 1, is_write=True)
+        wait = cc.access(waiter, 1, is_write=True)
+        wait_behind = cc.access(behind, 1, is_write=True)
         cc.abort(waiter, AbortReason.DISPLACEMENT)
-        assert cc.blocked_count == 0
+        assert cc.wait_depth() == 1
         cc.finish(holder)
+        # the withdrawn request is never granted; the one behind it is
+        assert not wait.triggered
+        assert wait_behind.triggered and wait_behind.ok
+        assert set(cc.holders_of(1)) == {3}
+        assert cc.wait_depth() == 0
+        cc.finish(behind)
         assert cc.holders_of(1) == {}
 
-    def test_statistics_counters(self, sim, cc):
-        first = make_txn(1, [1], writes=[1])
-        second = make_txn(2, [1], writes=[1])
-        cc.begin(first)
-        cc.begin(second)
-        cc.access(first, 1, is_write=True)
-        cc.access(second, 1, is_write=True)
-        assert cc.lock_requests == 2
-        assert cc.lock_waits == 1
+    def test_restarted_waiter_keeps_every_live_waiter_in_its_waits_for(self, sim):
+        """Regression: a restarted transaction's cancelled request stayed
+        queued, and the waits-for walk stopped at that dead entry, so the
+        live waiters between it and the live request dropped out of the
+        graph and deadlock detection chose victims from a partial cycle."""
+        cc = TwoPhaseLocking(sim, victim_policy="youngest")
+        h, g, t = 1, 2, 3  # granules
+        names = {7: "R", 5: "H", 6: "A", 1: "T", 0: "B"}
+        txns = {name: make_txn(txn_id, [h, g, t], writes=[h, g, t])
+                for txn_id, name in names.items()}
+        failed = []
+        grants = {}
+
+        def request(name, item):
+            grant = cc.access(txns[name], item, is_write=True)
+            if grant is not None:
+                grants[name] = grant
+                grant.add_callback(
+                    lambda event: failed.append(name) if not event.ok else None)
+            return grant
+
+        def begin_at(now, name):
+            sim.run(until=now)
+            cc.begin(txns[name])
+
+        begin_at(0, "R")
+        assert request("R", h) is None
+        begin_at(1, "H")
+        assert request("H", g) is None
+        begin_at(2, "A")
+        assert request("A", g) is not None
+        begin_at(3, "T")
+        assert request("T", g) is not None
+        cc.abort(txns["T"], AbortReason.DISPLACEMENT)
+        begin_at(4, "T")
+        assert request("T", t) is None
+        begin_at(5, "B")
+        assert request("B", g) is not None
+        sim.run(until=6)
+        assert request("T", g) is not None
+        assert request("H", h) is not None
+        assert request("R", t) is not None
+        sim.run(until=7)
+        # T waits for H, A and B on g; B waits for H and A.  R -> T -> B ->
+        # H -> R is a cycle whose youngest member is B; once B is gone,
+        # R -> T -> H -> R remains and T is its youngest member
+        assert failed == ["B", "T"]
+        for name in ("B", "T"):
+            assert grants[name].exception.reason is AbortReason.DEADLOCK
+        for name in ("A", "H", "R"):
+            assert not grants[name].triggered
 
 
 class TestTwoPhaseLockingInSimulation:

@@ -14,7 +14,7 @@ Invariants covered:
   all shared or exactly one exclusive owner, at every point a lock is
   acquired;
 * **lock-grant conservation** — when every transaction has finished, the
-  lock table is empty: no holders, no waiters, no active registrations,
+  lock table is empty: no holders and no waiters,
   whatever mix of commits, voluntary aborts and deadlock aborts occurred;
 * **no grants after release** — a transaction that released its locks
   (commit or final abort) never reappears as a holder;
@@ -77,6 +77,8 @@ def test_lock_grant_conservation_under_random_schedules(seed):
     sim = Simulator()
     cc = TwoPhaseLocking(sim)
     finished = []
+    requests = [0]
+    waits = [0]
 
     def transaction(txn_id):
         attempts = 0
@@ -87,8 +89,10 @@ def test_lock_grant_conservation_under_random_schedules(seed):
             cc.begin(txn)
             try:
                 for item, is_write in txn.accesses:
+                    requests[0] += 1
                     grant = cc.access(txn, item, is_write)
                     if grant is not None:
+                        waits[0] += 1
                         yield grant
                     assert txn_id in cc.holders_of(item), "grant without holdership"
                     assert_mode_compatible(cc, item)
@@ -112,13 +116,12 @@ def test_lock_grant_conservation_under_random_schedules(seed):
     sim.run(until=10_000.0)
 
     assert len(finished) == n_transactions, "every transaction must terminate"
-    # conservation: nothing is held, nothing waits, nothing is registered
-    assert cc.active_count() == 0
-    assert cc.blocked_count == 0
+    # conservation: nothing is held, nothing waits
+    assert cc.wait_depth() == 0
     for item in range(N_ITEMS):
         assert cc.holders_of(item) == {}, f"granule {item} leaked holders"
-    assert cc.lock_requests >= n_transactions
-    assert cc.lock_waits > 0, "the tiny database must force real waits"
+    assert requests[0] >= n_transactions
+    assert waits[0] > 0, "the tiny database must force real waits"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -216,7 +219,7 @@ def test_deadlock_victims_always_make_progress(seed, policy):
 
     assert sorted(committed) == list(range(n_transactions))
     # the workload is contended enough that victims were actually selected
-    assert cc.deadlocks > 0
-    assert deadlock_aborts[0] == cc.deadlocks
-    assert cc.active_count() == 0
-    assert cc.blocked_count == 0
+    assert deadlock_aborts[0] > 0
+    assert cc.wait_depth() == 0
+    for item in range(6):
+        assert cc.holders_of(item) == {}

@@ -58,7 +58,21 @@ class TestWaitDepthHook:
 
     def test_locking_scheme_reports_its_blocked_count(self):
         from repro.sim.engine import Simulator
-        from repro.cc.two_phase_locking import LockingScheme
+        from repro.cc.base import AbortReason
+        from repro.cc.two_phase_locking import LockingScheme, TwoPhaseLocking
+        from repro.tp.transaction import Transaction, TransactionClass
 
-        scheme = LockingScheme(Simulator())
-        assert scheme.wait_depth() == scheme.blocked_count == 0
+        assert LockingScheme(Simulator()).wait_depth() == 0
+        scheme = TwoPhaseLocking(Simulator())
+        holder, waiter = (
+            Transaction(txn_id=txn_id, terminal_id=0,
+                        txn_class=TransactionClass.UPDATER,
+                        items=(3,), write_flags=(True,))
+            for txn_id in (1, 2))
+        scheme.begin(holder)
+        scheme.begin(waiter)
+        assert scheme.access(holder, 3, is_write=True) is None
+        assert scheme.access(waiter, 3, is_write=True) is not None
+        assert scheme.wait_depth() == 1
+        scheme.abort(waiter, AbortReason.DISPLACEMENT)
+        assert scheme.wait_depth() == 0

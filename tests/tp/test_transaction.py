@@ -65,3 +65,10 @@ class TestLifecycleBookkeeping:
         assert txn.write_set == set()
         assert txn.cc_state == {}
         assert txn.last_conflicts == 0
+
+    def test_record_access_makes_every_write_a_read(self):
+        txn = make_updater()
+        for item, is_write in txn.accesses:
+            txn.record_access(item, is_write)
+        assert txn.read_set == {1, 2, 3, 4}
+        assert txn.write_set == {2, 4}

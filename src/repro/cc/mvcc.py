@@ -20,11 +20,11 @@ that sixth point of comparison through the same
   with a fresh commit index.
 
 The versioned store keys versions by the writer's commit index and keeps,
-per granule, only the versions some active snapshot can still see (older
-versions are garbage-collected against the oldest active snapshot), so
-memory stays bounded regardless of run length.  The scheme keeps each
-execution's snapshot in one place, its ``_snapshots`` table, and stores
-nothing per access: the version a read returned is recomputed from that
+per granule, only the versions some active snapshot can still see: each
+commit cuts the lists of the granules it wrote against the oldest active
+snapshot, so memory stays bounded regardless of run length.  The scheme
+keeps each execution's snapshot in one place, its ``_snapshots`` table, and
+stores nothing per access: the version a read returned is recomputed from that
 snapshot when the history recorder asks for it
 (:meth:`SnapshotIsolation.observed_version`).
 
@@ -106,14 +106,33 @@ class SnapshotIsolation(ConcurrencyControl):
         return not conflicts
 
     def finish(self, txn: "Transaction") -> None:
-        """Install the write set as new versions at a fresh commit index."""
+        """Install the write set as new versions at a fresh commit index.
+
+        Each written granule's list is then cut back to the versions some
+        active snapshot can still see: a version is dead once a *newer*
+        version is also at or below every active snapshot (and below the
+        next transaction's snapshot, the current commit index, which it
+        always is).  Only the granules written gain a version, so only their
+        lists are cut; a list is cut at each write of its granule, so it
+        stays bounded.  The oldest active snapshot never moves back, so a
+        version kept longer elsewhere is never the latest one at or below
+        any active snapshot: every visible read and the first-committer-wins
+        check, which only compares against the newest version, are
+        unchanged.
+        """
         self._commit_index += 1
         commit_index = self._commit_index
-        for item in txn.write_set:
-            self._versions.setdefault(item, []).append(
-                (commit_index, txn.txn_id))
         self._snapshots.pop(txn.txn_id, None)
-        self._collect_garbage()
+        horizon = min(self._snapshots.values(), default=commit_index)
+        for item in txn.write_set:
+            versions = self._versions.get(item)
+            if versions is None:
+                self._versions[item] = [(commit_index, txn.txn_id)]
+                continue
+            versions.append((commit_index, txn.txn_id))
+            cut = bisect_right(versions, horizon, key=lambda v: v[0])
+            if cut > 1:
+                del versions[:cut - 1]
 
     def abort(self, txn: "Transaction", reason: AbortReason) -> None:
         """Drop the execution's snapshot; buffered writes never existed."""
@@ -143,21 +162,3 @@ class SnapshotIsolation(ConcurrencyControl):
         if index == 0:
             return None
         return versions[index - 1][1]
-
-    def _collect_garbage(self) -> None:
-        """Drop versions no active snapshot can see any more.
-
-        A version is dead once a *newer* version is also at or below every
-        active snapshot (and below the next transaction's snapshot, i.e.
-        the current commit index — which it always is).  Keeping the
-        latest version at or below the oldest active snapshot preserves
-        every visible read and the first-committer-wins check, which only
-        ever compares against the newest version.
-        """
-        horizon = min(self._snapshots.values(), default=self._commit_index)
-        for item, versions in self._versions.items():
-            if len(versions) < 2:
-                continue
-            cut = bisect_right(versions, horizon, key=lambda v: v[0])
-            if cut > 1:
-                del versions[:cut - 1]

@@ -6,7 +6,8 @@ aborting and restarting one of the involved transactions.  The particular
 variant is *backward-oriented certification* with commit-time validation
 (Bernstein, Hadzilacos & Goodman 1987, ch. 4):
 
-* every execution receives a start timestamp when it begins;
+* every execution's start time (``Transaction.execution_started_at``) is
+  its start timestamp;
 * reads and writes proceed without any blocking, the scheme only records
   the read and write sets;
 * at commit time the transaction is *certified*: it may commit only if no
@@ -56,8 +57,11 @@ class TimestampCertification(ConcurrencyControl):
 
     # ------------------------------------------------------------------
     def begin(self, txn: "Transaction") -> None:
-        """Stamp the execution with the current time as its start timestamp."""
-        txn.cc_state["start_ts"] = self.sim.now
+        """Nothing to record: the execution's start time is its start timestamp.
+
+        The lifecycle stamps ``txn.execution_started_at`` when the execution
+        starts, and certification reads it there.
+        """
 
     def access(self, txn: "Transaction", item: int, is_write: bool) -> Optional[Event]:
         """Record the access; optimistic schemes never block."""
@@ -66,10 +70,10 @@ class TimestampCertification(ConcurrencyControl):
 
     def try_commit(self, txn: "Transaction") -> bool:
         """Backward certification against transactions committed meanwhile."""
-        start_ts = txn.cc_state.get("start_ts")
+        start_ts = txn.execution_started_at
         if start_ts is None:
             raise RuntimeError(
-                f"transaction {txn.txn_id} certified without begin() being called"
+                f"transaction {txn.txn_id} certified before its execution started"
             )
         conflicts = 0
         for item in txn.read_set:

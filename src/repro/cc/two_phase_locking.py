@@ -122,15 +122,17 @@ class LockingScheme(ConcurrencyControl):
     # ConcurrencyControl interface
     # ------------------------------------------------------------------
     def begin(self, txn: "Transaction") -> None:
-        """Register a fresh execution with no locks held."""
-        self._held.setdefault(txn.txn_id, set())
+        """Register a fresh execution: its start time and an empty held set, which its grants fill."""
+        self._held[txn.txn_id] = set()
         self._start_time[txn.txn_id] = self.sim.now
 
     def access(self, txn: "Transaction", item: int, is_write: bool) -> Optional[Event]:
         """Acquire an S or X lock on ``item``; may return a wait event."""
         mode = LockMode.EXCLUSIVE if is_write else LockMode.SHARED
         txn.record_access(item, is_write)
-        state = self._locks.setdefault(item, _LockState())
+        state = self._locks.get(item)
+        if state is None:
+            state = self._locks[item] = _LockState()
         return self._grant_or(txn.txn_id, item, mode, state, self._block)
 
     def try_commit(self, txn: "Transaction") -> bool:
@@ -205,7 +207,7 @@ class LockingScheme(ConcurrencyControl):
             return blocked(txn_id, item, mode, state)
         if self._compatible(state, mode):
             state.holders[txn_id] = mode
-            self._held.setdefault(txn_id, set()).add(item)
+            self._held[txn_id].add(item)
             return None
         return blocked(txn_id, item, mode, state)
 
@@ -227,7 +229,7 @@ class LockingScheme(ConcurrencyControl):
         return event
 
     def _release_all(self, txn_id: int) -> None:
-        items = self._held.pop(txn_id, set())
+        items = self._held.pop(txn_id, ())
         self._start_time.pop(txn_id, None)
         for item in items:
             state = self._locks.get(item)
@@ -250,7 +252,7 @@ class LockingScheme(ConcurrencyControl):
                     return
             state.waiters.popleft()
             state.holders[head.txn_id] = head.mode
-            self._held.setdefault(head.txn_id, set()).add(item)
+            self._held[head.txn_id].add(item)
             self._waiting_for_item.pop(head.txn_id, None)
             head.event.succeed(head.mode)
 

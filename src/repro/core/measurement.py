@@ -100,11 +100,12 @@ class MeasurementProcess:
             self.sample(interval_start)
 
     # ------------------------------------------------------------------
-    def sample(self, interval_start: Optional[float] = None) -> IntervalMeasurement:
-        """Take one sample now, run the controller, enforce the new limit."""
+    def sample(self, interval_start: float) -> IntervalMeasurement:
+        """Take one sample now, run the controller, enforce the new limit.
+
+        ``interval_start`` is when the sampled interval began.
+        """
         now = self.sim.now
-        if interval_start is None:
-            interval_start = self.metrics.interval_start
         length = max(now - interval_start, 1e-12)
         counters = self.metrics.snapshot_interval()
         mean_load = self.gate.load_stats.mean(now)

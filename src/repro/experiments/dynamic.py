@@ -18,7 +18,11 @@ Two plants are supported:
 
 Scenario helpers build the two variation patterns used in Section 9:
 ``jump_scenario`` (abrupt change at mid-run, Figures 13/14) and
-``sinusoid_scenario`` (smooth periodic change).
+``sinusoid_scenario`` (smooth periodic change).  A scenario is a
+``(parameter, schedule)`` pair whose parameter is one of
+:data:`~repro.tp.workload.VARIED_PARAMETERS`: the
+:class:`~repro.tp.workload.Workload` keyword that takes the schedule.  The
+run's own workload also answers for the reference optimum after the run.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from repro.obs.catalog import ObserverSet, validate_observers
 from repro.sim.engine import Simulator
 from repro.sim.random_streams import RandomStreams
 from repro.sim.trace import TraceEvent
-from repro.tp.params import SystemParams
+from repro.tp.params import SystemParams, WorkloadParams
 from repro.tp.system import TransactionSystem
 from repro.tp.workload import (
     ConstantSchedule,
@@ -47,6 +51,7 @@ from repro.tp.workload import (
     ParameterSchedule,
     SinusoidSchedule,
     Workload,
+    check_varied_parameter,
 )
 
 
@@ -90,42 +95,17 @@ class TrackingResult:
 def jump_scenario(parameter: str, before: float, after: float, jump_time: float
                   ) -> Tuple[str, ParameterSchedule]:
     """A jump-like variation of one workload parameter (Figures 13/14)."""
-    _validate_parameter(parameter)
-    return parameter, JumpSchedule(before, after, jump_time)
+    return check_varied_parameter(parameter), JumpSchedule(before, after, jump_time)
 
 
 def sinusoid_scenario(parameter: str, mean: float, amplitude: float, period: float
                       ) -> Tuple[str, ParameterSchedule]:
     """A sinusoidal variation of one workload parameter (Section 9)."""
-    _validate_parameter(parameter)
-    return parameter, SinusoidSchedule(mean, amplitude, period)
+    return check_varied_parameter(parameter), SinusoidSchedule(mean, amplitude, period)
 
 
-_VALID_PARAMETERS = ("accesses", "query_fraction", "write_fraction")
-
-
-def _validate_parameter(parameter: str) -> None:
-    if parameter not in _VALID_PARAMETERS:
-        raise ValueError(
-            f"parameter must be one of {_VALID_PARAMETERS}, got {parameter!r}"
-        )
-
-
-def _build_workload(params: SystemParams, streams, parameter: str,
-                    schedule: ParameterSchedule) -> Workload:
-    kwargs = {"accesses": None, "query_fraction": None, "write_fraction": None}
-    if parameter == "accesses":
-        kwargs["accesses"] = schedule
-    elif parameter == "query_fraction":
-        kwargs["query_fraction"] = schedule
-    else:
-        kwargs["write_fraction"] = schedule
-    return Workload.with_schedules(params.workload, streams, **kwargs)
-
-
-def _reference_optimum(params: SystemParams, workload: Workload, time: float) -> Tuple[float, float]:
-    """True optimum (position, peak) from the analytic model at ``time``."""
-    current = workload.params_at(time)
+def _reference_optimum(params: SystemParams, current: WorkloadParams) -> Tuple[float, float]:
+    """True optimum (position, peak) from the analytic model for the workload ``current``."""
     model = OccModel(params.with_changes(workload=current), current)
     optimum = model.optimal_mpl()
     return optimum, model.throughput(optimum)
@@ -160,7 +140,7 @@ def run_tracking_experiment(controller: LoadController,
     parameter, schedule = scenario
 
     streams = streams or RandomStreams(base_params.seed)
-    workload_for_reference = _build_workload(base_params, RandomStreams(base_params.seed), parameter, schedule)
+    workload = Workload(base_params.workload, streams, **{parameter: schedule})
 
     sim = Simulator()
     observer_set = ObserverSet(validate_observers(observers, stationary=False))
@@ -168,7 +148,7 @@ def run_tracking_experiment(controller: LoadController,
         base_params,
         sim=sim,
         streams=streams,
-        workload=_build_workload(base_params, streams, parameter, schedule),
+        workload=workload,
         cc=resolve_cc(cc, sim),
         displacement=displacement,
         observers=observer_set,
@@ -186,17 +166,17 @@ def run_tracking_experiment(controller: LoadController,
         system.close()
 
     # reference optimum of the workload state at each sample, one analytic
-    # solve per distinct state
-    reference_times = measurement.trace.times
+    # solve per distinct state; params_at is a pure function of time, so
+    # the run's own workload answers for every sample after the run
     reference_optima: List[float] = []
     reference_peaks: List[float] = []
     cache: Dict[Tuple, Tuple[float, float]] = {}
-    for sample_time in reference_times:
-        current = workload_for_reference.params_at(sample_time)
+    for sample_time in measurement.trace.times:
+        current = workload.params_at(sample_time)
         key = (current.accesses_per_txn, round(current.query_fraction, 6),
                round(current.write_fraction, 6))
         if key not in cache:
-            cache[key] = _reference_optimum(base_params, workload_for_reference, sample_time)
+            cache[key] = _reference_optimum(base_params, current)
         optimum, peak = cache[key]
         reference_optima.append(optimum)
         reference_peaks.append(peak)

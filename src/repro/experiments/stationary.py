@@ -151,7 +151,7 @@ def run_stationary_point(params: SystemParams,
     :attr:`StationaryPoint.observed`, the ``trace`` log
     :attr:`StationaryPoint.trace_events`, and no other field changes.
     ``arrivals`` selects the arrival model (see :mod:`repro.tp.arrivals`):
-    ``None``/closed keeps the paper's terminal processes; an open or
+    ``None`` keeps the paper's terminal processes; an open or
     partly-open process replaces them with an arrival source.  When the
     ``workload_classes`` carry tenant quotas and the run is open, the gate
     enforces them and the returned point's SLO fields

@@ -39,7 +39,7 @@ from repro.core.static import FixedLimit, NoControl
 from repro.experiments.config import ExperimentScale
 from repro.obs.catalog import ABORTS_BY_REASON, ISOLATION, TRACE, validate_observers
 from repro.obs.probes import PROBE_NAMES
-from repro.tp.arrivals import ArrivalProcess, ClosedArrivals, OpenArrivals, PartlyOpenArrivals
+from repro.tp.arrivals import ArrivalProcess, OpenArrivals, PartlyOpenArrivals
 from repro.tp.params import SystemParams, WorkloadParams
 from repro.tp.workload import (
     ConstantSchedule,
@@ -48,6 +48,7 @@ from repro.tp.workload import (
     SinusoidSchedule,
     StepSchedule,
     TransactionClassSpec,
+    check_varied_parameter,
 )
 
 #: values of :attr:`RunSpec.kind`
@@ -143,7 +144,8 @@ class RunSpec:
     scale: ExperimentScale
     controller: Optional[ControllerSpec] = None
     #: tracking runs only: (parameter name, schedule) as produced by
-    #: :func:`repro.experiments.dynamic.jump_scenario` and friends
+    #: :func:`repro.experiments.dynamic.jump_scenario` and friends; the name
+    #: is one of :data:`~repro.tp.workload.VARIED_PARAMETERS`
     scenario: Optional[Tuple[str, ParameterSchedule]] = None
     replicate: int = 0
     #: label used to group cells into curves/series in reports
@@ -164,12 +166,13 @@ class RunSpec:
     #: schema.  Every observer except ``trace`` is stationary-only.
     observers: Tuple[str, ...] = ()
     #: stationary runs only: how transactions enter the system.  ``None``
-    #: (the default) and :class:`~repro.tp.arrivals.ClosedArrivals` run the
-    #: paper's closed terminal model; :class:`~repro.tp.arrivals.OpenArrivals`
-    #: / :class:`~repro.tp.arrivals.PartlyOpenArrivals` replace the terminals
-    #: with an open source.  Opt-in (and JSON-emitted only when set) for the
-    #: same golden-stability reason as the observers: cells that do not ask
-    #: for an arrival model keep their byte-identical schema.
+    #: (the default) is the paper's closed terminal model;
+    #: :class:`~repro.tp.arrivals.OpenArrivals` /
+    #: :class:`~repro.tp.arrivals.PartlyOpenArrivals` replace the terminals
+    #: with an open source, and only then does the gate enforce the tenant
+    #: quotas of ``workload_classes``.  Opt-in (and JSON-emitted only when
+    #: set) for the same golden-stability reason as the observers: cells
+    #: that do not ask for an arrival model keep their byte-identical schema.
     arrivals: Optional[ArrivalProcess] = None
 
     def __post_init__(self) -> None:
@@ -189,6 +192,7 @@ class RunSpec:
         if self.kind == KIND_TRACKING:
             if self.scenario is None:
                 raise ValueError("tracking runs require a scenario")
+            check_varied_parameter(self.scenario[0])
             if self.controller is None:
                 raise ValueError("tracking runs require a controller")
             if self.workload_classes is not None:
@@ -213,6 +217,12 @@ class RunSpec:
                     "arrivals must be None or an ArrivalProcess, "
                     f"got {type(self.arrivals).__name__}"
                 )
+        elif any(cls.admission_quota is not None or cls.queue_quota is not None
+                 for cls in self.workload_classes or ()):
+            # the closed model's gate enforces no quotas: the cell would run
+            # as its quota-free twin under another cache key
+            raise ValueError(
+                "tenant quotas need an arrival model; the closed model enforces none")
 
     def build_controller(self) -> Optional[LoadController]:
         """Construct the cell's controller instance (None if uncontrolled)."""
@@ -254,8 +264,7 @@ def _encode_options(options: Tuple[Tuple[str, object], ...], what: str) -> dict:
 #: (tagged by ``type``) and arrival processes (tagged by ``kind``)
 _SCHEDULES = {cls.type: cls for cls in (
     ConstantSchedule, JumpSchedule, StepSchedule, SinusoidSchedule)}
-_ARRIVALS = {cls.kind: cls for cls in (
-    ClosedArrivals, OpenArrivals, PartlyOpenArrivals)}
+_ARRIVALS = {cls.kind: cls for cls in (OpenArrivals, PartlyOpenArrivals)}
 
 
 def _encode_tagged(value, tag: str, table: dict) -> dict:

@@ -20,34 +20,8 @@ confidence level.  The classes here provide the required building blocks:
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 from typing import List, Optional
-
-
-def _normal_quantile(probability: float) -> float:
-    """Acklam's rational approximation of the standard normal quantile."""
-    if not 0.0 < probability < 1.0:
-        raise ValueError(f"probability must be in (0, 1), got {probability}")
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low = 0.02425
-    if probability < p_low:
-        q = math.sqrt(-2 * math.log(probability))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    if probability <= 1 - p_low:
-        q = probability - 0.5
-        r = q * q
-        return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-               (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1)
-    q = math.sqrt(-2 * math.log(1 - probability))
-    return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
 
 
 class ObservationStats:
@@ -350,6 +324,6 @@ def required_observations(coefficient_of_variation: float,
         raise ValueError("relative accuracy must be positive")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    z = _normal_quantile(0.5 + confidence / 2.0)
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     needed = (z * coefficient_of_variation / relative_accuracy) ** 2
     return max(1, int(math.ceil(needed)))

@@ -1,4 +1,4 @@
-"""Arrival models: closed terminals, open Poisson, partly-open sessions.
+"""Arrival models: open Poisson and partly-open sessions.
 
 The paper's physical model is *closed*: ``N`` terminals resubmit after an
 exponential think time, so the offered load is bounded by construction and
@@ -10,12 +10,11 @@ before leaving.  The load-control question changes character across these
 shapes: an open overload cannot be absorbed by slowing the sources down, so
 the gate must shed work instead of merely queueing it.
 
-This module describes the arrival shape as frozen dataclasses that hold no
-run state, like the schedules of :mod:`repro.tp.workload`:
+The closed model is ``arrivals=None`` everywhere: the system then runs
+its ``N`` terminal processes.  This module describes the other arrival
+shapes as frozen dataclasses that hold no run state, like the schedules of
+:mod:`repro.tp.workload`:
 
-* :class:`ClosedArrivals` — the paper's terminal model (also selected by
-  ``arrivals=None`` everywhere, which keeps every existing trajectory
-  bit-identical);
 * :class:`OpenArrivals` — a Poisson source whose rate is a
   :class:`~repro.tp.workload.ParameterSchedule`, so diurnal sinusoids and
   flash-crowd jumps reuse the existing schedule machinery.  Nonhomogeneous
@@ -73,26 +72,6 @@ class ArrivalProcess(ABC):
 
     #: mean think time between a session's transactions (0 = back to back)
     session_think_time = 0.0
-
-
-@dataclass(frozen=True)
-class ClosedArrivals(ArrivalProcess):
-    """The paper's closed model: ``N`` terminals with exponential think.
-
-    Exists so specs can *name* the closed shape explicitly; it carries no
-    configuration of its own (the terminal count and think time live in
-    :class:`~repro.tp.params.SystemParams`) and the system treats it
-    exactly like ``arrivals=None``.
-    """
-
-    kind = "closed"
-
-    def next_interarrival(self, streams: "RandomStreams", now: float) -> float:
-        """Refuse to draw: closed traffic comes from the terminals."""
-        raise NotImplementedError(
-            "closed arrivals are generated by the terminal processes, "
-            "not by an arrival source"
-        )
 
 
 @dataclass(frozen=True)

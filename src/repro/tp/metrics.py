@@ -67,7 +67,6 @@ class RunMetrics:
         self.shed_by_tenant: Dict[str, int] = {}
         # interval accumulators for the measurement process
         self._interval = IntervalCounters()
-        self._measurement_start = sim.now
         #: start of the run-level measured window: construction time, rebound
         #: by :meth:`reset` (the end of warm-up).  Rate metrics divide by
         #: ``now - measured_from`` — the same origin the counters use, so a
@@ -127,13 +126,7 @@ class RunMetrics:
         """Return and reset the per-interval accumulators."""
         interval = self._interval
         self._interval = IntervalCounters()
-        self._measurement_start = self.sim.now
         return interval
-
-    @property
-    def interval_start(self) -> float:
-        """Start time of the currently accumulating interval."""
-        return self._measurement_start
 
     # ------------------------------------------------------------------
     # derived run-level quantities

@@ -37,7 +37,7 @@ from repro.core.outer_loop import MeasurementIntervalTuner
 from repro.sim.engine import Interrupt, Process, Simulator
 from repro.sim.random_streams import RandomStreams
 from repro.sim.resources import Resource
-from repro.tp.arrivals import SESSION_THINK_STREAM, ArrivalProcess, ClosedArrivals
+from repro.tp.arrivals import SESSION_THINK_STREAM, ArrivalProcess
 from repro.tp.metrics import RunMetrics
 from repro.tp.params import SystemParams
 from repro.tp.transaction import Transaction
@@ -66,13 +66,13 @@ class TransactionSystem:
                  observers: Optional["ObserverSet"] = None,
                  arrivals: Optional[ArrivalProcess] = None):
         self.params = params
-        #: how transactions enter the system: None/ClosedArrivals = the
-        #: paper's N-terminal closed model, otherwise an open or partly-open
-        #: source (see repro.tp.arrivals) replaces the terminal processes
+        #: how transactions enter the system: None = the paper's N-terminal
+        #: closed model, otherwise an open or partly-open source (see
+        #: repro.tp.arrivals) replaces the terminal processes
         self.arrivals = arrivals
         self.sim = sim or Simulator()
         self.streams = streams or RandomStreams(params.seed)
-        self.workload = workload or Workload.constant(params.workload, self.streams)
+        self.workload = workload or Workload(params.workload, self.streams)
         self.cc = cc or TimestampCertification(self.sim)
         self.gate = gate or AdmissionGate(self.sim)
         self.displacement = displacement
@@ -135,9 +135,9 @@ class TransactionSystem:
     def start(self) -> None:
         """Create the source processes (and the measurement loop, if any).
 
-        Closed arrivals (``arrivals=None`` or :class:`ClosedArrivals`) run
-        the paper's ``N`` terminal processes; open and partly-open arrivals
-        run a single source process instead.
+        The closed model (``arrivals=None``) runs the paper's ``N``
+        terminal processes; open and partly-open arrivals run a single
+        source process instead.
         """
         if self._started:
             raise RuntimeError("the system has already been started")
@@ -149,7 +149,7 @@ class TransactionSystem:
             # extra heap events leave the model trajectory untouched
             self._loops.append(self.sim.process(self._observer.sampler(self.sim),
                                                 name="observer-sampler"))
-        if self.arrivals is None or isinstance(self.arrivals, ClosedArrivals):
+        if self.arrivals is None:
             for terminal_id in range(self.params.n_terminals):
                 process = self.sim.process(
                     self._terminal(terminal_id), name=f"terminal-{terminal_id}"
@@ -416,7 +416,6 @@ class TransactionSystem:
             "conflict_ratio": self.metrics.conflict_ratio,
             "cpu_utilisation": self.cpus.utilisation(),
             "current_limit": self.gate.limit,
-            "schedule_clamped": float(self.workload.schedule_clamped),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

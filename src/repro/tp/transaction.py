@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 
 class TransactionClass(enum.Enum):
@@ -45,7 +45,8 @@ class Transaction:
     submitted_at: float = 0.0
     #: time the transaction was admitted into the processing system
     admitted_at: Optional[float] = None
-    #: time the current execution started
+    #: time the current execution started (timestamp certification's start
+    #: timestamp)
     execution_started_at: Optional[float] = None
     #: time the transaction committed (None while in progress)
     committed_at: Optional[float] = None
@@ -55,8 +56,6 @@ class Transaction:
     read_set: set = field(default_factory=set)
     #: write set of the current execution (maintained by the CC scheme)
     write_set: set = field(default_factory=set)
-    #: scratch space for the concurrency control scheme (timestamps, ...)
-    cc_state: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if len(self.items) != len(self.write_flags):
@@ -88,18 +87,6 @@ class Transaction:
         """The (granule, is_write) pairs in access order."""
         return tuple(zip(self.items, self.write_flags))
 
-    def response_time(self) -> Optional[float]:
-        """Submission-to-commit latency, or None if not yet committed."""
-        if self.committed_at is None:
-            return None
-        return self.committed_at - self.submitted_at
-
-    def waiting_time(self) -> Optional[float]:
-        """Time spent in the admission queue, or None if never admitted."""
-        if self.admitted_at is None:
-            return None
-        return self.admitted_at - self.submitted_at
-
     # ------------------------------------------------------------------
     def record_access(self, item: int, is_write: bool) -> None:
         """Add an access to the read set and, for a write, the write set.
@@ -116,7 +103,6 @@ class Transaction:
         self.execution_started_at = now
         self.read_set = set()
         self.write_set = set()
-        self.cc_state = {}
         self.last_conflicts = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

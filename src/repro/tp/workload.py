@@ -15,10 +15,13 @@ and the position of the throughput optimum.
 scalar parameter as a function of simulated time.  Each is a frozen
 dataclass evaluated by calling it, ``schedule(t)``, and answers for itself
 which values it can take (:meth:`~ParameterSchedule.values`) and how high
-it can go (:meth:`~ParameterSchedule.peak`).  :class:`Workload` bundles the
-three schedules, samples concrete transactions at submission time, and
-exposes the *current* :class:`~repro.tp.params.WorkloadParams` so analytic
-reference models can compute the true optimum at any instant.
+it can go (:meth:`~ParameterSchedule.peak`).  :class:`Workload` takes a
+number or a schedule for each of the three parameters, named once in
+:data:`VARIED_PARAMETERS`, samples concrete transactions at submission
+time, and exposes the *current* :class:`~repro.tp.params.WorkloadParams` so
+analytic reference models can compute the true optimum at any instant.
+:class:`MixedClassWorkload` only picks a class per submission; both
+workloads build the transaction with the same sampler.
 
 :class:`ExponentialDraws` and :class:`UniformDraws` read a stream with one
 reader from numpy blocks instead of one scalar call per draw: the
@@ -31,6 +34,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence, Tuple
 
 from repro.sim.random_streams import RandomStreams
@@ -176,9 +180,11 @@ class ConstantSchedule(ParameterSchedule):
         return self.value
 
     def values(self) -> Tuple[float, ...]:
+        """The one value."""
         return (self.value,)
 
     def peak(self) -> float:
+        """The one value."""
         return self.value
 
 
@@ -203,9 +209,11 @@ class JumpSchedule(ParameterSchedule):
         return self.after if time >= self.jump_time else self.before
 
     def values(self) -> Tuple[float, ...]:
+        """The values before and after the jump."""
         return (self.before, self.after)
 
     def peak(self) -> float:
+        """The larger of the two values."""
         return max(self.before, self.after)
 
 
@@ -242,9 +250,11 @@ class StepSchedule(ParameterSchedule):
         return current
 
     def values(self) -> Tuple[float, ...]:
+        """The initial value and the value of every breakpoint."""
         return (self.initial,) + tuple(value for _, value in self.steps)
 
     def peak(self) -> float:
+        """The largest of :meth:`values`."""
         return max(self.values())
 
 
@@ -275,6 +285,7 @@ class SinusoidSchedule(ParameterSchedule):
         )
 
     def peak(self) -> float:
+        """The crest, ``mean + |amplitude|``."""
         return self.mean + abs(self.amplitude)
 
 
@@ -285,62 +296,45 @@ def _as_schedule(value) -> ParameterSchedule:
     return ConstantSchedule(float(value))
 
 
-class Workload:
-    """Samples transactions according to (possibly time-varying) parameters."""
+#: the workload parameters a dynamic experiment can vary: the keywords of
+#: :class:`Workload` that take a schedule, and the names a tracking
+#: scenario may give
+VARIED_PARAMETERS = ("accesses", "query_fraction", "write_fraction")
 
-    def __init__(self,
-                 base: WorkloadParams,
-                 streams: RandomStreams,
-                 accesses_schedule: Optional[ParameterSchedule] = None,
-                 query_fraction_schedule: Optional[ParameterSchedule] = None,
-                 write_fraction_schedule: Optional[ParameterSchedule] = None):
+
+def check_varied_parameter(name: str) -> str:
+    """Return ``name`` if it is one of :data:`VARIED_PARAMETERS`, else raise ``ValueError``."""
+    if name not in VARIED_PARAMETERS:
+        raise ValueError(f"parameter must be one of {VARIED_PARAMETERS}, got {name!r}")
+    return name
+
+
+class Workload:
+    """Samples transactions according to (possibly time-varying) parameters.
+
+    Each of ``accesses``, ``query_fraction`` and ``write_fraction`` (see
+    :data:`VARIED_PARAMETERS`) is a number, a :class:`ParameterSchedule`, or
+    ``None`` for the value in ``base``.
+    """
+
+    def __init__(self, base: WorkloadParams, streams: RandomStreams,
+                 accesses=None, query_fraction=None, write_fraction=None):
         self.base = base
         self.streams = streams
         self.database = Database(base.db_size, streams)
         self._txn_class = UniformDraws(streams, "txn-class")
-        self._accesses = accesses_schedule or ConstantSchedule(base.accesses_per_txn)
-        self._query_fraction = query_fraction_schedule or ConstantSchedule(base.query_fraction)
-        self._write_fraction = write_fraction_schedule or ConstantSchedule(base.write_fraction)
+        self._accesses = _as_schedule(
+            base.accesses_per_txn if accesses is None else accesses)
+        self._query_fraction = _as_schedule(
+            base.query_fraction if query_fraction is None else query_fraction)
+        self._write_fraction = _as_schedule(
+            base.write_fraction if write_fraction is None else write_fraction)
         self._next_txn_id = 0
         # (k, query_fraction, write_fraction) -> WorkloadParams of the last
         # call; params_at is invoked per submission and the values are
         # piecewise constant, so the frozen result is almost always reusable
         self._params_cache: Optional[Tuple[Tuple[float, float, float], WorkloadParams]] = None
-        #: evaluations of *dynamic* schedules that had to be clamped into the
-        #: valid parameter domain (see :meth:`params_at`); a non-zero count
-        #: means the run simulated different parameters than the schedules
-        #: declared, which fuzz adversaries and misconfigured arrival shapes
-        #: must not be able to mask
-        self.schedule_clamped = 0
         self._reject_static_out_of_range()
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def constant(cls, params: WorkloadParams, streams: RandomStreams) -> "Workload":
-        """Workload with all parameters fixed (stationary experiments)."""
-        return cls(params, streams)
-
-    @classmethod
-    def with_schedules(cls, params: WorkloadParams, streams: RandomStreams,
-                       accesses=None, query_fraction=None, write_fraction=None) -> "Workload":
-        """Workload where any subset of parameters follows a schedule.
-
-        Each of ``accesses``, ``query_fraction`` and ``write_fraction`` may be
-        a number (constant) or a :class:`ParameterSchedule`.
-        """
-        return cls(
-            params,
-            streams,
-            accesses_schedule=_as_schedule(accesses) if accesses is not None else None,
-            query_fraction_schedule=(
-                _as_schedule(query_fraction) if query_fraction is not None else None
-            ),
-            write_fraction_schedule=(
-                _as_schedule(write_fraction) if write_fraction is not None else None
-            ),
-        )
 
     def _reject_static_out_of_range(self) -> None:
         """Fail loudly on constant/jump/step schedules outside the domain.
@@ -351,7 +345,7 @@ class Workload:
         be computed from the clamped values.  Rejecting at construction
         turns that misconfiguration into an immediate error; only
         genuinely dynamic excursions (a sinusoid overshooting its domain)
-        reach the clamp-and-count path of :meth:`params_at`.
+        reach the clamp of :meth:`params_at`.
         """
         db_size = self.base.db_size
         for value in self._accesses.values():
@@ -378,20 +372,12 @@ class Workload:
 
         Values of *dynamic* schedules that stray outside the valid domain
         (a sinusoid whose amplitude exceeds its mean, say) are clamped into
-        it, and every clamping evaluation increments
-        :attr:`schedule_clamped` so the misconfiguration is visible as a
-        diagnostic instead of silently changing the simulated parameters.
-        Statically out-of-range schedules never get this far — they are
-        rejected at construction.
+        it.  Statically out-of-range schedules never get this far — they
+        are rejected at construction.
         """
-        raw_k = int(round(self._accesses(time)))
-        k = max(1, min(raw_k, self.base.db_size))
-        raw_query = self._query_fraction(time)
-        query_fraction = min(1.0, max(0.0, raw_query))
-        raw_write = self._write_fraction(time)
-        write_fraction = min(1.0, max(0.0, raw_write))
-        if k != raw_k or query_fraction != raw_query or write_fraction != raw_write:
-            self.schedule_clamped += 1
+        k = max(1, min(int(round(self._accesses(time))), self.base.db_size))
+        query_fraction = min(1.0, max(0.0, self._query_fraction(time)))
+        write_fraction = min(1.0, max(0.0, self._write_fraction(time)))
         key = (k, query_fraction, write_fraction)
         cached = self._params_cache
         if cached is not None and cached[0] == key:
@@ -411,7 +397,19 @@ class Workload:
         """Sample the next transaction submitted by ``terminal_id`` at ``time``."""
         params = self.params_at(time)
         is_query = self._txn_class.bernoulli(params.query_fraction)
-        k = params.accesses_per_txn
+        return self._transaction(time, terminal_id, params.accesses_per_txn,
+                                 is_query, params.write_fraction)
+
+    def _transaction(self, time: float, terminal_id: int, k: int, is_query: bool,
+                     write_fraction: float, tenant: str = "") -> Transaction:
+        """Draw the access set and write marks of one transaction and number it.
+
+        An updater draws ``k`` write marks in one vector, which consumes the
+        ``write-marks`` stream exactly like ``k`` scalar draws (pinned by the
+        golden-trajectory harness), and always performs at least one write
+        when its write fraction is positive: otherwise it would silently
+        degrade into a query and dilute the class mix.
+        """
         items = tuple(self.database.sample_access_set(k).tolist())
         if is_query:
             txn_class = TransactionClass.QUERY
@@ -419,13 +417,8 @@ class Workload:
         else:
             txn_class = TransactionClass.UPDATER
             rng = self.streams.stream("write-marks")
-            write_fraction = params.write_fraction
-            # one vectorised draw of k uniforms consumes the stream exactly
-            # like k scalar draws (pinned by the golden-trajectory harness)
             flags = rng.random(k) < write_fraction
             if not flags.any() and write_fraction > 0.0:
-                # an updater always performs at least one write, otherwise it
-                # would silently degrade into a query and dilute the class mix
                 flags[int(rng.integers(0, k))] = True
             write_flags = tuple(flags.tolist())
         txn = Transaction(
@@ -434,6 +427,7 @@ class Workload:
             txn_class=txn_class,
             items=items,
             write_flags=write_flags,
+            tenant=tenant,
             submitted_at=time,
         )
         self._next_txn_id += 1
@@ -558,18 +552,11 @@ class MixedClassWorkload(Workload):
 
     def __init__(self, base: WorkloadParams, streams: RandomStreams,
                  classes: Sequence[TransactionClassSpec]):
-        if not classes:
-            raise ValueError("at least one transaction class is required")
         classes = tuple(classes)
-        total_weight = sum(spec.weight for spec in classes)
-        expected = mixed_class_params(base, classes)
-        super().__init__(expected, streams)
+        super().__init__(mixed_class_params(base, classes), streams)
         self.classes = classes
-        cumulative = []
-        running = 0.0
-        for spec in classes:
-            running += spec.weight / total_weight
-            cumulative.append(running)
+        total_weight = sum(spec.weight for spec in classes)
+        cumulative = list(accumulate(spec.weight / total_weight for spec in classes))
         cumulative[-1] = 1.0  # guard against float round-off at the top end
         self._cumulative = tuple(cumulative)
         self._class_mix = UniformDraws(streams, "class-mix")
@@ -581,31 +568,8 @@ class MixedClassWorkload(Workload):
         while draw >= self._cumulative[index]:
             index += 1
         spec = self.classes[index]
-        k = min(spec.accesses_per_txn, self.base.db_size)
-        items = tuple(self.database.sample_access_set(k).tolist())
-        if spec.is_query:
-            txn_class = TransactionClass.QUERY
-            write_flags = (False,) * k
-        else:
-            txn_class = TransactionClass.UPDATER
-            rng = self.streams.stream("write-marks")
-            # same discipline as the base workload: vectorised draw, and an
-            # updater always performs at least one write
-            flags = rng.random(k) < spec.write_fraction
-            if not flags.any():
-                flags[int(rng.integers(0, k))] = True
-            write_flags = tuple(flags.tolist())
-        txn = Transaction(
-            txn_id=self._next_txn_id,
-            terminal_id=terminal_id,
-            txn_class=txn_class,
-            items=items,
-            write_flags=write_flags,
-            tenant=spec.name,
-            submitted_at=time,
-        )
-        self._next_txn_id += 1
-        return txn
+        return self._transaction(time, terminal_id, min(spec.accesses_per_txn, self.base.db_size),
+                                 spec.is_query, spec.write_fraction, spec.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mix = ", ".join(

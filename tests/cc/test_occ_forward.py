@@ -82,8 +82,9 @@ class TestForwardValidation:
         for scheme, expected in ((forward, True), (backward, False)):
             reader = make_txn(1, [7])
             writer = make_txn(2, [7], writes=[7])
-            scheme.begin(reader)               # starts BEFORE the commit
-            scheme.begin(writer)
+            for txn in (reader, writer):       # the reader starts BEFORE the commit
+                txn.start_execution(sim.now)
+                scheme.begin(txn)
             scheme.access(writer, 7, is_write=True)
             assert scheme.try_commit(writer) is True
             scheme.finish(writer)

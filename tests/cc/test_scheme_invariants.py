@@ -206,7 +206,7 @@ class TestOneEndPerExecution:
             workload=base.workload.with_changes(db_size=150))
         sim = Simulator()
         streams = RandomStreams(params.seed)
-        workload = Workload.with_schedules(
+        workload = Workload(
             params.workload, streams, accesses=JumpSchedule(4, 16, jump_time=5.0))
         checker = _ExecutionChecker(CCSpec.make(kind).build(sim))
         system = TransactionSystem(

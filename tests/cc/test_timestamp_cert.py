@@ -127,12 +127,13 @@ class TestCertification:
             cc.finish(txn)
             assert txn.last_conflicts == 0
 
-    def test_commit_without_begin_raises(self):
+    def test_commit_before_the_execution_started_raises(self):
+        """The start timestamp is the execution's start time, not a copy ``begin`` keeps."""
         sim = Simulator()
         cc = TimestampCertification(sim)
         orphan = make_txn(1, [1])
-        orphan.start_execution(sim.now)
-        with pytest.raises(RuntimeError):
+        cc.begin(orphan)
+        with pytest.raises(RuntimeError, match="before its execution started"):
             cc.try_commit(orphan)
 
     def test_commit_timestamps_strictly_increase_within_an_instant(self):

@@ -1,7 +1,5 @@
 """Tests for the dynamic (tracking) experiment harness."""
 
-import math
-
 import pytest
 
 from repro.core.incremental_steps import IncrementalStepsController
@@ -9,7 +7,6 @@ from repro.core.parabola import ParabolaController
 from repro.core.static import FixedLimit
 from repro.experiments.config import ExperimentScale, default_system_params
 from repro.experiments.dynamic import (
-    _build_workload,
     _reference_optimum,
     jump_scenario,
     run_synthetic_tracking,
@@ -18,7 +15,7 @@ from repro.experiments.dynamic import (
 )
 from repro.sim.random_streams import RandomStreams
 from repro.tp.params import WorkloadParams
-from repro.tp.workload import JumpSchedule, SinusoidSchedule
+from repro.tp.workload import JumpSchedule, SinusoidSchedule, Workload
 
 
 def tiny_params():
@@ -114,11 +111,13 @@ class TestSimulationTracking:
         result = run_tracking_experiment(
             FixedLimit(10, upper_bound=20), scenario, base_params=params, scale=scale)
 
-        reference = _build_workload(params, RandomStreams(params.seed), *scenario)
+        reference = Workload(params.workload, RandomStreams(params.seed),
+                             **{parameter: scenario[1]})
         states = {reference.params_at(t) for t in result.trace.times}
         assert len(result.trace) == 25
         assert len(states) > 20, "fewer than 21 workload states: test is vacuous"
-        expected = [_reference_optimum(params, reference, t) for t in result.trace.times]
+        expected = [_reference_optimum(params, reference.params_at(t))
+                    for t in result.trace.times]
         assert result.reference_optima == [optimum for optimum, _peak in expected]
         assert result.reference_peaks == [peak for _optimum, peak in expected]
 

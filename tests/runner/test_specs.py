@@ -146,6 +146,13 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="tracking runs only"):
             _stationary_spec(**{field: value})
 
+    def test_tracking_scenario_must_name_a_varied_parameter(self):
+        """Regression: a misspelt parameter ran as a write-fraction scenario."""
+        with pytest.raises(ValueError, match="acesses"):
+            _stationary_spec(kind=KIND_TRACKING,
+                             scenario=("acesses", SinusoidSchedule(10, 6, 6)),
+                             controller=ControllerSpec.make("parabola"))
+
     def test_run_spec_is_picklable(self):
         scenario = jump_scenario("accesses", 4, 8, jump_time=10.0)
         spec = _stationary_spec(kind=KIND_TRACKING, scenario=scenario,
@@ -318,6 +325,12 @@ class TestRunSpecJsonRoundTrip:
         with pytest.raises(ValueError, match="Bursty has no JSON encoding"):
             run_spec_to_jsonable(_stationary_spec(arrivals=Bursty(5.0)))
 
+    def test_unknown_varied_parameter_rejected(self):
+        encoded = run_spec_to_jsonable(self._tracking_spec())
+        encoded["scenario"]["parameter"] = "acesses"
+        with pytest.raises(ValueError, match="acesses"):
+            run_spec_from_jsonable(encoded)
+
     def test_unknown_schedule_type_rejected(self):
         encoded = run_spec_to_jsonable(self._tracking_spec())
         encoded["scenario"]["schedule"]["type"] = "sawtooth"
@@ -327,14 +340,9 @@ class TestRunSpecJsonRoundTrip:
 
 class TestArrivalsOnRunSpec:
     def _arrival_variants(self):
-        from repro.tp.arrivals import (
-            ClosedArrivals,
-            OpenArrivals,
-            PartlyOpenArrivals,
-        )
+        from repro.tp.arrivals import OpenArrivals, PartlyOpenArrivals
 
         return (
-            ClosedArrivals(),
             OpenArrivals(12.0),
             OpenArrivals(SinusoidSchedule(mean=10.0, amplitude=6.0, period=4.0)),
             PartlyOpenArrivals(JumpSchedule(before=5.0, after=20.0, jump_time=6.0),
@@ -385,7 +393,10 @@ class TestArrivalsOnRunSpec:
             )
 
     def test_workload_class_quotas_round_trip(self):
+        from repro.tp.arrivals import OpenArrivals
+
         spec = _stationary_spec(
+            arrivals=OpenArrivals(12.0),
             workload_classes=(
                 TransactionClassSpec(name="steady", weight=1.0,
                                      accesses_per_txn=8, write_fraction=0.3,
@@ -397,6 +408,18 @@ class TestArrivalsOnRunSpec:
         )
         encoded = json.loads(json.dumps(run_spec_to_jsonable(spec)))
         assert run_spec_from_jsonable(encoded) == spec
+
+    @pytest.mark.parametrize("quota", ["admission_quota", "queue_quota"])
+    def test_tenant_quotas_need_an_arrival_model(self, quota):
+        """Regression: a closed cell ran with its classes' quotas ignored."""
+        from repro.tp.arrivals import OpenArrivals
+
+        classes = (TransactionClassSpec(name="burst", weight=1.0, accesses_per_txn=8,
+                                        write_fraction=0.3, **{quota: 6}),)
+        with pytest.raises(ValueError, match="arrival model"):
+            _stationary_spec(workload_classes=classes)
+        spec = _stationary_spec(workload_classes=classes, arrivals=OpenArrivals(12.0))
+        assert spec.workload_classes == classes
 
     def test_quota_free_classes_encode_without_quota_keys(self):
         spec = _stationary_spec(

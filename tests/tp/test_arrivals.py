@@ -1,4 +1,4 @@
-"""The arrival-model layer: open/partly-open sources and closed equivalence."""
+"""The arrival-model layer: open and partly-open sources."""
 
 import math
 import pickle
@@ -10,7 +10,6 @@ from repro.tp.arrivals import (
     INTERARRIVAL_STREAM,
     SESSION_SIZE_STREAM,
     THINNING_STREAM,
-    ClosedArrivals,
     OpenArrivals,
     PartlyOpenArrivals,
 )
@@ -234,29 +233,10 @@ class TestConfigurationSemantics:
         assert OpenArrivals(5.0) != PartlyOpenArrivals(5.0)
 
     def test_arrival_processes_pickle(self):
-        for arrivals in (ClosedArrivals(), OpenArrivals(5.0),
+        for arrivals in (OpenArrivals(5.0),
                          PartlyOpenArrivals(SinusoidSchedule(10.0, 4.0, period=2.0),
                                             session_think_time=0.05)):
             assert pickle.loads(pickle.dumps(arrivals)) == arrivals
-
-    def test_closed_arrivals_have_no_source_interarrival(self):
-        with pytest.raises(NotImplementedError):
-            ClosedArrivals().next_interarrival(RandomStreams(1), 0.0)
-
-
-class TestClosedEquivalence:
-    def test_explicit_closed_arrivals_match_none_bitwise(self):
-        """``arrivals=ClosedArrivals()`` is the *same* system as
-        ``arrivals=None`` — identical trajectory, not merely similar."""
-        default = TransactionSystem(small_params())
-        default.run(until=10.0)
-        explicit = TransactionSystem(small_params(), arrivals=ClosedArrivals())
-        explicit.run(until=10.0)
-        assert explicit.metrics.commits == default.metrics.commits
-        assert explicit.metrics.restarts == default.metrics.restarts
-        assert (explicit.metrics.response_times.total
-                == default.metrics.response_times.total)
-        assert explicit.metrics.p99_response_time == default.metrics.p99_response_time
 
 
 class TestOpenSystemRuns:

@@ -94,12 +94,6 @@ class TestIntervalAccounting:
         assert follow_up.commits == 0
         assert follow_up.aborts == 0
 
-    def test_interval_start_advances(self, sim, metrics):
-        assert metrics.interval_start == 0.0
-        sim._now = 7.0
-        metrics.snapshot_interval()
-        assert metrics.interval_start == 7.0
-
     def test_run_totals_survive_snapshots(self, metrics):
         metrics.record_commit(1.0)
         metrics.snapshot_interval()

@@ -1,12 +1,9 @@
 """Integration tests of the closed transaction processing system."""
 
-import math
-
 import pytest
 
 from repro.cc.base import AbortReason
 from repro.cc.two_phase_locking import TwoPhaseLocking, WaitDieLocking
-from repro.core.admission import AdmissionGate
 from repro.core.displacement import DisplacementPolicy, VictimCriterion
 from repro.core.static import FixedLimit, NoControl
 from repro.core.incremental_steps import IncrementalStepsController
@@ -258,7 +255,7 @@ class TestDisplacement:
             n_terminals=150, workload=base.workload.with_changes(db_size=500))
         sim = Simulator()
         streams = RandomStreams(params.seed)
-        workload = Workload.with_schedules(
+        workload = Workload(
             params.workload, streams, accesses=JumpSchedule(4, 16, jump_time=20.0))
         system = TransactionSystem(
             params, sim=sim, streams=streams, workload=workload,

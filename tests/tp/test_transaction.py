@@ -41,29 +41,15 @@ class TestConstruction:
 
 
 class TestLifecycleBookkeeping:
-    def test_response_time_requires_commit(self):
-        txn = make_updater()
-        assert txn.response_time() is None
-        txn.committed_at = 25.0
-        assert txn.response_time() == pytest.approx(15.0)
-
-    def test_waiting_time_requires_admission(self):
-        txn = make_updater()
-        assert txn.waiting_time() is None
-        txn.admitted_at = 12.0
-        assert txn.waiting_time() == pytest.approx(2.0)
-
     def test_start_execution_resets_per_run_state(self):
         txn = make_updater()
         txn.read_set.add(1)
         txn.write_set.add(2)
-        txn.cc_state["start_ts"] = 1.0
         txn.last_conflicts = 3
         txn.start_execution(20.0)
         assert txn.execution_started_at == 20.0
         assert txn.read_set == set()
         assert txn.write_set == set()
-        assert txn.cc_state == {}
         assert txn.last_conflicts == 0
 
     def test_record_access_makes_every_write_a_read(self):

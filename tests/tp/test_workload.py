@@ -1,6 +1,6 @@
 """Tests for workload generation and dynamic parameter schedules."""
 
-import math
+import inspect
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +14,11 @@ from repro.tp.workload import (
     JumpSchedule,
     MixedClassWorkload,
     SinusoidSchedule,
+    VARIED_PARAMETERS,
     StepSchedule,
     TransactionClassSpec,
     Workload,
+    check_varied_parameter,
     mixed_class_params,
 )
 
@@ -84,7 +86,7 @@ class TestSchedules:
 class TestWorkloadParametersOverTime:
     def test_params_at_reflects_schedules(self):
         base = WorkloadParams(db_size=1000, accesses_per_txn=8)
-        workload = Workload.with_schedules(
+        workload = Workload(
             base, RandomStreams(seed=1),
             accesses=JumpSchedule(8, 16, 50.0),
             query_fraction=ConstantSchedule(0.4),
@@ -107,67 +109,73 @@ class TestWorkloadParametersOverTime:
         base = WorkloadParams(db_size=100, accesses_per_txn=8)
         streams = RandomStreams(seed=1)
         with pytest.raises(ValueError, match="accesses schedule"):
-            Workload.with_schedules(base, streams,
-                                    accesses=ConstantSchedule(1000.0))
+            Workload(base, streams, accesses=ConstantSchedule(1000.0))
         with pytest.raises(ValueError, match="query_fraction schedule"):
-            Workload.with_schedules(base, streams,
-                                    query_fraction=ConstantSchedule(1.7))
+            Workload(base, streams, query_fraction=ConstantSchedule(1.7))
         with pytest.raises(ValueError, match="write_fraction schedule"):
-            Workload.with_schedules(base, streams,
-                                    write_fraction=ConstantSchedule(-0.3))
+            Workload(base, streams, write_fraction=ConstantSchedule(-0.3))
         with pytest.raises(ValueError, match="write_fraction schedule"):
-            Workload.with_schedules(
-                base, streams,
-                write_fraction=StepSchedule(0.5, steps=[(10.0, 1.2)]))
+            Workload(base, streams, write_fraction=StepSchedule(0.5, steps=[(10.0, 1.2)]))
         with pytest.raises(ValueError, match="accesses schedule"):
-            Workload.with_schedules(
-                base, streams, accesses=JumpSchedule(8, 200, jump_time=5.0))
+            Workload(base, streams, accesses=JumpSchedule(8, 200, jump_time=5.0))
 
     def test_accesses_rounding_below_one_rejected(self):
         # a constant 0.2 rounds to k = 0: statically out of range, so it is
         # rejected instead of silently clamped up to 1 as it used to be
         base = WorkloadParams(db_size=100, accesses_per_txn=8)
         with pytest.raises(ValueError, match="accesses schedule"):
-            Workload.with_schedules(base, RandomStreams(seed=1),
-                                    accesses=ConstantSchedule(0.2))
+            Workload(base, RandomStreams(seed=1), accesses=ConstantSchedule(0.2))
 
-    def test_dynamic_clamp_events_are_counted(self):
-        """A sinusoid straying outside the domain is clamped *and counted*."""
+    def test_dynamic_excursions_are_clamped(self):
+        """A sinusoid straying outside the domain is clamped into it."""
         base = WorkloadParams(db_size=1000, accesses_per_txn=8)
-        workload = Workload.with_schedules(
+        workload = Workload(
             base, RandomStreams(seed=1),
             # mean 0.5, amplitude 1.0: the trough dips below 0, the crest
             # tops 1 — a dynamic excursion the constructor cannot reject
             write_fraction=SinusoidSchedule(mean=0.5, amplitude=1.0, period=40.0),
         )
-        assert workload.schedule_clamped == 0
         in_range = workload.params_at(0.0)  # sin(0) = 0: exactly the mean
         assert in_range.write_fraction == pytest.approx(0.5)
-        assert workload.schedule_clamped == 0
-        clamped = workload.params_at(30.0)  # trough: 0.5 - 1.0 < 0
-        assert clamped.write_fraction == 0.0
-        assert workload.schedule_clamped == 1
-        workload.params_at(10.0)  # crest: 0.5 + 1.0 > 1
-        assert workload.schedule_clamped == 2
+        assert workload.params_at(30.0).write_fraction == 0.0  # trough: 0.5 - 1.0 < 0
+        assert workload.params_at(10.0).write_fraction == 1.0  # crest: 0.5 + 1.0 > 1
+
+    def test_a_number_is_a_constant_schedule(self):
+        base = WorkloadParams(db_size=1000, accesses_per_txn=8)
+        numbers = Workload(base, RandomStreams(seed=1), accesses=12, query_fraction=0.4,
+                           write_fraction=0.25)
+        schedules = Workload(base, RandomStreams(seed=1), accesses=ConstantSchedule(12),
+                             query_fraction=ConstantSchedule(0.4),
+                             write_fraction=ConstantSchedule(0.25))
+        assert numbers.params_at(5.0) == schedules.params_at(5.0)
+        assert numbers.params_at(5.0).accesses_per_txn == 12
+
+    def test_varied_parameters_are_the_workload_keywords(self):
+        keywords = list(inspect.signature(Workload).parameters)
+        assert keywords == ["base", "streams", *VARIED_PARAMETERS]
+        for name in VARIED_PARAMETERS:
+            assert check_varied_parameter(name) == name
+        with pytest.raises(ValueError, match="acesses"):
+            check_varied_parameter("acesses")
 
 
 class TestTransactionSampling:
     def test_transaction_ids_increase(self):
-        workload = Workload.constant(WorkloadParams(), RandomStreams(seed=1))
+        workload = Workload(WorkloadParams(), RandomStreams(seed=1))
         first = workload.next_transaction(0.0, terminal_id=0)
         second = workload.next_transaction(1.0, terminal_id=1)
         assert second.txn_id == first.txn_id + 1
 
     def test_transaction_size_matches_parameters(self):
         params = WorkloadParams(db_size=500, accesses_per_txn=12)
-        workload = Workload.constant(params, RandomStreams(seed=1))
+        workload = Workload(params, RandomStreams(seed=1))
         txn = workload.next_transaction(0.0, 0)
         assert txn.size == 12
         assert len(set(txn.items)) == 12
 
     def test_queries_have_no_writes(self):
         params = WorkloadParams(query_fraction=1.0)
-        workload = Workload.constant(params, RandomStreams(seed=1))
+        workload = Workload(params, RandomStreams(seed=1))
         for _ in range(20):
             txn = workload.next_transaction(0.0, 0)
             assert txn.txn_class is TransactionClass.QUERY
@@ -175,7 +183,7 @@ class TestTransactionSampling:
 
     def test_updaters_have_at_least_one_write(self):
         params = WorkloadParams(query_fraction=0.0, write_fraction=0.05)
-        workload = Workload.constant(params, RandomStreams(seed=1))
+        workload = Workload(params, RandomStreams(seed=1))
         for _ in range(50):
             txn = workload.next_transaction(0.0, 0)
             assert txn.txn_class is TransactionClass.UPDATER
@@ -183,13 +191,13 @@ class TestTransactionSampling:
 
     def test_zero_write_fraction_yields_read_only_updaters(self):
         params = WorkloadParams(query_fraction=0.0, write_fraction=0.0)
-        workload = Workload.constant(params, RandomStreams(seed=1))
+        workload = Workload(params, RandomStreams(seed=1))
         txn = workload.next_transaction(0.0, 0)
         assert txn.write_count == 0
 
     def test_class_mix_approximates_query_fraction(self):
         params = WorkloadParams(query_fraction=0.3)
-        workload = Workload.constant(params, RandomStreams(seed=1))
+        workload = Workload(params, RandomStreams(seed=1))
         queries = sum(
             workload.next_transaction(0.0, 0).txn_class is TransactionClass.QUERY
             for _ in range(3000)
@@ -198,7 +206,7 @@ class TestTransactionSampling:
 
     def test_write_mix_approximates_write_fraction(self):
         params = WorkloadParams(query_fraction=0.0, write_fraction=0.4, accesses_per_txn=10)
-        workload = Workload.constant(params, RandomStreams(seed=1))
+        workload = Workload(params, RandomStreams(seed=1))
         writes = 0
         accesses = 0
         for _ in range(2000):
@@ -209,7 +217,7 @@ class TestTransactionSampling:
 
     def test_jump_changes_sampled_transaction_size(self):
         base = WorkloadParams(db_size=1000, accesses_per_txn=4)
-        workload = Workload.with_schedules(
+        workload = Workload(
             base, RandomStreams(seed=1), accesses=JumpSchedule(4, 16, 100.0))
         before = workload.next_transaction(50.0, 0)
         after = workload.next_transaction(150.0, 0)
@@ -217,7 +225,7 @@ class TestTransactionSampling:
         assert after.size == 16
 
     def test_submitted_at_recorded(self):
-        workload = Workload.constant(WorkloadParams(), RandomStreams(seed=1))
+        workload = Workload(WorkloadParams(), RandomStreams(seed=1))
         txn = workload.next_transaction(42.0, 7)
         assert txn.submitted_at == 42.0
         assert txn.terminal_id == 7
@@ -230,7 +238,7 @@ class TestTransactionSampling:
         params = WorkloadParams(db_size=200, accesses_per_txn=k,
                                 query_fraction=query_fraction,
                                 write_fraction=write_fraction)
-        workload = Workload.constant(params, RandomStreams(seed=3))
+        workload = Workload(params, RandomStreams(seed=3))
         txn = workload.next_transaction(0.0, 0)
         assert txn.size == k
         assert len(set(txn.items)) == k

@@ -31,7 +31,7 @@ from repro.obs.catalog import ObserverSet
 from repro.sim.engine import Simulator
 from repro.sim.random_streams import RandomStreams
 from repro.sim.trace import TraceEvent
-from repro.tp.arrivals import ArrivalProcess
+from repro.tp.arrivals import ArrivalProcess, tenant_quotas
 from repro.tp.params import SystemParams
 from repro.tp.system import TransactionSystem
 from repro.tp.workload import MixedClassWorkload, TransactionClassSpec
@@ -153,8 +153,10 @@ def run_stationary_point(params: SystemParams,
     ``arrivals`` selects the arrival model (see :mod:`repro.tp.arrivals`):
     ``None`` keeps the paper's terminal processes; an open or
     partly-open process replaces them with an arrival source.  When the
-    ``workload_classes`` carry tenant quotas and the run is open, the gate
-    enforces them and the returned point's SLO fields
+    ``workload_classes`` carry tenant quotas, the run must be open or
+    partly open (:func:`~repro.tp.arrivals.tenant_quotas` raises
+    ``ValueError`` otherwise); the gate enforces them and the returned
+    point's SLO fields
     (:attr:`StationaryPoint.p95_response_time`, ``p99_…``, ``shed`` and the
     per-tenant :attr:`StationaryPoint.tenant_metrics`) describe the outcome.
     """
@@ -162,20 +164,16 @@ def run_stationary_point(params: SystemParams,
         raise ValueError(f"horizon must be positive, got {horizon}")
     if warmup < 0:
         raise ValueError(f"warmup must be non-negative, got {warmup}")
+    quotas, queue_quotas = tenant_quotas(workload_classes, arrivals)
     streams = streams or RandomStreams(params.seed)
     workload = None
     if workload_classes is not None:
         workload = MixedClassWorkload(params.workload, streams, workload_classes)
     sim = Simulator()
     gate = None
-    if arrivals is not None and workload_classes is not None:
-        quotas = {cls.name: cls.admission_quota for cls in workload_classes
-                  if cls.admission_quota is not None}
-        queue_quotas = {cls.name: cls.queue_quota for cls in workload_classes
-                        if cls.queue_quota is not None}
-        if quotas or queue_quotas:
-            gate = AdmissionGate(sim, tenant_quotas=quotas or None,
-                                 tenant_queue_quotas=queue_quotas or None)
+    if quotas or queue_quotas:
+        gate = AdmissionGate(sim, tenant_quotas=quotas or None,
+                             tenant_queue_quotas=queue_quotas or None)
     observer_set = ObserverSet(observers, interval=measurement_interval)
     system = TransactionSystem(params, sim=sim, streams=streams, workload=workload,
                                cc=resolve_cc(cc, sim), gate=gate, observers=observer_set,

@@ -39,7 +39,7 @@ from repro.core.static import FixedLimit, NoControl
 from repro.experiments.config import ExperimentScale
 from repro.obs.catalog import ABORTS_BY_REASON, ISOLATION, TRACE, validate_observers
 from repro.obs.probes import PROBE_NAMES
-from repro.tp.arrivals import ArrivalProcess, OpenArrivals, PartlyOpenArrivals
+from repro.tp.arrivals import ArrivalProcess, OpenArrivals, PartlyOpenArrivals, tenant_quotas
 from repro.tp.params import SystemParams, WorkloadParams
 from repro.tp.workload import (
     ConstantSchedule,
@@ -217,12 +217,9 @@ class RunSpec:
                     "arrivals must be None or an ArrivalProcess, "
                     f"got {type(self.arrivals).__name__}"
                 )
-        elif any(cls.admission_quota is not None or cls.queue_quota is not None
-                 for cls in self.workload_classes or ()):
-            # the closed model's gate enforces no quotas: the cell would run
-            # as its quota-free twin under another cache key
-            raise ValueError(
-                "tenant quotas need an arrival model; the closed model enforces none")
+        # the closed model's gate enforces no quotas: the cell would run as
+        # its quota-free twin under another cache key
+        tenant_quotas(self.workload_classes, self.arrivals)
 
     def build_controller(self) -> Optional[LoadController]:
         """Construct the cell's controller instance (None if uncontrolled)."""

@@ -41,8 +41,11 @@ engine to produce the same event log as that reference on random scripts:
 6. A returning process schedules its completion event for now.
 7. A resource grants visits FCFS, and a visit schedules each of its stages
    when the one before it ends: the grant, the service completion and the
-   end of the delay after the release.  A stage that comes due while
-   nothing waits on the visit does nothing (see :mod:`repro.sim.resources`).
+   end of the delay after the release.  A grant made while no entry is due
+   at the current instant is not scheduled: it comes due at once, in the
+   call that made it, so a visitor yields its visit as soon as it makes
+   it.  A scheduled stage that comes due while nothing waits on the visit
+   does nothing (see :mod:`repro.sim.resources`).
 
 An exception other than :class:`Interrupt` escaping a process fails the
 process's completion event and then propagates out of :meth:`Simulator.run`.

@@ -9,30 +9,36 @@ A process uses the station through one :class:`Visit`:
 the service time, releases it and then waits out ``delay`` (the model's
 constant disk time).  The process resumes once, when the delay ends; the
 station runs the grant and the service completion itself.  The service
-time is ``draw(demand)`` when a ``draw`` is given, drawn when the server
-is granted, else ``demand``.  ``resource.cancel(visit)`` withdraws a visit,
+time is ``draw(demand)`` when a ``draw`` is given, drawn when the grant
+comes due, else ``demand``.  ``resource.cancel(visit)`` withdraws a visit,
 which is how an interrupted transaction leaves the station without leaking
 capacity.
 
 Grant contract (rule 7 of :mod:`repro.sim.engine`): a visit is granted when
-made if a server is free, and its grant is scheduled then; otherwise it
-queues.  A release grants queued visits in order while servers are free,
-and schedules each grant at the release.  A grant that comes due draws the
-service time and schedules the completion for now + that time; a zero
-service time completes at once.  A completion releases the server, and
-then schedules the visit itself for now + ``delay``; a zero delay ends the
-visit at once.  A grant or completion that comes due while nothing waits
-on the visit does nothing: its visitor was interrupted, and cancels.
+made if a server is free; otherwise it queues.  A release grants queued
+visits in order while servers are free.  A grant made while no heap entry
+is due at the current instant comes due at once, in the call that made it;
+otherwise it is scheduled for now and comes due after the entries already
+due.  A grant that comes due draws the service time and schedules the
+completion for now + that time; a zero service time completes at once.  A
+completion releases the server, and then schedules the visit itself for
+now + ``delay``; a zero delay ends the visit at once.  A scheduled grant or
+a completion that comes due while nothing waits on the visit does nothing:
+its visitor was interrupted, and cancels.  An interrupted visitor's wake-up
+is due now, so a grant made while it is detached is always a scheduled one.
 Cancelling a queued visit removes it; cancelling a granted or served one
 releases its server, and its pending grant or completion then does
-nothing.  Cancelling during the delay, or after, changes nothing.  So a
-visitor yields its visit as soon as it makes it, and cancels it when an
-interrupt takes it away.
+nothing.  Cancelling during the delay, or after, changes nothing.  A grant
+may draw, and a zero-length visit may end, before :meth:`Resource.visit`
+returns, so a visitor yields its visit as soon as it makes it, and cancels
+it when an interrupt takes it away.
 
-These are the three heap entries, the draw order and the release times of
-a process that requests a server, holds it for a drawn time, releases it
-and sleeps, and withdraws its request when interrupted, so a visit
-replays that sequence with one generator resume instead of three.
+A visit replays a process that requests a server, holds it for a drawn
+time, releases it and sleeps, and withdraws its request when interrupted,
+with one generator resume instead of three.  A scheduled grant keeps that
+sequence's three heap entries; a grant with nothing else due runs at once,
+ahead of the rest of the current event's consumers, and the visit takes
+two.
 
 Hot-path design: every grant and release is O(1).  Held slots are a plain
 counter, and cancelling a waiting visit marks it and adjusts the live queue
@@ -58,7 +64,7 @@ _WAITING, _GRANTED, _SERVED, _LEFT = range(4)
 
 
 class _StationEntry:
-    """The heap entry of a visit's grant, and then of its service completion.
+    """The heap entry of a visit's scheduled grant, and of its service completion.
 
     It has the three fields the run loop touches on an event, and the
     station that granted the visit.  Its waiter is the visit, whose
@@ -85,22 +91,32 @@ class Visit(Event):
             # releases the server
             return
         stage = self.stage
-        sim = self.sim
         if stage is _GRANTED:
-            draw = self.draw
-            demand = self.demand if draw is None else draw(self.demand)
-            if demand > 0:
-                self.stage = _SERVED
-                entry._waiter = self
-                seq = sim._sequence
-                sim._sequence = seq + 1
-                heappush(sim._queue, (sim._now + demand, seq, entry))
-                return
-        elif stage is not _SERVED:
-            return  # cancelled before this stage came due
+            self._serve(entry)
+        elif stage is _SERVED:
+            self._leave(entry.station)
+        # otherwise cancelled before this stage came due
+
+    def _serve(self, entry: _StationEntry) -> None:
+        """The grant: draw the service time and schedule the completion on ``entry``."""
+        draw = self.draw
+        demand = self.demand if draw is None else draw(self.demand)
+        if demand > 0:
+            self.stage = _SERVED
+            entry._waiter = self
+            sim = self.sim
+            seq = sim._sequence
+            sim._sequence = seq + 1
+            heappush(sim._queue, (sim._now + demand, seq, entry))
+        else:
+            self._leave(entry.station)
+
+    def _leave(self, station: "Resource") -> None:
+        """The completion: release the server, then wait out the delay."""
         self.stage = _LEFT
-        entry.station._release()
+        station._release()
         self._triggered = True
+        sim = self.sim
         delay = self.delay
         if delay > 0:
             seq = sim._sequence
@@ -153,9 +169,11 @@ class Resource:
               draw: Optional[Callable[[float], float]] = None) -> Visit:
         """Queue for a server, hold it, release it, then wait out ``delay``.
 
-        The service time is ``draw(demand)``, a float drawn when the server
-        is granted, or ``demand`` itself without a ``draw``.  Yield the
-        returned visit at once; the visitor resumes when the delay ends.
+        The service time is ``draw(demand)``, a float drawn when the grant
+        comes due, or ``demand`` itself without a ``draw``.  With a free
+        server and nothing else due now, the grant comes due before this
+        call returns, so yield the returned visit at once; the visitor
+        resumes when the delay ends.
         """
         if demand < 0 or delay < 0:
             raise ValueError(f"visit demand and delay must be non-negative, got {demand}, {delay}")
@@ -216,9 +234,15 @@ class Resource:
         entry.callbacks = None
         entry.station = self
         sim = self.sim
-        seq = sim._sequence
-        sim._sequence = seq + 1
-        heappush(sim._queue, (sim._now, seq, entry))
+        queue = sim._queue
+        now = sim._now
+        if queue and queue[0][0] <= now:
+            # another entry is due now: the grant comes due after it
+            seq = sim._sequence
+            sim._sequence = seq + 1
+            heappush(queue, (now, seq, entry))
+        else:
+            visit._serve(entry)
 
     def _grant_waiters(self) -> None:
         waiting = self._waiting

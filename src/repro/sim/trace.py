@@ -58,19 +58,25 @@ class TrajectoryTracer:
         return {}
 
     def submit(self, now: float, txn) -> None:
+        """Log that ``txn`` was submitted to the gate ``now``."""
         self.events.append((now, SUBMIT, txn.txn_id, ""))
 
     def admit(self, now: float, txn) -> None:
+        """Log that the gate admitted ``txn`` ``now``."""
         self.events.append((now, ADMIT, txn.txn_id, ""))
 
     def shed(self, now: float, txn) -> None:
+        """Log that a tenant queue quota shed ``txn`` ``now``; the detail is its tenant."""
         self.events.append((now, SHED, txn.txn_id, txn.tenant))
 
     def commit(self, now: float, txn) -> None:
+        """Log that ``txn`` committed ``now``."""
         self.events.append((now, COMMIT, txn.txn_id, ""))
 
     def abort(self, now: float, txn, reason) -> None:
+        """Log that an execution of ``txn`` aborted ``now``; the detail is the reason's name."""
         self.events.append((now, ABORT, txn.txn_id, reason.name))
 
     def depart(self, now: float, txn, outcome: str) -> None:
+        """Log that ``txn`` left the system ``now``; the detail is its outcome."""
         self.events.append((now, DEPART, txn.txn_id, outcome))

@@ -27,7 +27,11 @@ shapes as frozen dataclasses that hold no run state, like the schedules of
 All draws use dedicated :class:`~repro.sim.random_streams.RandomStreams`
 names (``arrival-interarrival``, ``arrival-thinning``, ``session-size``,
 ``session-think``), so attaching an arrival process never perturbs the
-streams a closed run consumes.
+streams a closed run consumes.  The gaps and the thinning tests are drawn
+per arrival, so they come from numpy blocks
+(:class:`~repro.tp.workload.ExponentialDraws` and
+:class:`~repro.tp.workload.UniformDraws`) that the caller owns and passes
+in; a process stores none of them.
 """
 
 from __future__ import annotations
@@ -35,9 +39,17 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
-from repro.tp.workload import ConstantSchedule, ParameterSchedule, _as_schedule, _store
+from repro.tp.workload import (
+    ConstantSchedule,
+    ExponentialDraws,
+    ParameterSchedule,
+    TransactionClassSpec,
+    UniformDraws,
+    _as_schedule,
+    _store,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.random_streams import RandomStreams
@@ -63,8 +75,13 @@ class ArrivalProcess(ABC):
     kind = ""
 
     @abstractmethod
-    def next_interarrival(self, streams: "RandomStreams", now: float) -> float:
-        """Draw the gap until the next arrival after ``now``."""
+    def next_interarrival(self, gaps: ExponentialDraws, thinning: UniformDraws,
+                          now: float) -> float:
+        """Draw the gap until the next arrival after ``now``.
+
+        ``gaps`` reads the :data:`INTERARRIVAL_STREAM` and ``thinning`` the
+        :data:`THINNING_STREAM`; each must be that stream's only reader.
+        """
 
     def session_size(self, streams: "RandomStreams") -> int:
         """Transactions submitted per arrival (1 unless partly-open)."""
@@ -110,18 +127,23 @@ class OpenArrivals(ArrivalProcess):
                     "source would silently emit nothing at that rate"
                 )
 
-    def next_interarrival(self, streams: "RandomStreams", now: float) -> float:
-        """Gap to the next arrival, by thinning against the peak rate."""
+    def next_interarrival(self, gaps: ExponentialDraws, thinning: UniformDraws,
+                          now: float) -> float:
+        """Gap to the next arrival, by thinning against the peak rate.
+
+        A candidate gap is ``exponential(1 / peak)`` and its acceptance draw
+        ``uniform(0, peak)``, computed as ``peak * random()``: the same
+        floats (``tests/sim/test_random_streams.py`` pins both).
+        """
         rate = self.rate
         if isinstance(rate, ConstantSchedule):
-            return float(streams.exponential(INTERARRIVAL_STREAM, 1.0 / rate.value))
+            return gaps.draw(1.0 / rate.value)
         peak = rate.peak()
-        gap_rng = streams.stream(INTERARRIVAL_STREAM)
+        mean = 1.0 / peak
         gap = 0.0
         while True:
-            gap += float(gap_rng.exponential(1.0 / peak))
-            accept = float(streams.uniform(THINNING_STREAM, 0.0, peak))
-            if accept < rate(now + gap):
+            gap += gaps.draw(mean)
+            if peak * thinning.draw() < rate(now + gap):
                 return gap
 
 
@@ -176,3 +198,21 @@ class PartlyOpenArrivals(OpenArrivals):
         # F(x) = (1 - (low/x)^alpha) / (1 - (low/high)^alpha)
         x = low / (1.0 - u * (1.0 - (low / high) ** alpha)) ** (1.0 / alpha)
         return max(self.min_session, min(self.max_session, int(math.floor(x))))
+
+
+def tenant_quotas(classes: Optional[Sequence[TransactionClassSpec]],
+                  arrivals: Optional[ArrivalProcess]) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """The admission quotas and the queue quotas of ``classes``, by tenant name.
+
+    The admission gate enforces them on open and partly-open runs.  The
+    closed model (``arrivals=None``) enforces none, so a class that carries
+    a quota there raises ``ValueError``: the run would otherwise be its
+    quota-free twin, under the quotas' name.
+    """
+    admission = {spec.name: spec.admission_quota for spec in classes or ()
+                 if spec.admission_quota is not None}
+    queue = {spec.name: spec.queue_quota for spec in classes or ()
+             if spec.queue_quota is not None}
+    if arrivals is None and (admission or queue):
+        raise ValueError("tenant quotas need an arrival model; the closed model enforces none")
+    return admission, queue

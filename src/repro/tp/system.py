@@ -37,11 +37,16 @@ from repro.core.outer_loop import MeasurementIntervalTuner
 from repro.sim.engine import Interrupt, Process, Simulator
 from repro.sim.random_streams import RandomStreams
 from repro.sim.resources import Resource
-from repro.tp.arrivals import SESSION_THINK_STREAM, ArrivalProcess
+from repro.tp.arrivals import (
+    INTERARRIVAL_STREAM,
+    SESSION_THINK_STREAM,
+    THINNING_STREAM,
+    ArrivalProcess,
+)
 from repro.tp.metrics import RunMetrics
 from repro.tp.params import SystemParams
 from repro.tp.transaction import Transaction
-from repro.tp.workload import ExponentialDraws, Workload
+from repro.tp.workload import ExponentialDraws, UniformDraws, Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.obs.catalog import ObserverSet
@@ -233,9 +238,11 @@ class TransactionSystem:
         """
         arrivals = self.arrivals
         streams = self.streams
+        gaps = ExponentialDraws(streams, INTERARRIVAL_STREAM)
+        thinning = UniformDraws(streams, THINNING_STREAM)
         session_id = 0
         while True:
-            gap = arrivals.next_interarrival(streams, self.sim.now)
+            gap = arrivals.next_interarrival(gaps, thinning, self.sim.now)
             if gap > 0:
                 yield self.sim.timeout(gap)
             size = arrivals.session_size(streams)

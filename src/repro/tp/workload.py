@@ -25,8 +25,8 @@ workloads build the transaction with the same sampler.
 
 :class:`ExponentialDraws` and :class:`UniformDraws` read a stream with one
 reader from numpy blocks instead of one scalar call per draw: the
-transaction-class draws here, and the think, CPU and restart draws of
-:mod:`repro.tp.system`.
+transaction-class draws here, and the think, CPU, restart and arrival
+draws of :mod:`repro.tp.system`.
 """
 
 from __future__ import annotations
@@ -410,17 +410,17 @@ class Workload:
         when its write fraction is positive: otherwise it would silently
         degrade into a query and dilute the class mix.
         """
-        items = tuple(self.database.sample_access_set(k).tolist())
+        items = self.database.sample_access_set(k)
         if is_query:
             txn_class = TransactionClass.QUERY
             write_flags = (False,) * k
         else:
             txn_class = TransactionClass.UPDATER
             rng = self.streams.stream("write-marks")
-            flags = rng.random(k) < write_fraction
-            if not flags.any() and write_fraction > 0.0:
+            flags = [mark < write_fraction for mark in rng.random(k).tolist()]
+            if write_fraction > 0.0 and True not in flags:
                 flags[int(rng.integers(0, k))] = True
-            write_flags = tuple(flags.tolist())
+            write_flags = tuple(flags)
         txn = Transaction(
             txn_id=self._next_txn_id,
             terminal_id=terminal_id,

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analytic.occ import OccModel
 from repro.experiments.config import contention_bound_params, default_system_params
-from repro.tp.params import SystemParams, WorkloadParams
 
 
 @pytest.fixture

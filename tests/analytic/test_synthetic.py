@@ -1,7 +1,5 @@
 """Tests for the synthetic overload function and the synthetic plant."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

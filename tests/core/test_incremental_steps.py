@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.analytic.synthetic import (
-    DynamicOptimumScenario,
-    SyntheticOverloadFunction,
-    SyntheticSystem,
-)
+from repro.analytic.synthetic import DynamicOptimumScenario, SyntheticSystem
 from repro.core.incremental_steps import IncrementalStepsController, signum
 from repro.core.types import IntervalMeasurement
 from repro.tp.workload import ConstantSchedule, JumpSchedule

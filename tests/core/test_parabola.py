@@ -1,7 +1,5 @@
 """Tests for the Parabola Approximation (PA) controller."""
 
-import math
-
 import pytest
 
 from repro.analytic.synthetic import DynamicOptimumScenario, SyntheticSystem

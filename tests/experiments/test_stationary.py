@@ -7,7 +7,9 @@ from repro.experiments.config import ExperimentScale, default_system_params
 from repro.experiments.stationary import StationarySweep, run_stationary_point
 from repro.runner import run_sweep, stationary_sweep_spec, stationary_sweeps
 from repro.runner.specs import ControllerSpec
+from repro.tp.arrivals import OpenArrivals
 from repro.tp.params import WorkloadParams
+from repro.tp.workload import TransactionClassSpec
 
 
 def tiny_params(n_terminals=40):
@@ -37,6 +39,24 @@ class TestRunStationaryPoint:
             run_stationary_point(tiny_params(), horizon=0.0)
         with pytest.raises(ValueError):
             run_stationary_point(tiny_params(), warmup=-1.0)
+
+    @pytest.mark.parametrize("arrivals", [None, OpenArrivals(20.0)], ids=["closed", "open"])
+    def test_tenant_quotas_need_an_arrival_model(self, arrivals):
+        """Regression: a direct closed run ignored its classes' quotas."""
+        classes = (
+            TransactionClassSpec(name="steady", weight=1.0, accesses_per_txn=4,
+                                 write_fraction=0.5),
+            TransactionClassSpec(name="burst", weight=1.0, accesses_per_txn=4,
+                                 write_fraction=0.5, admission_quota=1, queue_quota=0),
+        )
+        if arrivals is None:
+            with pytest.raises(ValueError, match="arrival model"):
+                run_stationary_point(tiny_params(), horizon=2.0, warmup=0.5,
+                                     workload_classes=classes, arrivals=arrivals)
+        else:
+            point = run_stationary_point(tiny_params(), horizon=2.0, warmup=0.5,
+                                         workload_classes=classes, arrivals=arrivals)
+            assert point.shed > 0  # the burst tenant's queue quota of 0 sheds
 
     def test_uncontrolled_point_has_data(self):
         point = run_stationary_point(tiny_params(), horizon=4.0, warmup=1.0)

@@ -28,16 +28,18 @@ The rules, numbered as in the engine's module docstring:
    dropped.
 6. A returning process schedules its completion event for now.
 7. A resource grants visits FCFS.  A visit's request is granted when made
-   if a server is free, and its grant is scheduled then; otherwise it
-   queues.  A release grants queued requests in order while servers are
-   free, and schedules each grant at the release.  A grant draws the
-   service time and schedules a timeout for it; a zero service time
-   completes at once.  The completion releases the server and schedules
-   the visit for now + its delay; a zero delay ends the visit at once.  A
-   grant or completion that comes due while nothing waits on the visit
-   does nothing.  Cancelling a queued visit removes its request;
-   cancelling a granted or served one releases the server and abandons
-   its grant or timeout.
+   if a server is free; otherwise it queues.  A release grants queued
+   requests in order while servers are free.  A grant made while no entry
+   is due now is processed at once, in the call that made it; otherwise it
+   is scheduled for now.  A grant draws the service time and schedules a
+   timeout for it; a zero service time completes at once.  The completion
+   releases the server and schedules the visit for now + its delay; a zero
+   delay ends the visit at once.  A scheduled grant, or a completion, that
+   comes due while nothing waits on the visit does nothing.  Cancelling a
+   queued visit removes its request; cancelling a granted or served one
+   releases the server and abandons its grant or timeout.  Since a grant
+   may draw before ``visit()`` returns, a visitor yields its visit as soon
+   as it makes it.
 """
 
 import heapq
@@ -204,6 +206,15 @@ class Request(Event):
     def __init__(self, resource):
         super().__init__(resource.sim)
         self.resource = resource
+        self.at_once = False
+
+    def grant_at_once(self):
+        """Trigger and process the grant now, with no heap entry (rule 7)."""
+        self.triggered = True
+        self.ok = True
+        self.value = self
+        self.at_once = True
+        self._process()
 
     def cancel(self):
         """Leave the queue, or release the server if held (rule 7)."""
@@ -224,29 +235,33 @@ class Visit(Event):
         self.delay = delay
         self.draw = draw
         self.hold = None
-        self.request = resource.request()
+        self.request = Request(resource)
         self.request.add_callback(self._granted)
+        resource.submit(self.request)
 
-    def _granted(self, _request):
-        if not self.consumers:
+    def _granted(self, request):
+        if not request.at_once and not self.consumers:
             return  # the visitor was interrupted: its cancel releases the server
         demand = self.demand if self.draw is None else self.draw(self.demand)
         if demand > 0:
             self.hold = self.sim.timeout(demand)
             self.hold.add_callback(self._served)
         else:
-            self._served(None)
+            self._leave()
 
     def _served(self, _hold):
         if not self.consumers:
             return  # the visitor was interrupted: its cancel releases the server
+        self._leave()
+
+    def _leave(self):
         self.hold = None
         self.resource.release(self.request)
         self.request = None
         if self.delay > 0:
             self._trigger(None, None, self.delay)
         else:
-            # a zero delay ends the visit in the resume that released it
+            # a zero delay ends the visit in the call that released it
             self.triggered = True
             self.ok = True
             self._process()
@@ -292,14 +307,12 @@ class Resource:
         """Withdraw ``visit`` (rule 7)."""
         visit.cancel()
 
-    def request(self):
-        """Grant now if a server is free, else queue."""
-        request = Request(self)
+    def submit(self, request):
+        """Grant ``request`` if a server is free, else queue it."""
         if len(self.users) < self.capacity:
             self._grant(request)
         else:
             self.queue.append(request)
-        return request
 
     def release(self, request):
         """Free ``request``'s server and grant queued requests in order."""
@@ -309,4 +322,8 @@ class Resource:
 
     def _grant(self, request):
         self.users.append(request)
-        request.succeed(request)
+        queue = self.sim._queue
+        if queue and queue[0][0] <= self.sim.now:
+            request.succeed(request)  # due after the entries already due now
+        else:
+            request.grant_at_once()

@@ -231,7 +231,7 @@ def test_rule_7_a_free_server_grants_the_visit_when_made(kernel):
     resource = kernel.Resource(sim, 1)
     before = sim._sequence
     resource.visit(1.0, 1.0)
-    assert sim._sequence == before + 1  # the grant
+    assert sim._sequence == before + 1  # granted at once, with nothing due: the completion
     resource.visit(1.0, 1.0)
     assert sim._sequence == before + 1  # queued: nothing scheduled
     assert (resource.in_use, resource.queue_length) == (1, 1)
@@ -257,7 +257,28 @@ def test_rule_7_a_release_grants_queued_visits_in_order_while_servers_are_free(k
 
 
 @KERNELS
-def test_rule_7_a_visit_draws_at_the_grant_releases_after_the_demand_then_waits_the_delay(kernel):
+def test_rule_7_a_release_with_nothing_else_due_grants_at_once(kernel):
+    sim = kernel.Simulator()
+    resource = kernel.Resource(sim, 1)
+    log = []
+
+    def visitor(name):
+        yield resource.visit(1.0, 5.0, lambda demand: log.append((name, sim.now)) or demand)
+
+    sim.process(visitor("held"))
+    sim.process(visitor("queued"))
+    sim.run(until=0.5)
+    before = sim._sequence
+    sim.run(until=1.5)
+    # the release at t=1 draws the queued visit's demand in the completion
+    # that released: two entries, its completion and the held visit's delay
+    assert sim._sequence - before == 2
+    assert log == [("held", 0.0), ("queued", 1.0)]
+    assert (resource.in_use, resource.queue_length) == (1, 0)
+
+
+def _visit_timeline(kernel, other_due):
+    """One visit of demand 1 (drawn as 2) and delay 3, logged from the draw to the resume."""
     sim = kernel.Simulator()
     resource = kernel.Resource(sim, 1)
     log = []
@@ -267,38 +288,65 @@ def test_rule_7_a_visit_draws_at_the_grant_releases_after_the_demand_then_waits_
         return 2 * demand
 
     def visitor():
+        if other_due:
+            sim.timeout(0.0).add_callback(lambda _e: log.append(("due first", sim.now)))
         before = sim._sequence
-        value = yield resource.visit(1.0, 3.0, draw)
+        visit = resource.visit(1.0, 3.0, draw)
+        log.append(("made", sim.now))
+        value = yield visit
         log.append(("resumed", sim.now, value, resource.in_use))
-        # three entries: the grant, the completion, the end of the delay
         log.append(("scheduled", sim._sequence - before))
 
     sim.process(visitor())
     sim.timeout(1.5).add_callback(lambda _e: log.append(("holding", sim.now, resource.in_use)))
     sim.timeout(2.5).add_callback(lambda _e: log.append(("delayed", sim.now, resource.in_use)))
     sim.run(until=10.0)
-    assert log == [("drawn", 0.0, 1.0), ("holding", 1.5, 1), ("delayed", 2.5, 0),
-                   ("resumed", 5.0, None, 0), ("scheduled", 3)]
+    return log
 
 
 @KERNELS
-def test_rule_7_a_zero_demand_and_delay_end_the_visit_in_the_resume_that_granted_it(kernel):
+def test_rule_7_a_grant_with_nothing_else_due_draws_at_once_and_the_visit_takes_two_entries(kernel):
+    # drawn inside visit(); two entries: the completion and the end of the delay
+    assert _visit_timeline(kernel, other_due=False) == [
+        ("drawn", 0.0, 1.0), ("made", 0.0), ("holding", 1.5, 1), ("delayed", 2.5, 0),
+        ("resumed", 5.0, None, 0), ("scheduled", 2)]
+
+
+@KERNELS
+def test_rule_7_a_grant_made_while_another_entry_is_due_is_scheduled_and_draws_after_it(kernel):
+    # three entries: the grant, the completion and the end of the delay
+    assert _visit_timeline(kernel, other_due=True) == [
+        ("made", 0.0), ("due first", 0.0), ("drawn", 0.0, 1.0), ("holding", 1.5, 1),
+        ("delayed", 2.5, 0), ("resumed", 5.0, None, 0), ("scheduled", 3)]
+
+
+@KERNELS
+@pytest.mark.parametrize("other_due", [False, True], ids=["nothing due", "another entry due"])
+def test_rule_7_a_zero_demand_and_delay_end_the_visit_when_its_grant_comes_due(kernel, other_due):
     sim = kernel.Simulator()
     resource = kernel.Resource(sim, 1)
     log = []
 
     def visitor():
+        if other_due:
+            sim.timeout(0.0).add_callback(lambda _e: log.append(("due first", sim.now)))
         before = sim._sequence
         visit = resource.visit(0.0, 0.0)
-        # scheduled right after the grant, for the same time
-        sim.timeout(0.0).add_callback(lambda _e: log.append(("after the grant", sim.now)))
+        log.append(("made", visit.triggered, resource.in_use))
+        # scheduled right after the visit is made, for the same time
+        sim.timeout(0.0).add_callback(lambda _e: log.append(("after the visit", sim.now)))
         yield visit
-        # the grant and the marker: no completion, no end of a delay
         log.append(("resumed", sim.now, sim._sequence - before))
 
     sim.process(visitor())
     sim.run(until=1.0)
-    assert log == [("resumed", 0.0, 2), ("after the grant", 0.0)]
+    if other_due:
+        # the grant and the marker; the visit ends in the resume that granted it
+        assert log == [("made", False, 1), ("due first", 0.0), ("resumed", 0.0, 2),
+                       ("after the visit", 0.0)]
+    else:
+        # the marker only: the visit ended in visit(), and the yield resumes at once
+        assert log == [("made", True, 0), ("resumed", 0.0, 1), ("after the visit", 0.0)]
 
 
 @KERNELS
@@ -321,7 +369,7 @@ def test_rule_7_cancel_removes_a_queued_visit_and_releases_a_held_one(kernel):
     assert (resource.in_use, resource.queue_length) == (1, 1)
     sequence = sim._sequence
     resource.cancel(visits["held"])
-    assert sim._sequence == sequence + 1  # the grant of the last visit
+    assert sim._sequence == sequence + 1  # granted at once: the last visit's completion
     assert (resource.in_use, resource.queue_length) == (1, 0)
     resource.cancel(visits["held"])  # a second cancel changes nothing
     assert (resource.in_use, resource.queue_length) == (1, 0)
@@ -336,8 +384,9 @@ INTERRUPTED = {
     "queued": (1.0, ["next"], [
         ("drawn", "next", 0.0), ("interrupted", 1.0, 1, 0, False),
         ("ended", "next", 2.0)]),
-    # interrupted at t=0 while it waits for its scheduled grant: the grant
-    # comes due first and draws nothing, and the cancel frees the server
+    # interrupted at t=0 while it waits for its grant, scheduled because the
+    # interrupting timeout was due: the grant comes due before the wake-up
+    # and draws nothing, and the cancel frees the server
     "granted": (0.0, [], [("interrupted", 0.0, 0, 0, False)]),
     "served": (0.5, [], [("drawn", "victim", 0.0), ("interrupted", 0.5, 0, 0, False)]),
     # interrupted at t=1 just before its completion comes due: the

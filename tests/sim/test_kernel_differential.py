@@ -15,12 +15,13 @@ when a displacement interrupts one.  The step kinds:
 * ``sleep`` -- wait on a timeout;
 * ``visit`` -- visit a resource with a demand and a delay, each zero or
   positive, and wait for the visit to end; with ``drawn``, the demand is
-  drawn (and logged) when the server is granted, as the CPU demand is;
+  drawn (and logged) when the grant comes due, as the CPU demand is;
   with ``watch``, a callback is registered on the visit before the wait,
   as ``cc/history.py`` does on lock grants;
 * ``cancel`` -- visit now, nap, then cancel the visit; nothing waits on
-  it during the nap, so it is still queued, or granted with its grant
-  come due unwaited;
+  it during the nap, so it is still queued, or granted: a grant made while
+  another entry was due is scheduled and comes due unwaited, one made with
+  nothing else due drew at once and its completion may come due unwaited;
 * ``child`` -- start a child process, nap, then wait on the child;
 * ``wait`` -- wait on a shared plain event, with ``watch`` as above;
 * ``fire`` -- succeed or fail a shared plain event, renewing it first if it

@@ -156,11 +156,13 @@ class TestBlockDrawIdentity:
     """numpy draws a block as it draws that many scalars, which buffering relies on.
 
     The single-consumer streams of the model (``cpu-demand``,
-    ``think-time``, ``restart-delay``, ``txn-class``, ``class-mix``) read
-    their variates from blocks (``repro.tp.workload.ExponentialDraws`` and
-    ``UniformDraws``).  The goldens were pinned on numpy 2.4.6, while the
-    package allows any numpy from 1.22; a numpy release that breaks one of
-    these identities fails here by name instead of as a golden diff.
+    ``think-time``, ``restart-delay``, ``txn-class``, ``class-mix``,
+    ``arrival-interarrival``, ``arrival-thinning``) read their variates from
+    blocks (``repro.tp.workload.ExponentialDraws`` and ``UniformDraws``).
+    The goldens were pinned on numpy 2.4.6, while the package allows any
+    numpy from 1.22; a numpy release that breaks one of these identities
+    fails here by name instead of as a golden diff.  (``data-access`` reads
+    raw words instead; ``tests/tp/test_database.py`` pins it.)
     """
 
     BLOCK = 16
@@ -179,6 +181,25 @@ class TestBlockDrawIdentity:
         blocks = RandomStreams(seed=5).stream("s")
         block_values = [x for _ in range(3) for x in blocks.random(self.BLOCK).tolist()]
         assert [float(scalar.random()) for _ in range(3 * self.BLOCK)] == block_values
+
+    @pytest.mark.parametrize("peak", [0.4, 4.0, 17.5, 250.0])
+    def test_uniform_from_zero_is_the_bound_times_random(self, peak):
+        """The thinning test of the arrivals: ``uniform(0, peak) == peak * random()``."""
+        for seed in range(20):
+            scalar = RandomStreams(seed=seed).stream("arrival-thinning")
+            blocks = RandomStreams(seed=seed).stream("arrival-thinning")
+            expected = [float(scalar.uniform(0.0, peak)) for _ in range(1000)]
+            assert expected == [peak * x for x in blocks.random(1000).tolist()]
+
+    @pytest.mark.parametrize("rate", [0.4, 3.0, 17.5, 250.0])
+    def test_exponential_at_a_rate_is_its_mean_times_a_standard_exponential(self, rate):
+        """The gaps of the arrivals: ``exponential(1/rate) == (1/rate) * standard_exponential()``."""
+        mean = 1.0 / rate
+        for seed in range(20):
+            scalar = RandomStreams(seed=seed).stream("arrival-interarrival")
+            blocks = RandomStreams(seed=seed).stream("arrival-interarrival")
+            expected = [float(scalar.exponential(mean)) for _ in range(1000)]
+            assert expected == [mean * x for x in blocks.standard_exponential(1000).tolist()]
 
     def test_buffered_exponential_draws_equal_scalar_draws_across_a_refill(self):
         means = [0.005, 0.04, 1.0]  # the mean may change from draw to draw

@@ -7,8 +7,6 @@ private modules.  These tests pin that surface.
 
 import math
 
-import pytest
-
 import repro
 from repro import analytic, cc, core, experiments, sim, tp
 

@@ -17,11 +17,18 @@ from repro.tp.params import SystemParams, WorkloadParams
 from repro.tp.system import TransactionSystem
 from repro.tp.workload import (
     ConstantSchedule,
+    ExponentialDraws,
     JumpSchedule,
     ParameterSchedule,
     SinusoidSchedule,
     StepSchedule,
+    UniformDraws,
 )
+
+
+def arrival_draws(streams):
+    """The gap and thinning readers of ``streams``, as the arrival source makes them."""
+    return ExponentialDraws(streams, INTERARRIVAL_STREAM), UniformDraws(streams, THINNING_STREAM)
 
 
 def small_params(**overrides):
@@ -93,17 +100,17 @@ class TestOpenArrivalsValidation:
 class TestOpenArrivalsDraws:
     def test_constant_rate_is_exponential_on_the_dedicated_stream(self):
         arrivals = OpenArrivals(4.0)
-        gaps = [arrivals.next_interarrival(RandomStreams(7), now=0.0)]
+        gaps = [arrivals.next_interarrival(*arrival_draws(RandomStreams(7)), now=0.0)]
         expected = RandomStreams(7).exponential(INTERARRIVAL_STREAM, 0.25)
         assert gaps[0] == expected
 
     def test_constant_rate_mean_matches_the_rate(self):
         arrivals = OpenArrivals(4.0)
-        streams = RandomStreams(3)
+        draws = arrival_draws(RandomStreams(3))
         now = 0.0
         gaps = []
         for _ in range(4000):
-            gap = arrivals.next_interarrival(streams, now)
+            gap = arrivals.next_interarrival(*draws, now)
             gaps.append(gap)
             now += gap
         assert sum(gaps) / len(gaps) == pytest.approx(0.25, rel=0.1)
@@ -111,17 +118,18 @@ class TestOpenArrivalsDraws:
     def test_constant_rate_never_touches_the_thinning_stream(self):
         arrivals = OpenArrivals(4.0)
         streams = RandomStreams(7)
+        draws = arrival_draws(streams)
         for _ in range(10):
-            arrivals.next_interarrival(streams, now=0.0)
+            arrivals.next_interarrival(*draws, now=0.0)
         assert THINNING_STREAM not in streams._generators
 
     def test_thinning_reproduces_the_time_varying_rate(self):
         """Arrival counts track the jump: ~5/s before, ~25/s after."""
         arrivals = OpenArrivals(JumpSchedule(5.0, 25.0, jump_time=50.0))
-        streams = RandomStreams(11)
+        draws = arrival_draws(RandomStreams(11))
         now, before, after = 0.0, 0, 0
         while now < 100.0:
-            now += arrivals.next_interarrival(streams, now)
+            now += arrivals.next_interarrival(*draws, now)
             if now < 50.0:
                 before += 1
             elif now < 100.0:
@@ -132,10 +140,10 @@ class TestOpenArrivalsDraws:
     def test_thinning_is_deterministic_given_the_seed(self):
         def draws(seed):
             arrivals = OpenArrivals(SinusoidSchedule(10.0, 6.0, period=3.0))
-            streams = RandomStreams(seed)
+            draws = arrival_draws(RandomStreams(seed))
             now, out = 0.0, []
             for _ in range(50):
-                gap = arrivals.next_interarrival(streams, now)
+                gap = arrivals.next_interarrival(*draws, now)
                 out.append(gap)
                 now += gap
             return out
@@ -143,15 +151,44 @@ class TestOpenArrivalsDraws:
         assert draws(5) == draws(5)
         assert draws(5) != draws(6)
 
+    @pytest.mark.parametrize("rate", [
+        pytest.param(4.0, id="constant"),
+        pytest.param(JumpSchedule(5.0, 25.0, jump_time=2.0), id="jump"),
+        pytest.param(SinusoidSchedule(10.0, 6.0, period=3.0), id="sinusoid"),
+    ])
+    def test_buffered_gaps_equal_the_scalar_draws(self, rate):
+        """The buffered readers give the gaps that one scalar ``exponential``
+        per candidate and one ``uniform(0, peak)`` per thinning test give."""
+        arrivals = OpenArrivals(rate)
+        schedule = arrivals.rate
+        scalar = RandomStreams(29)
+
+        def scalar_gap(now):
+            if isinstance(schedule, ConstantSchedule):
+                return scalar.exponential(INTERARRIVAL_STREAM, 1.0 / schedule.value)
+            peak = schedule.peak()
+            gap = 0.0
+            while True:
+                gap += float(scalar.stream(INTERARRIVAL_STREAM).exponential(1.0 / peak))
+                if scalar.uniform(THINNING_STREAM, 0.0, peak) < schedule(now + gap):
+                    return gap
+
+        draws = arrival_draws(RandomStreams(29))
+        now = 0.0
+        for _ in range(600):  # several refills of each reader
+            gap = arrivals.next_interarrival(*draws, now)
+            assert gap == scalar_gap(now)
+            now += gap
+
     def test_no_arrival_is_accepted_while_the_rate_is_negative(self):
         """The acceptance draw lies in ``[0, peak)``, so a negative rate
         accepts nothing, clamped or not."""
         schedule = SinusoidSchedule(2.0, 10.0, period=4.0)
         arrivals = OpenArrivals(schedule)
-        streams = RandomStreams(13)
+        draws = arrival_draws(RandomStreams(13))
         now = 0.0
         for _ in range(200):
-            now += arrivals.next_interarrival(streams, now)
+            now += arrivals.next_interarrival(*draws, now)
             assert schedule(now) > 0.0
 
     def test_drawing_leaves_the_process_unchanged(self):
@@ -159,10 +196,10 @@ class TestOpenArrivalsDraws:
         pickles like a fresh one, negative-rate instants included."""
         used = OpenArrivals(SinusoidSchedule(2.0, 10.0, period=4.0))
         before = pickle.dumps(used)
-        streams = RandomStreams(13)
+        draws = arrival_draws(RandomStreams(13))
         now = 0.0
         for _ in range(50):
-            now += used.next_interarrival(streams, now)
+            now += used.next_interarrival(*draws, now)
         fresh = OpenArrivals(SinusoidSchedule(2.0, 10.0, period=4.0))
         assert used == fresh
         assert hash(used) == hash(fresh)
@@ -275,10 +312,11 @@ class TestOpenSystemRuns:
     def test_open_arrivals_leave_the_closed_streams_untouched(self):
         """The source draws only on its dedicated stream names."""
         streams = RandomStreams(31)
+        draws = arrival_draws(streams)
         arrivals = PartlyOpenArrivals(SinusoidSchedule(8.0, 4.0, period=2.0))
         now = 0.0
         for _ in range(20):
-            now += arrivals.next_interarrival(streams, now)
+            now += arrivals.next_interarrival(*draws, now)
             arrivals.session_size(streams)
         assert set(streams._generators) == {
             INTERARRIVAL_STREAM, THINNING_STREAM, SESSION_SIZE_STREAM}

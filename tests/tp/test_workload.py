@@ -230,6 +230,25 @@ class TestTransactionSampling:
         assert txn.submitted_at == 42.0
         assert txn.terminal_id == 7
 
+    @pytest.mark.parametrize("write_fraction, k", [(0.5, 8), (0.05, 3), (0.0, 6), (1.0, 4)])
+    def test_write_marks_equal_the_vector_draw_and_its_fallback(self, write_fraction, k):
+        """An updater's marks are ``random(k) < write_fraction``, and with
+        none set, one ``integers(0, k)`` position (when the fraction is positive)."""
+        params = WorkloadParams(query_fraction=0.0, write_fraction=write_fraction,
+                                accesses_per_txn=k)
+        workload = Workload(params, RandomStreams(seed=4))
+        marks = RandomStreams(seed=4).stream("write-marks")
+        fallbacks = 0
+        for _ in range(300):
+            flags = marks.random(k) < write_fraction
+            if not flags.any() and write_fraction > 0.0:
+                flags[int(marks.integers(0, k))] = True
+                fallbacks += 1
+            assert workload.next_transaction(0.0, 0).write_flags == tuple(flags.tolist())
+        assert workload.streams.stream("write-marks").random() == marks.random()
+        if write_fraction == 0.05:
+            assert fallbacks > 100
+
     @given(query_fraction=st.floats(min_value=0.0, max_value=1.0),
            write_fraction=st.floats(min_value=0.0, max_value=1.0),
            k=st.integers(min_value=1, max_value=32))

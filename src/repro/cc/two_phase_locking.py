@@ -32,8 +32,8 @@ Shared machinery:
 * shared (S) locks are granted concurrently, exclusive (X) locks require
   sole ownership; lock upgrades (S -> X) are supported and take priority
   over waiting requests from other transactions;
-* waiting requests are represented as simulation events so a blocked
-  transaction simply ``yield``s on the grant (or has
+* a waiting request is itself a simulation event, its grant: a blocked
+  transaction simply ``yield``s on it (or has
   :class:`~repro.cc.base.TransactionAborted` thrown into it);
 * a queue holds live requests only: a request whose transaction aborts,
   or whose grant fails (a deadlock or wound victim), leaves its queue at
@@ -72,13 +72,21 @@ class LockMode(enum.Enum):
     EXCLUSIVE = "X"
 
 
-@dataclass
-class _LockRequest:
-    """A waiting lock request for one granule."""
+class _LockRequest(Event):
+    """A waiting lock request for one granule, and its own grant event.
 
-    txn_id: int
-    mode: LockMode
-    event: Event
+    It succeeds with its mode when granted and fails with the
+    :class:`~repro.cc.base.TransactionAborted` of a deadlock or wound
+    victim, so one object per wait serves both the queue and the waiting
+    process.
+    """
+
+    __slots__ = ("txn_id", "mode")
+
+    def __init__(self, sim: Simulator, txn_id: int, mode: LockMode):
+        super().__init__(sim)
+        self.txn_id = txn_id
+        self.mode = mode
 
 
 @dataclass
@@ -98,12 +106,11 @@ class LockingScheme(ConcurrencyControl):
     the variants differ only in conflict resolution, never in lock
     semantics.
 
-    The scheme keeps decision state only: holders, live waiters, each
-    waiting transaction's granule and each execution's start time.  How
-    many requests waited, deadlocked or died is the run's to count — the
-    abort reason of every failed grant reaches ``RunMetrics`` — and the
-    read-only views :meth:`holders_of` and :meth:`wait_depth` serve tests
-    and probes.
+    The scheme keeps decision state only: holders, live waiters and each
+    waiting transaction's granule.  How many requests waited, deadlocked
+    or died is the run's to count — the abort reason of every failed grant
+    reaches ``RunMetrics`` — and the read-only views :meth:`holders_of` and
+    :meth:`wait_depth` serve tests and probes.
     """
 
     name = "locking"
@@ -115,16 +122,13 @@ class LockingScheme(ConcurrencyControl):
         self._held: Dict[int, Set[int]] = {}
         #: txn_id -> granule it is currently waiting for (at most one)
         self._waiting_for_item: Dict[int, int] = {}
-        #: txn_id -> start time of the current execution
-        self._start_time: Dict[int, float] = {}
 
     # ------------------------------------------------------------------
     # ConcurrencyControl interface
     # ------------------------------------------------------------------
     def begin(self, txn: "Transaction") -> None:
-        """Register a fresh execution: its start time and an empty held set, which its grants fill."""
+        """Register a fresh execution: an empty held set, which its grants fill."""
         self._held[txn.txn_id] = set()
-        self._start_time[txn.txn_id] = self.sim.now
 
     def access(self, txn: "Transaction", item: int, is_write: bool) -> Optional[Event]:
         """Acquire an S or X lock on ``item``; may return a wait event."""
@@ -218,19 +222,19 @@ class LockingScheme(ConcurrencyControl):
         if state.waiters:
             return False
         if mode == LockMode.SHARED:
-            return all(m == LockMode.SHARED for m in state.holders.values())
+            return LockMode.EXCLUSIVE not in state.holders.values()
         return False
 
-    def _enqueue(self, txn_id: int, item: int, mode: LockMode, state: _LockState) -> Event:
-        """Append a waiting request and return its grant event."""
-        event = Event(self.sim)
-        state.waiters.append(_LockRequest(txn_id, mode, event))
+    def _enqueue(self, txn_id: int, item: int, mode: LockMode,
+                 state: _LockState) -> _LockRequest:
+        """Append a waiting request and return it: it is the grant event."""
+        request = _LockRequest(self.sim, txn_id, mode)
+        state.waiters.append(request)
         self._waiting_for_item[txn_id] = item
-        return event
+        return request
 
     def _release_all(self, txn_id: int) -> None:
         items = self._held.pop(txn_id, ())
-        self._start_time.pop(txn_id, None)
         for item in items:
             state = self._locks.get(item)
             if state is None:
@@ -241,20 +245,21 @@ class LockingScheme(ConcurrencyControl):
                 del self._locks[item]
 
     def _grant_waiters(self, item: int, state: _LockState) -> None:
+        holders = state.holders
         while state.waiters:
             head = state.waiters[0]
             if head.mode == LockMode.EXCLUSIVE:
-                other_holders = [t for t in state.holders if t != head.txn_id]
-                if other_holders:
+                # another holder blocks it; the head itself may hold S and
+                # queue for the upgrade
+                if len(holders) > (head.txn_id in holders):
                     return
-            else:
-                if any(m == LockMode.EXCLUSIVE for m in state.holders.values()):
-                    return
+            elif LockMode.EXCLUSIVE in holders.values():
+                return
             state.waiters.popleft()
-            state.holders[head.txn_id] = head.mode
+            holders[head.txn_id] = head.mode
             self._held[head.txn_id].add(item)
             self._waiting_for_item.pop(head.txn_id, None)
-            head.event.succeed(head.mode)
+            head.succeed(head.mode)
 
     def _withdraw(self, txn_id: int,
                   error: Optional[TransactionAborted] = None) -> None:
@@ -274,7 +279,7 @@ class LockingScheme(ConcurrencyControl):
             if request.txn_id == txn_id:
                 del waiters[index]
                 if error is not None:
-                    request.event.fail(error)
+                    request.fail(error)
                 break
         self._grant_waiters(item, state)
 
@@ -297,11 +302,32 @@ class LockingScheme(ConcurrencyControl):
 class TwoPhaseLocking(LockingScheme):
     """Strict two-phase locking (blocking CC) with deadlock detection.
 
-    Conflict resolution: the request always waits; a waits-for graph is
-    maintained incrementally, a cycle check runs whenever a transaction
-    blocks, and a victim on the cycle (selected by ``victim_policy``) is
-    aborted — its pending request event fails with
+    Conflict resolution: the request always waits; a cycle check runs
+    whenever a transaction blocks, and a victim on the cycle (selected by
+    ``victim_policy``) is aborted — its pending request event fails with
     :class:`~repro.cc.base.TransactionAborted`.
+
+    The waits-for graph is never stored: a waiter waits for the other
+    holders of its granule and for the waiters queued ahead of it, and the
+    search reads those edges off the lock table.  The search is skipped
+    when no transaction is queued on a granule the requester holds, and
+    that is exact, not a heuristic, because of one invariant: **the graph
+    is acyclic whenever** :meth:`_block` **returns**.
+
+    * Only a block creates waits-for edges.  Grants, releases, upgrades
+      and withdrawals remove edges, or turn an earlier-waiter edge into a
+      holder edge (a granted head has no one ahead of it).
+    * So any cycle a block closes passes through its requester R, and
+      :meth:`_block` removes every such cycle before it returns.
+    * R has just joined the tail of its queue, so no one waits behind it.
+      An edge into R can only come from a waiter on a granule R holds —
+      also R's own granule when R queues for an S -> X upgrade, where the
+      earlier waiters wait for R as a holder.  With no such waiter there is
+      no edge into R, no cycle, and nothing for the search to find.
+
+    A new source of edges — a grant rule that lets a request overtake a
+    queue, or a variant that reuses :meth:`_block` after creating edges of
+    its own — breaks the invariant and must re-examine the skip.
     """
 
     name = "two-phase-locking"
@@ -311,12 +337,24 @@ class TwoPhaseLocking(LockingScheme):
             raise ValueError(f"unknown victim policy {victim_policy!r}")
         super().__init__(sim)
         self.victim_policy = victim_policy
+        #: txn_id -> start time of the current execution (victim choice)
+        self._start_time: Dict[int, float] = {}
+
+    def begin(self, txn: "Transaction") -> None:
+        """Register a fresh execution and its start time."""
+        super().begin(txn)
+        self._start_time[txn.txn_id] = self.sim.now
+
+    def _release_all(self, txn_id: int) -> None:
+        super()._release_all(txn_id)
+        self._start_time.pop(txn_id, None)
 
     # ------------------------------------------------------------------
     # conflict resolution: wait, then hunt for cycles
     # ------------------------------------------------------------------
-    def _block(self, txn_id: int, item: int, mode: LockMode, state: _LockState) -> Event:
-        event = self._enqueue(txn_id, item, mode, state)
+    def _block(self, txn_id: int, item: int, mode: LockMode,
+               state: _LockState) -> _LockRequest:
+        request = self._enqueue(txn_id, item, mode, state)
         # A single block can close SEVERAL cycles at once: the FCFS edges
         # (waiting for earlier waiters of the same granule) run in parallel
         # to the direct holder edges, so aborting the victim of the first
@@ -325,14 +363,19 @@ class TwoPhaseLocking(LockingScheme):
         # detection for it.  Re-detect until the requester's reachable
         # graph is cycle-free (each round aborts one waiter, so this
         # terminates); once the requester itself is sacrificed it no longer
-        # waits and the loop ends naturally.
-        victim = self._detect_deadlock(txn_id)
-        while victim is not None:
+        # waits and the loop ends naturally.  Every round first asks
+        # whether anyone waits for the requester at all: a cycle through
+        # it needs such a waiter, and the class docstring shows that every
+        # cycle passes through it, so without one the search would find
+        # nothing.
+        while self._is_waited_for(txn_id, item):
+            victim = self._detect_deadlock(txn_id)
+            if victim is None:
+                break
             self._withdraw(victim, TransactionAborted(
                 AbortReason.DEADLOCK,
                 f"victim of deadlock on granule {self._waiting_for_item[victim]}"))
-            victim = self._detect_deadlock(txn_id)
-        return event
+        return request
 
     # ------------------------------------------------------------------
     # deadlock handling
@@ -352,6 +395,19 @@ class TwoPhaseLocking(LockingScheme):
                 break
             blockers.add(request.txn_id)
         return blockers
+
+    def _is_waited_for(self, txn_id: int, item: int) -> bool:
+        """Whether another transaction is queued on a granule ``txn_id`` holds.
+
+        ``item`` is the granule ``txn_id`` has just queued for: it holds it
+        only when it queued for an upgrade, and then its own request is one
+        of that queue's waiters.
+        """
+        locks = self._locks
+        for held in self._held[txn_id]:
+            if len(locks[held].waiters) > (held == item):
+                return True
+        return False
 
     def _detect_deadlock(self, start: int) -> Optional[int]:
         """DFS from ``start`` in the waits-for graph; return a victim or None."""

@@ -335,6 +335,12 @@ class Workload:
         # piecewise constant, so the frozen result is almost always reusable
         self._params_cache: Optional[Tuple[Tuple[float, float, float], WorkloadParams]] = None
         self._reject_static_out_of_range()
+        # with three constant schedules the parameters never change:
+        # params_at returns this one value without evaluating anything
+        self._constant_params: Optional[WorkloadParams] = None
+        if all(isinstance(schedule, ConstantSchedule) for schedule in
+               (self._accesses, self._query_fraction, self._write_fraction)):
+            self._constant_params = self.params_at(0.0)
 
     def _reject_static_out_of_range(self) -> None:
         """Fail loudly on constant/jump/step schedules outside the domain.
@@ -375,6 +381,8 @@ class Workload:
         it.  Statically out-of-range schedules never get this far — they
         are rejected at construction.
         """
+        if self._constant_params is not None:
+            return self._constant_params
         k = max(1, min(int(round(self._accesses(time))), self.base.db_size))
         query_fraction = min(1.0, max(0.0, self._query_fraction(time)))
         write_fraction = min(1.0, max(0.0, self._write_fraction(time)))

@@ -18,6 +18,10 @@ Invariants covered:
   whatever mix of commits, voluntary aborts and deadlock aborts occurred;
 * **no grants after release** — a transaction that released its locks
   (commit or final abort) never reappears as a holder;
+* **an acyclic waits-for graph** — after every ``access`` returns, no
+  waiting transaction reaches a cycle: deadlock detection removes every
+  cycle the block closed, which is what lets it skip the search when
+  nobody waits behind the requester;
 * **deadlock victims always make progress** — under every victim policy,
   every transaction of a write-heavy closed workload eventually commits:
   victim selection plus restart may delay a transaction but can never
@@ -61,6 +65,37 @@ def assert_mode_compatible(cc, item):
         )
 
 
+def assert_no_waits_for_cycle(cc):
+    """No waiting transaction reaches a cycle in the waits-for graph.
+
+    The edges are read off the lock table: a waiter waits for the other
+    holders of its granule and for the waiters queued ahead of it.
+    """
+    edges = {}
+    for state in cc._locks.values():
+        ahead = []
+        for request in state.waiters:
+            edges[request.txn_id] = (
+                {t for t in state.holders if t != request.txn_id} | set(ahead))
+            ahead.append(request.txn_id)
+    # Kahn's algorithm over the waiting transactions: whatever cannot be
+    # peeled off, sink first, lies on or leads into a cycle
+    remaining = {t: {s for s in successors if s in edges} for t, successors in edges.items()}
+    sinks = [t for t, successors in remaining.items() if not successors]
+    predecessors = {}
+    for t, successors in remaining.items():
+        for successor in successors:
+            predecessors.setdefault(successor, []).append(t)
+    while sinks:
+        sink = sinks.pop()
+        for t in predecessors.get(sink, ()):
+            remaining[t].discard(sink)
+            if not remaining[t]:
+                sinks.append(t)
+        del remaining[sink]
+    assert not remaining, f"waiters reach a waits-for cycle: {sorted(remaining)}"
+
+
 def random_workload(rng, txn_id, write_probability=0.5, max_items=4):
     size = rng.randint(1, max_items)
     items = rng.sample(range(N_ITEMS), size)
@@ -91,6 +126,7 @@ def test_lock_grant_conservation_under_random_schedules(seed):
                 for item, is_write in txn.accesses:
                     requests[0] += 1
                     grant = cc.access(txn, item, is_write)
+                    assert_no_waits_for_cycle(cc)
                     if grant is not None:
                         waits[0] += 1
                         yield grant
@@ -199,6 +235,7 @@ def test_deadlock_victims_always_make_progress(seed, policy):
             try:
                 for item, is_write in txn.accesses:
                     grant = cc.access(txn, item, is_write)
+                    assert_no_waits_for_cycle(cc)
                     if grant is not None:
                         yield grant
                     yield sim.timeout(0.01 + rng.random() * 0.05)

@@ -150,6 +150,24 @@ class TestWorkloadParametersOverTime:
         assert numbers.params_at(5.0) == schedules.params_at(5.0)
         assert numbers.params_at(5.0).accesses_per_txn == 12
 
+    def test_constant_workload_returns_one_params_object(self):
+        base = WorkloadParams(db_size=1000, accesses_per_txn=8)
+        workload = Workload(base, RandomStreams(seed=1), accesses=12,
+                            write_fraction=ConstantSchedule(0.25))
+        first = workload.params_at(0.0)
+        assert first.accesses_per_txn == 12
+        assert first.write_fraction == 0.25
+        assert first.query_fraction == base.query_fraction
+        for time in (0.5, 7.0, 1e6):
+            assert workload.params_at(time) is first
+
+    def test_sinusoid_workload_still_varies_its_size(self):
+        base = WorkloadParams(db_size=1000, accesses_per_txn=8)
+        workload = Workload(base, RandomStreams(seed=1),
+                            accesses=SinusoidSchedule(mean=8.0, amplitude=4.0, period=40.0))
+        sizes = [workload.params_at(time).accesses_per_txn for time in (0.0, 10.0, 20.0, 30.0)]
+        assert sizes == [8, 12, 8, 4]
+
     def test_varied_parameters_are_the_workload_keywords(self):
         keywords = list(inspect.signature(Workload).parameters)
         assert keywords == ["base", "streams", *VARIED_PARAMETERS]

@@ -7,8 +7,10 @@ times the four code paths every experiment cell bottoms out in:
   frequent event kind in the transaction model;
 * **process completion** — spawning short-lived processes and waiting on
   their completion events (one per transaction execution);
-* **resource cycling** — FCFS station visits (queue, hold, release) on a
-  multi-server :class:`~repro.sim.resources.Resource` (the CPU station);
+* **resource cycling** — FCFS station visits on a multi-server
+  :class:`~repro.sim.resources.Resource` (the CPU station), which computes
+  each visit's start and release when it is made and schedules the visit
+  once, for its end: one heap entry per visit;
 * **closed transaction system** — end-to-end transactions per wall second
   through a small :class:`~repro.tp.system.TransactionSystem`.
 
@@ -114,7 +116,7 @@ def bench_process_completion(n_processes: int) -> float:
 
 
 def bench_resource_cycles(n_cycles: int) -> float:
-    """FCFS visit (queue/hold/release) cycles per second (8 workers, 4 servers)."""
+    """FCFS station visits per second (8 workers, 4 servers), one heap entry each."""
     n_workers = 8
     per_worker = n_cycles // n_workers
 

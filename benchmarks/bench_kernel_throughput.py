@@ -31,7 +31,11 @@ def test_kernel_event_throughput(benchmark):
 
 
 def test_resource_contention_throughput(benchmark):
-    """Time to push 5k jobs through a 4-server FCFS resource."""
+    """Time to push 5k jobs through a 4-server FCFS resource.
+
+    Each job is one station visit, computed when it is made and scheduled
+    once, for its end.
+    """
 
     def run():
         sim = Simulator()

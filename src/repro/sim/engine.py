@@ -39,13 +39,18 @@ engine to produce the same event log as that reference on random scripts:
    it is detached from that target too.  A wake-up for a finished process
    is dropped.
 6. A returning process schedules its completion event for now.
-7. A resource grants visits FCFS, and a visit schedules each of its stages
-   when the one before it ends: the grant, the service completion and the
-   end of the delay after the release.  A grant made while no entry is due
-   at the current instant is not scheduled: it comes due at once, in the
-   call that made it, so a visitor yields its visit as soon as it makes
-   it.  A scheduled stage that comes due while nothing waits on the visit
-   does nothing (see :mod:`repro.sim.resources`).
+7. A resource serves visits FCFS and computes each one when it is made:
+   the service time is drawn then, the visit starts at max(now, the
+   earliest time a server is free), releases its server at start +
+   service, and is scheduled once, for that release + its delay, numbered
+   when made.  A server is held over [start, release): at its release
+   instant a visit no longer counts.  Cancelling a visit that has not
+   released its server takes its entry off the queue; if the visit had
+   not started (its start is now or later) its variate passes down the
+   waiting drawing visits behind it and the last one's returns to the
+   reader, and the visits behind it that have not started are timed
+   again, keeping their numbers.  Cancelling during the delay, or after,
+   changes nothing (see :mod:`repro.sim.resources`).
 
 An exception other than :class:`Interrupt` escaping a process fails the
 process's completion event and then propagates out of :meth:`Simulator.run`.
@@ -61,9 +66,10 @@ common paths are aggressively slimmed; the golden-trajectory harness under
   directly when the event is processed — no callback list is allocated, no
   indirection through bound methods.  The slot is used only by a consumer
   that registers first, so the waiter followed by the callback list is
-  registration order.  The run loop calls ``waiter._resume(entry)`` on
-  whatever a heap entry names as its waiter: a process, or a station visit
-  whose grant or service completion came due (:mod:`repro.sim.resources`).
+  registration order.
+* **One heap entry per CPU phase.**  A station visit
+  (:mod:`repro.sim.resources`) is an event scheduled for its end when it
+  is made; the station runs nothing between a visit's arrival and its end.
 * **No object refers to itself.**  A process registers as a callback with
   a bound method made when needed, not one stored on itself, and no event
   carries itself as its value.  So a finished run's objects are freed by
@@ -424,23 +430,6 @@ class Simulator:
         run nothing that refers back to itself.
         """
         self._queue.clear()
-
-    def _process_now(self, event: Event) -> None:
-        """Process a triggered ``event`` at once, with no heap entry.
-
-        The body of the run loop for one event; a station visit whose delay
-        is zero ends this way, in the resume that released its server.
-        """
-        event._processed = True
-        waiter = event._waiter
-        if waiter is not None:
-            event._waiter = None
-            waiter._resume(event)
-        callbacks = event.callbacks
-        if callbacks is not None:
-            for callback in callbacks:
-                callback(event)
-            event.callbacks = None
 
     def _schedule_wakeup(self, process: Process, exception: Optional[BaseException]) -> None:
         """Schedule an internal pre-triggered event that resumes ``process`` now.

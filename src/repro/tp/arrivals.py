@@ -31,7 +31,8 @@ streams a closed run consumes.  The gaps and the thinning tests are drawn
 per arrival, so they come from numpy blocks
 (:class:`~repro.tp.workload.ExponentialDraws` and
 :class:`~repro.tp.workload.UniformDraws`) that the caller owns and passes
-in; a process stores none of them.
+in; a process stores none of them.  The system reads the session think
+times through a block of its own.
 """
 
 from __future__ import annotations

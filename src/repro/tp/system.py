@@ -98,14 +98,15 @@ class TransactionSystem:
         self._observer = observers or None
         if self._observer is not None:
             self._observer.bind(self)
-        # the think, CPU and restart draws are per-phase hot-path calls on
-        # streams nothing else reads, so they come from numpy in blocks
+        # the think, CPU, restart and session-think draws are hot-path calls
+        # on streams nothing else reads, so they come from numpy in blocks
         self._think_draw = ExponentialDraws(self.streams, "think-time").draw
         self._restart_draw = ExponentialDraws(self.streams, "restart-delay").draw
-        #: the CPU demand of a phase, drawn when the CPU is granted; None
-        #: serves the phase's mean
-        self._cpu_draw = (ExponentialDraws(self.streams, "cpu-demand").draw
-                          if params.stochastic_cpu else None)
+        self._session_think_draw = ExponentialDraws(self.streams, SESSION_THINK_STREAM).draw
+        #: the reader of the phases' CPU demands, which the CPU station
+        #: draws from when a visit is made; None serves each phase's mean
+        self._cpu_draws = (ExponentialDraws(self.streams, "cpu-demand")
+                           if params.stochastic_cpu else None)
 
     # ------------------------------------------------------------------
     # wiring and execution
@@ -256,7 +257,7 @@ class TransactionSystem:
         think_mean = self.arrivals.session_think_time
         for index in range(size):
             if index and think_mean > 0:
-                think = float(self.streams.exponential(SESSION_THINK_STREAM, think_mean))
+                think = self._session_think_draw(think_mean)
                 if think > 0:
                     yield self.sim.timeout(think)
             yield from self._submit_and_process(session_id)
@@ -306,13 +307,13 @@ class TransactionSystem:
         """Run one admitted transaction to commit, restarting as needed.
 
         Each phase with CPU work is one visit to the multiprocessor: the
-        CPU burst, drawn when a CPU is granted, then the disk delay.  A
+        CPU burst, drawn when the visit is made, then the disk delay.  A
         phase without CPU work is the disk delay alone.
         """
         params = self.params
         sim = self.sim
         cpu_visit = self.cpus.visit
-        cpu_draw = self._cpu_draw
+        cpu_draws = self._cpu_draws
         cc_access = self.cc.access
         cpu_init = params.cpu_init
         cpu_access = params.cpu_per_access
@@ -336,7 +337,7 @@ class TransactionSystem:
                 self.cc.begin(txn)
                 # initialization phase
                 if cpu_init > 0:
-                    visit = cpu_visit(cpu_init, disk_access, cpu_draw)
+                    visit = cpu_visit(cpu_init, disk_access, cpu_draws)
                     yield visit
                 elif disk_access > 0:
                     yield sim.timeout(disk_access)
@@ -351,13 +352,13 @@ class TransactionSystem:
                             yield grant
                             observer.lock_wait(sim.now, txn, sim.now - waited_from)
                     if cpu_access > 0:
-                        visit = cpu_visit(cpu_access, disk_access, cpu_draw)
+                        visit = cpu_visit(cpu_access, disk_access, cpu_draws)
                         yield visit
                     elif disk_access > 0:
                         yield sim.timeout(disk_access)
                 # commit processing phase
                 if cpu_commit > 0:
-                    visit = cpu_visit(cpu_commit, disk_commit, cpu_draw)
+                    visit = cpu_visit(cpu_commit, disk_commit, cpu_draws)
                     yield visit
                 elif disk_commit > 0:
                     yield sim.timeout(disk_commit)

@@ -25,8 +25,8 @@ workloads build the transaction with the same sampler.
 
 :class:`ExponentialDraws` and :class:`UniformDraws` read a stream with one
 reader from numpy blocks instead of one scalar call per draw: the
-transaction-class draws here, and the think, CPU, restart and arrival
-draws of :mod:`repro.tp.system`.
+transaction-class draws here, and the think, CPU, restart, session-think
+and arrival draws of :mod:`repro.tp.system`.
 """
 
 from __future__ import annotations
@@ -92,6 +92,19 @@ class ExponentialDraws(_BlockDraws):
             return 0.0
         values = self._values or self._refill()
         return mean * values.pop()
+
+    def standard(self) -> float:
+        """One standard (mean 1) exponential variate: ``draw(mean)`` is ``mean * standard()``."""
+        values = self._values or self._refill()
+        return values.pop()
+
+    def put_back(self, value: float) -> None:
+        """Return ``value``, the latest variate read, so the next draw reads it again.
+
+        The CPU station gives back the variate of a visit cancelled before
+        it started (see :mod:`repro.sim.resources`).
+        """
+        self._values.append(value)
 
 
 class UniformDraws(_BlockDraws):

@@ -2,14 +2,14 @@
 
 ``repro.sim.engine`` and ``repro.sim.resources`` trade clarity for speed: a
 waiter slot next to a lazily allocated callback list, pre-built wake-up
-events, a station visit that runs its own stages, and cancelled visits
-skipped lazily at the queue head.  This module implements the same
-contract with none of that, in the style of a textbook heapq simulator: one
-heap of ``(time, sequence, callback)`` entries, one consumer list per
-event, plain ``users`` and ``queue`` lists per resource, and a visit built
-from the kernel's own request, timeout and release.
-``test_kernel_differential.py`` runs random scripts on both kernels and
-requires the same event log.
+events, and a station that keeps heaps of free and finish times and folds
+its busy-time sum incrementally.  This module implements the same contract
+with none of that, in the style of a textbook heapq simulator: one heap of
+``(time, sequence, callback)`` entries, one consumer list per event, and a
+station that keeps a plain list of its visits, times all of them again
+from scratch whenever one is made or cancelled, and sums its busy time
+afresh at every read.  ``test_kernel_differential.py`` runs random scripts
+on both kernels and requires the same event log.
 
 The rules, numbered as in the engine's module docstring:
 
@@ -27,19 +27,19 @@ The rules, numbered as in the engine's module docstring:
    detached from that target too.  A wake-up for a finished process is
    dropped.
 6. A returning process schedules its completion event for now.
-7. A resource grants visits FCFS.  A visit's request is granted when made
-   if a server is free; otherwise it queues.  A release grants queued
-   requests in order while servers are free.  A grant made while no entry
-   is due now is processed at once, in the call that made it; otherwise it
-   is scheduled for now.  A grant draws the service time and schedules a
-   timeout for it; a zero service time completes at once.  The completion
-   releases the server and schedules the visit for now + its delay; a zero
-   delay ends the visit at once.  A scheduled grant, or a completion, that
-   comes due while nothing waits on the visit does nothing.  Cancelling a
-   queued visit removes its request; cancelling a granted or served one
-   releases the server and abandons its grant or timeout.  Since a grant
-   may draw before ``visit()`` returns, a visitor yields its visit as soon
-   as it makes it.
+7. A resource serves visits FCFS and computes each one when it is made:
+   the service time is drawn then, the visit starts at max(now, the
+   earliest time a server is free), releases its server at start +
+   service, and is scheduled once, for that release + its delay, numbered
+   when made.  A server is held over [start, release): at its release
+   instant a visit no longer counts.  Cancelling a visit that has not
+   released its server takes its entry off the queue; if the visit had
+   not started (its start is now or later) its variate passes down the
+   waiting drawing visits behind it and the last one's returns to the
+   reader, and the visits behind it that have not started are timed
+   again, keeping their numbers.  Cancelling during the delay, or after,
+   changes nothing.  The busy-time sum is split at every arrival, release,
+   cancel and ``utilisation()`` read, and summed in time order.
 """
 
 import heapq
@@ -67,7 +67,11 @@ class Simulator:
 
     def schedule(self, delay, callback):
         """Run ``callback()`` at now + ``delay`` (rule 1: numbered now)."""
-        heapq.heappush(self._queue, (self.now + delay, self._sequence, callback))
+        self.schedule_at(self.now + delay, callback)
+
+    def schedule_at(self, time, callback):
+        """Run ``callback()`` at ``time`` (rule 1: numbered now)."""
+        heapq.heappush(self._queue, (time, self._sequence, callback))
         self._sequence += 1
 
     def timeout(self, delay, value=None):
@@ -200,130 +204,122 @@ class Process(Event):
         target.add_callback(self._resume)
 
 
-class Request(Event):
-    """A claim on one server of a :class:`Resource`, made by a :class:`Visit`."""
-
-    def __init__(self, resource):
-        super().__init__(resource.sim)
-        self.resource = resource
-        self.at_once = False
-
-    def grant_at_once(self):
-        """Trigger and process the grant now, with no heap entry (rule 7)."""
-        self.triggered = True
-        self.ok = True
-        self.value = self
-        self.at_once = True
-        self._process()
-
-    def cancel(self):
-        """Leave the queue, or release the server if held (rule 7)."""
-        resource = self.resource
-        if self in resource.queue:
-            resource.queue.remove(self)
-        elif self in resource.users:
-            resource.release(self)
-
-
 class Visit(Event):
-    """A pass through a :class:`Resource`: request, timeout, release, delay (rule 7)."""
+    """A pass through a :class:`Resource`: a server from ``start`` to ``finish``, then the delay (rule 7)."""
 
-    def __init__(self, resource, demand, delay, draw):
+    def __init__(self, resource, demand, delay, draws):
         super().__init__(resource.sim)
         self.resource = resource
+        self.made = resource.sim.now
         self.demand = demand
         self.delay = delay
-        self.draw = draw
-        self.hold = None
-        self.request = Request(resource)
-        self.request.add_callback(self._granted)
-        resource.submit(self.request)
-
-    def _granted(self, request):
-        if not request.at_once and not self.consumers:
-            return  # the visitor was interrupted: its cancel releases the server
-        demand = self.demand if self.draw is None else self.draw(self.demand)
-        if demand > 0:
-            self.hold = self.sim.timeout(demand)
-            self.hold.add_callback(self._served)
-        else:
-            self._leave()
-
-    def _served(self, _hold):
-        if not self.consumers:
-            return  # the visitor was interrupted: its cancel releases the server
-        self._leave()
-
-    def _leave(self):
-        self.hold = None
-        self.resource.release(self.request)
-        self.request = None
-        if self.delay > 0:
-            self._trigger(None, None, self.delay)
-        else:
-            # a zero delay ends the visit in the call that released it
-            self.triggered = True
-            self.ok = True
-            self._process()
-
-    def cancel(self):
-        """Leave the queue, or release the server if held (rule 7)."""
-        if self.request is None:
-            return  # released already: in the delay, or over
-        if self.hold is not None:
-            self.hold.remove_callback(self._served)
-            self.hold = None
-        self.request.remove_callback(self._granted)
-        self.request.cancel()
-        self.request = None
+        self.draws = draws
+        self.variate = None
+        self.start = None
+        #: when the server is released: start + service, or the cancel
+        self.finish = None
+        #: cancelled while it held its server, which it freed then
+        self.cut = False
 
 
 class Resource:
-    """``capacity`` servers granted in request order (rule 7)."""
+    """``capacity`` servers serving visits in the order they are made (rule 7)."""
 
     def __init__(self, sim, capacity):
         self.sim = sim
         self.capacity = capacity
-        self.users = []
-        self.queue = []
+        self.opened = sim.now
+        #: every visit made, in order, but those cancelled before they started
+        self.visits = []
+        #: instants the busy-time sum is split at, besides the releases
+        self.splits = [sim.now]
+        self.since = sim.now
 
     @property
     def in_use(self):
-        """Servers held."""
-        return len(self.users)
+        """Servers held: visits that started and have not released."""
+        now = self.sim.now
+        return sum(1 for visit in self.visits if visit.start <= now < visit.finish)
 
     @property
     def queue_length(self):
-        """Requests waiting."""
-        return len(self.queue)
+        """Visits waiting: made, not yet started."""
+        return sum(1 for visit in self.visits if visit.start > self.sim.now)
 
-    def visit(self, demand, delay, draw=None):
-        """A visit: hold a server for ``draw(demand)`` (or ``demand``), then wait ``delay``."""
+    def visit(self, demand, delay, draws=None):
+        """A visit: a server for ``demand`` times a variate of ``draws`` (or ``demand``), then ``delay``."""
         if demand < 0 or delay < 0:
             raise ValueError(f"negative demand or delay {demand}, {delay}")
-        return Visit(self, demand, delay, draw)
+        self.splits.append(self.sim.now)
+        visit = Visit(self, demand, delay, draws)
+        if draws is not None and demand > 0:
+            visit.variate = draws.standard()
+        self.visits.append(visit)
+        self._plan()
+        visit.triggered = True
+        visit.ok = True
+        self.sim.schedule_at(visit.finish + visit.delay, visit._process)
+        return visit
 
     def cancel(self, visit):
         """Withdraw ``visit`` (rule 7)."""
-        visit.cancel()
-
-    def submit(self, request):
-        """Grant ``request`` if a server is free, else queue it."""
-        if len(self.users) < self.capacity:
-            self._grant(request)
+        now = self.sim.now
+        if visit not in self.visits or visit.finish <= now:
+            return  # cancelled already, or released: in the delay, or over
+        self.splits.append(now)
+        if visit.start >= now:
+            # never started: the variates move up one drawing visit, and
+            # the last one goes back to the reader
+            behind = self.visits[self.visits.index(visit) + 1:]
+            chain = [visit] + [later for later in behind if later.variate is not None]
+            if visit.variate is not None:
+                variates = [each.variate for each in chain]
+                for later, variate in zip(chain[1:], variates):
+                    later.variate = variate
+                chain[-1].draws.put_back(variates[-1])
+            self.visits.remove(visit)
         else:
-            self.queue.append(request)
+            visit.cut = True
+            visit.finish = now
+        visit.triggered = False
+        self._plan()
+        queue = []
+        for time, sequence, callback in self.sim._queue:
+            owner = getattr(callback, "__self__", None)
+            if owner is visit:
+                continue
+            if isinstance(owner, Visit) and owner.resource is self:
+                time = owner.finish + owner.delay
+            queue.append((time, sequence, callback))
+        heapq.heapify(queue)
+        self.sim._queue = queue
 
-    def release(self, request):
-        """Free ``request``'s server and grant queued requests in order."""
-        self.users.remove(request)
-        while self.queue and len(self.users) < self.capacity:
-            self._grant(self.queue.pop(0))
+    def _plan(self):
+        """Time every visit again, in the order made: each takes the server that is free first."""
+        free = [self.opened] * self.capacity
+        for visit in self.visits:
+            server = free.index(min(free))
+            visit.start = max(visit.made, free[server])
+            if not visit.cut:
+                service = visit.demand if visit.variate is None else visit.demand * visit.variate
+                visit.finish = visit.start + service
+            free[server] = visit.finish
 
-    def _grant(self, request):
-        self.users.append(request)
-        queue = self.sim._queue
-        if queue and queue[0][0] <= self.sim.now:
-            request.succeed(request)  # due after the entries already due now
-        else:
-            request.grant_at_once()
+    def utilisation(self):
+        """Busy time over capacity × time since construction or the last reset."""
+        now = self.sim.now
+        self.splits.append(now)
+        if now - self.since <= 0:
+            return 0.0
+        releases = [visit.finish for visit in self.visits]
+        points = sorted({point for point in self.splits + releases if self.since <= point <= now})
+        busy = 0.0
+        for begin, end in zip(points, points[1:]):
+            held = sum(1 for visit in self.visits if visit.start <= begin < visit.finish)
+            busy += (end - begin) * held
+        return busy / ((now - self.since) * self.capacity)
+
+    def reset_statistics(self):
+        """Measure from now on."""
+        self.since = self.sim.now
+        self.splits.append(self.since)

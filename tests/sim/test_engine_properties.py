@@ -219,10 +219,11 @@ def test_resource_conservation_under_random_workload(seed, capacity):
     cancelled = []
     finished = []
 
-    def checked(demand):
-        # drawn at the grant: the server is already counted as held
-        assert resource.in_use <= resource.capacity, "over-granted"
-        return demand
+    def check_holders():
+        # a plain count of the visits holding a server now
+        held = sum(1 for visit in all_visits if visit.start <= sim.now < visit.finish)
+        assert held <= resource.capacity, "over-granted"
+        assert held == resource.in_use
 
     def worker(index):
         cycles = rng.randint(1, 5)
@@ -231,18 +232,23 @@ def test_resource_conservation_under_random_workload(seed, capacity):
             visit = None
             try:
                 yield sim.timeout(rng.random())
-                visit = resource.visit(rng.random(), rng.random() / 4, checked)
+                visit = resource.visit(rng.random(), rng.random() / 4)
                 all_visits.append(visit)
+                check_holders()
                 yield visit
+                assert sim.now == visit.finish + visit.delay
+                check_holders()
                 completed += 1
             except Interrupt:
                 # the interrupt may land while thinking, waiting, being
                 # served or in the delay; cancel handles all of them without
                 # leaking a slot
                 if visit is not None:
-                    if not visit.triggered:
-                        cancelled.append(visit)
                     resource.cancel(visit)
+                    if not visit.triggered:
+                        # taken off the queue before it released its server
+                        cancelled.append(visit)
+                    check_holders()
         finished.append(index)
 
     workers = [sim.process(worker(index)) for index in range(30)]
@@ -255,13 +261,12 @@ def test_resource_conservation_under_random_workload(seed, capacity):
 
     assert len(finished) == 30, "every worker must run to completion"
     # conservation: nothing may remain held or queued at the end, and every
-    # visit either released its server (which triggers it) or was cancelled
-    # before it did
+    # visit that was not cancelled before its release ended then
     assert resource.in_use == 0, "leaked slot"
     assert resource.queue_length == 0
-    released = sum(1 for visit in all_visits if visit.triggered)
-    assert released + len(cancelled) == len(all_visits)
-    assert not any(visit.triggered for visit in cancelled)
+    assert cancelled, "the interrupts must catch some visits at the station"
+    assert all(visit.finish <= sim.now for visit in all_visits)
+    assert not sim._queue
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -277,17 +282,18 @@ def test_resource_fcfs_order_among_uncancelled_waiters(seed):
 
     def worker(index, cancel_after):
         yield sim.timeout(index * 1e-3)  # deterministic staggered arrival
-        # the demand is drawn when the server is granted: the service order
-        visit = resource.visit(0.5, 0.0, lambda demand: service_order.append(index) or demand)
+        visit = resource.visit(0.5, 0.0)
         request_order.append(index)  # true FCFS arrival order
         if cancel_after is not None:
             # withdraw while waiting (the holder occupies the server longer)
             yield sim.timeout(cancel_after)
-            if index not in service_order:
+            if visit.start > sim.now:
                 resource.cancel(visit)
                 cancelled.add(index)
                 return
         yield visit
+        # one server, equal demands and no delay: visits end in service order
+        service_order.append(index)
 
     for index in range(20):
         cancel_after = rng.choice([None, None, None, 0.01])
@@ -295,6 +301,7 @@ def test_resource_fcfs_order_among_uncancelled_waiters(seed):
     sim.run(until=100.0)
 
     expected = [index for index in request_order if index not in cancelled]
+    assert cancelled
     assert service_order == expected
 
 

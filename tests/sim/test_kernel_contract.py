@@ -10,6 +10,7 @@ the reference kernel, which exposes the same ``Simulator``, ``Event``,
 
 import pytest
 import reference_kernel
+from scripted_draws import ScriptedDraws
 
 import repro.sim
 
@@ -226,110 +227,95 @@ def test_rule_6_a_returning_process_schedules_its_completion_for_now(kernel):
 
 
 @KERNELS
-def test_rule_7_a_free_server_grants_the_visit_when_made(kernel):
+def test_rule_7_every_visit_is_one_entry_numbered_when_made(kernel):
     sim = kernel.Simulator()
     resource = kernel.Resource(sim, 1)
     before = sim._sequence
     resource.visit(1.0, 1.0)
-    assert sim._sequence == before + 1  # granted at once, with nothing due: the completion
+    assert sim._sequence == before + 1  # a free server: the end of the visit
     resource.visit(1.0, 1.0)
-    assert sim._sequence == before + 1  # queued: nothing scheduled
+    assert sim._sequence == before + 2  # queued: its end is known too
     assert (resource.in_use, resource.queue_length) == (1, 1)
+    assert len(sim._queue) == 2
 
 
 @KERNELS
-def test_rule_7_a_release_grants_queued_visits_in_order_while_servers_are_free(kernel):
+def test_rule_7_visits_start_in_order_at_the_earliest_free_server(kernel):
     sim = kernel.Simulator()
     resource = kernel.Resource(sim, 2)
     log = []
+    draws = ScriptedDraws(record=lambda entry: log.append(entry + (sim.now,)))
 
     def visitor(name):
-        # both holders complete and release at t=1; each release grants one
-        yield resource.visit(1.0, 5.0, lambda demand: log.append((sim.now, name)) or demand)
+        # both holders release at t=1; each release starts one queued visit
+        visit = resource.visit(1.0, 5.0, draws)
+        yield visit
+        log.append((name, visit.start, sim.now))
 
     for name in ("held 0", "held 1", "queued 0", "queued 1", "queued 2"):
         sim.process(visitor(name))
     sim.run(until=0.75)
     assert (resource.in_use, resource.queue_length) == (2, 3)
+    assert log == [("drawn", 1.0, 0.0)] * 5  # every variate is read when its visit is made
     sim.run(until=1.25)
     assert (resource.in_use, resource.queue_length) == (2, 1)
-    assert log == [(0.0, "held 0"), (0.0, "held 1"), (1.0, "queued 0"), (1.0, "queued 1")]
+    sim.run(until=10.0)
+    assert log[5:] == [("held 0", 0.0, 6.0), ("held 1", 0.0, 6.0), ("queued 0", 1.0, 7.0),
+                       ("queued 1", 1.0, 7.0), ("queued 2", 2.0, 8.0)]
 
 
 @KERNELS
-def test_rule_7_a_release_with_nothing_else_due_grants_at_once(kernel):
+def test_rule_7_a_visit_draws_when_made_and_holds_its_server_until_its_release(kernel):
     sim = kernel.Simulator()
     resource = kernel.Resource(sim, 1)
     log = []
-
-    def visitor(name):
-        yield resource.visit(1.0, 5.0, lambda demand: log.append((name, sim.now)) or demand)
-
-    sim.process(visitor("held"))
-    sim.process(visitor("queued"))
-    sim.run(until=0.5)
-    before = sim._sequence
-    sim.run(until=1.5)
-    # the release at t=1 draws the queued visit's demand in the completion
-    # that released: two entries, its completion and the held visit's delay
-    assert sim._sequence - before == 2
-    assert log == [("held", 0.0), ("queued", 1.0)]
-    assert (resource.in_use, resource.queue_length) == (1, 0)
-
-
-def _visit_timeline(kernel, other_due):
-    """One visit of demand 1 (drawn as 2) and delay 3, logged from the draw to the resume."""
-    sim = kernel.Simulator()
-    resource = kernel.Resource(sim, 1)
-    log = []
-
-    def draw(demand):
-        log.append(("drawn", sim.now, demand))
-        return 2 * demand
+    # demand 1, drawn as 2, then a delay of 3
+    draws = ScriptedDraws((2.0,), record=lambda entry: log.append(entry + (sim.now,)))
 
     def visitor():
-        if other_due:
-            sim.timeout(0.0).add_callback(lambda _e: log.append(("due first", sim.now)))
         before = sim._sequence
-        visit = resource.visit(1.0, 3.0, draw)
-        log.append(("made", sim.now))
+        visit = resource.visit(1.0, 3.0, draws)
+        log.append(("made", sim.now, visit.triggered, resource.in_use))
         value = yield visit
-        log.append(("resumed", sim.now, value, resource.in_use))
-        log.append(("scheduled", sim._sequence - before))
+        log.append(("resumed", sim.now, value, resource.in_use, sim._sequence - before))
 
     sim.process(visitor())
-    sim.timeout(1.5).add_callback(lambda _e: log.append(("holding", sim.now, resource.in_use)))
-    sim.timeout(2.5).add_callback(lambda _e: log.append(("delayed", sim.now, resource.in_use)))
+    for at in (1.5, 2.0, 2.5):
+        sim.timeout(at).add_callback(lambda _e: log.append(("held", sim.now, resource.in_use)))
     sim.run(until=10.0)
-    return log
+    # at t=2, its release instant, the server no longer counts as held
+    assert log == [("drawn", 2.0, 0.0), ("made", 0.0, True, 1), ("held", 1.5, 1), ("held", 2.0, 0),
+                   ("held", 2.5, 0), ("resumed", 5.0, None, 0, 1)]
 
 
 @KERNELS
-def test_rule_7_a_grant_with_nothing_else_due_draws_at_once_and_the_visit_takes_two_entries(kernel):
-    # drawn inside visit(); two entries: the completion and the end of the delay
-    assert _visit_timeline(kernel, other_due=False) == [
-        ("drawn", 0.0, 1.0), ("made", 0.0), ("holding", 1.5, 1), ("delayed", 2.5, 0),
-        ("resumed", 5.0, None, 0), ("scheduled", 2)]
+def test_rule_7_equal_ends_run_in_the_order_the_visits_were_made(kernel):
+    sim = kernel.Simulator()
+    resource = kernel.Resource(sim, 2)
+    log = []
+
+    def visitor(name, demand, delay):
+        yield resource.visit(demand, delay)
+        log.append((name, sim.now))
+
+    # all three end at t=2; the second visit releases its server first, at
+    # t=0.5, but it was made after the first
+    sim.process(visitor("made first", 1.5, 0.5))
+    sim.process(visitor("made second", 0.5, 1.5))
+    sim.timeout(1.0).add_callback(
+        lambda _e: sim.timeout(1.0).add_callback(lambda _e: log.append(("timeout", sim.now))))
+    sim.run(until=5.0)
+    assert log == [("made first", 2.0), ("made second", 2.0), ("timeout", 2.0)]
 
 
 @KERNELS
-def test_rule_7_a_grant_made_while_another_entry_is_due_is_scheduled_and_draws_after_it(kernel):
-    # three entries: the grant, the completion and the end of the delay
-    assert _visit_timeline(kernel, other_due=True) == [
-        ("made", 0.0), ("due first", 0.0), ("drawn", 0.0, 1.0), ("holding", 1.5, 1),
-        ("delayed", 2.5, 0), ("resumed", 5.0, None, 0), ("scheduled", 3)]
-
-
-@KERNELS
-@pytest.mark.parametrize("other_due", [False, True], ids=["nothing due", "another entry due"])
-def test_rule_7_a_zero_demand_and_delay_end_the_visit_when_its_grant_comes_due(kernel, other_due):
+def test_rule_7_a_zero_demand_and_delay_end_the_visit_at_its_entry_for_now(kernel):
     sim = kernel.Simulator()
     resource = kernel.Resource(sim, 1)
     log = []
 
     def visitor():
-        if other_due:
-            sim.timeout(0.0).add_callback(lambda _e: log.append(("due first", sim.now)))
+        sim.timeout(0.0).add_callback(lambda _e: log.append(("due first", sim.now)))
         before = sim._sequence
         visit = resource.visit(0.0, 0.0)
         log.append(("made", visit.triggered, resource.in_use))
@@ -340,13 +326,8 @@ def test_rule_7_a_zero_demand_and_delay_end_the_visit_when_its_grant_comes_due(k
 
     sim.process(visitor())
     sim.run(until=1.0)
-    if other_due:
-        # the grant and the marker; the visit ends in the resume that granted it
-        assert log == [("made", False, 1), ("due first", 0.0), ("resumed", 0.0, 2),
-                       ("after the visit", 0.0)]
-    else:
-        # the marker only: the visit ended in visit(), and the yield resumes at once
-        assert log == [("made", True, 0), ("resumed", 0.0, 1), ("after the visit", 0.0)]
+    assert log == [("made", True, 0), ("due first", 0.0), ("resumed", 0.0, 2),
+                   ("after the visit", 0.0)]
 
 
 @KERNELS
@@ -365,54 +346,74 @@ def test_rule_7_cancel_removes_a_queued_visit_and_releases_a_held_one(kernel):
         sim.process(visitor(name))
     sim.run(until=0.5)
     assert (resource.in_use, resource.queue_length) == (1, 2)
+    sequence, pending = sim._sequence, len(sim._queue)
     resource.cancel(visits["cancelled"])
     assert (resource.in_use, resource.queue_length) == (1, 1)
-    sequence = sim._sequence
     resource.cancel(visits["held"])
-    assert sim._sequence == sequence + 1  # granted at once: the last visit's completion
+    # no entry made, two taken off; the last visit now starts at t=0.5
+    assert (sim._sequence, len(sim._queue)) == (sequence, pending - 2)
     assert (resource.in_use, resource.queue_length) == (1, 0)
+    assert not visits["held"].triggered and not visits["cancelled"].triggered
     resource.cancel(visits["held"])  # a second cancel changes nothing
     assert (resource.in_use, resource.queue_length) == (1, 0)
     sim.run(until=10.0)
     assert ended == [("last", 2.5)]
 
 
-#: the victim's stage -> (when it is interrupted, the visitors ahead of it,
-#: the log)
+@KERNELS
+def test_rule_7_a_visit_cancelled_before_it_starts_passes_its_variate_on(kernel):
+    sim = kernel.Simulator()
+    resource = kernel.Resource(sim, 1)
+    returned = []
+    draws = ScriptedDraws((1.0, 2.0, 3.0, 4.0), record=returned.append)
+    visits = [resource.visit(1.0, 0.0, draws),   # holds the server, reads 1
+              resource.visit(1.0, 0.0, draws),   # reads 2, cancelled while it waits
+              resource.visit(1.0, 0.0, draws),   # reads 3
+              resource.visit(5.0, 0.0),          # no variate
+              resource.visit(0.5, 0.0, draws)]   # reads 4
+    resource.cancel(visits[1])
+    # the variates move up one drawing visit, and the last one returns
+    assert [(visit.start, visit.finish) for visit in visits[2:]] == [(1.0, 3.0), (3.0, 8.0), (8.0, 9.5)]
+    assert returned[-1] == ("returned", 4.0)
+    assert resource.visit(1.0, 0.0, draws).finish == 13.5
+
+
+#: the victim's stage when it is interrupted -> (the instant, the visits
+#: ahead of it, the log)
 INTERRUPTED = {
-    # another visit holds the server until t=2, so the victim queues
-    "queued": (1.0, ["next"], [
-        ("drawn", "next", 0.0), ("interrupted", 1.0, 1, 0, False),
-        ("ended", "next", 2.0)]),
-    # interrupted at t=0 while it waits for its grant, scheduled because the
-    # interrupting timeout was due: the grant comes due before the wake-up
-    # and draws nothing, and the cancel frees the server
-    "granted": (0.0, [], [("interrupted", 0.0, 0, 0, False)]),
-    "served": (0.5, [], [("drawn", "victim", 0.0), ("interrupted", 0.5, 0, 0, False)]),
-    # interrupted at t=1 just before its completion comes due: the
-    # completion does nothing, and the cancel frees the server
-    "completing": (1.0, [], [("drawn", "victim", 0.0), ("interrupted", 1.0, 0, 0, False)]),
-    "delayed": (2.0, [], [("drawn", "victim", 0.0), ("interrupted", 2.0, 0, 0, True)]),
+    # another visit holds the server until t=2, so the victim waits: its
+    # variate returns to the reader
+    "waiting": (1.0, ["ahead"], [
+        ("drawn", 1.0, 0.0), ("drawn", 1.0, 0.0), ("returned", 1.0, 1.0),
+        ("interrupted", 1.0, 1, 0, False), ("ended", "ahead", 2.0)]),
+    # interrupted at t=2, the instant the visit ahead releases its server:
+    # the victim starts then, so it has not started, and its variate returns
+    "starting": (2.0, ["ahead"], [
+        ("drawn", 1.0, 0.0), ("drawn", 1.0, 0.0), ("ended", "ahead", 2.0),
+        ("returned", 1.0, 2.0), ("interrupted", 2.0, 0, 0, False)]),
+    "served": (0.5, [], [("drawn", 1.0, 0.0), ("interrupted", 0.5, 0, 0, False)]),
+    # interrupted at t=1, the instant it releases its server: it is in its
+    # delay, and the cancel leaves it alone
+    "releasing": (1.0, [], [("drawn", 1.0, 0.0), ("interrupted", 1.0, 0, 0, True)]),
+    "delayed": (2.0, [], [("drawn", 1.0, 0.0), ("interrupted", 2.0, 0, 0, True)]),
 }
 
 
 @KERNELS
 @pytest.mark.parametrize("stage", INTERRUPTED)
-def test_rule_7_an_interrupted_visitor_cancels_and_its_pending_stages_do_nothing(kernel, stage):
+def test_rule_7_an_interrupted_visitor_cancels_its_visit(kernel, stage):
     sim = kernel.Simulator()
     resource = kernel.Resource(sim, 1)
     at, others, expected = INTERRUPTED[stage]
     log = []
-
-    def draw(name):
-        return lambda demand: log.append(("drawn", name, sim.now)) or demand
+    draws = ScriptedDraws(record=lambda entry: log.append(entry + (sim.now,)))
 
     def other(name):
-        yield resource.visit(2.0, 0.0, draw(name))
+        yield resource.visit(2.0, 0.0, draws)
         log.append(("ended", name, sim.now))
 
     def victim():
-        visit = resource.visit(1.0, 2.0, draw("victim"))
+        visit = resource.visit(1.0, 2.0, draws)
         try:
             yield visit
             log.append(("ended", "victim", sim.now))
@@ -424,9 +425,8 @@ def test_rule_7_an_interrupted_visitor_cancels_and_its_pending_stages_do_nothing
     for name in others:
         sim.process(other(name))
     process = sim.process(victim())
-    # scheduled after the victim's start-up but before its grant and its
-    # completion: at t=0 and t=1 the interrupt comes between the victim's
-    # wait and those stages
+    # scheduled before every visit is made: at t=1 and t=2 the interrupt
+    # comes before the visit ends that are due then
     sim.timeout(at).add_callback(lambda _e: process.interrupt("displaced"))
     sim.run(until=10.0)
     assert log == expected

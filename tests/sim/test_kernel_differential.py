@@ -5,7 +5,9 @@ two plain events, and each script runs on ``repro.sim`` and on
 ``reference_kernel``.  Delays come from {0, 0.5, 1, 1.5}, so zero and equal
 delays are common and the order of equal-time events decides the log.  The
 two kernels must log the same ``(time, actor, step, outcome, resources)``
-entries in the same order, and schedule the same number of events.
+entries in the same order, read the same variates, report the same
+``utilisation()`` to the bit at the pause and at the stop, and schedule
+the same number of events, with as many left pending.
 
 Each step follows a pattern of the transaction model: catch ``Interrupt``
 (displacement) and the failure of a fired event (a lock-table abort), and
@@ -15,13 +17,14 @@ when a displacement interrupts one.  The step kinds:
 * ``sleep`` -- wait on a timeout;
 * ``visit`` -- visit a resource with a demand and a delay, each zero or
   positive, and wait for the visit to end; with ``drawn``, the demand is
-  drawn (and logged) when the grant comes due, as the CPU demand is;
+  scaled by a variate that the visit reads from its resource's reader
+  when it is made, as the CPU demand is (the readers cycle through 1, 0.5
+  and 2, so equal times stay common, and log every read and give-back);
   with ``watch``, a callback is registered on the visit before the wait,
   as ``cc/history.py`` does on lock grants;
-* ``cancel`` -- visit now, nap, then cancel the visit; nothing waits on
-  it during the nap, so it is still queued, or granted: a grant made while
-  another entry was due is scheduled and comes due unwaited, one made with
-  nothing else due drew at once and its completion may come due unwaited;
+* ``cancel`` -- make a drawn visit, nap, then cancel it; nothing waits on
+  it during the nap, so the cancel finds it waiting, starting at that
+  instant, in service, in its delay or over;
 * ``child`` -- start a child process, nap, then wait on the child;
 * ``wait`` -- wait on a shared plain event, with ``watch`` as above;
 * ``fire`` -- succeed or fail a shared plain event, renewing it first if it
@@ -35,8 +38,12 @@ from types import SimpleNamespace
 import reference_kernel
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scripted_draws import ScriptedDraws
 
 from repro.sim import engine, resources
+
+#: examples per run in tier-1; the ``ci`` profile of ``conftest.py`` runs more
+TIER1_EXAMPLES = 300
 
 ENGINE = SimpleNamespace(Simulator=engine.Simulator, Event=engine.Event,
                          Interrupt=engine.Interrupt, Resource=resources.Resource)
@@ -44,6 +51,8 @@ REFERENCE = SimpleNamespace(Simulator=reference_kernel.Simulator, Event=referenc
                             Interrupt=reference_kernel.Interrupt, Resource=reference_kernel.Resource)
 
 DELAYS = st.sampled_from([0.0, 0.5, 1.0, 1.5])
+#: the standard variates each resource's reader cycles through
+VARIATES = (1.0, 0.5, 2.0)
 N_SHARED = 2
 #: the first run stops here, so the run loop also re-queues an entry past it
 PAUSE = 1.0
@@ -83,6 +92,9 @@ def run_script(kernel, script):
     shared = [kernel.Event(sim) for _ in range(N_SHARED)]
     processes = []
     log = []
+    # read in the middle of a visit or a cancel, so they log no resource state
+    readers = [ScriptedDraws(VARIATES, lambda entry, index=index: log.append((sim.now, "draws", index, entry)))
+               for index in range(len(pool))]
 
     def record(actor, step, outcome):
         log.append((sim.now, actor, step, outcome,
@@ -90,12 +102,6 @@ def run_script(kernel, script):
 
     def watcher(actor, step, what):
         return lambda event: record(actor, step, (what, event.ok))
-
-    def drawer(actor, step):
-        def draw(mean):
-            record(actor, step, ("drawn", mean))
-            return mean
-        return draw
 
     def child(delay, tag):
         yield sim.timeout(delay)
@@ -112,7 +118,7 @@ def run_script(kernel, script):
                 elif kind == "visit":
                     resource, demand, delay, drawn, watch = args
                     station = pool[resource]
-                    visit = station.visit(demand, delay, drawer(index, step) if drawn else None)
+                    visit = station.visit(demand, delay, readers[resource] if drawn else None)
                     if watch:
                         visit.add_callback(watcher(index, step, "end seen"))
                     yield visit
@@ -120,7 +126,7 @@ def run_script(kernel, script):
                 elif kind == "cancel":
                     resource, demand, delay, nap = args
                     station = pool[resource]
-                    visit = station.visit(demand, delay, drawer(index, step))
+                    visit = station.visit(demand, delay, readers[resource])
                     yield sim.timeout(nap)
                     station.cancel(visit)
                     record(index, step, "cancelled")
@@ -164,13 +170,13 @@ def run_script(kernel, script):
         process.add_callback(watcher(index, None, "done"))
         processes.append(process)
     sim.run(until=PAUSE)
-    record(None, None, "paused")
+    record(None, None, ("paused", tuple(resource.utilisation() for resource in pool)))
     sim.run(until=HORIZON)
-    record(None, None, "stopped")
+    record(None, None, ("stopped", tuple(resource.utilisation() for resource in pool)))
     return log, sim._sequence, len(sim._queue)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=max(TIER1_EXAMPLES, settings.default.max_examples), deadline=None)
 @given(scripts())
 def test_engine_matches_the_reference_kernel(script):
     expected_log, expected_scheduled, expected_pending = run_script(REFERENCE, script)

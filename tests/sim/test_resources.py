@@ -2,6 +2,7 @@
 
 import pytest
 
+from scripted_draws import ScriptedDraws
 from timed_call import call_at
 
 from repro.sim.engine import Interrupt, Simulator
@@ -38,21 +39,25 @@ class TestResourceBasics:
         assert resource.in_use == 1
         assert resource.queue_length == 1
 
-    def test_release_grants_next_waiter_fcfs(self):
+    def test_release_starts_next_waiter_fcfs(self):
         sim = Simulator()
         resource = Resource(sim, capacity=1)
         drawn = []
+        draws = ScriptedDraws(record=lambda entry: drawn.append(sim.now))
+        visits = {}
 
         def visitor(name):
-            yield resource.visit(1.0, 0.0, lambda demand: drawn.append((name, sim.now)) or demand)
+            visits[name] = resource.visit(1.0, 0.0, draws)
+            yield visits[name]
 
         for name in "abc":
             sim.process(visitor(name))
         sim.run(until=1.5)
-        assert drawn == [("a", 0.0), ("b", 1.0)]
+        assert drawn == [0.0, 0.0, 0.0]  # read when each visit is made
+        assert [visits[name].start for name in "abc"] == [0.0, 1.0, 2.0]
         assert resource.queue_length == 1
         sim.run(until=2.5)
-        assert drawn == [("a", 0.0), ("b", 1.0), ("c", 2.0)]
+        assert resource.queue_length == 0
 
     def test_cancel_waiting_visit_is_skipped(self):
         sim = Simulator()

@@ -6,7 +6,7 @@ times the four code paths every experiment cell bottoms out in:
 * **timeout churn** — processes yielding ``sim.timeout``; the single most
   frequent event kind in the transaction model;
 * **process completion** — spawning short-lived processes and waiting on
-  their completion events (one per transaction execution);
+  their completion events (one per arriving session in open runs);
 * **resource cycling** — FCFS station visits on a multi-server
   :class:`~repro.sim.resources.Resource` (the CPU station), which computes
   each visit's start and release when it is made and schedules the visit

@@ -73,6 +73,11 @@ class OccModel:
     def __init__(self, params: SystemParams, workload: Optional[WorkloadParams] = None):
         self.params = params
         self.workload = workload or params.workload
+        # the demands of the modelled workload; ``params`` stays as passed,
+        # since optimal_mpl brackets its search by the base workload
+        modelled = params.with_changes(workload=self.workload)
+        self._cpu_demand = modelled.cpu_demand_per_execution
+        self._disk_demand = modelled.disk_demand_per_execution
 
     # ------------------------------------------------------------------
     # workload-derived coefficients
@@ -90,22 +95,14 @@ class OccModel:
         pair_probability = 1.0 - (1.0 - k / w.db_size) ** writes_per_updater
         return updater_fraction * min(1.0, pair_probability)
 
-    def _cpu_demand(self) -> float:
-        p = self.params
-        return p.cpu_init + self.workload.accesses_per_txn * p.cpu_per_access + p.cpu_commit
-
-    def _disk_demand(self) -> float:
-        p = self.params
-        return self.workload.accesses_per_txn * p.disk_per_access + p.disk_commit
-
     # ------------------------------------------------------------------
     def evaluate(self, mpl: float, iterations: int = 200, damping: float = 0.5,
                  tolerance: float = 1e-9) -> OccOperatingPoint:
         """Solve the fixed point at multiprogramming level ``mpl``."""
         if mpl <= 0:
             return OccOperatingPoint(mpl, 0.0, 0.0, 0.0, 0.0, 0.0)
-        cpu = self._cpu_demand()
-        disk = self._disk_demand()
+        cpu = self._cpu_demand
+        disk = self._disk_demand
         m = self.params.n_cpus
         conflict = self._conflict_coefficient()
         cpu_capacity = m / cpu if cpu > 0 else math.inf

@@ -148,10 +148,9 @@ class TayThroughputModel:
             locks_per_txn=max(1, int(round(w.accesses_per_txn))),
             waiting_share=waiting_share,
         )
-        self._cpu_demand = (params.cpu_init
-                            + w.accesses_per_txn * params.cpu_per_access
-                            + params.cpu_commit)
-        self._disk_demand = w.accesses_per_txn * params.disk_per_access + params.disk_commit
+        modelled = params.with_changes(workload=w)
+        self._cpu_demand = modelled.cpu_demand_per_execution
+        self._disk_demand = modelled.disk_demand_per_execution
 
     # ------------------------------------------------------------------
     def throughput(self, mpl: float) -> float:

@@ -44,9 +44,11 @@ class AdmissionGate:
     enforces per-tenant caps: a tenant at its admission quota keeps its
     waiters queued even while the global threshold has room (admission
     stays FCFS *among eligible tenants*), and a tenant at its queue quota
-    has further arrivals shed via :class:`AdmissionShed`.  Without quotas
-    (the default) the per-tenant bookkeeping is skipped entirely, so the
-    closed model pays nothing for the feature.
+    has further arrivals shed via :class:`AdmissionShed`.  A tenant without
+    quotas is always eligible and never shed, so without quotas (the
+    default, and always in the closed model) the gate is plain FCFS: while
+    anyone waits the load is at or above the threshold, so each admission
+    takes the queue's head.
     """
 
     def __init__(self, sim: Simulator, initial_limit: float = math.inf,
@@ -62,14 +64,11 @@ class AdmissionGate:
         self.load_stats = TimeWeightedStats(sim.now, 0.0)
         self.total_admitted = 0
         self.total_departed = 0
-        self._quotas = dict(tenant_quotas) if tenant_quotas else None
-        self._queue_quotas = dict(tenant_queue_quotas) if tenant_queue_quotas else None
-        self._tenant_tracking = self._quotas is not None or self._queue_quotas is not None
-        # per-tenant occupancy, maintained only when quotas are configured
+        self._quotas = dict(tenant_quotas or {})
+        self._queue_quotas = dict(tenant_queue_quotas or {})
+        # per-tenant occupancy, which the quotas are checked against
         self._admitted_by_tenant: Dict[str, int] = {}
         self._waiting_by_tenant: Dict[str, int] = {}
-        # tenant of each admitted transaction, so depart() can decrement
-        self._tenant_of: Dict[int, str] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -110,18 +109,12 @@ class AdmissionGate:
         at its ``yield``.
         """
         event = Event(self.sim)
-        if not self._tenant_tracking:
-            if self.current_load < self._limit and not self._waiting:
-                self._admit(txn, event)
-            else:
-                self._waiting.append((txn, event))
-            return event
         tenant = txn.tenant
         if (self.current_load < self._limit and not self._waiting
                 and self._below_admission_quota(tenant)):
             self._admit(txn, event)
             return event
-        cap = self._queue_quotas.get(tenant) if self._queue_quotas is not None else None
+        cap = self._queue_quotas.get(tenant)
         if cap is not None and self._waiting_by_tenant.get(tenant, 0) >= cap:
             event.fail(AdmissionShed(
                 f"tenant {tenant!r} queue quota {cap} exhausted"
@@ -143,36 +136,25 @@ class AdmissionGate:
             )
         self._admitted.discard(txn.txn_id)
         self.total_departed += 1
-        if self._tenant_tracking:
-            tenant = self._tenant_of.pop(txn.txn_id, "")
-            self._admitted_by_tenant[tenant] = self._admitted_by_tenant.get(tenant, 1) - 1
+        self._admitted_by_tenant[txn.tenant] -= 1
         self.load_stats.update(self.sim.now, len(self._admitted))
         self._admit_waiters()
 
     # ------------------------------------------------------------------
     def _below_admission_quota(self, tenant: str) -> bool:
-        if self._quotas is None:
-            return True
         quota = self._quotas.get(tenant)
         return quota is None or self._admitted_by_tenant.get(tenant, 0) < quota
 
     def _admit(self, txn: "Transaction", event: Event) -> None:
         self._admitted.add(txn.txn_id)
         self.total_admitted += 1
-        if self._tenant_tracking:
-            tenant = txn.tenant
-            self._admitted_by_tenant[tenant] = self._admitted_by_tenant.get(tenant, 0) + 1
-            self._tenant_of[txn.txn_id] = tenant
+        tenant = txn.tenant
+        self._admitted_by_tenant[tenant] = self._admitted_by_tenant.get(tenant, 0) + 1
         txn.admitted_at = self.sim.now
         self.load_stats.update(self.sim.now, len(self._admitted))
         event.succeed(txn)
 
     def _admit_waiters(self) -> None:
-        if not self._tenant_tracking:
-            while self._waiting and self.current_load < self._limit:
-                txn, event = self._waiting.popleft()
-                self._admit(txn, event)
-            return
         # FCFS among eligible tenants: scan the queue in order, admitting
         # each waiter whose tenant is below its admission quota while the
         # global threshold has room; over-quota waiters keep their place

@@ -78,8 +78,8 @@ common paths are aggressively slimmed; the golden-trajectory harness under
   (:meth:`Simulator.clear`), without waiting for the cycle collector.
 * **Lazy callback lists.**  ``Event.callbacks`` is ``None`` until the first
   callback is registered (and ``None`` again once processed), so the two
-  dominant event kinds — timeouts and process completions — never allocate
-  a list.
+  dominant event kinds — timeouts and station visits — never allocate a
+  list.
 * **Slim heap entries with an explicit tie-break.**  The pending queue
   holds ``(time, sequence, event)`` triples.  ``sequence`` is the monotonic
   counter of rule 1; it also guarantees the heap never compares two
@@ -245,8 +245,8 @@ class Process(Event):
                 "Process expects a generator (did you forget to call the "
                 f"process function?), got {generator!r}"
             )
-        # inline Event.__init__ -- one process is created per transaction
-        # execution, so the extra constructor frame is measurable
+        # inline Event.__init__ -- one process is created per arriving
+        # session in open runs, so the extra constructor frame is measurable
         self.sim = sim
         self.callbacks = None
         self._value = None

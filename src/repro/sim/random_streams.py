@@ -88,18 +88,3 @@ class RandomStreams:
         return RandomStreams(
             self.seed, _branch=self._branch + (_REPLICATE_TAG, int(replicate))
         )
-
-    # ------------------------------------------------------------------
-    # convenience sampling helpers (the arrival model's draws)
-    # ------------------------------------------------------------------
-    def exponential(self, name: str, mean: float) -> float:
-        """One exponential variate with the given mean from stream ``name``."""
-        if mean < 0:
-            raise ValueError(f"mean must be non-negative, got {mean}")
-        if mean == 0:
-            return 0.0
-        return float(self.stream(name).exponential(mean))
-
-    def uniform(self, name: str, low: float, high: float) -> float:
-        """One uniform variate on [low, high) from stream ``name``."""
-        return float(self.stream(name).uniform(low, high))

@@ -189,7 +189,7 @@ class PartlyOpenArrivals(OpenArrivals):
         Always consumes exactly one draw on the ``session-size`` stream, so
         the draw discipline is independent of the configured bounds.
         """
-        u = float(streams.uniform(SESSION_SIZE_STREAM, 0.0, 1.0))
+        u = float(streams.stream(SESSION_SIZE_STREAM).uniform(0.0, 1.0))
         alpha = self.session_alpha
         low = float(self.min_session)
         high = float(self.max_session)

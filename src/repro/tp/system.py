@@ -21,6 +21,14 @@ the transaction is aborted and restarted from scratch (its reads and writes
 are repeated), which is precisely the mechanism by which data contention is
 converted into resource contention and, beyond the optimal concurrency
 level, into thrashing.
+
+Processes.  Each terminal is one simulation process, and so is each
+session of an open or partly-open source.  A transaction's lifecycle runs
+inside the process that submitted it (``yield from``), from admission to
+commit, so no process is made per admission.  Displacement interrupts that
+source process while its transaction is active.  The displacement rule:
+every victim of one displacement aborts before any of them departs, so the
+gate admits no waiter until the last victim's execution has ended.
 """
 
 from __future__ import annotations
@@ -52,7 +60,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.obs.catalog import ObserverSet
 
 
-#: outcome values returned by a transaction lifecycle process
+#: outcome values returned by a transaction lifecycle: ``_submit_and_process``
+#: departs a committed transaction at once, and a displaced one after a
+#: zero-delay wait, then resubmits it
 COMMITTED = "committed"
 DISPLACED = "displaced"
 
@@ -83,7 +93,9 @@ class TransactionSystem:
         self.displacement = displacement
         self.metrics = RunMetrics(self.sim)
         self.cpus = Resource(self.sim, params.n_cpus, name="cpu")
-        #: txn_id -> (transaction, lifecycle process) for admitted transactions
+        #: txn_id -> (transaction, the terminal or session process running
+        #: its lifecycle) from admission until the lifecycle commits or a
+        #: displacement interrupts that process
         self._active: Dict[int, Tuple[Transaction, Process]] = {}
         self._terminal_processes: List[Process] = []
         #: the other endless processes start() made: the measurement loop,
@@ -181,11 +193,10 @@ class TransactionSystem:
         so reference counting frees the finished run without the cycle
         collector.  Read results before or after, through the observer set
         and the measurement loop the caller holds; do not run the system
-        again.
+        again.  Closing a terminal or session also closes the lifecycle it
+        runs.
         """
-        lifecycles = [process for _txn, process in self._active.values()]
-        for process in (self._loops + self._terminal_processes
-                        + list(self._sessions.values()) + lifecycles):
+        for process in self._loops + self._terminal_processes + list(self._sessions.values()):
             process.close()
         self.sim.clear()
         self._observer = None
@@ -199,35 +210,40 @@ class TransactionSystem:
         return [txn for txn, _process in self._active.values()]
 
     def displace_to(self, new_limit: float) -> int:
-        """Abort enough active transactions to honour ``new_limit`` now."""
+        """Abort enough active transactions to honour ``new_limit`` now.
+
+        Takes each victim the displacement policy selects off the active
+        transactions, interrupts its terminal or session process and
+        returns how many it interrupted; a second call at the same instant
+        chooses among the transactions left.  Each interrupt runs in a
+        wake-up of its own at this instant: the victim's lifecycle
+        withdraws its CPU visit, aborts the execution and returns
+        ``DISPLACED``, and its departure waits for one more zero-delay
+        event, so all victims abort before the first departs (see
+        :meth:`_submit_and_process`).
+        """
         if self.displacement is None:
             return 0
         victims = self.displacement.select_victims(self.active_transactions(), new_limit)
-        displaced = 0
         for victim in victims:
-            entry = self._active.get(victim.txn_id)
-            if entry is None:
-                continue
-            _txn, process = entry
-            if process.is_alive:
-                process.interrupt(TransactionAborted(AbortReason.DISPLACEMENT, "displaced"))
-                displaced += 1
-        return displaced
+            _txn, process = self._active.pop(victim.txn_id)
+            process.interrupt(TransactionAborted(AbortReason.DISPLACEMENT, "displaced"))
+        return len(victims)
 
     # ------------------------------------------------------------------
     # model processes
     # ------------------------------------------------------------------
     def _terminal(self, terminal_id: int) -> Generator:
         """One terminal: think, submit, wait for admission, run, repeat."""
-        params = self.params
-        think_mean = params.think_time
+        process = self._terminal_processes[terminal_id]
+        think_mean = self.params.think_time
         think_draw = self._think_draw
         while True:
             if think_mean > 0:
                 think = think_draw(think_mean)
                 if think > 0:
                     yield self.sim.timeout(think)
-            yield from self._submit_and_process(terminal_id)
+            yield from self._submit_and_process(terminal_id, process)
 
     def _arrival_source(self) -> Generator:
         """Open/partly-open source: spawn a session at every arrival instant.
@@ -254,17 +270,28 @@ class TransactionSystem:
 
     def _session(self, session_id: int, size: int) -> Generator:
         """One arriving session: submit ``size`` transactions, then leave."""
+        process = self._sessions[session_id]
         think_mean = self.arrivals.session_think_time
         for index in range(size):
             if index and think_mean > 0:
                 think = self._session_think_draw(think_mean)
                 if think > 0:
                     yield self.sim.timeout(think)
-            yield from self._submit_and_process(session_id)
+            yield from self._submit_and_process(session_id, process)
         del self._sessions[session_id]
 
-    def _submit_and_process(self, source_id: int) -> Generator:
-        """Submit a new transaction of ``source_id`` and run it until commit (or final abort).
+    def _submit_and_process(self, source_id: int, source: Process) -> Generator:
+        """Submit a new transaction of ``source_id`` and run it until it commits.
+
+        Runs inside ``source``, the terminal or session process of
+        ``source_id``.  Each admission runs the lifecycle inline and is
+        listed in ``_active`` with ``source`` until it commits or
+        :meth:`displace_to` takes it off.  A committed transaction departs
+        at once.  A displaced one departs after a zero-delay wait, which is
+        numbered after the interrupt wake-ups of the other victims of the
+        same displacement, so every victim aborts before any of them
+        departs; it then queues again, keeping its submission time, so the
+        displacement penalty shows up in its response time.
 
         A submission shed by a tenant queue quota ends here: the failed
         admission event raises :class:`AdmissionShed` at the ``yield``, the
@@ -287,25 +314,25 @@ class TransactionSystem:
             if observer is not None:
                 observer.admit(self.sim.now, txn)
 
-            lifecycle = self.sim.process(
-                self._transaction_lifecycle(txn), name=f"txn-{txn.txn_id}"
-            )
-            self._active[txn.txn_id] = (txn, lifecycle)
-            outcome = yield lifecycle
-            self._active.pop(txn.txn_id, None)
+            self._active[txn.txn_id] = (txn, source)
+            outcome = yield from self._transaction_lifecycle(txn)
+            if outcome == COMMITTED:
+                del self._active[txn.txn_id]
+            else:
+                # displace_to took it off _active; depart only after the
+                # other victims of this instant have aborted
+                yield self.sim.timeout(0.0)
             self.gate.depart(txn)
             if observer is not None:
                 observer.depart(self.sim.now, txn, outcome)
-
             if outcome == COMMITTED:
                 return
-            # displaced: resubmit; the transaction keeps its original
-            # submission time so the displacement penalty shows up in its
-            # response time
 
     def _transaction_lifecycle(self, txn: Transaction) -> Generator:
         """Run one admitted transaction to commit, restarting as needed.
 
+        Runs inside the submitting process (``yield from``) and returns
+        ``COMMITTED``, or ``DISPLACED`` when a displacement interrupts it.
         Each phase with CPU work is one visit to the multiprocessor: the
         CPU burst, drawn when the visit is made, then the disk delay.  A
         phase without CPU work is the disk delay alone.

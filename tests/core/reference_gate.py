@@ -1,8 +1,8 @@
 """A plain reference admission gate that states the gate's contract.
 
-``repro.core.admission.AdmissionGate`` keeps per-tenant counters, and skips
-them when no quota is set.  This model keeps two lists of
-``(txn_id, tenant)`` pairs and counts by scanning them:
+``repro.core.admission.AdmissionGate`` keeps per-tenant counters.  This
+model keeps two lists of ``(txn_id, tenant)`` pairs and counts by scanning
+them:
 
 * a submission is admitted at once if the load is below the limit, nobody
   waits and its tenant is below its admission quota;

@@ -191,13 +191,6 @@ class TestTenantQuotas:
         assert gate.total_admitted + shed + gate.queue_length == submitted
         assert gate.current_load == gate.total_admitted - gate.total_departed
 
-    def test_quota_free_gate_has_no_tenant_tracking_overhead(self, sim):
-        gate = AdmissionGate(sim, initial_limit=2)
-        gate.submit(make_txn(0, tenant="a"))
-        assert gate._tenant_tracking is False
-        assert gate.current_load == 1
-        assert gate._admitted_by_tenant == {}          # bookkeeping skipped
-
 
 class TestGateStatistics:
     def test_counters(self, sim):

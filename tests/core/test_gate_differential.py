@@ -5,8 +5,9 @@ transaction)`` and ``set_limit(n)`` steps over three tenants, and each
 script runs on ``AdmissionGate`` and on ``reference_gate.ReferenceGate``.
 After every step both must agree on the admitted set, the order of the
 waiting queue, the outcome of each submission (admitted, queued or shed),
-the load and the queue length.  Four configurations cover the gate's two
-code paths: no quotas, and any mix of admission and queue quotas.
+the load and the queue length.  Four configurations cover the gate's one
+admission path with no quotas, where it must stay plain FCFS, and with any
+mix of admission and queue quotas.
 """
 
 import pytest

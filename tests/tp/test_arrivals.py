@@ -101,7 +101,7 @@ class TestOpenArrivalsDraws:
     def test_constant_rate_is_exponential_on_the_dedicated_stream(self):
         arrivals = OpenArrivals(4.0)
         gaps = [arrivals.next_interarrival(*arrival_draws(RandomStreams(7)), now=0.0)]
-        expected = RandomStreams(7).exponential(INTERARRIVAL_STREAM, 0.25)
+        expected = float(RandomStreams(7).stream(INTERARRIVAL_STREAM).exponential(0.25))
         assert gaps[0] == expected
 
     def test_constant_rate_mean_matches_the_rate(self):
@@ -165,12 +165,12 @@ class TestOpenArrivalsDraws:
 
         def scalar_gap(now):
             if isinstance(schedule, ConstantSchedule):
-                return scalar.exponential(INTERARRIVAL_STREAM, 1.0 / schedule.value)
+                return float(scalar.stream(INTERARRIVAL_STREAM).exponential(1.0 / schedule.value))
             peak = schedule.peak()
             gap = 0.0
             while True:
                 gap += float(scalar.stream(INTERARRIVAL_STREAM).exponential(1.0 / peak))
-                if scalar.uniform(THINNING_STREAM, 0.0, peak) < schedule(now + gap):
+                if float(scalar.stream(THINNING_STREAM).uniform(0.0, peak)) < schedule(now + gap):
                     return gap
 
         draws = arrival_draws(RandomStreams(29))
@@ -240,17 +240,21 @@ class TestPartlyOpenSessions:
         arrivals = PartlyOpenArrivals(5.0, min_session=3, max_session=3)
         streams = RandomStreams(23)
         assert arrivals.session_size(streams) == 3
-        reference = RandomStreams(23)
-        reference.uniform(SESSION_SIZE_STREAM, 0.0, 1.0)
-        assert (streams.uniform(SESSION_SIZE_STREAM, 0.0, 1.0)
-                == reference.uniform(SESSION_SIZE_STREAM, 0.0, 1.0))
+        reference = RandomStreams(23).stream(SESSION_SIZE_STREAM)
+        reference.uniform(0.0, 1.0)
+        assert (streams.stream(SESSION_SIZE_STREAM).uniform(0.0, 1.0)
+                == reference.uniform(0.0, 1.0))
 
     def test_inverse_cdf_matches_a_hand_computed_point(self):
         arrivals = PartlyOpenArrivals(5.0, session_alpha=1.5,
                                       min_session=1, max_session=50)
 
         class Fixed:
-            def uniform(self, name, low, high):
+            def stream(self, name):
+                assert name == SESSION_SIZE_STREAM
+                return self
+
+            def uniform(self, low, high):
                 return 0.9
 
         expected = 1.0 / (1.0 - 0.9 * (1.0 - (1.0 / 50.0) ** 1.5)) ** (1.0 / 1.5)

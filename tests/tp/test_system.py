@@ -7,10 +7,11 @@ from repro.cc.two_phase_locking import TwoPhaseLocking, WaitDieLocking
 from repro.core.displacement import DisplacementPolicy, VictimCriterion
 from repro.core.static import FixedLimit, NoControl
 from repro.core.incremental_steps import IncrementalStepsController
-from repro.experiments.config import contention_bound_params
+from repro.experiments.config import contention_bound_params, default_system_params
 from repro.obs.catalog import ObserverSet
 from repro.sim.engine import Simulator
 from repro.sim.random_streams import RandomStreams
+from repro.tp.arrivals import OpenArrivals
 from repro.tp.params import SystemParams, WorkloadParams
 from repro.tp.system import TransactionSystem
 from repro.tp.workload import JumpSchedule, Workload
@@ -48,11 +49,18 @@ class TestBasicOperation:
         system.attach_controller(FixedLimit(5), interval=1.0)
         system.run(until=5.0)
         commits = system.metrics.commits
-        processes = system._loops + system._terminal_processes + [
-            process for _txn, process in system._active.values()]
-        assert system._active and len(system._loops) == 1
+        generators = [process.generator for process in system._loops + system._terminal_processes]
+        # and the generators a terminal delegates to: the submission and,
+        # while a transaction is active, its lifecycle
+        for generator in list(generators):
+            while generator.gi_yieldfrom is not None:
+                generator = generator.gi_yieldfrom
+                generators.append(generator)
+        lifecycles = [generator for generator in generators
+                      if generator.__name__ == "_transaction_lifecycle"]
+        assert len(lifecycles) == len(system._active) > 0 and len(system._loops) == 1
         system.close()
-        assert all(process.generator.gi_frame is None for process in processes)
+        assert all(generator.gi_frame is None for generator in generators)
         assert system.sim._queue == []
         assert system.metrics.commits == commits > 0
 
@@ -108,6 +116,44 @@ class TestBasicOperation:
         system = TransactionSystem(small_params())
         system.run(until=10.0)
         assert 0.0 < system.cpus.utilisation() <= 1.0
+
+
+class TestProcessStructure:
+    """A transaction's lifecycle runs inside the process that submitted it."""
+
+    @pytest.fixture
+    def process_names(self, monkeypatch):
+        names = []
+        make_process = Simulator.process
+
+        def counting_process(sim, generator, name=None):
+            names.append(name)
+            return make_process(sim, generator, name=name)
+
+        monkeypatch.setattr(Simulator, "process", counting_process)
+        return names
+
+    def test_a_closed_run_makes_one_process_per_terminal(self, process_names):
+        system = TransactionSystem(default_system_params(seed=1).with_changes(n_terminals=50))
+        system.run(until=10.0)
+        # with a child process per admission the same run made 452
+        assert system.metrics.commits > 300
+        assert process_names == [f"terminal-{index}" for index in range(50)]
+
+    def test_an_open_run_makes_one_process_per_session(self, process_names):
+        system = TransactionSystem(small_params(), arrivals=OpenArrivals(20.0))
+        system.run(until=10.0)
+        # the arrival source, then one session per arrival, and an open
+        # session submits one transaction
+        assert system.metrics.submitted > 100
+        assert len(process_names) == 1 + system.metrics.submitted
+
+    def test_an_active_transaction_is_listed_with_its_terminal(self):
+        system = TransactionSystem(small_params())
+        system.run(until=5.0)
+        assert system._active
+        for txn, process in system._active.values():
+            assert process is system._terminal_processes[txn.terminal_id]
 
 
 class TestAdmissionLimit:
@@ -233,6 +279,25 @@ class TestDisplacement:
         before = system.metrics.commits
         system.run(until=8.0)
         assert system.metrics.commits > before
+
+    def test_two_displacements_at_one_instant_keep_every_terminal_alive(self):
+        """The second call chooses among the transactions the first left.
+
+        A victim that stayed listed as active until its interrupt ran was
+        chosen and interrupted again, and the second interrupt ended its
+        terminal during the wait before its departure.
+        """
+        params = small_params(think_time=0.01, n_terminals=30)
+        policy = DisplacementPolicy(criterion=VictimCriterion.YOUNGEST)
+        system = TransactionSystem(params, displacement=policy)
+        system.run(until=2.0)
+        load = system.gate.current_load
+        assert load > 10
+        assert system.displace_to(10.0) == load - 10
+        assert system.displace_to(5.0) == 5
+        system.run(until=6.0)
+        assert all(process.is_alive for process in system._terminal_processes)
+        assert system.gate.current_load == len(system._active) > 0
 
     def test_displace_without_policy_is_noop(self):
         system = TransactionSystem(small_params())

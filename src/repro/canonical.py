@@ -23,6 +23,16 @@ The canonical form is deliberately boring and fully deterministic:
   :func:`restore`;
 * no timestamps, hostnames or other environment leaks — those are the
   producers' responsibility, enforced by their byte-identity tests.
+
+:func:`canonical_json` encodes through one module-level
+:class:`json.JSONEncoder` with exactly these settings, so each call runs
+CPython's C encoder once.  Only a payload holding a non-finite float
+(which that encoder refuses, ``allow_nan=False``) takes the
+:func:`sanitize` walk and is encoded again.  The bytes are those of
+``json.dumps(sanitize(payload), sort_keys=True, separators=(",", ":"),
+ensure_ascii=True, allow_nan=False)``; ``tests/svc/test_canonical.py``
+checks that formula against every committed artifact and every registry
+cell.
 """
 
 from __future__ import annotations
@@ -34,6 +44,11 @@ import math
 #: blake2b digest size (bytes) used by :func:`canonical_digest`; 32 bytes
 #: (256 bits) matches the golden fixtures' pre-existing event-log digests
 DIGEST_SIZE = 32
+
+#: the encoder of :func:`canonical_json`, built once (``json.dumps`` builds
+#: one per call when given settings); it keeps no state between calls
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            ensure_ascii=True, allow_nan=False)
 
 
 def sanitize(value):
@@ -82,8 +97,11 @@ def canonical_json(payload) -> str:
     representation compared by the golden tests, written to the fuzz
     corpus, and hashed into the sweep service's cache keys.
     """
-    return json.dumps(sanitize(payload), sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True, allow_nan=False)
+    try:
+        return _ENCODER.encode(payload)
+    except ValueError:
+        # a non-finite float, which strict JSON cannot hold: encode the tags
+        return _ENCODER.encode(sanitize(payload))
 
 
 def canonical_digest(payload) -> str:

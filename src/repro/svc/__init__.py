@@ -7,7 +7,8 @@ and makes repeated work free:
 * :mod:`repro.svc.cache` — :class:`~repro.svc.cache.ResultCache`, an
   on-disk content-addressed store of cell results keyed by
   :func:`~repro.runner.specs.run_spec_fingerprint` (a blake2b-256 digest
-  of the resolved spec's canonical JSON).  Because every cell is
+  of the resolved spec's canonical JSON), each handle holding its recent
+  entries in memory as well.  Because every cell is
   bit-deterministic, a cache hit is *provably* byte-identical to a fresh
   simulation — the soundness guarantee ``tests/svc/`` pins end to end;
 * :mod:`repro.svc.service` — :class:`~repro.svc.service.SweepService`, a

@@ -52,8 +52,8 @@ class _CrashAfterFills(ResultCache):
         super().__init__(directory)
         self._fills_left = int(limit)
 
-    def store(self, spec, result):
-        key = super().store(spec, result)
+    def store(self, spec, result, key=None):
+        key = super().store(spec, result, key)
         if key is not None:
             self._fills_left -= 1
             if self._fills_left <= 0:

@@ -380,10 +380,17 @@ class SweepService:
 
     def _job_results(self, job: JobRecord) -> Iterator:
         """A job's results in cell order: hits from the cache, misses from
-        the executor, each fresh result stored as the executor yields it."""
+        the executor, each fresh result stored as the executor yields it.
+
+        Each cell is fingerprinted once, and its lookup and store share
+        the key.
+        """
         cache = self._cache
-        cached = [cache.lookup(cell) if cache is not None else None
-                  for cell in job.cells]
+        if cache is None:
+            keys = cached = [None] * len(job.cells)
+        else:
+            keys = [cache.key(cell) for cell in job.cells]
+            cached = [cache.lookup(cell, key) for cell, key in zip(job.cells, keys)]
         misses = [cell for cell, result in zip(job.cells, cached) if result is None]
         if cache is not None:
             with self._state:
@@ -392,11 +399,11 @@ class SweepService:
         # the executor's stream stays suspended after its last result, its
         # sweep still installed, until it is advanced once more or closed
         with contextlib.closing(self._executor.map(execute_run_spec, misses)) as fresh:
-            for cell, result in zip(job.cells, cached):
+            for cell, key, result in zip(job.cells, keys, cached):
                 if result is None:
                     result = next(fresh)
                     if cache is not None:
-                        cache.store(cell, result)
+                        cache.store(cell, result, key)
                 yield result
 
     def _serve_control(self, sock: socket.socket) -> None:

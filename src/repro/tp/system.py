@@ -293,6 +293,9 @@ class TransactionSystem:
         departs; it then queues again, keeping its submission time, so the
         displacement penalty shows up in its response time.
 
+        The workload draws the transaction's access set at its first
+        admission (:meth:`~repro.tp.workload.Workload.draw_through`).
+
         A submission shed by a tenant queue quota ends here: the failed
         admission event raises :class:`AdmissionShed` at the ``yield``, the
         shed is booked, and the transaction never enters the system (so no
@@ -311,6 +314,8 @@ class TransactionSystem:
                 if observer is not None:
                     observer.shed(self.sim.now, txn)
                 return
+            if not txn.items:  # the first admission
+                self.workload.draw_through(txn)
             if observer is not None:
                 observer.admit(self.sim.now, txn)
 

@@ -3,10 +3,13 @@
 A :class:`Transaction` is a passive record describing one unit of work as it
 circulates through the closed model: the granules it will access (with their
 read/write modes), its class (query or updater) and the timestamps of the
-interesting lifecycle events.  The *behaviour* lives in
-:mod:`repro.tp.system`, which runs each transaction as a simulation process;
-keeping the record passive makes it trivial to inspect in tests and to hand
-to the concurrency control and displacement policies.
+interesting lifecycle events.  The workload numbers a transaction and draws
+its class at submission, and its access set and write marks at its first
+admission (:meth:`Transaction.set_accesses`); until then both are empty.
+The *behaviour* lives in :mod:`repro.tp.system`, which runs each
+transaction as a simulation process; keeping the record passive makes it
+trivial to inspect in tests and to hand to the concurrency control and
+displacement policies.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ class Transaction:
     terminal_id: int
     #: query or updater
     txn_class: TransactionClass
-    #: granules to access, in access order
-    items: Tuple[int, ...]
+    #: granules to access, in access order; empty until drawn
+    items: Tuple[int, ...] = ()
     #: parallel to ``items``: True where the access is a write
-    write_flags: Tuple[bool, ...]
+    write_flags: Tuple[bool, ...] = ()
     #: tenant (transaction class name) the submission belongs to; empty for
     #: the single-class workload — per-tenant admission quotas and SLO
     #: metrics key off this
@@ -58,6 +61,15 @@ class Transaction:
     write_set: set = field(default_factory=set)
 
     def __post_init__(self) -> None:
+        self._check_accesses()
+
+    def set_accesses(self, items: Tuple[int, ...], write_flags: Tuple[bool, ...]) -> None:
+        """Set the drawn access set and write marks, checked as at construction."""
+        self.items = items
+        self.write_flags = write_flags
+        self._check_accesses()
+
+    def _check_accesses(self) -> None:
         if len(self.items) != len(self.write_flags):
             raise ValueError(
                 "items and write_flags must have the same length "

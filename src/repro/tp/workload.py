@@ -17,11 +17,20 @@ dataclass evaluated by calling it, ``schedule(t)``, and answers for itself
 which values it can take (:meth:`~ParameterSchedule.values`) and how high
 it can go (:meth:`~ParameterSchedule.peak`).  :class:`Workload` takes a
 number or a schedule for each of the three parameters, named once in
-:data:`VARIED_PARAMETERS`, samples concrete transactions at submission
-time, and exposes the *current* :class:`~repro.tp.params.WorkloadParams` so
-analytic reference models can compute the true optimum at any instant.
+:data:`VARIED_PARAMETERS`, samples concrete transactions, and exposes the
+*current* :class:`~repro.tp.params.WorkloadParams` so analytic reference
+models can compute the true optimum at any instant.
 :class:`MixedClassWorkload` only picks a class per submission; both
 workloads build the transaction with the same sampler.
+
+A transaction is sampled in two steps.  At submission the workload draws
+its class (``txn-class`` or ``class-mix``) and numbers it; the gate needs
+its tenant.  At its first admission :meth:`Workload.draw_through` draws the
+access sets and write marks of every transaction submitted up to it that
+is still undrawn, in submission order, so the ``data-access`` and
+``write-marks`` streams are read in the order, and give the values, of a
+draw at submission.  A transaction that waits at the gate until the run
+ends, with no later submission admitted, draws nothing.
 
 :class:`ExponentialDraws` and :class:`UniformDraws` read a stream with one
 reader from numpy blocks instead of one scalar call per draw: the
@@ -31,6 +40,7 @@ and arrival draws of :mod:`repro.tp.system`.
 
 from __future__ import annotations
 
+import collections
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -343,6 +353,9 @@ class Workload:
         self._write_fraction = _as_schedule(
             base.write_fraction if write_fraction is None else write_fraction)
         self._next_txn_id = 0
+        #: (transaction, k, write fraction) of every submitted transaction
+        #: not drawn yet, in submission order
+        self._undrawn: collections.deque = collections.deque()
         # (k, query_fraction, write_fraction) -> WorkloadParams of the last
         # call; params_at is invoked per submission and the values are
         # piecewise constant, so the frozen result is almost always reusable
@@ -415,7 +428,7 @@ class Workload:
     # transaction sampling
     # ------------------------------------------------------------------
     def next_transaction(self, time: float, terminal_id: int) -> Transaction:
-        """Sample the next transaction submitted by ``terminal_id`` at ``time``."""
+        """The next transaction submitted by ``terminal_id`` at ``time``, its accesses undrawn."""
         params = self.params_at(time)
         is_query = self._txn_class.bernoulli(params.query_fraction)
         return self._transaction(time, terminal_id, params.accesses_per_txn,
@@ -423,36 +436,42 @@ class Workload:
 
     def _transaction(self, time: float, terminal_id: int, k: int, is_query: bool,
                      write_fraction: float, tenant: str = "") -> Transaction:
-        """Draw the access set and write marks of one transaction and number it.
-
-        An updater draws ``k`` write marks in one vector, which consumes the
-        ``write-marks`` stream exactly like ``k`` scalar draws (pinned by the
-        golden-trajectory harness), and always performs at least one write
-        when its write fraction is positive: otherwise it would silently
-        degrade into a query and dilute the class mix.
-        """
-        items = self.database.sample_access_set(k)
-        if is_query:
-            txn_class = TransactionClass.QUERY
-            write_flags = (False,) * k
-        else:
-            txn_class = TransactionClass.UPDATER
-            rng = self.streams.stream("write-marks")
-            flags = [mark < write_fraction for mark in rng.random(k).tolist()]
-            if write_fraction > 0.0 and True not in flags:
-                flags[int(rng.integers(0, k))] = True
-            write_flags = tuple(flags)
+        """Number one transaction of ``k`` accesses and queue it for :meth:`draw_through`."""
         txn = Transaction(
             txn_id=self._next_txn_id,
             terminal_id=terminal_id,
-            txn_class=txn_class,
-            items=items,
-            write_flags=write_flags,
+            txn_class=TransactionClass.QUERY if is_query else TransactionClass.UPDATER,
             tenant=tenant,
             submitted_at=time,
         )
         self._next_txn_id += 1
+        self._undrawn.append((txn, k, write_fraction))
         return txn
+
+    def draw_through(self, txn: Transaction) -> None:
+        """Draw the accesses of every undrawn transaction submitted up to ``txn``.
+
+        In submission order, so each draw reads the streams where a draw at
+        submission would have.  An updater draws ``k`` write marks in one
+        vector, which consumes the ``write-marks`` stream exactly like
+        ``k`` scalar draws (pinned by the golden-trajectory harness), and
+        always performs at least one write when its write fraction is
+        positive: otherwise it would silently degrade into a query and
+        dilute the class mix.  A transaction drawn already draws nothing.
+        """
+        undrawn = self._undrawn
+        while undrawn and undrawn[0][0].txn_id <= txn.txn_id:
+            pending, k, write_fraction = undrawn.popleft()
+            items = self.database.sample_access_set(k)
+            if pending.txn_class is TransactionClass.QUERY:
+                write_flags = (False,) * k
+            else:
+                rng = self.streams.stream("write-marks")
+                flags = [mark < write_fraction for mark in rng.random(k).tolist()]
+                if write_fraction > 0.0 and True not in flags:
+                    flags[int(rng.integers(0, k))] = True
+                write_flags = tuple(flags)
+            pending.set_accesses(items, write_flags)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -561,9 +580,9 @@ class MixedClassWorkload(Workload):
     query fraction.  This subclass realises the mixed OLTP/query workload:
     each submission first draws a *class* from the weighted mix (its own
     ``class-mix`` stream, so the class sequence forms common random numbers
-    across controllers), then samples the access set and write marks with
-    that class's own size and write ratio — small frequent updaters
-    sharing the gate with long read-only queries.
+    across controllers); its access set and write marks, drawn at its
+    first admission, follow that class's own size and write ratio — small
+    frequent updaters sharing the gate with long read-only queries.
 
     :meth:`params_at` reports the *expectation* of the mix (weight-averaged
     transaction size, aggregate query fraction, weight-averaged updater
@@ -583,7 +602,7 @@ class MixedClassWorkload(Workload):
         self._class_mix = UniformDraws(streams, "class-mix")
 
     def next_transaction(self, time: float, terminal_id: int) -> Transaction:
-        """Draw a class from the mix, then sample per the class's profile."""
+        """Draw a class from the mix; the accesses follow the class's profile."""
         draw = self._class_mix.draw()
         index = 0
         while draw >= self._cumulative[index]:

@@ -20,7 +20,10 @@ import pytest
 
 from repro import canonical
 from repro.dist import archive as dist_archive
+from repro.experiments.config import ExperimentScale
 from repro.fuzz import corpus as fuzz_corpus
+from repro.runner.registry import SCENARIOS, build_sweep
+from repro.runner.specs import run_spec_to_jsonable
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -43,6 +46,19 @@ TRICKY = {
     "text": "naïve ≤ résumé",
     "ints": [0, -1, 10**18],
 }
+
+
+#: every committed artifact in the canonical form: the goldens, the fuzz
+#: corpus and the pinned cache keys
+ARTIFACTS = (sorted((REPO_ROOT / "tests" / "golden").glob("*.json"))
+             + sorted((REPO_ROOT / "tests" / "fuzz_corpus").glob("*.json"))
+             + [REPO_ROOT / "tests" / "svc" / "pinned_fingerprints.json"])
+
+
+def reference_json(payload) -> str:
+    """The canonical form by its defining formula, which the encoder must match byte for byte."""
+    return json.dumps(canonical.sanitize(payload), sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=True, allow_nan=False)
 
 
 class TestCallSitesAgree:
@@ -112,3 +128,32 @@ class TestCommittedArtifactsUnchanged:
     def test_corpus_document_is_in_shared_canonical_form(self, document):
         text = document.read_text(encoding="utf-8")
         assert canonical.canonical_json(json.loads(text)) + "\n" == text
+
+
+class TestAgreesWithTheReferenceFormula:
+    """The encoder runs the sanitize walk only on a refused payload; its bytes must not show it."""
+
+    @pytest.mark.parametrize("artifact", ARTIFACTS,
+                             ids=lambda path: f"{path.parent.name}/{path.name}")
+    def test_committed_artifact(self, artifact):
+        payload = json.loads(artifact.read_text(encoding="utf-8"))
+        # as stored (tags as strings) and restored (tags as non-finite floats)
+        for form in (payload, canonical.restore(payload)):
+            assert canonical.canonical_json(form) == reference_json(form)
+
+    @pytest.mark.parametrize("preset", ["smoke", "benchmark"])
+    def test_every_registry_cell(self, preset):
+        scale = getattr(ExperimentScale, preset)()
+        for name in sorted(SCENARIOS):
+            for cell in build_sweep(name, scale).cells:
+                payload = run_spec_to_jsonable(cell)
+                assert canonical.canonical_json(payload) == reference_json(payload), cell.cell_id
+
+    def test_tricky(self):
+        assert canonical.canonical_json(TRICKY) == reference_json(TRICKY)
+
+    def test_a_non_finite_float_deep_in_a_payload(self):
+        payload = {"b": 0.5, "a": [1, "x", (2.0, math.inf)]}
+        text = canonical.canonical_json(payload)
+        assert text == reference_json(payload)
+        assert text == '{"a":[1,"x",[2.0,"__inf__"]],"b":0.5}'

@@ -25,6 +25,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Transaction(1, 0, TransactionClass.QUERY, items=(1,), write_flags=(True,))
 
+    def test_accesses_set_after_construction_pass_the_same_checks(self):
+        """The workload sets the accesses at first admission; until then both are empty."""
+        txn = Transaction(1, 0, TransactionClass.UPDATER)
+        assert txn.items == () and txn.write_flags == ()
+        with pytest.raises(ValueError):
+            txn.set_accesses((1, 2), (True,))
+        with pytest.raises(ValueError):
+            Transaction(1, 0, TransactionClass.QUERY).set_accesses((1,), (True,))
+        txn.set_accesses((4, 7), (False, True))
+        assert txn.accesses == ((4, False), (7, True))
+
     def test_size_and_write_count(self):
         txn = make_updater()
         assert txn.size == 4

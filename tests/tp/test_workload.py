@@ -23,6 +23,13 @@ from repro.tp.workload import (
 )
 
 
+def _drawn(workload, time, terminal_id):
+    """The next transaction with its accesses drawn, as at its first admission."""
+    txn = workload.next_transaction(time, terminal_id)
+    workload.draw_through(txn)
+    return txn
+
+
 class TestSchedules:
     def test_constant_schedule(self):
         schedule = ConstantSchedule(7.0)
@@ -187,7 +194,7 @@ class TestTransactionSampling:
     def test_transaction_size_matches_parameters(self):
         params = WorkloadParams(db_size=500, accesses_per_txn=12)
         workload = Workload(params, RandomStreams(seed=1))
-        txn = workload.next_transaction(0.0, 0)
+        txn = _drawn(workload, 0.0, 0)
         assert txn.size == 12
         assert len(set(txn.items)) == 12
 
@@ -195,7 +202,7 @@ class TestTransactionSampling:
         params = WorkloadParams(query_fraction=1.0)
         workload = Workload(params, RandomStreams(seed=1))
         for _ in range(20):
-            txn = workload.next_transaction(0.0, 0)
+            txn = _drawn(workload, 0.0, 0)
             assert txn.txn_class is TransactionClass.QUERY
             assert txn.is_read_only
 
@@ -203,14 +210,14 @@ class TestTransactionSampling:
         params = WorkloadParams(query_fraction=0.0, write_fraction=0.05)
         workload = Workload(params, RandomStreams(seed=1))
         for _ in range(50):
-            txn = workload.next_transaction(0.0, 0)
+            txn = _drawn(workload, 0.0, 0)
             assert txn.txn_class is TransactionClass.UPDATER
             assert txn.write_count >= 1
 
     def test_zero_write_fraction_yields_read_only_updaters(self):
         params = WorkloadParams(query_fraction=0.0, write_fraction=0.0)
         workload = Workload(params, RandomStreams(seed=1))
-        txn = workload.next_transaction(0.0, 0)
+        txn = _drawn(workload, 0.0, 0)
         assert txn.write_count == 0
 
     def test_class_mix_approximates_query_fraction(self):
@@ -228,7 +235,7 @@ class TestTransactionSampling:
         writes = 0
         accesses = 0
         for _ in range(2000):
-            txn = workload.next_transaction(0.0, 0)
+            txn = _drawn(workload, 0.0, 0)
             writes += txn.write_count
             accesses += txn.size
         assert writes / accesses == pytest.approx(0.4, abs=0.03)
@@ -237,8 +244,8 @@ class TestTransactionSampling:
         base = WorkloadParams(db_size=1000, accesses_per_txn=4)
         workload = Workload(
             base, RandomStreams(seed=1), accesses=JumpSchedule(4, 16, 100.0))
-        before = workload.next_transaction(50.0, 0)
-        after = workload.next_transaction(150.0, 0)
+        before = _drawn(workload, 50.0, 0)
+        after = _drawn(workload, 150.0, 0)
         assert before.size == 4
         assert after.size == 16
 
@@ -262,7 +269,7 @@ class TestTransactionSampling:
             if not flags.any() and write_fraction > 0.0:
                 flags[int(marks.integers(0, k))] = True
                 fallbacks += 1
-            assert workload.next_transaction(0.0, 0).write_flags == tuple(flags.tolist())
+            assert _drawn(workload, 0.0, 0).write_flags == tuple(flags.tolist())
         assert workload.streams.stream("write-marks").random() == marks.random()
         if write_fraction == 0.05:
             assert fallbacks > 100
@@ -276,7 +283,7 @@ class TestTransactionSampling:
                                 query_fraction=query_fraction,
                                 write_fraction=write_fraction)
         workload = Workload(params, RandomStreams(seed=3))
-        txn = workload.next_transaction(0.0, 0)
+        txn = _drawn(workload, 0.0, 0)
         assert txn.size == k
         assert len(set(txn.items)) == k
         assert all(0 <= item < 200 for item in txn.items)
@@ -315,7 +322,7 @@ class TestMixedClassWorkload:
         workload = self._workload()
         sizes = {TransactionClass.QUERY: set(), TransactionClass.UPDATER: set()}
         for _ in range(400):
-            txn = workload.next_transaction(0.0, 0)
+            txn = _drawn(workload, 0.0, 0)
             sizes[txn.txn_class].add(txn.size)
             if txn.txn_class is TransactionClass.QUERY:
                 assert txn.is_read_only
@@ -336,7 +343,7 @@ class TestMixedClassWorkload:
         workload = self._workload()
         writes = accesses = 0
         for _ in range(3000):
-            txn = workload.next_transaction(0.0, 0)
+            txn = _drawn(workload, 0.0, 0)
             if txn.txn_class is TransactionClass.UPDATER:
                 writes += txn.write_count
                 accesses += txn.size
@@ -381,8 +388,8 @@ class TestMixedClassWorkload:
     def test_same_streams_same_transactions(self):
         left, right = self._workload(seed=11), self._workload(seed=11)
         for _ in range(50):
-            a = left.next_transaction(0.0, 0)
-            b = right.next_transaction(0.0, 0)
+            a = _drawn(left, 0.0, 0)
+            b = _drawn(right, 0.0, 0)
             assert (a.txn_class, a.items, a.write_flags) == \
                 (b.txn_class, b.items, b.write_flags)
 
@@ -391,7 +398,7 @@ class TestMixedClassWorkload:
                                     accesses_per_txn=100)
         workload = MixedClassWorkload(WorkloadParams(db_size=30),
                                       RandomStreams(seed=2), (huge,))
-        assert workload.next_transaction(0.0, 0).size == 30
+        assert _drawn(workload, 0.0, 0).size == 30
 
     def test_specs_are_picklable(self):
         import pickle

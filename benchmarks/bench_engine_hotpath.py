@@ -6,7 +6,10 @@ times the four code paths every experiment cell bottoms out in:
 * **timeout churn** — processes yielding ``sim.timeout``; the single most
   frequent event kind in the transaction model;
 * **process completion** — spawning short-lived processes and waiting on
-  their completion events (one per arriving session in open runs);
+  their completion events (the kernel's join path; the transaction model
+  no longer takes it, since each terminal or session runs its
+  transactions' lifecycles itself and nothing waits on a finished
+  session's completion event);
 * **resource cycling** — FCFS station visits on a multi-server
   :class:`~repro.sim.resources.Resource` (the CPU station), which computes
   each visit's start and release when it is made and schedules the visit

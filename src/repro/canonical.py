@@ -1,14 +1,18 @@
 """The repository's single canonical JSON encoding.
 
-Three byte-exact artifact families grew their own copies of the same
-encoder — the golden trajectory fixtures (``tools/regen_goldens.py``), the
-versioned sweep archives (:mod:`repro.dist.archive`) and the fuzz corpus
-(:mod:`repro.fuzz.corpus`) — and the sweep service's content-addressed
-result cache (:mod:`repro.svc`) keys every cell on the same bytes.  Four
-consumers of one encoding is past the point where "they happen to agree"
-is acceptable: this module is the one definition, and
-``tests/svc/test_canonical.py`` pins that every call site produces
-identical bytes for identical payloads.
+Every byte-exact artifact of the repository is written in this one form:
+
+* the golden trajectory fixtures (``tools/regen_goldens.py``);
+* the fuzz corpus (:mod:`repro.fuzz.corpus`);
+* the sweep service's cache keys (:mod:`repro.svc.cache`);
+* results documents (:func:`repro.runner.api.results_document`), the one
+  artifact of a finished sweep, whichever launcher ran it;
+* adversary fingerprints (:meth:`repro.fuzz.adversaries.AdversarySpec.fingerprint`);
+* telemetry records (:mod:`repro.obs.telemetry`).
+
+This module is the one definition, and ``tests/svc/test_canonical.py``
+pins that every call site uses it and produces identical bytes for
+identical payloads.
 
 The canonical form is deliberately boring and fully deterministic:
 

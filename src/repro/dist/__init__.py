@@ -1,4 +1,4 @@
-"""Distributed sweep execution: coordinator, workers, archives.
+"""Distributed sweep execution: coordinator and workers.
 
 The paper's evaluation grid is embarrassingly parallel and every cell is a
 deterministic function of its picklable spec, so fanning cells out — to
@@ -18,9 +18,13 @@ runs on ``DistributedExecutor(local_workers=N)``):
   worker subprocesses;
 * :mod:`~repro.dist.worker` — the cell-executing loop with heartbeats;
 * :mod:`~repro.dist.cluster` — :func:`spawn_local_workers`, which starts
-  those subprocesses;
-* :mod:`~repro.dist.archive` — versioned JSON artifacts of replicated
-  runs with mean ± confidence-interval summaries.
+  those subprocesses.
+
+A finished sweep leaves one artifact wherever it ran: the results document
+of :func:`~repro.runner.api.results_document`, which
+``repro-dist-coordinator --archive DIR`` writes and the sweep service
+serves; the mean ± CI table is a view of it.  This package never imports
+:mod:`repro.svc`.
 
 The determinism contract: for any worker count, join order, or mid-run
 worker crash, a sweep's results are bit-identical to
@@ -28,14 +32,6 @@ worker crash, a sweep's results are bit-identical to
 golden trajectories in ``tests/golden/`` and ``tests/dist/``.
 """
 
-from repro.dist.archive import (
-    ARCHIVE_FORMAT,
-    archive_sweep,
-    build_archive,
-    format_archive_table,
-    load_archive,
-    write_archive,
-)
 from repro.dist.cluster import spawn_local_workers
 from repro.dist.coordinator import DistributedExecutor
 from repro.dist.protocol import (
@@ -57,12 +53,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "ARCHIVE_FORMAT",
-    "archive_sweep",
-    "build_archive",
-    "format_archive_table",
-    "load_archive",
-    "write_archive",
     "spawn_local_workers",
     "DistributedExecutor",
     "ConnectionClosed",

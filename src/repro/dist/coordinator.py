@@ -40,8 +40,10 @@ comes back as an error naming the cell, while the worker keeps serving.
 
 ``main`` is the ``repro-dist-coordinator`` console entry point: it runs a
 named registry scenario over the cluster, prints the replicate-aggregate
-table, and optionally writes a versioned archive artifact
-(:mod:`repro.dist.archive`).
+table, and with ``--archive DIR`` writes the run's results document
+(:func:`~repro.runner.api.results_document`, canonical JSON) to
+``DIR/<scenario>__<scale>__r<replicates>.json``: the bytes a serial run or
+the sweep service gives for the same cells.
 """
 
 from __future__ import annotations
@@ -482,9 +484,11 @@ def main(argv=None) -> int:
     parser.add_argument("--local-workers", type=int, default=0, metavar="N",
                         help="also spawn N worker subprocesses on this host")
     parser.add_argument("--archive", type=Path, default=None, metavar="DIR",
-                        help="write a versioned JSON archive artifact into DIR")
+                        help="write the run's results document into DIR as "
+                             "<scenario>__<scale>__r<replicates>.json")
     parser.add_argument("--confidence", type=float, default=0.95,
-                        help="confidence level of the CI aggregation (default: 0.95)")
+                        help="confidence level of the printed mean ± CI table "
+                             "(default: 0.95)")
     parser.add_argument("--quiet", action="store_true",
                         help="log warnings and errors only")
     parser.add_argument("--verbose", action="store_true",
@@ -492,8 +496,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     telemetry.configure_cli_logging(verbose=args.verbose, quiet=args.quiet)
 
+    from repro.canonical import canonical_json
     from repro.experiments.report import format_aggregate_table
-    from repro.runner.api import run_sweep
+    from repro.runner.api import results_document, run_sweep
 
     scale = scale_preset(args.scale)
 
@@ -522,13 +527,12 @@ def main(argv=None) -> int:
             logger.info("%d cells", cells)
         print(format_aggregate_table(result.aggregates))
         if args.archive is not None:
-            from repro.dist.archive import build_archive, write_archive
-
-            archive = build_archive(result, scenario=args.scenario,
-                                    scale_name=args.scale,
-                                    confidence=args.confidence)
-            path = write_archive(archive, args.archive)
-            logger.info("archive written to %s", path)
+            document = results_document(args.scenario, result.results)
+            args.archive.mkdir(parents=True, exist_ok=True)
+            path = args.archive / (f"{args.scenario}__{args.scale}"
+                                   f"__r{args.replicates}.json")
+            path.write_text(canonical_json(document) + "\n", encoding="utf-8")
+            logger.info("results document written to %s", path)
     return 0
 
 

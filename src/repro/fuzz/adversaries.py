@@ -19,10 +19,10 @@ file.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass, fields
 from typing import Tuple
 
+from repro.canonical import canonical_json
 from repro.core.displacement import DisplacementPolicy, VictimCriterion
 from repro.experiments.config import (
     ExperimentScale,
@@ -84,9 +84,8 @@ class AdversarySpec:
 
     def fingerprint(self) -> str:
         """Stable short content hash; identical specs hash identically."""
-        canonical = json.dumps(self.to_jsonable(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.blake2b(canonical.encode("utf-8"), digest_size=6).hexdigest()
+        encoded = canonical_json(self.to_jsonable()).encode("utf-8")
+        return hashlib.blake2b(encoded, digest_size=6).hexdigest()
 
     def cell_id(self) -> str:
         """The lowered cell's id: ``fuzz/<kind>/<fingerprint>``."""

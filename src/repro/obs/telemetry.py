@@ -40,7 +40,6 @@ spec-borne observers is documented in ``docs/observability.md``.
 from __future__ import annotations
 
 import contextlib
-import json
 import logging
 import os
 import socket
@@ -48,6 +47,8 @@ import sys
 import threading
 import time
 from typing import Dict, Iterator, Optional
+
+from repro.canonical import canonical_json
 
 #: environment variable naming the telemetry output file; inherited by
 #: worker processes, which is how telemetry propagates across a cluster
@@ -71,8 +72,9 @@ class TelemetrySink(object):
     The file descriptor is opened lazily (on the first :meth:`write`) with
     ``O_APPEND``, so many processes — a coordinator and its dist workers,
     local or networked — can share one file without interleaving partial
-    lines.  Records are canonical JSON: sorted keys, compact separators,
-    one line per record.
+    lines.  Records are canonical JSON (:func:`repro.canonical.canonical_json`:
+    sorted keys, compact separators, non-finite floats tagged), one line
+    per record.
     """
 
     def __init__(self, path: str):
@@ -84,8 +86,7 @@ class TelemetrySink(object):
 
     def write(self, record: dict) -> None:
         """Append one record as a single canonical-JSON line (dropped once closed)."""
-        line = json.dumps(record, sort_keys=True,
-                          separators=(",", ":")) + "\n"
+        line = canonical_json(record) + "\n"
         with self._lock:
             if self._closed:
                 return

@@ -9,6 +9,8 @@ folds replicated runs into mean ± confidence-interval summaries
 (:mod:`~repro.runner.replication`), and builds every grid of cells and
 names the paper's experiments so a whole figure is one call
 (:mod:`~repro.runner.registry`, :func:`~repro.runner.api.run_sweep`).
+A finished sweep's one artifact is its results document
+(:func:`~repro.runner.api.results_document`).
 
 The two invariants everything here is built around:
 
@@ -22,7 +24,9 @@ The two invariants everything here is built around:
 
 from repro.cc.registry import CCSpec, cc_kinds
 from repro.runner.api import (
+    RESULTS_FORMAT,
     SweepResult,
+    results_document,
     run_sweep,
     stationary_sweeps,
     tracking_results,
@@ -57,7 +61,9 @@ from repro.runner.specs import (
 )
 
 __all__ = [
+    "RESULTS_FORMAT",
     "SweepResult",
+    "results_document",
     "run_sweep",
     "stationary_sweeps",
     "tracking_results",

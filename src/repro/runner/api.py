@@ -6,6 +6,14 @@ selects the serial executor or a distributed one with local worker
 processes from ``workers``, runs every cell, and aggregates replicates
 into mean ± confidence-interval summaries.
 
+A finished sweep leaves one artifact, :func:`results_document`: every
+replicate's metrics in the canonical form, the bytes that the serial
+runner, ``repro-dist-coordinator --archive`` and the sweep service all
+hand out for the same cells.  The mean ± CI table is a view of it::
+
+    cells = restore(document)["cells"]
+    aggregates = aggregate_cells(CellResult(**cell) for cell in cells)
+
 Converters turn a :class:`SweepResult` back into the result objects of
 the experiment layer (:class:`~repro.experiments.stationary.StationarySweep`
 curves and :class:`~repro.experiments.dynamic.TrackingResult`
@@ -18,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from repro.analytic.references import reference_model_for
+from repro.canonical import sanitize
 from repro.experiments.config import ExperimentScale
 from repro.experiments.stationary import StationaryPoint, StationarySweep
 from repro.obs.catalog import metric_schema
@@ -27,6 +36,9 @@ from repro.runner.registry import build_sweep
 from repro.runner.replication import CellAggregate, aggregate_cells
 from repro.runner.specs import KIND_STATIONARY, KIND_TRACKING, RunSpec, SweepSpec
 from repro.tp.params import SystemParams
+
+#: results-document format tag (bump on structural changes)
+RESULTS_FORMAT = 1
 
 
 @dataclass
@@ -58,6 +70,35 @@ class SweepResult:
         for cell in self.spec.cells:
             seen.setdefault(cell.label, None)
         return list(seen)
+
+
+def results_document(name: str, results) -> dict:
+    """The deterministic results document of a finished sweep.
+
+    A pure function of the cell results (no job id, no timestamps, no
+    cache counters), so a warm re-submission — served entirely from the
+    cache — produces a byte-identical canonical serialisation to the cold
+    run that filled it.  Trajectory payloads stay out of the document
+    (they are rich Python objects); metrics carry the full pinned values.
+    """
+    cells = []
+    for result in results:
+        cell = {
+            "cell_id": result.cell_id,
+            "kind": result.kind,
+            "replicate": result.replicate,
+            "label": result.label,
+            "metrics": dict(result.metrics),
+        }
+        if result.model_reference:
+            cell["model_reference"] = result.model_reference
+        cells.append(cell)
+    return sanitize({
+        "format": RESULTS_FORMAT,
+        "name": name,
+        "n_cells": len(cells),
+        "cells": cells,
+    })
 
 
 def run_sweep(sweep: Union[str, SweepSpec], *,

@@ -28,6 +28,7 @@ import sys
 import threading
 import time
 
+from repro.canonical import canonical_json
 from repro.experiments.config import SCALE_PRESETS
 from repro.obs import telemetry
 from repro.svc.cache import ResultCache
@@ -137,7 +138,8 @@ def _status(args) -> int:
 
 
 def _results(args) -> int:
-    _print_json(ServiceClient(args.address).results(args.job_id))
+    # the canonical bytes, as --archive writes them and HTTP serves them
+    print(canonical_json(ServiceClient(args.address).results(args.job_id)))
     return 0
 
 
@@ -217,7 +219,7 @@ def main(argv=None) -> int:
     status.set_defaults(run=_status)
 
     results = commands.add_parser(
-        "results", help="results document of a finished job")
+        "results", help="results document of a finished job (canonical JSON)")
     _add_address(results)
     results.add_argument("job_id", help="job id")
     results.set_defaults(run=_results)

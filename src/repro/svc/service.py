@@ -26,7 +26,9 @@ re-submission of any golden scenario is 100% hits and zero simulations).
 
 Results documents are deliberately deterministic (no job ids, no
 timestamps): :meth:`SweepService.results` of a warm job is byte-identical
-to the cold run's, which is the headline guarantee of the cache.
+to the cold run's, which is the headline guarantee of the cache.  The
+document is :func:`~repro.runner.api.results_document`, the same one a
+serial run or ``repro-dist-coordinator --archive`` writes for the cells.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import threading
 import time
 from typing import Dict, Iterator, List, Optional
 
-from repro.canonical import sanitize
 from repro.dist import protocol
 from repro.dist.coordinator import DistributedExecutor
 from repro.dist.protocol import (
@@ -55,15 +56,13 @@ from repro.dist.protocol import (
     ProtocolError,
 )
 from repro.obs import telemetry
+from repro.runner.api import results_document
 from repro.runner.cells import execute_run_spec
 from repro.runner.executor import timed_execute
 from repro.runner.specs import RunSpec
 from repro.svc.cache import ResultCache
 
 logger = logging.getLogger("repro.svc.service")
-
-#: results-document format tag (bump on structural changes)
-RESULTS_FORMAT = 1
 
 #: job lifecycle states, in order
 JOB_QUEUED = "queued"
@@ -105,35 +104,6 @@ class JobRecord:
         if self.error is not None:
             doc["error"] = self.error
         return doc
-
-
-def results_document(name: str, results) -> dict:
-    """The deterministic results document of a finished job.
-
-    A pure function of the cell results (no job id, no timestamps, no
-    cache counters), so a warm re-submission — served entirely from the
-    cache — produces a byte-identical canonical serialisation to the cold
-    run that filled it.  Trajectory payloads stay out of the document
-    (they are rich Python objects); metrics carry the full pinned values.
-    """
-    cells = []
-    for result in results:
-        cell = {
-            "cell_id": result.cell_id,
-            "kind": result.kind,
-            "replicate": result.replicate,
-            "label": result.label,
-            "metrics": dict(result.metrics),
-        }
-        if result.model_reference:
-            cell["model_reference"] = result.model_reference
-        cells.append(cell)
-    return sanitize({
-        "format": RESULTS_FORMAT,
-        "name": name,
-        "n_cells": len(cells),
-        "cells": cells,
-    })
 
 
 def scenario_cells(scenario: str, scale: str = "smoke",

@@ -400,11 +400,12 @@ class TestConsoleEntryPoints:
         assert "coordinator listening on" in output
         assert "2 worker(s) connected" in output
         assert "cells/s" in output
-        assert "archive written to" in output
-        from repro.dist.archive import load_archive
-
-        [artifact] = tmp_path.glob("*.json")
-        assert load_archive(artifact)["scenario"] == "thrashing"
+        assert "results document written to" in output
+        [document] = tmp_path.glob("*.json")
+        assert document.name == "thrashing__smoke__r1.json"
+        cells = json.loads(document.read_text(encoding="utf-8"))["cells"]
+        assert [cell["cell_id"] for cell in cells] == \
+            [cell.cell_id for cell in build_sweep("thrashing", scale=ExperimentScale.smoke()).cells]
 
     def test_worker_main_serves_until_shutdown(self, capsys):
         from repro.dist import worker

@@ -9,10 +9,13 @@ entries in the same order, read the same variates, report the same
 ``utilisation()`` to the bit at the pause and at the stop, and schedule
 the same number of events, with as many left pending.
 
-Each step follows a pattern of the transaction model: catch ``Interrupt``
-(displacement) and the failure of a fired event (a lock-table abort), and
-withdraw the station visit afterwards, as ``_transaction_lifecycle`` does
-when a displacement interrupts one.  The step kinds:
+Each step but ``child`` follows a pattern of the transaction model: catch
+``Interrupt`` (displacement) and the failure of a fired event (a
+lock-table abort), and withdraw the station visit afterwards, as
+``_transaction_lifecycle`` does when a displacement interrupts one.
+``child`` covers kernel rule 6 only: no model process waits on another
+since each terminal or session runs its transactions' lifecycles itself.
+The step kinds:
 
 * ``sleep`` -- wait on a timeout;
 * ``visit`` -- visit a resource with a demand and a delay, each zero or

@@ -1,12 +1,13 @@
 """Byte-agreement regression tests for the shared canonical encoder.
 
-The golden fixtures (``tools/regen_goldens.py``), the sweep archives
-(:mod:`repro.dist.archive`) and the fuzz corpus (:mod:`repro.fuzz.corpus`)
-each used to carry a private copy of the same canonical-JSON encoder; the
-sweep service's cache keys made a fourth consumer, so the encoder was
-extracted into :mod:`repro.canonical`.  These tests pin that every call
-site *is* (and therefore byte-agrees with) the shared implementation, and
-that the extraction changed no committed artifact's bytes.
+The golden fixtures (``tools/regen_goldens.py``) and the fuzz corpus
+(:mod:`repro.fuzz.corpus`) each used to carry a private copy of the same
+canonical-JSON encoder; the sweep service's cache keys made another
+consumer, so the encoder was extracted into :mod:`repro.canonical`, and
+adversary fingerprints and telemetry records now use it too.  These tests
+pin that every call site *is* (and therefore byte-agrees with) the shared
+implementation, and that the extraction changed no committed artifact's
+bytes.
 """
 
 import hashlib
@@ -19,9 +20,11 @@ from pathlib import Path
 import pytest
 
 from repro import canonical
-from repro.dist import archive as dist_archive
 from repro.experiments.config import ExperimentScale
+from repro.fuzz import adversaries as fuzz_adversaries
 from repro.fuzz import corpus as fuzz_corpus
+from repro.obs import telemetry
+from repro.runner import api as runner_api
 from repro.runner.registry import SCENARIOS, build_sweep
 from repro.runner.specs import run_spec_to_jsonable
 
@@ -66,13 +69,26 @@ class TestCallSitesAgree:
         assert regen_goldens.canonical_json is canonical.canonical_json
         assert regen_goldens.sanitize is canonical.sanitize
 
-    def test_archive_writer_uses_the_shared_sanitizer(self):
-        assert dist_archive._sanitize is canonical.sanitize
-
     def test_fuzz_corpus_uses_the_shared_encoder(self):
         assert fuzz_corpus.canonical_json is canonical.canonical_json
         assert fuzz_corpus._sanitize is canonical.sanitize
         assert fuzz_corpus._restore is canonical.restore
+
+    def test_documents_fingerprints_and_telemetry_use_the_shared_encoder(self):
+        assert runner_api.sanitize is canonical.sanitize
+        assert fuzz_adversaries.canonical_json is canonical.canonical_json
+        assert telemetry.canonical_json is canonical.canonical_json
+
+    def test_a_non_finite_telemetry_field_is_written_as_strict_json(self, tmp_path):
+        def refuse(constant):
+            raise AssertionError(f"non-JSON constant {constant} in a telemetry line")
+
+        path = tmp_path / "spans.jsonl"
+        with telemetry.telemetry_to(str(path)):
+            telemetry.emit("x", value=float("nan"))
+        [line] = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(line, parse_constant=refuse)
+        assert record["span"] == "x" and record["value"] == "__nan__"
 
     def test_three_call_sites_agree_byte_for_byte(self):
         # identity of the functions is the strong form; this is the

@@ -28,6 +28,7 @@ from repro.core import DisplacementPolicy, MeasurementIntervalTuner, VictimCrite
 from repro.dist.worker import Worker
 from repro.experiments.config import ExperimentScale, default_system_params
 from repro.obs.telemetry import telemetry_to
+from repro.runner.api import run_sweep
 from repro.runner.cells import execute_run_spec
 from repro.runner.executor import SerialExecutor
 from repro.runner.registry import build_sweep
@@ -552,27 +553,29 @@ def _free_port() -> int:
         return probe.getsockname()[1]
 
 
+def _serve_thread(control, *options):
+    """Start ``repro-svc serve`` in a thread; returns it once ``control`` answers."""
+    serve = threading.Thread(
+        target=svc_main, args=(["serve", "--control", control, *options],),
+        daemon=True)
+    serve.start()
+    client = ServiceClient(control)
+    for _ in range(300):
+        try:
+            client.cache_stats()
+            return serve
+        except OSError:
+            time.sleep(0.1)
+    pytest.fail("serve thread never opened its control port")
+
+
 class TestCli:
     def test_serve_and_every_client_subcommand(self, tmp_path, capsys):
         control = f"127.0.0.1:{_free_port()}"
         http = f"127.0.0.1:{_free_port()}"
-        serve = threading.Thread(
-            target=svc_main,
-            args=(["serve", "--control", control, "--http", http,
-                   "--cache", str(tmp_path / "cache"),
-                   "--local-workers", "1", "--min-workers", "1"],),
-            daemon=True)
-        serve.start()
-        client = ServiceClient(control)
-        import time
-        for _ in range(300):
-            try:
-                client.cache_stats()
-                break
-            except OSError:
-                time.sleep(0.1)
-        else:
-            pytest.fail("serve thread never opened its control port")
+        serve = _serve_thread(control, "--http", http,
+                              "--cache", str(tmp_path / "cache"),
+                              "--local-workers", "1", "--min-workers", "1")
 
         assert svc_main(["submit", "--address", control, "thrashing",
                          "--wait"]) == 0
@@ -588,6 +591,30 @@ class TestCli:
         assert svc_main(["shutdown", "--address", control]) == 0
         serve.join(timeout=30)
         assert not serve.is_alive()
+
+    def test_results_prints_the_serial_document_bytes(self, capsys):
+        """``repro-svc results`` and ``GET /jobs/<id>/results`` hand out the
+        bytes a serial run renders, which ``repro-dist-coordinator
+        --archive`` writes too (``tests/dist/test_results_document.py``)."""
+        control = f"127.0.0.1:{_free_port()}"
+        http = f"127.0.0.1:{_free_port()}"
+        serve = _serve_thread(control, "--http", http,
+                              "--local-workers", "1", "--min-workers", "1")
+        assert svc_main(["submit", "--address", control, "thrashing",
+                         "--replicates", "2", "--wait"]) == 0
+        capsys.readouterr()
+        assert svc_main(["results", "--address", control, "job-1"]) == 0
+        printed = capsys.readouterr().out
+        with urllib.request.urlopen(f"http://{http}/jobs/job-1/results") as response:
+            body = response.read().decode("utf-8")
+        assert svc_main(["shutdown", "--address", control]) == 0
+        serve.join(timeout=30)
+        assert not serve.is_alive()
+
+        serial = run_sweep("thrashing", scale=ExperimentScale.smoke(), replicates=2)
+        expected = canonical_json(results_document("thrashing", serial.results)) + "\n"
+        assert printed == expected
+        assert body == expected
 
     def test_serve_closes_its_http_listener_and_thread(self, capsys, monkeypatch):
         """``serve --http`` joins its ``svc-http`` thread and closes the

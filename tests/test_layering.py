@@ -5,6 +5,7 @@ them and runs those.  The runner imports the experiment layer and never the
 other way round, so both packages import what they use at module level and
 no function hides an import cycle.  The source is parsed, not imported, so
 an import under ``TYPE_CHECKING`` or inside a function counts as well.
+Likewise ``repro.svc`` wraps ``repro.dist`` and never the other way round.
 """
 
 import ast
@@ -43,14 +44,19 @@ def in_package(name, package):
     return name == package or name.startswith(package + ".")
 
 
-def test_the_experiment_layer_never_imports_the_runner():
+def imports_of(package, banned):
+    """``file:line`` of every import of ``banned`` in ``repro.<package>``."""
     offenders = []
-    for path in sources("experiments"):
+    for path in sources(package):
         for node in ast.walk(ast.parse(path.read_text())):
-            names = imported_modules(node, "repro.experiments")
-            if any(in_package(name, "repro.runner") for name in names):
+            names = imported_modules(node, f"repro.{package}")
+            if any(in_package(name, banned) for name in names):
                 offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
-    assert offenders == []
+    return offenders
+
+
+def test_the_experiment_layer_never_imports_the_runner():
+    assert imports_of("experiments", "repro.runner") == []
 
 
 def test_no_function_of_the_two_packages_imports_a_repro_module():
@@ -69,3 +75,8 @@ def test_no_function_of_the_two_packages_imports_a_repro_module():
                             not in ALLOWED_LOCAL_IMPORTS:
                         offenders.add(f"{relative}:{node.lineno}")
     assert sorted(offenders) == []
+
+
+def test_the_dist_package_never_imports_the_service():
+    # the coordinator writes the runner's results document
+    assert imports_of("dist", "repro.svc") == []

@@ -81,7 +81,7 @@ EVENTS_HEAD = 100
 
 
 # sanitize and canonical_json are re-exported from repro.canonical (the
-# repository's single canonical encoder, shared with the archive writer,
+# repository's single canonical encoder, shared with results documents,
 # the fuzz corpus and the sweep service's cache keys); the golden tests
 # import them from this module, which keeps this tool the single source of
 # truth for *capture* while the byte encoding lives in one place.
